@@ -40,7 +40,6 @@ from .gaugeflow import (
     evolve_gauge,
     gauge_derivatives,
     identity_gauge,
-    pauli_expectations,
 )
 from .integrate import uniform_grid
 from .liouvillian import (
@@ -60,7 +59,7 @@ from .spectral import (
     eigen_modes,
     solve_transformation_conditions,
 )
-from .states import pure_state, trace_distance
+from .states import pauli_expectations, pure_state, trace_distance
 
 __version__ = "0.1.0"
 

@@ -20,18 +20,14 @@ from . import verify as verify_mod
 from .algebra import unvectorize
 from .bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
 from .errors import InvalidInputError, NumericalFailureError
-from .gaugeflow import (
-    InitialDecomposition,
-    assemble_density,
-    evolve_gauge,
-    pauli_expectations,
-)
+from .gaugeflow import InitialDecomposition, assemble_density, evolve_gauge
 from .integrate import uniform_grid
 from .liouvillian import build_rate_operator, integrate_reference, spectrum, steady_state
 from .spectral import asymptotic_gauge_limits
 from .states import (
     amplitudes_from_polar,
     min_eigenvalue,
+    pauli_expectations,
     trace_distance,
     trace_error,
 )
@@ -627,3 +623,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

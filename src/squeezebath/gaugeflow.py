@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BASIS_LABELS, vectorize
+from .algebra import vectorize
 from .bath import BathSchedule, schedule_eval
 from .errors import InvalidInputError, NumericalFailureError
 from .integrate import check_grid, default_step, plan_substeps
@@ -48,7 +48,6 @@ __all__ = [
     "evolve_gauge",
     "autonomous_gauge",
     "assemble_density",
-    "pauli_expectations",
     "autonomous_expectations",
 ]
 
@@ -82,9 +81,6 @@ class GaugeState:
     def factors(self) -> tuple[complex, complex, complex, complex]:
         """The weights f_{s,s'} themselves (exponentials of the stored logs)."""
         return tuple(cmath.exp(f) for f in self.log_factors)
-
-    def log_factor(self, s: int, s_prime: int) -> complex:
-        return self.log_factors[BASIS_LABELS.index((s, s_prime))]
 
 
 def identity_gauge() -> GaugeState:
@@ -347,20 +343,6 @@ def assemble_density(init: InitialDecomposition, g: GaugeState) -> np.ndarray:
     rho_eg = _term(lam[2], f_eg, 1.0 + ep * em) + _term(lam[3], f_ge, ep)
     rho_ge = _term(lam[2], f_eg, em) + _term(lam[3], f_ge, 1.0)
     return np.array([[rho_ee, rho_eg], [rho_ge, rho_gg]], dtype=complex)
-
-
-def pauli_expectations(rho: np.ndarray) -> tuple[float, float, float]:
-    """Traces of rho against sigma_x, sigma_y, sigma_z.
-
-    In components: <sigma_x> = rho_eg + rho_ge, <sigma_y> = i(rho_eg -
-    rho_ge), <sigma_z> = rho_ee - rho_gg.  Real parts are returned; for
-    Hermitian input the imaginary parts vanish identically.
-    """
-    rho = np.asarray(rho)
-    sx = rho[0, 1] + rho[1, 0]
-    sy = 1j * (rho[0, 1] - rho[1, 0])
-    sz = rho[0, 0] - rho[1, 1]
-    return (float(sx.real), float(sy.real), float(sz.real))
 
 
 def autonomous_expectations(

@@ -33,9 +33,8 @@ from .algebra import (
 )
 from .bath import BathPoint, BathSchedule, _validate_bath_point
 from .errors import InvalidInputError, NumericalFailureError
-from .gaugeflow import pauli_expectations
 from .integrate import check_grid, default_step, plan_substeps
-from .states import hermiticity_defect, min_eigenvalue, trace_error
+from .states import hermiticity_defect, min_eigenvalue, pauli_expectations, trace_error
 
 __all__ = [
     "RateMatrix",

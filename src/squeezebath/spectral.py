@@ -63,10 +63,6 @@ class TransformationBranch:
     eta_plus: complex
     eta_minus: complex
 
-    @property
-    def branch_id(self) -> tuple[str, str]:
-        return (self.kind, "+" if self.eta_sign > 0 else "-")
-
 
 @dataclass(frozen=True)
 class EigenMode:

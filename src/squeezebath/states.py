@@ -11,8 +11,8 @@ from .errors import InvalidInputError
 
 __all__ = [
     "pure_state",
-    "ground_state",
     "excited_state",
+    "pauli_expectations",
     "trace_error",
     "hermiticity_defect",
     "min_eigenvalue",
@@ -50,12 +50,22 @@ def amplitudes_from_polar(abs2: float, phase: float) -> complex:
     return math.sqrt(max(abs2, 0.0)) * cmath.exp(1j * phase)
 
 
-def ground_state() -> np.ndarray:
-    return np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
-
 def excited_state() -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def pauli_expectations(rho: np.ndarray) -> tuple[float, float, float]:
+    """Traces of rho against sigma_x, sigma_y, sigma_z.
+
+    In components: <sigma_x> = rho_eg + rho_ge, <sigma_y> = i(rho_eg -
+    rho_ge), <sigma_z> = rho_ee - rho_gg.  Real parts are returned; for
+    Hermitian input the imaginary parts vanish identically.
+    """
+    rho = np.asarray(rho)
+    sx = rho[0, 1] + rho[1, 0]
+    sy = 1j * (rho[0, 1] - rho[1, 0])
+    sz = rho[0, 0] - rho[1, 1]
+    return (float(sx.real), float(sy.real), float(sz.real))
 
 
 def trace_error(rho: np.ndarray) -> float:

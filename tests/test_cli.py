@@ -1,8 +1,13 @@
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import squeezebath
 from squeezebath.cli import (
     DEFAULTS,
     TRAJECTORY_HEADER,
@@ -14,8 +19,45 @@ from squeezebath.cli import (
 from squeezebath.errors import InvalidInputError
 
 
+# name -> status and tolerance of each line of the default verify report, in order
+VERIFY_LINES = {
+    "commutators": "PASS (exact)",
+    "basis-actions": "PASS (exact)",
+    "adjoint-pairings": "PASS (exact)",
+    "construction-equality": "PASS tolerance 1.000e-14",
+    "spectrum-formulas": "PASS tolerance 1.000e-10",
+    "steady-state": "PASS tolerance 1.000e-12",
+    "branch-conditions": "PASS tolerance 1.000e-12",
+    "alpha-root-adjudication": "PASS tolerance 1.000e-15",
+    "eigenmode-consistency": "PASS tolerance 1.000e-10",
+    "biorthogonality": "PASS tolerance 1.000e-10",
+    "zero-mode": "PASS tolerance 1.000e-12",
+    "oracle-agreement": "PASS tolerance 1.000e-07",
+    "gauge-trace-identities": "PASS tolerance 1.000e-09",
+    "conservation-positivity": "PASS tolerance 1.000e-09",
+    "coherence-symmetry": "PASS tolerance 1.000e-09",
+    "autonomous-consistency": "PASS tolerance 1.000e-08",
+    "steady-approach": "PASS tolerance 1.000e-06",
+    "inversion-decay": "PASS tolerance 1.000e-03",
+    "decay-asymmetry": "PASS",
+}
+
+
 def _read(path):
     return path.read_text(encoding="utf-8")
+
+
+def _report_lines(report):
+    """(name, status and tolerance) of each check line of a verify report."""
+    lines = []
+    for status, name, body in re.findall(r"^  \[(\w+)\] (\S+) +(.*?)(?: \| .*)?$", report, re.M):
+        tol = re.findall(r"\(exact\)|tolerance \S+|skipped: .*|raised \w+", body)
+        lines.append((name, " ".join([status] + tol)))
+    return lines
+
+
+def _verify_lines(changed):
+    return list({**VERIFY_LINES, **changed}.items())
 
 
 def _column(text, name):
@@ -208,10 +250,25 @@ def test_verify_default_passes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     report = _read(out / "verify_report.txt")
-    assert "[FAIL]" not in report
-    assert "alpha-root-adjudication" in report
+    assert _report_lines(report) == _verify_lines({})
     assert "residual[N/(N+1)]" in report and "residual[N/(2N+1)]" in report
     assert "summary:" in captured.out
+
+
+def test_verify_reports_a_gauge_overflow_as_failed_checks(tmp_path, capsys):
+    # constant r = 2 overflows the gauge flow at t ~ 25.9: every check that
+    # reads the run's flow fails with the error, and the oracle run is missing
+    out = tmp_path / "r2"
+    rc = main(["verify", "--out", str(out), "--schedule.r.kind=const", "--schedule.r.value=2"])
+    assert rc == 2
+    raised = "FAIL raised NumericalFailureError"
+    assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines({
+        "oracle-agreement": raised,
+        "gauge-trace-identities": raised,
+        "conservation-positivity": "SKIP skipped: oracle run unavailable",
+        "coherence-symmetry": raised,
+    })
+    assert "oracle-agreement" in capsys.readouterr().err
 
 
 def test_verify_coarse_step_fails_oracle(tmp_path, capsys):
@@ -231,10 +288,12 @@ def test_verify_thermal_skips_squeezing_checks(tmp_path):
          "--schedule.mode=thermal", "--schedule.nbar=0.7"]
     )
     assert rc == 0
-    report = _read(out / "verify_report.txt")
-    assert "[SKIP] spectrum-formulas" in report
-    assert "[SKIP] decay-asymmetry" in report
-    assert "skipped: thermal override" in report
+    thermal = "SKIP skipped: thermal override"
+    skipped = ("spectrum-formulas", "autonomous-consistency", "steady-approach",
+               "inversion-decay", "decay-asymmetry")
+    assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines(
+        dict.fromkeys(skipped, thermal)
+    )
 
 
 def test_defaults_cover_every_documented_key():
@@ -242,3 +301,19 @@ def test_defaults_cover_every_documented_key():
     for key in DEFAULTS:
         rc = resolve_config({key: DEFAULTS[key]}, ".")
         assert rc is not None
+
+
+@pytest.mark.parametrize(
+    "args, code", [(["spectrum"], 0), (["spectrum", "--grid.bogus=1"], 1)]
+)
+def test_python_dash_m_runs_the_cli(tmp_path, args, code):
+    src = os.path.dirname(os.path.dirname(squeezebath.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "squeezebath.cli", *args, "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "spectrum.csv").exists() == (code == 0)

@@ -16,11 +16,11 @@ from squeezebath.gaugeflow import (
     evolve_gauge,
     gauge_derivatives,
     identity_gauge,
-    pauli_expectations,
 )
 from squeezebath.integrate import uniform_grid
 from squeezebath.liouvillian import integrate_reference
-from squeezebath.states import trace_distance
+from squeezebath.states import pauli_expectations, trace_distance
+from squeezebath.verify import check_gauge_trace_identities, check_oracle_agreement
 
 FIG1 = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
 
@@ -139,15 +139,8 @@ def test_thermal_schedule_keeps_eta_inert():
 
 
 def test_trace_identities_along_flow():
-    grid = uniform_grid(5.0, 0.1)
-    worst = 0.0
-    for g in evolve_gauge(FIG1, grid):
-        f = g.factors
-        worst = max(worst, abs(f[1] * (1.0 + g.alpha_plus) - 1.0))
-        worst = max(
-            worst, abs(f[0] * (1.0 + g.alpha_plus * g.alpha_minus + g.alpha_minus) - 1.0)
-        )
-    assert worst <= 1e-9
+    gauges = evolve_gauge(FIG1, uniform_grid(5.0, 0.1))
+    assert check_gauge_trace_identities(gauges, 1e-9).status == "PASS"
 
 
 def test_gauge_blowup_is_reported():
@@ -196,13 +189,9 @@ def test_assembled_states_stay_physical():
 def test_flow_agrees_with_reference_integrator():
     grid = uniform_grid(1.0, 0.05)
     gauges = evolve_gauge(FIG1, grid)
-    rho0 = unvectorize(np.array(ODD_INIT.lambdas))
-    ref = integrate_reference(FIG1, rho0, grid)
-    worst = max(
-        trace_distance(assemble_density(ODD_INIT, g), s)
-        for g, s in zip(gauges, ref.states)
-    )
-    assert worst <= 1e-8
+    states = [assemble_density(ODD_INIT, g) for g in gauges]
+    ref = integrate_reference(FIG1, unvectorize(np.array(ODD_INIT.lambdas)), grid)
+    assert check_oracle_agreement(states, ref, 1e-8).status == "PASS"
 
 
 def test_pauli_expectations_values():

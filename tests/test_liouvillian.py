@@ -1,7 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
+
+import squeezebath.liouvillian
 
 from squeezebath.bath import BathPoint, BathSchedule, Constant, ExpDecay, bath_params
 from squeezebath.errors import InvalidInputError, NumericalFailureError
@@ -14,6 +18,7 @@ from squeezebath.liouvillian import (
     steady_state,
 )
 from squeezebath.states import excited_state, trace_distance
+from squeezebath.verify import check_construction_equality, check_spectrum_formulas
 
 ROOT2 = math.sqrt(2.0)
 
@@ -60,15 +65,11 @@ def test_block_structure():
 
 def test_construction_methods_agree():
     rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(100):
-        g = float(rng.uniform(0.05, 3.0))
-        n, m = bath_params(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 7.0)))
-        point = BathPoint(g, n, m)
-        a = build_rate_operator(point, method="sandwich").matrix
-        b = build_rate_operator(point, method="algebraic").matrix
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    assert worst <= 1e-14
+    points = [
+        (rng.uniform(0.05, 3.0), rng.uniform(0.0, 1.5), rng.uniform(0.0, 7.0))
+        for _ in range(100)
+    ]
+    assert check_construction_equality(points, 1e-14).status == "PASS"
 
 
 def test_unknown_method_rejected():
@@ -94,17 +95,7 @@ def test_spectrum_frozen_cases():
 
 
 def test_spectrum_matches_rate_formulas():
-    # eigenvalues must be {0, -gamma(N+1/2 -+ |M|), -gamma(2N+1)}
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        g = float(rng.uniform(0.1, 3.0))
-        n, m = bath_params(float(rng.uniform(0.0, 1.5)), 0.0)
-        eigs = spectrum(build_rate_operator(BathPoint(g, n, m)))
-        want = np.sort(
-            [0.0, -g * (2 * n + 1), -g * (n + 0.5 - abs(m)), -g * (n + 0.5 + abs(m))]
-        )[::-1]
-        scale = g * (2 * n + 1)
-        assert np.max(np.abs(eigs - want)) <= 1e-10 * scale
+    assert check_spectrum_formulas(17, 50, 1e-10).status == "PASS"
 
 
 def test_spectrum_real_parts_nonpositive():
@@ -209,3 +200,15 @@ def test_reference_detects_blowup():
     grid = uniform_grid(3.0, 1.0)
     with pytest.raises(NumericalFailureError, match="t = "):
         integrate_reference(sched, excited_state(), grid, step=1.0)
+
+
+def test_reference_route_imports_nothing_from_gaugeflow():
+    # the reference is the oracle for the gauge flow, so it may share no code with it
+    source = pathlib.Path(squeezebath.liouvillian.__file__).read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported += ["%s.%s" % (node.module, a.name) for a in node.names] + [node.module or ""]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert not [m for m in imported if "gaugeflow" in m.split(".")], imported

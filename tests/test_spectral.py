@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from squeezebath.algebra import vectorize
 from squeezebath.bath import (
-    BathPoint,
     BathSchedule,
     Constant,
     ExpDecay,
@@ -16,13 +14,12 @@ from squeezebath.bath import (
 from squeezebath.errors import InvalidInputError, UnsupportedScheduleError
 from squeezebath.gaugeflow import evolve_gauge
 from squeezebath.integrate import uniform_grid
-from squeezebath.liouvillian import build_rate_operator, spectrum
 from squeezebath.spectral import (
     asymptotic_gauge_limits,
-    condition_residuals,
     eigen_modes,
     solve_transformation_conditions,
 )
+from squeezebath.verify import check_branch_conditions, check_eigenmode_consistency
 
 
 def test_branch_values_at_n_one():
@@ -50,11 +47,8 @@ def test_vacuum_branch_roots():
 
 
 def test_branch_conditions_residuals():
-    for n in (0.0, 0.01, 0.4, 1.0, 5.0):
-        for theta in (0.0, 0.7, math.pi):
-            m_unit = complex(math.cos(theta), -math.sin(theta))
-            for branch in solve_transformation_conditions(n, theta):
-                assert max(condition_residuals(branch, n, m_unit)) <= 1e-12
+    res = check_branch_conditions((0.0, 0.01, 0.4, 1.0, 5.0), (0.0, 0.7, math.pi), 1e-12)
+    assert res.status == "PASS"
 
 
 def test_quadratic_root_adjudication():
@@ -69,34 +63,18 @@ def test_quadratic_root_adjudication():
 
 def test_modes_diagonalize_rate_operator():
     for theta in (0.0, 0.7):
-        n, m = bath_params(0.5, theta)
-        rate = build_rate_operator(BathPoint(1.0, n, m)).matrix
-        for branch in solve_transformation_conditions(n, theta):
-            for mode in eigen_modes(1.0, n, m, branch):
-                v = vectorize(mode.mode)
-                assert np.max(np.abs(rate @ v - mode.beta * v)) <= 1e-10
+        consistency, _ = check_eigenmode_consistency(1.0, 0.5, theta, 1e-10)
+        assert consistency.status == "PASS"
 
 
 def test_mode_eigenvalues_cover_spectrum():
-    n, m = bath_params(0.9, 0.0)
-    eigs = spectrum(build_rate_operator(BathPoint(2.0, n, m)))
-    for branch in solve_transformation_conditions(n, 0.0):
-        betas = sorted((md.beta for md in eigen_modes(2.0, n, m, branch)),
-                       key=lambda z: (-z.real, z.imag))
-        assert np.max(np.abs(np.array(betas) - eigs)) <= 1e-10
+    consistency, _ = check_eigenmode_consistency(2.0, 0.9, 0.0, 1e-10)
+    assert consistency.status == "PASS"
 
 
 def test_duals_are_biorthogonal():
-    n, m = bath_params(0.5, 0.7)
-    branch = solve_transformation_conditions(n, 0.7)[0]
-    modes = eigen_modes(1.0, n, m, branch)
-    gram = np.array(
-        [
-            [np.vdot(vectorize(a.dual), vectorize(b.mode)) for b in modes]
-            for a in modes
-        ]
-    )
-    assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
+    _, biorthogonality = check_eigenmode_consistency(1.0, 0.5, 0.7, 1e-10)
+    assert biorthogonality.status == "PASS"
 
 
 def test_zero_mode_is_the_steady_state():
