@@ -43,8 +43,6 @@ from .gaugeflow import (
 )
 from .integrate import uniform_grid
 from .liouvillian import (
-    RateMatrix,
-    Trajectory,
     build_rate_operator,
     integrate_reference,
     spectrum,
@@ -92,8 +90,6 @@ __all__ = [
     "pauli_expectations",
     "autonomous_expectations",
     "uniform_grid",
-    "RateMatrix",
-    "Trajectory",
     "build_rate_operator",
     "spectrum",
     "steady_state",

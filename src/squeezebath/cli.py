@@ -312,7 +312,7 @@ def compute_frame(
     """Run both pipelines on a uniform grid and enforce the row tolerances."""
     grid = uniform_grid(t_max, dt_out)
     gauges = evolve_gauge(schedule, grid, dt_int)
-    states = [assemble_density(init, g) for g in gauges]
+    states = np.array([assemble_density(init, g) for g in gauges])
     rho0 = unvectorize(np.array(init.lambdas, dtype=complex))
     ref = integrate_reference(schedule, rho0, grid, dt_int)
 
@@ -332,11 +332,11 @@ def compute_frame(
         theta=theta_col,
         n=n_col,
         m=m_col,
-        expectations=np.array([pauli_expectations(s) for s in states]),
-        ref_expectations=ref.expectations,
-        dist=np.array([trace_distance(a, b) for a, b in zip(states, ref.states)]),
-        trace_err=np.array([trace_error(s) for s in states]),
-        min_eig=np.array([min_eigenvalue(s) for s in states]),
+        expectations=pauli_expectations(states),
+        ref_expectations=pauli_expectations(ref),
+        dist=trace_distance(states, ref),
+        trace_err=trace_error(states),
+        min_eig=min_eigenvalue(states),
     )
     _enforce_row_tolerances(frame, tol)
     return frame

@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import vectorize
 from .bath import BathSchedule, schedule_eval
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import check_grid, default_step, plan_substeps
+from .integrate import plan_integration
 
 __all__ = [
     "GaugeState",
@@ -145,25 +145,8 @@ def evolve_gauge(
     NumericalFailureError
         On non-finite gauge values (Riccati blow-up), naming the time.
     """
-    grid = check_grid(grid)
-    if step is not None:
-        if not step > 0.0:
-            raise InvalidInputError("step must be > 0, got %r" % (step,))
-        if grid.size > 1:
-            spacing = float(np.min(np.diff(grid)))
-            if step > spacing * (1.0 + 1e-9):
-                raise InvalidInputError(
-                    "internal step %r exceeds smallest grid spacing %r" % (step, spacing)
-                )
-    gamma_grid, _, _ = schedule.params_on(grid)
-    if step is None:
-        step = default_step(gamma_grid)
-    plan = plan_substeps(grid, step)
-
+    grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
     out = [identity_gauge()]
-    if not plan.nodes.size:
-        return out
-    g_nodes, n_nodes, m_nodes = schedule.params_on(plan.nodes)
     # Plain Python scalars keep the innermost loop an order of magnitude
     # faster than numpy element arithmetic on length-8 arrays.
     gl = [float(v) for v in g_nodes]

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "check_grid"]
+__all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "check_grid",
+           "plan_integration"]
 
 
 def uniform_grid(t_max: float, dt: float) -> np.ndarray:
@@ -92,3 +93,29 @@ def default_step(gamma_values: np.ndarray) -> float:
     if gmax <= 0.0:
         return math.inf
     return 1e-3 / gmax
+
+
+def plan_integration(schedule, grid: np.ndarray, step: float | None):
+    """The checked grid, its substep plan and (gamma, N, M) at the plan's nodes.
+
+    The shared preamble of both integrators.  step must be > 0 and no wider
+    than the smallest grid spacing; None means default_step of gamma on the
+    grid.  The node arrays are empty when the grid is a single time.
+    """
+    grid = check_grid(grid)
+    if step is not None:
+        if not step > 0.0:
+            raise InvalidInputError("step must be > 0, got %r" % (step,))
+        if grid.size > 1:
+            spacing = float(np.min(np.diff(grid)))
+            if step > spacing * (1.0 + 1e-9):
+                raise InvalidInputError(
+                    "internal step %r exceeds smallest grid spacing %r" % (step, spacing)
+                )
+    gamma_grid, _, _ = schedule.params_on(grid)
+    if step is None:
+        step = default_step(gamma_grid)
+    plan = plan_substeps(grid, step)
+    if not plan.nodes.size:
+        return grid, plan, (np.zeros(0), np.zeros(0), np.zeros(0, dtype=complex))
+    return grid, plan, schedule.params_on(plan.nodes)

@@ -17,9 +17,6 @@ so it shares no solution formulas with the gaugeflow module.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import (
@@ -33,12 +30,10 @@ from .algebra import (
 )
 from .bath import BathPoint, BathSchedule, _validate_bath_point
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import check_grid, default_step, plan_substeps
-from .states import hermiticity_defect, min_eigenvalue, pauli_expectations, trace_error
+from .integrate import plan_integration
+from .states import hermiticity_defect, min_eigenvalue, trace_error
 
 __all__ = [
-    "RateMatrix",
-    "Trajectory",
     "build_rate_operator",
     "rate_matrix_batch",
     "spectrum",
@@ -48,20 +43,6 @@ __all__ = [
 
 _GEN = composite_generators()
 _I4 = np.eye(4, dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
-class RateMatrix:
-    """4x4 rate operator together with the reservoir point it encodes.
-
-    The matrix is block diagonal: entries coupling the population components
-    (0, 1) to the coherence components (2, 3) are exactly zero, and the
-    population columns sum to zero (trace preservation).
-    """
-
-    matrix: np.ndarray
-    bath: BathPoint
-    method: str
 
 
 def rate_matrix_batch(gamma, n, m) -> np.ndarray:
@@ -86,7 +67,7 @@ def rate_matrix_batch(gamma, n, m) -> np.ndarray:
     return out
 
 
-def build_rate_operator(point: BathPoint, method: str = "sandwich") -> RateMatrix:
+def build_rate_operator(point: BathPoint, method: str = "sandwich") -> np.ndarray:
     """Build the rate operator at one reservoir point.
 
     Parameters
@@ -104,7 +85,10 @@ def build_rate_operator(point: BathPoint, method: str = "sandwich") -> RateMatri
 
     Returns
     -------
-    RateMatrix
+    ndarray, shape (4, 4)
+        Block diagonal: entries coupling the population components (0, 1) to
+        the coherence components (2, 3) are exactly zero, and the population
+        columns sum to zero (trace preservation).
     """
     _validate_bath_point(point.gamma, point.n_param, point.m_param)
     g = point.gamma
@@ -133,11 +117,11 @@ def build_rate_operator(point: BathPoint, method: str = "sandwich") -> RateMatri
         )
     else:
         raise InvalidInputError("method must be 'sandwich' or 'algebraic', got %r" % (method,))
-    return RateMatrix(matrix=np.asarray(mat, dtype=complex), bath=point, method=method)
+    return np.asarray(mat, dtype=complex)
 
 
 def _as_matrix(rate) -> np.ndarray:
-    mat = rate.matrix if isinstance(rate, RateMatrix) else np.asarray(rate, dtype=complex)
+    mat = np.asarray(rate, dtype=complex)
     if mat.shape != (4, 4):
         raise InvalidInputError("expected a 4x4 rate matrix, got shape %r" % (mat.shape,))
     return mat
@@ -180,24 +164,6 @@ def steady_state(rate) -> np.ndarray:
     return unvectorize(vec / tr)
 
 
-@dataclass(eq=False)
-class Trajectory:
-    """Time grid with per-point states, Pauli expectations and diagnostics.
-
-    states has shape (len(times), 2, 2); expectations has shape (n, 3) with
-    columns <sigma_x>, <sigma_y>, <sigma_z>; the three diagnostic arrays hold
-    |trace-1|, the Hermiticity defect and the minimum eigenvalue.  Treat
-    instances as immutable once returned.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    expectations: np.ndarray
-    trace_err: np.ndarray
-    herm_defect: np.ndarray
-    min_eig: np.ndarray
-
-
 def _check_rho0(rho0: np.ndarray) -> np.ndarray:
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
@@ -213,26 +179,12 @@ def _check_rho0(rho0: np.ndarray) -> np.ndarray:
     return rho0
 
 
-def _check_step(grid: np.ndarray, step: float | None) -> float:
-    if step is None:
-        return math.inf
-    if not step > 0.0:
-        raise InvalidInputError("step must be > 0, got %r" % (step,))
-    if grid.size > 1:
-        spacing = float(np.min(np.diff(grid)))
-        if step > spacing * (1.0 + 1e-9):
-            raise InvalidInputError(
-                "internal step %r exceeds smallest grid spacing %r" % (step, spacing)
-            )
-    return step
-
-
 def integrate_reference(
     schedule: BathSchedule,
     rho0: np.ndarray,
     grid: np.ndarray,
     step: float | None = None,
-) -> Trajectory:
+) -> np.ndarray:
     """Integrate the master equation with the classic 4th-order fixed step.
 
     Parameters
@@ -250,62 +202,37 @@ def integrate_reference(
 
     Returns
     -------
-    Trajectory
+    ndarray, shape (len(grid), 2, 2)
+        The density matrix at each grid time.
 
     Raises
     ------
     NumericalFailureError
         If the state stops being finite, with the offending time named.
     """
-    grid = check_grid(grid)
     rho0 = _check_rho0(rho0)
-    step = _check_step(grid, step)
-    gamma_grid, _, _ = schedule.params_on(grid)
-    if step is math.inf:
-        step = default_step(gamma_grid)
-    plan = plan_substeps(grid, step)
-
-    n_out = grid.size
-    states = np.zeros((n_out, 2, 2), dtype=complex)
+    grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
+    rates = rate_matrix_batch(g_nodes, n_nodes, m_nodes)
+    states = np.zeros((grid.size, 2, 2), dtype=complex)
     y = vectorize(rho0).astype(complex)
     states[0] = rho0
-    if plan.nodes.size:
-        g_nodes, n_nodes, m_nodes = schedule.params_on(plan.nodes)
-        rates = rate_matrix_batch(g_nodes, n_nodes, m_nodes)
-        for i in range(n_out - 1):
-            m_sub = int(plan.counts[i])
-            h = float(plan.widths[i])
-            base = int(plan.offsets[i])
-            g0 = rates[base : base + 2 * m_sub : 2]
-            gm = rates[base + 1 : base + 2 * m_sub : 2]
-            g1 = rates[base + 2 : base + 2 * m_sub + 2 : 2]
-            k1 = g0
-            k2 = np.matmul(gm, _I4 + (0.5 * h) * k1)
-            k3 = np.matmul(gm, _I4 + (0.5 * h) * k2)
-            k4 = np.matmul(g1, _I4 + h * k3)
-            one_step = _I4 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            for a in one_step:
-                y = a @ y
-            if not np.all(np.isfinite(y)):
-                raise NumericalFailureError(
-                    "reference state non-finite at t = %r" % (float(grid[i + 1]),)
-                )
-            states[i + 1] = unvectorize(y)
-
-    expectations = np.zeros((n_out, 3))
-    trace_err = np.zeros(n_out)
-    herm_defect = np.zeros(n_out)
-    min_eig = np.zeros(n_out)
-    for i in range(n_out):
-        expectations[i] = pauli_expectations(states[i])
-        trace_err[i] = trace_error(states[i])
-        herm_defect[i] = hermiticity_defect(states[i])
-        min_eig[i] = min_eigenvalue(states[i])
-    return Trajectory(
-        times=grid,
-        states=states,
-        expectations=expectations,
-        trace_err=trace_err,
-        herm_defect=herm_defect,
-        min_eig=min_eig,
-    )
+    for i in range(grid.size - 1):
+        m_sub = int(plan.counts[i])
+        h = float(plan.widths[i])
+        base = int(plan.offsets[i])
+        g0 = rates[base : base + 2 * m_sub : 2]
+        gm = rates[base + 1 : base + 2 * m_sub : 2]
+        g1 = rates[base + 2 : base + 2 * m_sub + 2 : 2]
+        k1 = g0
+        k2 = np.matmul(gm, _I4 + (0.5 * h) * k1)
+        k3 = np.matmul(gm, _I4 + (0.5 * h) * k2)
+        k4 = np.matmul(g1, _I4 + h * k3)
+        one_step = _I4 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for a in one_step:
+            y = a @ y
+        if not np.all(np.isfinite(y)):
+            raise NumericalFailureError(
+                "reference state non-finite at t = %r" % (float(grid[i + 1]),)
+            )
+        states[i + 1] = unvectorize(y)
+    return states

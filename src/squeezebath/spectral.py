@@ -33,6 +33,7 @@ import numpy as np
 from .algebra import BASIS_LABELS, composite_generators, unvectorize
 from .bath import BathSchedule, _validate_bath_point, _wrap_phase, bath_params
 from .errors import InvalidInputError, UnsupportedScheduleError
+from .states import steady_populations
 
 __all__ = [
     "TransformationBranch",
@@ -274,18 +275,11 @@ def asymptotic_gauge_limits(schedule: BathSchedule) -> AsymptoticLimits:
                 )
             m_inf = m_c.real
         eta_limit = -1.0 if m_inf > 0.0 else None
-    steady = np.array(
-        [
-            [n_inf / (2.0 * n_inf + 1.0), 0.0],
-            [0.0, (n_inf + 1.0) / (2.0 * n_inf + 1.0)],
-        ],
-        dtype=complex,
-    )
     return AsymptoticLimits(
         gamma=float(g_inf),
         n_param=n_inf,
         m_param=m_inf,
         alpha_plus=n_inf / (n_inf + 1.0),
         eta_plus=eta_limit,
-        steady=steady,
+        steady=steady_populations(n_inf),
     )

@@ -1,4 +1,9 @@
-"""Small helpers for 2x2 density matrices stored as plain complex arrays."""
+"""Small helpers for 2x2 density matrices stored as plain complex arrays.
+
+The diagnostics (pauli_expectations, trace_error, hermiticity_defect,
+min_eigenvalue, trace_distance) take one 2x2 matrix or a (..., 2, 2) stack,
+such as a trajectory, and return one value per matrix.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ from .errors import InvalidInputError
 __all__ = [
     "pure_state",
     "excited_state",
+    "steady_populations",
     "pauli_expectations",
     "trace_error",
     "hermiticity_defect",
@@ -54,38 +60,49 @@ def excited_state() -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
-def pauli_expectations(rho: np.ndarray) -> tuple[float, float, float]:
-    """Traces of rho against sigma_x, sigma_y, sigma_z.
+def steady_populations(n: float) -> np.ndarray:
+    """The steady state diag(N/(2N+1), (N+1)/(2N+1)) at photon number N."""
+    return np.diag([n / (2 * n + 1), (n + 1) / (2 * n + 1)]).astype(complex)
+
+
+def _dagger(rho: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(rho, -1, -2))
+
+
+def pauli_expectations(rho: np.ndarray) -> np.ndarray:
+    """Traces of rho against sigma_x, sigma_y, sigma_z, along the last axis.
 
     In components: <sigma_x> = rho_eg + rho_ge, <sigma_y> = i(rho_eg -
     rho_ge), <sigma_z> = rho_ee - rho_gg.  Real parts are returned; for
     Hermitian input the imaginary parts vanish identically.
     """
     rho = np.asarray(rho)
-    sx = rho[0, 1] + rho[1, 0]
-    sy = 1j * (rho[0, 1] - rho[1, 0])
-    sz = rho[0, 0] - rho[1, 1]
-    return (float(sx.real), float(sy.real), float(sz.real))
+    sx = rho[..., 0, 1] + rho[..., 1, 0]
+    sy = 1j * (rho[..., 0, 1] - rho[..., 1, 0])
+    sz = rho[..., 0, 0] - rho[..., 1, 1]
+    return np.stack([sx.real, sy.real, sz.real], axis=-1)
 
 
-def trace_error(rho: np.ndarray) -> float:
+def trace_error(rho: np.ndarray):
     """|tr(rho) - 1|."""
-    return abs(complex(np.trace(rho)) - 1.0)
+    rho = np.asarray(rho)
+    return np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0)
 
 
-def hermiticity_defect(rho: np.ndarray) -> float:
+def hermiticity_defect(rho: np.ndarray):
     """Largest entrywise deviation of rho from its conjugate transpose."""
-    return float(np.max(np.abs(rho - rho.conj().T)))
+    rho = np.asarray(rho)
+    return np.max(np.abs(rho - _dagger(rho)), axis=(-2, -1))
 
 
-def min_eigenvalue(rho: np.ndarray) -> float:
+def min_eigenvalue(rho: np.ndarray):
     """Smallest eigenvalue of the Hermitian part of rho."""
-    herm = 0.5 * (rho + rho.conj().T)
-    return float(np.linalg.eigvalsh(herm)[0])
+    rho = np.asarray(rho)
+    return np.min(np.linalg.eigvalsh(0.5 * (rho + _dagger(rho))), axis=-1)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray):
     """Half the trace norm of a - b (difference Hermitized first)."""
-    diff = a - b
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    diff = np.asarray(a) - np.asarray(b)
+    diff = 0.5 * (diff + _dagger(diff))
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)

@@ -75,7 +75,7 @@ def figure_bundle():
             "gauges": gauges,
             "states": states,
             "ref": ref,
-            "exps": np.array([pauli_expectations(s) for s in states]),
+            "exps": pauli_expectations(states),
         }
     bundle["elapsed"] = time.perf_counter() - start
     return bundle

@@ -304,13 +304,18 @@ def test_defaults_cover_every_documented_key():
 
 
 @pytest.mark.parametrize(
-    "args, code", [(["spectrum"], 0), (["spectrum", "--grid.bogus=1"], 1)]
+    "args, code",
+    [
+        (["squeezebath.cli", "spectrum"], 0),
+        (["squeezebath.cli", "spectrum", "--grid.bogus=1"], 1),
+        (["squeezebath", "spectrum"], 0),
+    ],
 )
 def test_python_dash_m_runs_the_cli(tmp_path, args, code):
     src = os.path.dirname(os.path.dirname(squeezebath.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "squeezebath.cli", *args, "--out", str(tmp_path)],
+        [sys.executable, "-m", *args, "--out", str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         timeout=60,

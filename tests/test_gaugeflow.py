@@ -19,7 +19,7 @@ from squeezebath.gaugeflow import (
 )
 from squeezebath.integrate import uniform_grid
 from squeezebath.liouvillian import integrate_reference
-from squeezebath.states import pauli_expectations, trace_distance
+from squeezebath.states import pauli_expectations, steady_populations, trace_distance
 from squeezebath.verify import check_gauge_trace_identities, check_oracle_agreement
 
 FIG1 = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
@@ -28,10 +28,6 @@ ODD_INIT = InitialDecomposition.from_amplitudes(
     math.sqrt(0.2) * cmath.exp(1j * math.pi / 3.0), math.sqrt(0.8)
 )
 EVEN_INIT = InitialDecomposition.from_amplitudes(math.sqrt(0.2), math.sqrt(0.8))
-
-
-def _steady(n):
-    return np.diag([n / (2 * n + 1), (n + 1) / (2 * n + 1)]).astype(complex)
 
 
 def test_derivatives_at_identity():
@@ -174,7 +170,7 @@ def test_assemble_reaches_steady_state():
     n, m = bath_params(0.6, 0.0)
     g = autonomous_gauge(1.0, n, m.real, 200.0)
     rho = assemble_density(ODD_INIT, g)
-    assert trace_distance(rho, _steady(n)) <= 1e-12
+    assert trace_distance(rho, steady_populations(n)) <= 1e-12
 
 
 def test_assembled_states_stay_physical():
@@ -195,8 +191,8 @@ def test_flow_agrees_with_reference_integrator():
 
 
 def test_pauli_expectations_values():
-    assert pauli_expectations(np.eye(2, dtype=complex) / 2.0) == (0.0, 0.0, 0.0)
-    sx, sy, sz = pauli_expectations(_steady(1.0))
+    assert np.array_equal(pauli_expectations(np.eye(2, dtype=complex) / 2.0), np.zeros(3))
+    sx, sy, sz = pauli_expectations(steady_populations(1.0))
     assert (sx, sy) == (0.0, 0.0)
     assert sz == pytest.approx(-1.0 / 3.0, rel=1e-15)
     rho = assemble_density(ODD_INIT, identity_gauge())

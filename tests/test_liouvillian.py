@@ -17,14 +17,21 @@ from squeezebath.liouvillian import (
     spectrum,
     steady_state,
 )
-from squeezebath.states import excited_state, trace_distance
+from squeezebath.states import (
+    excited_state,
+    hermiticity_defect,
+    min_eigenvalue,
+    pauli_expectations,
+    trace_distance,
+    trace_error,
+)
 from squeezebath.verify import check_construction_equality, check_spectrum_formulas
 
 ROOT2 = math.sqrt(2.0)
 
 
 def test_vacuum_rate_matrix_is_exact():
-    rate = build_rate_operator(BathPoint(1.0, 0.0, 0.0)).matrix
+    rate = build_rate_operator(BathPoint(1.0, 0.0, 0.0))
     want = np.array(
         [
             [-1.0, 0.0, 0.0, 0.0],
@@ -38,7 +45,7 @@ def test_vacuum_rate_matrix_is_exact():
 
 
 def test_population_block_and_cross_coupling():
-    rate = build_rate_operator(BathPoint(1.0, 1.0, ROOT2)).matrix
+    rate = build_rate_operator(BathPoint(1.0, 1.0, ROOT2))
     assert np.allclose(rate[:2, :2], [[-2.0, 1.0], [2.0, -1.0]], rtol=0, atol=1e-15)
     assert rate[2, 3] == pytest.approx(-ROOT2, rel=1e-15)
     assert rate[3, 2] == pytest.approx(-ROOT2, rel=1e-15)
@@ -49,13 +56,13 @@ def test_cross_couplings_are_conjugate():
     rng = np.random.default_rng(13)
     for _ in range(20):
         n, m = bath_params(float(rng.uniform(0.0, 1.5)), float(rng.uniform(-7.0, 7.0)))
-        rate = build_rate_operator(BathPoint(1.3, n, m)).matrix
+        rate = build_rate_operator(BathPoint(1.3, n, m))
         assert rate[2, 3] == np.conj(rate[3, 2])
 
 
 def test_block_structure():
     n, m = bath_params(0.8, 0.9)
-    rate = build_rate_operator(BathPoint(1.7, n, m)).matrix
+    rate = build_rate_operator(BathPoint(1.7, n, m))
     zero = np.zeros((2, 2))
     assert np.array_equal(rate[:2, 2:], zero)
     assert np.array_equal(rate[2:, :2], zero)
@@ -136,9 +143,9 @@ def test_steady_state_degenerate_generator():
 def test_reference_vacuum_decay():
     sched = BathSchedule(gamma=Constant(1.0))
     grid = uniform_grid(1.0, 0.25)
-    traj = integrate_reference(sched, excited_state(), grid)
-    assert traj.states[-1][0, 0].real == pytest.approx(math.exp(-1.0), abs=1e-10)
-    assert traj.expectations[-1, 2] == pytest.approx(2.0 * math.exp(-1.0) - 1.0, abs=1e-10)
+    states = integrate_reference(sched, excited_state(), grid)
+    assert states[-1][0, 0].real == pytest.approx(math.exp(-1.0), abs=1e-10)
+    assert pauli_expectations(states)[-1, 2] == pytest.approx(2.0 * math.exp(-1.0) - 1.0, abs=1e-10)
 
 
 def test_reference_reaches_steady_state():
@@ -147,18 +154,18 @@ def test_reference_reaches_steady_state():
     point = sched.at(0.0)
     assert point.n_param == pytest.approx(1.0, rel=1e-14)
     grid = uniform_grid(30.0, 0.5)
-    traj = integrate_reference(sched, excited_state(), grid)
+    states = integrate_reference(sched, excited_state(), grid)
     target = steady_state(build_rate_operator(point))
-    assert trace_distance(traj.states[-1], target) <= 1e-8
+    assert trace_distance(states[-1], target) <= 1e-8
 
 
 def test_reference_trace_preserved_on_decaying_schedule():
     sched = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
     grid = uniform_grid(30.0, 0.25)
-    traj = integrate_reference(sched, excited_state(), grid)
-    assert float(np.max(traj.trace_err)) <= 1e-10
-    assert float(np.max(traj.herm_defect)) <= 1e-12
-    assert float(np.min(traj.min_eig)) >= -1e-10
+    states = integrate_reference(sched, excited_state(), grid)
+    assert float(np.max(trace_error(states))) <= 1e-10
+    assert float(np.max(hermiticity_defect(states))) <= 1e-12
+    assert float(np.min(min_eigenvalue(states))) >= -1e-10
 
 
 def test_reference_fourth_order_convergence():
@@ -170,12 +177,12 @@ def test_reference_fourth_order_convergence():
     rho0 = np.array([[mu * mu, mu * nu], [mu * nu, nu * nu]], dtype=complex)
 
     def sup_error(step):
-        traj = integrate_reference(sched, rho0, grid, step)
+        states = integrate_reference(sched, rho0, grid, step)
         worst = 0.0
         for i, t in enumerate(grid):
             sx, sy, sz = autonomous_expectations(mu, nu, 1.0, n, m.real, float(t))
             exact = 0.5 * np.array([[1.0 + sz, sx - 1j * sy], [sx + 1j * sy, 1.0 - sz]])
-            worst = max(worst, trace_distance(traj.states[i], exact))
+            worst = max(worst, trace_distance(states[i], exact))
         return worst
 
     e_coarse = sup_error(0.1)
