@@ -32,14 +32,11 @@ from .errors import (
     UnsupportedScheduleError,
 )
 from .gaugeflow import (
-    GaugeState,
-    InitialDecomposition,
     assemble_density,
     autonomous_expectations,
     autonomous_gauge,
     evolve_gauge,
     gauge_derivatives,
-    identity_gauge,
 )
 from .integrate import uniform_grid
 from .liouvillian import (
@@ -57,7 +54,7 @@ from .spectral import (
     eigen_modes,
     solve_transformation_conditions,
 )
-from .states import pauli_expectations, pure_state, trace_distance
+from .states import check_density, pauli_expectations, pure_state, trace_distance
 
 __version__ = "0.1.0"
 
@@ -80,9 +77,6 @@ __all__ = [
     "InvalidInputError",
     "NumericalFailureError",
     "UnsupportedScheduleError",
-    "GaugeState",
-    "InitialDecomposition",
-    "identity_gauge",
     "gauge_derivatives",
     "evolve_gauge",
     "autonomous_gauge",
@@ -101,6 +95,7 @@ __all__ = [
     "condition_residuals",
     "eigen_modes",
     "asymptotic_gauge_limits",
+    "check_density",
     "pure_state",
     "trace_distance",
     "__version__",

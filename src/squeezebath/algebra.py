@@ -55,22 +55,27 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 # component: |s><s'| with s = +1 the upper level and s = -1 the lower level.
 _COMPONENT_INDEX = ((0, 0), (1, 1), (0, 1), (1, 0))
 BASIS_LABELS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+# Position of each component in the row-major flattened matrix, and the
+# inverse permutation.
+_TO_VECTOR = np.array([2 * r + c for r, c in _COMPONENT_INDEX])
+_TO_MATRIX = np.argsort(_TO_VECTOR)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Flatten a 2x2 matrix to the component vector (ee, gg, eg, ge)."""
+    """Flatten a 2x2 matrix, or a (..., 2, 2) stack, to component vectors
+    (ee, gg, eg, ge) along the last axis."""
     rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix, got shape %r" % (rho.shape,))
-    return np.array([rho[0, 0], rho[1, 1], rho[0, 1], rho[1, 0]])
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError("expected 2x2 matrices, got shape %r" % (rho.shape,))
+    return rho.reshape(rho.shape[:-2] + (4,))[..., _TO_VECTOR]
 
 
 def unvectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of vectorize: rebuild the 2x2 matrix from its component vector."""
+    """Inverse of vectorize: rebuild the 2x2 matrices from (..., 4) component vectors."""
     vec = np.asarray(vec)
-    if vec.shape != (4,):
-        raise ValueError("expected a length-4 vector, got shape %r" % (vec.shape,))
-    return np.array([[vec[0], vec[2]], [vec[3], vec[1]]])
+    if vec.shape[-1:] != (4,):
+        raise ValueError("expected length-4 vectors, got shape %r" % (vec.shape,))
+    return vec[..., _TO_MATRIX].reshape(vec.shape[:-1] + (2, 2))
 
 
 def basis_matrix(s: int, s_prime: int) -> np.ndarray:

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verify as verify_mod
-from .algebra import unvectorize
 from .bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
 from .errors import InvalidInputError, NumericalFailureError
-from .gaugeflow import InitialDecomposition, assemble_density, evolve_gauge
+from .gaugeflow import assemble_density, evolve_gauge
 from .integrate import uniform_grid
 from .liouvillian import build_rate_operator, integrate_reference, spectrum, steady_state
 from .spectral import asymptotic_gauge_limits
@@ -28,6 +27,7 @@ from .states import (
     amplitudes_from_polar,
     min_eigenvalue,
     pauli_expectations,
+    pure_state,
     trace_distance,
     trace_error,
 )
@@ -95,19 +95,19 @@ def figure_schedule(fig_id: int) -> BathSchedule:
     return BathSchedule(gamma=Constant(1.0), r=ExpDecay(c1, 0.1), theta=Constant(0.0))
 
 
-def figure_initial(fig_id: int) -> InitialDecomposition:
+def figure_initial(fig_id: int) -> np.ndarray:
     if fig_id not in _FIGURES:
         raise InvalidInputError("figure id must be in 1..6, got %r" % (fig_id,))
     _, complex_phase = _FIGURES[fig_id]
     phase = math.pi / 3.0 if complex_phase else 0.0
     mu = math.sqrt(0.2) * complex(math.cos(phase), math.sin(phase))
-    return InitialDecomposition.from_amplitudes(mu, math.sqrt(0.8))
+    return pure_state(mu, math.sqrt(0.8))
 
 
 @dataclass
 class RunConfig:
     schedule: BathSchedule
-    init: InitialDecomposition
+    rho0: np.ndarray
     t_max: float
     dt_out: float
     dt_int: float
@@ -259,7 +259,7 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
     nu = amplitudes_from_polar(
         _as_float(merged, "initial.nu_abs2"), _as_float(merged, "initial.nu_phase")
     )
-    init = InitialDecomposition.from_amplitudes(mu, nu)
+    rho0 = pure_state(mu, nu)
 
     steady_raw = merged["steady.at"]
     steady_at = None if steady_raw == "" else float(_as_float(merged, "steady.at"))
@@ -269,7 +269,7 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
     }
     return RunConfig(
         schedule=schedule,
-        init=init,
+        rho0=rho0,
         t_max=_as_float(merged, "grid.t_max"),
         dt_out=_as_float(merged, "grid.dt_out"),
         dt_int=_as_float(merged, "grid.dt_int"),
@@ -303,7 +303,7 @@ class TrajectoryFrame:
 
 def compute_frame(
     schedule: BathSchedule,
-    init: InitialDecomposition,
+    rho0: np.ndarray,
     t_max: float,
     dt_out: float,
     dt_int: float,
@@ -311,9 +311,7 @@ def compute_frame(
 ) -> TrajectoryFrame:
     """Run both pipelines on a uniform grid and enforce the row tolerances."""
     grid = uniform_grid(t_max, dt_out)
-    gauges = evolve_gauge(schedule, grid, dt_int)
-    states = np.array([assemble_density(init, g) for g in gauges])
-    rho0 = unvectorize(np.array(init.lambdas, dtype=complex))
+    states = assemble_density(rho0, evolve_gauge(schedule, grid, dt_int))
     ref = integrate_reference(schedule, rho0, grid, dt_int)
 
     gamma_col, n_col, m_col = schedule.params_on(grid)
@@ -470,7 +468,7 @@ def write_line_chart(path: str, times: np.ndarray, series, title: str) -> None:
 
 
 def run_trajectory(rc: RunConfig) -> int:
-    frame = compute_frame(rc.schedule, rc.init, rc.t_max, rc.dt_out, rc.dt_int, rc.tol)
+    frame = compute_frame(rc.schedule, rc.rho0, rc.t_max, rc.dt_out, rc.dt_int, rc.tol)
     path = os.path.join(rc.out_dir, "trajectory.csv")
     write_trajectory_csv(path, frame)
     print(
@@ -560,7 +558,7 @@ def run_steady(rc: RunConfig) -> int:
 
 def run_verify(rc: RunConfig) -> int:
     results = verify_mod.run_checks(
-        rc.schedule, rc.init, rc.t_max, rc.dt_out, rc.dt_int, rc.tol
+        rc.schedule, rc.rho0, rc.t_max, rc.dt_out, rc.dt_int, rc.tol
     )
     header = "verification report (t_max=%g, dt_out=%g, dt_int=%g, %s)" % (
         rc.t_max, rc.dt_out, rc.dt_int,

@@ -22,6 +22,16 @@ exp(-rate * t) while alpha_minus grows like the inverse, and only products of
 the two are of order one.  Assembly therefore multiplies each term in
 log space.
 
+A gauge state is a complex array whose last axis holds the eight columns
+
+    (alpha_plus, alpha_minus, eta_plus, eta_minus,
+     log f_ee, log f_gg, log f_eg, log f_ge),
+
+the weights in the component order of BASIS_LABELS.  At t = 0 every column is
+zero (the transformation starts at the identity).  evolve_gauge returns one
+row per grid time, the flow, which depends only on the reservoir; the
+initial state enters only in assemble_density.
+
 For a constant reservoir all five quantities have closed forms, implemented
 in autonomous_gauge; the time stepping must reproduce them, and both must
 match the brute-force reference integrator.
@@ -31,65 +41,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import vectorize
+from .algebra import unvectorize, vectorize
 from .bath import BathSchedule, schedule_eval
 from .errors import InvalidInputError, NumericalFailureError
 from .integrate import plan_integration
+from .states import check_density
 
 __all__ = [
-    "GaugeState",
-    "InitialDecomposition",
-    "identity_gauge",
     "gauge_derivatives",
     "evolve_gauge",
     "autonomous_gauge",
     "assemble_density",
     "autonomous_expectations",
 ]
-
-_NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GaugeState:
-    """Gauge parameters and log-weights at one instant.
-
-    log_factors holds log f_{s,s'} in the component order of BASIS_LABELS:
-    (+1,+1), (-1,-1), (+1,-1), (-1,+1).  At t = 0 every field is zero (the
-    transformation starts at the identity).
-    """
-
-    alpha_plus: complex
-    alpha_minus: complex
-    eta_plus: complex
-    eta_minus: complex
-    log_factors: tuple[complex, complex, complex, complex]
-
-    def as_tuple(self) -> tuple[complex, ...]:
-        return (
-            self.alpha_plus,
-            self.alpha_minus,
-            self.eta_plus,
-            self.eta_minus,
-        ) + tuple(self.log_factors)
-
-    @property
-    def factors(self) -> tuple[complex, complex, complex, complex]:
-        """The weights f_{s,s'} themselves (exponentials of the stored logs)."""
-        return tuple(cmath.exp(f) for f in self.log_factors)
-
-
-def identity_gauge() -> GaugeState:
-    """The t = 0 gauge state: all parameters and log-weights zero."""
-    return GaugeState(0j, 0j, 0j, 0j, (0j, 0j, 0j, 0j))
-
-
-def _from_tuple(y: tuple[complex, ...]) -> GaugeState:
-    return GaugeState(y[0], y[1], y[2], y[3], (y[4], y[5], y[6], y[7]))
 
 
 def _gauge_rhs(gamma: float, n: float, m: complex, y: tuple[complex, ...]):
@@ -109,22 +76,22 @@ def _gauge_rhs(gamma: float, n: float, m: complex, y: tuple[complex, ...]):
     )
 
 
-def gauge_derivatives(t: float, g: GaugeState, schedule: BathSchedule) -> GaugeState:
+def gauge_derivatives(t: float, y: np.ndarray, schedule: BathSchedule) -> np.ndarray:
     """Right-hand sides of the gauge ODE system at time t.
 
-    Returns a GaugeState whose fields hold the time derivatives of the
-    corresponding fields of g (including the log-weight exponent rates).
+    y is one gauge state, shape (8,); the result holds the time derivatives
+    of its columns (including the log-weight exponent rates).
     """
     point = schedule_eval(schedule, t)
-    y = tuple(complex(v) for v in g.as_tuple())
-    return _from_tuple(_gauge_rhs(point.gamma, point.n_param, point.m_param, y))
+    y = tuple(complex(v) for v in np.asarray(y))
+    return np.array(_gauge_rhs(point.gamma, point.n_param, point.m_param, y), dtype=complex)
 
 
 def evolve_gauge(
     schedule: BathSchedule,
     grid: np.ndarray,
     step: float | None = None,
-) -> list[GaugeState]:
+) -> np.ndarray:
     """Integrate the gauge ODEs from the identity with fixed 4th-order steps.
 
     Parameters
@@ -138,7 +105,8 @@ def evolve_gauge(
 
     Returns
     -------
-    list of GaugeState, one per grid time.
+    ndarray, shape (len(grid), 8)
+        The gauge state at each grid time; row 0 is zero.
 
     Raises
     ------
@@ -146,7 +114,7 @@ def evolve_gauge(
         On non-finite gauge values (Riccati blow-up), naming the time.
     """
     grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
-    out = [identity_gauge()]
+    out = np.zeros((grid.size, 8), dtype=complex)
     # Plain Python scalars keep the innermost loop an order of magnitude
     # faster than numpy element arithmetic on length-8 arrays.
     gl = [float(v) for v in g_nodes]
@@ -182,7 +150,7 @@ def evolve_gauge(
             raise NumericalFailureError(
                 "gauge parameters non-finite at t = %r" % (float(grid[i + 1]),)
             )
-        out.append(_from_tuple(y))
+        out[i + 1] = y
     return out
 
 
@@ -191,8 +159,8 @@ def _log_cosh(x: float) -> float:
     return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
 
 
-def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> GaugeState:
-    """Closed-form gauge state for a constant reservoir with real M.
+def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:
+    """Closed-form gauge state, shape (8,), for a constant reservoir with real M.
 
     The alpha pair depends on gamma, N and t through E = exp(-gamma(2N+1)t):
 
@@ -230,136 +198,83 @@ def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> GaugeState:
     f_gg = math.log(den / (2.0 * n + 1.0))
     f_eg = -gamma * (n + 0.5) * t - lc
     f_ge = -gamma * (n + 0.5) * t + lc
-    return GaugeState(
-        complex(ap),
-        complex(am),
-        complex(ep),
-        complex(em),
-        (complex(f_ee), complex(f_gg), complex(f_eg), complex(f_ge)),
-    )
+    return np.array([ap, am, ep, em, f_ee, f_gg, f_eg, f_ge], dtype=complex)
 
 
-@dataclass(frozen=True)
-class InitialDecomposition:
-    """Component coefficients lambda_{s,s'} of the initial density matrix.
-
-    lambdas is ordered like BASIS_LABELS: (ee, gg, eg, ge).  A physical
-    initial state has lambda_ee + lambda_gg = 1 and lambda_ge equal to the
-    conjugate of lambda_eg; both are validated to 1e-9.  mu and nu record the
-    generating amplitudes when the state is the pure superposition
-    mu |upper> + nu |lower>.
-    """
-
-    lambdas: tuple[complex, complex, complex, complex]
-    mu: complex | None = None
-    nu: complex | None = None
-
-    def __post_init__(self):
-        lam = tuple(complex(v) for v in self.lambdas)
-        object.__setattr__(self, "lambdas", lam)
-        if len(lam) != 4:
-            raise InvalidInputError("lambdas must have exactly 4 entries")
-        if not all(cmath.isfinite(v) for v in lam):
-            raise InvalidInputError("lambdas must be finite")
-        tr = lam[0] + lam[1]
-        if abs(tr - 1.0) > _NORM_TOL:
-            raise InvalidInputError("lambda_ee + lambda_gg = %r, expected 1" % (tr,))
-        if abs(lam[3] - lam[2].conjugate()) > _NORM_TOL:
-            raise InvalidInputError("lambda_ge must be conj(lambda_eg)")
-
-    @classmethod
-    def from_amplitudes(cls, mu: complex, nu: complex) -> "InitialDecomposition":
-        mu = complex(mu)
-        nu = complex(nu)
-        norm = abs(mu) ** 2 + abs(nu) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise InvalidInputError(
-                "|mu|^2 + |nu|^2 = %r, expected 1 within %g" % (norm, _NORM_TOL)
-            )
-        return cls(
-            lambdas=(
-                abs(mu) ** 2,
-                abs(nu) ** 2,
-                mu * nu.conjugate(),
-                mu.conjugate() * nu,
-            ),
-            mu=mu,
-            nu=nu,
-        )
-
-    @classmethod
-    def from_density(cls, rho: np.ndarray) -> "InitialDecomposition":
-        vec = vectorize(np.asarray(rho, dtype=complex))
-        return cls(lambdas=(vec[0], vec[1], vec[2], vec[3]))
-
-
-def _term(lam: complex, log_f: complex, coeff: complex) -> complex:
+def _term(lam: complex, log_f: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     # lam * exp(log_f) * coeff, multiplied in log space: the weight factor
     # and the coefficient can separately overflow or underflow while their
-    # product stays of order one.
-    if lam == 0 or coeff == 0:
-        return 0j
-    return lam * cmath.exp(log_f + cmath.log(coeff))
+    # product stays of order one.  Exactly zero where lam or coeff is.
+    coeff = np.broadcast_to(coeff, log_f.shape)
+    out = np.zeros(log_f.shape, dtype=complex)
+    if lam != 0:
+        live = coeff != 0
+        out[live] = lam * np.exp(log_f[live] + np.log(coeff[live]))
+    return out
 
 
-def assemble_density(init: InitialDecomposition, g: GaugeState) -> np.ndarray:
-    """Density matrix at the instant described by a gauge state.
+def assemble_density(rho0: np.ndarray, flow: np.ndarray) -> np.ndarray:
+    """Density matrices at the instants described by gauge states.
 
-    Implements the component expansion
+    rho0 is the initial density matrix (checked by check_density), flow one
+    gauge state of shape (8,) or a (..., 8) stack such as evolve_gauge's
+    result; the result has shape (..., 2, 2).  Implements the component
+    expansion
 
         rho_ee = l_ee f_ee (1 + a+ a-) + l_gg f_gg a+
         rho_gg = l_ee f_ee a-          + l_gg f_gg
         rho_eg = l_eg f_eg (1 + e+ e-) + l_ge f_ge e+
         rho_ge = l_eg f_eg e-          + l_ge f_ge
 
-    with a+- = alpha_plus/minus, e+- = eta_plus/minus and f the exponential
-    weights.  For Hermitian initial data the result is Hermitian with trace 1
-    up to integration tolerances.
+    with l the components of rho0, a+- = alpha_plus/minus, e+- =
+    eta_plus/minus and f the exponential weights.  The result is Hermitian
+    with trace 1 up to integration tolerances.
     """
-    lam = init.lambdas
-    ap, am, ep, em = g.alpha_plus, g.alpha_minus, g.eta_plus, g.eta_minus
-    f_ee, f_gg, f_eg, f_ge = g.log_factors
-    if not all(cmath.isfinite(v) for v in (ap, am, ep, em)):
+    l_ee, l_gg, l_eg, l_ge = (complex(v) for v in vectorize(check_density(rho0)))
+    flow = np.asarray(flow, dtype=complex)
+    if not np.all(np.isfinite(flow[..., :4])):
         raise NumericalFailureError("gauge parameters are not finite; cannot assemble")
-    rho_ee = _term(lam[0], f_ee, 1.0 + ap * am) + _term(lam[1], f_gg, ap)
-    rho_gg = _term(lam[0], f_ee, am) + _term(lam[1], f_gg, 1.0)
-    rho_eg = _term(lam[2], f_eg, 1.0 + ep * em) + _term(lam[3], f_ge, ep)
-    rho_ge = _term(lam[2], f_eg, em) + _term(lam[3], f_ge, 1.0)
-    return np.array([[rho_ee, rho_eg], [rho_ge, rho_gg]], dtype=complex)
+    ap, am, ep, em, f_ee, f_gg, f_eg, f_ge = np.moveaxis(flow, -1, 0)
+    rho = np.stack(
+        [
+            _term(l_ee, f_ee, 1.0 + ap * am) + _term(l_gg, f_gg, ap),
+            _term(l_ee, f_ee, am) + _term(l_gg, f_gg, 1.0),
+            _term(l_eg, f_eg, 1.0 + ep * em) + _term(l_ge, f_ge, ep),
+            _term(l_eg, f_eg, em) + _term(l_ge, f_ge, 1.0),
+        ],
+        axis=-1,
+    )
+    return unvectorize(rho)
 
 
 def autonomous_expectations(
-    mu: complex, nu: complex, gamma: float, n: float, m: float, t: float
+    rho0: np.ndarray, gamma: float, n: float, m: float, t: float
 ) -> tuple[float, float, float]:
     """Closed-form Pauli expectations for a constant reservoir with real M.
 
-    Starting from the pure state mu |upper> + nu |lower>:
+    Starting from the density matrix rho0 (checked by check_density):
 
-        <sigma_x>(t) =  2 Re(mu conj(nu)) exp(-gamma (N + M + 1/2) t)
-        <sigma_y>(t) = -2 Im(mu conj(nu)) exp(-gamma (N - M + 1/2) t)
-        <sigma_z>(t) = (2 [|mu|^2 (N+1) - |nu|^2 N] exp(-gamma (2N+1) t) - 1)
+        <sigma_x>(t) =  2 Re(rho_eg) exp(-gamma (N + M + 1/2) t)
+        <sigma_y>(t) = -2 Im(rho_eg) exp(-gamma (N - M + 1/2) t)
+        <sigma_z>(t) = (2 [rho_ee (N+1) - rho_gg N] exp(-gamma (2N+1) t) - 1)
                        / (2N + 1)
 
     The two quadratures decay at the split rates gamma (N +- M + 1/2), the
     inversion at gamma (2N+1) toward -1/(2N+1).
     """
-    mu = complex(mu)
-    nu = complex(nu)
-    norm = abs(mu) ** 2 + abs(nu) ** 2
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise InvalidInputError(
-            "|mu|^2 + |nu|^2 = %r, expected 1 within %g" % (norm, _NORM_TOL)
-        )
+    rho0 = check_density(rho0)
     for name, v in (("gamma", gamma), ("N", n), ("M", m), ("t", t)):
         if not math.isfinite(v):
             raise InvalidInputError("%s must be finite, got %r" % (name, v))
     if t < 0.0:
         raise InvalidInputError("t must be >= 0, got %r" % (t,))
-    mn = mu * nu.conjugate()
-    sx = 2.0 * mn.real * math.exp(-gamma * (n + m + 0.5) * t)
-    sy = -2.0 * mn.imag * math.exp(-gamma * (n - m + 0.5) * t)
+    p_e = float(rho0[0, 0].real)
+    p_g = float(rho0[1, 1].real)
+    coh = complex(rho0[0, 1])
+    sx = 2.0 * coh.real * math.exp(-gamma * (n + m + 0.5) * t)
+    sy = -2.0 * coh.imag * math.exp(-gamma * (n - m + 0.5) * t)
     sz = (
-        2.0 * (abs(mu) ** 2 * (n + 1.0) - abs(nu) ** 2 * n) * math.exp(-gamma * (2.0 * n + 1.0) * t)
+        2.0 * (p_e * (n + 1.0) - p_g * n) * math.exp(-gamma * (2.0 * n + 1.0) * t)
         - 1.0
     ) / (2.0 * n + 1.0)
     return (sx, sy, sz)

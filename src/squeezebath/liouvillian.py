@@ -31,7 +31,7 @@ from .algebra import (
 from .bath import BathPoint, BathSchedule, _validate_bath_point
 from .errors import InvalidInputError, NumericalFailureError
 from .integrate import plan_integration
-from .states import hermiticity_defect, min_eigenvalue, trace_error
+from .states import check_density
 
 __all__ = [
     "build_rate_operator",
@@ -164,21 +164,6 @@ def steady_state(rate) -> np.ndarray:
     return unvectorize(vec / tr)
 
 
-def _check_rho0(rho0: np.ndarray) -> np.ndarray:
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (2, 2):
-        raise InvalidInputError("rho0 must be 2x2, got shape %r" % (rho0.shape,))
-    if not np.all(np.isfinite(rho0)):
-        raise InvalidInputError("rho0 must be finite")
-    if trace_error(rho0) > 1e-9:
-        raise InvalidInputError("rho0 trace differs from 1 by %g" % trace_error(rho0))
-    if hermiticity_defect(rho0) > 1e-9:
-        raise InvalidInputError("rho0 is not Hermitian (defect %g)" % hermiticity_defect(rho0))
-    if min_eigenvalue(rho0) < -1e-8:
-        raise InvalidInputError("rho0 has negative eigenvalue %g" % min_eigenvalue(rho0))
-    return rho0
-
-
 def integrate_reference(
     schedule: BathSchedule,
     rho0: np.ndarray,
@@ -210,12 +195,12 @@ def integrate_reference(
     NumericalFailureError
         If the state stops being finite, with the offending time named.
     """
-    rho0 = _check_rho0(rho0)
+    rho0 = check_density(rho0)
     grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
     rates = rate_matrix_batch(g_nodes, n_nodes, m_nodes)
-    states = np.zeros((grid.size, 2, 2), dtype=complex)
-    y = vectorize(rho0).astype(complex)
-    states[0] = rho0
+    vectors = np.zeros((grid.size, 4), dtype=complex)
+    y = vectorize(rho0)
+    vectors[0] = y
     for i in range(grid.size - 1):
         m_sub = int(plan.counts[i])
         h = float(plan.widths[i])
@@ -234,5 +219,5 @@ def integrate_reference(
             raise NumericalFailureError(
                 "reference state non-finite at t = %r" % (float(grid[i + 1]),)
             )
-        states[i + 1] = unvectorize(y)
-    return states
+        vectors[i + 1] = y
+    return unvectorize(vectors)

@@ -1,5 +1,6 @@
 """Small helpers for 2x2 density matrices stored as plain complex arrays.
 
+check_density validates the initial state that both solution routes take.
 The diagnostics (pauli_expectations, trace_error, hermiticity_defect,
 min_eigenvalue, trace_distance) take one 2x2 matrix or a (..., 2, 2) stack,
 such as a trajectory, and return one value per matrix.
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
+    "check_density",
     "pure_state",
     "excited_state",
     "steady_populations",
@@ -106,3 +108,23 @@ def trace_distance(a: np.ndarray, b: np.ndarray):
     diff = np.asarray(a) - np.asarray(b)
     diff = 0.5 * (diff + _dagger(diff))
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+
+
+def check_density(rho: np.ndarray) -> np.ndarray:
+    """rho as a complex 2x2 array, if it is a physical density matrix.
+
+    Raises InvalidInputError unless rho is finite, has trace one and is
+    Hermitian (both within 1e-9), and has no eigenvalue below -1e-8.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise InvalidInputError("rho0 must be 2x2, got shape %r" % (rho.shape,))
+    if not np.all(np.isfinite(rho)):
+        raise InvalidInputError("rho0 must be finite")
+    if trace_error(rho) > 1e-9:
+        raise InvalidInputError("rho0 trace differs from 1 by %g" % trace_error(rho))
+    if hermiticity_defect(rho) > 1e-9:
+        raise InvalidInputError("rho0 is not Hermitian (defect %g)" % hermiticity_defect(rho))
+    if min_eigenvalue(rho) < -1e-8:
+        raise InvalidInputError("rho0 has negative eigenvalue %g" % min_eigenvalue(rho))
+    return rho

@@ -29,17 +29,11 @@ from .algebra import (
     composite_generators,
     lift_left,
     lift_right,
-    unvectorize,
     vectorize,
 )
 from .bath import BathPoint, BathSchedule, Constant, ExpDecay, bath_params
 from .errors import NumericalFailureError
-from .gaugeflow import (
-    InitialDecomposition,
-    assemble_density,
-    autonomous_expectations,
-    evolve_gauge,
-)
+from .gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
 from .integrate import uniform_grid
 from .liouvillian import (
     build_rate_operator,
@@ -50,9 +44,11 @@ from .liouvillian import (
 )
 from .spectral import condition_residuals, eigen_modes, solve_transformation_conditions
 from .states import (
+    check_density,
     hermiticity_defect,
     min_eigenvalue,
     pauli_expectations,
+    pure_state,
     steady_populations,
     trace_distance,
     trace_error,
@@ -100,7 +96,7 @@ _ACTIONS = {
 # The paper's fig-1 run: decaying squeezing r = 0.1 exp(-t/10), from a pure
 # state whose coherence has the complex phase pi/3.
 _FIG1 = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
-_FIG1_INIT = InitialDecomposition.from_amplitudes(
+_FIG1_RHO0 = pure_state(
     math.sqrt(0.2) * complex(math.cos(math.pi / 3), math.sin(math.pi / 3)),
     math.sqrt(0.8),
 )
@@ -134,21 +130,6 @@ def fitted_decay_rate(times, values, window: float = 4.0) -> float:
 
 def _result(name, ok, measured, tolerance, detail="") -> CheckResult:
     return CheckResult(name, "PASS" if ok else "FAIL", float(measured), tolerance, detail)
-
-
-def _density(init: InitialDecomposition) -> np.ndarray:
-    return unvectorize(np.array(init.lambdas, dtype=complex))
-
-
-def _assemble(init: InitialDecomposition, gauges) -> np.ndarray:
-    return np.array([assemble_density(init, g) for g in gauges])
-
-
-def _real_initial(init: InitialDecomposition) -> InitialDecomposition:
-    """Same populations, coherence replaced by its modulus (real, Hermitian)."""
-    lam = init.lambdas
-    c = abs(lam[2])
-    return InitialDecomposition(lambdas=(lam[0], lam[1], c, c))
 
 
 def check_commutators() -> CheckResult:
@@ -335,16 +316,14 @@ def check_oracle_agreement(states, ref, tol: float) -> CheckResult:
     )
 
 
-def check_gauge_trace_identities(gauges, tol: float) -> CheckResult:
+def check_gauge_trace_identities(flow, tol: float) -> CheckResult:
     """f_gg (1 + a+) = 1 and f_ee (1 + a+ a- + a-) = 1 at every gauge state."""
-    worst = 0.0
-    for g in gauges:
-        f = g.factors
-        worst = max(worst, abs(f[1] * (1.0 + g.alpha_plus) - 1.0))
-        worst = max(
-            worst,
-            abs(f[0] * (1.0 + g.alpha_plus * g.alpha_minus + g.alpha_minus) - 1.0),
-        )
+    ap, am = flow[:, 0], flow[:, 1]
+    f_ee, f_gg = np.exp(flow[:, 4]), np.exp(flow[:, 5])
+    worst = max(
+        float(np.max(np.abs(f_gg * (1.0 + ap) - 1.0))),
+        float(np.max(np.abs(f_ee * (1.0 + ap * am + am) - 1.0))),
+    )
     return _result("gauge-trace-identities", worst <= tol, worst, tol)
 
 
@@ -366,10 +345,10 @@ def check_conservation_positivity(
     )
 
 
-def check_coherence_symmetry(init: InitialDecomposition, gauges, ref, tol: float) -> CheckResult:
-    """<sigma_y> stays zero along both routes when M and the coherence of init
-    are real; ref is the reference states from init."""
-    both = np.concatenate([ref, _assemble(init, gauges)])
+def check_coherence_symmetry(rho0, flow, ref, tol: float) -> CheckResult:
+    """<sigma_y> stays zero along both routes when M and the coherence of rho0
+    are real; ref is the reference states from rho0."""
+    both = np.concatenate([ref, assemble_density(rho0, flow)])
     worst = float(np.max(np.abs(pauli_expectations(both)[:, 1])))
     return _result(
         "coherence-symmetry", worst <= tol, worst, tol,
@@ -377,19 +356,17 @@ def check_coherence_symmetry(init: InitialDecomposition, gauges, ref, tol: float
     )
 
 
-def check_autonomous_consistency(init: InitialDecomposition, grid, step, tol: float) -> CheckResult:
+def check_autonomous_consistency(rho0, grid, step, tol: float) -> CheckResult:
     """Closed form, gauge flow and reference agree for constant r in {0.1, 0.6}."""
-    if init.mu is None or init.nu is None:
-        return CheckResult("autonomous-consistency", "SKIP", None, None, "initial amplitudes unavailable")
     worst = 0.0
     for r in (0.1, 0.6):
         const = BathSchedule(gamma=Constant(1.0), r=Constant(r))
         n, m = bath_params(r, 0.0)
         closed = np.array(
-            [autonomous_expectations(init.mu, init.nu, 1.0, n, m.real, float(t)) for t in grid]
+            [autonomous_expectations(rho0, 1.0, n, m.real, float(t)) for t in grid]
         )
-        via_gauge = pauli_expectations(_assemble(init, evolve_gauge(const, grid, step)))
-        via_ref = pauli_expectations(integrate_reference(const, _density(init), grid, step))
+        via_gauge = pauli_expectations(assemble_density(rho0, evolve_gauge(const, grid, step)))
+        via_ref = pauli_expectations(integrate_reference(const, rho0, grid, step))
         for a, b in ((closed, via_gauge), (closed, via_ref), (via_gauge, via_ref)):
             worst = max(worst, float(np.max(np.abs(a - b))))
     return _result(
@@ -407,7 +384,7 @@ def check_steady_approach(grid, step, tol: float) -> CheckResult:
     """
     const = BathSchedule(gamma=Constant(1.0), r=Constant(0.6))
     n, _ = bath_params(0.6, 0.0)
-    even = InitialDecomposition.from_amplitudes(math.sqrt(0.2), math.sqrt(0.8))
+    even = pure_state(math.sqrt(0.2), math.sqrt(0.8))
     rho_end = assemble_density(even, evolve_gauge(const, grid, step)[-1])
     worst = trace_distance(rho_end, steady_populations(n))
     return _result(
@@ -416,18 +393,18 @@ def check_steady_approach(grid, step, tol: float) -> CheckResult:
     )
 
 
-def check_inversion_decay(init: InitialDecomposition, grid, gauges) -> CheckResult:
+def check_inversion_decay(rho0, grid, flow) -> CheckResult:
     """<sigma_z> ends within 1e-3 of -1 on a flow of decaying squeezing."""
-    sz = pauli_expectations(assemble_density(init, gauges[-1]))[2]
+    sz = pauli_expectations(assemble_density(rho0, flow[-1]))[2]
     return _result(
         "inversion-decay", -1.0 <= sz <= -1.0 + 1e-3, sz, 1e-3,
         "sz(%g) = %.10f, expected in [-1, -1+1e-3]" % (grid[-1], sz),
     )
 
 
-def check_decay_asymmetry(init: InitialDecomposition, grid, gauges) -> CheckResult:
+def check_decay_asymmetry(rho0, grid, flow) -> CheckResult:
     """<sigma_y> decays slower than <sigma_x> from a complex initial coherence."""
-    exps = pauli_expectations(_assemble(init, gauges))
+    exps = pauli_expectations(assemble_density(rho0, flow))
     rate_x = fitted_decay_rate(grid, exps[:, 0])
     rate_y = fitted_decay_rate(grid, exps[:, 1])
     return _result(
@@ -472,7 +449,7 @@ def _real_squeeze_phase(schedule: BathSchedule, grid) -> bool:
 
 def run_checks(
     schedule: BathSchedule,
-    init: InitialDecomposition,
+    rho0: np.ndarray,
     t_max: float,
     dt_out: float,
     dt_int: float,
@@ -480,10 +457,12 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the full verification suite and return one result per check.
 
-    The run's schedule and the fig-1 schedule are each evolved once (once in
+    rho0 is the run's initial state; an unphysical one is refused up front
+    (check_density).  The run's schedule and the fig-1 schedule are each evolved once (once in
     all when they are equal); every check that reads one of these flows gets
     it from that evolution.
     """
+    rho0 = check_density(rho0)
     thermal = schedule.thermal
     grid = uniform_grid(t_max, dt_out)
     results: list[CheckResult] = []
@@ -509,11 +488,11 @@ def run_checks(
     results += _run(check_eigenmode_consistency, 1.0, 0.5, 0.7, 1e-10)
     results += _run(check_zero_mode, 1.0, 0.5, 1e-12)
 
-    gauges = _attempt(evolve_gauge, schedule, grid, dt_int)
-    ref = _attempt(integrate_reference, schedule, _density(init), grid, dt_int)
-    states = _attempt(_assemble, init, gauges)
+    flow = _attempt(evolve_gauge, schedule, grid, dt_int)
+    ref = _attempt(integrate_reference, schedule, rho0, grid, dt_int)
+    states = _attempt(assemble_density, rho0, flow)
     results += _run(check_oracle_agreement, states, ref, tol.get("oracle", 1e-7))
-    results += _run(check_gauge_trace_identities, gauges, tol.get("identity", 1e-9))
+    results += _run(check_gauge_trace_identities, flow, tol.get("identity", 1e-9))
     if isinstance(states, Exception) or isinstance(ref, Exception):
         results.append(_skipped(check_conservation_positivity, "oracle run unavailable"))
     else:
@@ -525,9 +504,11 @@ def run_checks(
     if _attempt(_real_squeeze_phase, schedule, grid) is False:
         results.append(_skipped(check_coherence_symmetry, "squeeze phase is not 0 on this schedule"))
     else:
-        real_init = _real_initial(init)
-        real_ref = _attempt(integrate_reference, schedule, _density(real_init), grid, dt_int)
-        results += _run(check_coherence_symmetry, real_init, gauges, real_ref, 1e-9)
+        # same populations, coherence replaced by its modulus
+        real_rho0 = rho0.copy()
+        real_rho0[0, 1] = real_rho0[1, 0] = abs(real_rho0[0, 1])
+        real_ref = _attempt(integrate_reference, schedule, real_rho0, grid, dt_int)
+        results += _run(check_coherence_symmetry, real_rho0, flow, real_ref, 1e-9)
 
     squeezing_only = (
         check_autonomous_consistency,
@@ -539,11 +520,11 @@ def run_checks(
         results += [_skipped(check, "thermal override") for check in squeezing_only]
     else:
         # the default run schedule is fig 1's: its flow is already evolved
-        fig1 = gauges if schedule == _FIG1 else _attempt(evolve_gauge, _FIG1, grid, dt_int)
-        results += _run(check_autonomous_consistency, init, uniform_grid(10.0, 0.1), dt_int, 1e-8)
+        fig1 = flow if schedule == _FIG1 else _attempt(evolve_gauge, _FIG1, grid, dt_int)
+        results += _run(check_autonomous_consistency, rho0, uniform_grid(10.0, 0.1), dt_int, 1e-8)
         results += _run(check_steady_approach, grid, dt_int, 1e-6)
-        results += _run(check_inversion_decay, init, grid, fig1)
-        results += _run(check_decay_asymmetry, _FIG1_INIT, grid, fig1)
+        results += _run(check_inversion_decay, rho0, grid, fig1)
+        results += _run(check_decay_asymmetry, _FIG1_RHO0, grid, fig1)
     return results
 
 

@@ -14,13 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from squeezebath.algebra import unvectorize
 from squeezebath.bath import BathSchedule, Constant
 from squeezebath.cli import figure_initial, figure_schedule
-from squeezebath.gaugeflow import InitialDecomposition, assemble_density, evolve_gauge
+from squeezebath.gaugeflow import assemble_density, evolve_gauge
 from squeezebath.integrate import uniform_grid
 from squeezebath.liouvillian import integrate_reference
-from squeezebath.states import pauli_expectations
+from squeezebath.states import pauli_expectations, pure_state
 from squeezebath.verify import (
     check_autonomous_consistency,
     check_basis_actions,
@@ -53,13 +52,11 @@ def _passed(results) -> bool:
 
 
 def _flow(fid: int, grid, step=None):
-    """Gauges, assembled states and reference trajectory of one figure run."""
+    """Gauge flow, assembled states and reference trajectory of one figure run."""
     sched = figure_schedule(fid)
-    init = figure_initial(fid)
-    gauges = evolve_gauge(sched, grid, step)
-    states = [assemble_density(init, g) for g in gauges]
-    ref = integrate_reference(sched, unvectorize(np.array(init.lambdas)), grid, step)
-    return gauges, states, ref
+    rho0 = figure_initial(fid)
+    flow = evolve_gauge(sched, grid, step)
+    return flow, assemble_density(rho0, flow), integrate_reference(sched, rho0, grid, step)
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +66,10 @@ def figure_bundle():
     start = time.perf_counter()
     grid = uniform_grid(30.0, 0.05)
     for fid in FIGURE_IDS:
-        gauges, states, ref = _flow(fid, grid)
+        flow, states, ref = _flow(fid, grid)
         bundle[fid] = {
             "times": grid,
-            "gauges": gauges,
+            "flow": flow,
             "states": states,
             "ref": ref,
             "exps": pauli_expectations(states),
@@ -137,10 +134,8 @@ def test_criterion_4_steady_state():
 
 def test_criterion_5_autonomous_agreement():
     start = time.perf_counter()
-    init = InitialDecomposition.from_amplitudes(
-        math.sqrt(0.2) * cmath.exp(1j * math.pi / 3.0), math.sqrt(0.8)
-    )
-    res = check_autonomous_consistency(init, uniform_grid(10.0, 0.1), None, 1e-8)
+    rho0 = pure_state(math.sqrt(0.2) * cmath.exp(1j * math.pi / 3.0), math.sqrt(0.8))
+    res = check_autonomous_consistency(rho0, uniform_grid(10.0, 0.1), None, 1e-8)
     elapsed = time.perf_counter() - start
     ok = res.status == "PASS" and elapsed < 5.0
     _report(
@@ -189,7 +184,7 @@ def test_criterion_7_conservation_and_identities(figure_bundle):
         conservation.append(
             check_conservation_positivity(data["states"], data["ref"], 1e-9, 1e-9, 1e-8)
         )
-        identities.append(check_gauge_trace_identities(data["gauges"], 1e-9))
+        identities.append(check_gauge_trace_identities(data["flow"], 1e-9))
     ok = _passed(conservation + identities)
     worst = max(conservation, key=lambda r: r.measured)
     _report(
@@ -202,7 +197,7 @@ def test_criterion_7_conservation_and_identities(figure_bundle):
 def test_criterion_8_asymptotics(figure_bundle):
     approach = check_steady_approach(uniform_grid(30.0, 0.5), None, 1e-6)
     inversion = check_inversion_decay(
-        figure_initial(1), figure_bundle[1]["times"], figure_bundle[1]["gauges"]
+        figure_initial(1), figure_bundle[1]["times"], figure_bundle[1]["flow"]
     )
     ok = _passed((approach, inversion))
     _report(
@@ -217,7 +212,7 @@ def test_criterion_9_figure_properties(figure_bundle):
     ratio = []
     for fid in (1, 3, 5):
         data = figure_bundle[fid]
-        slower.append(check_decay_asymmetry(figure_initial(fid), data["times"], data["gauges"]))
+        slower.append(check_decay_asymmetry(figure_initial(fid), data["times"], data["flow"]))
         exps = data["exps"]
         ratio.append(
             fitted_decay_rate(data["times"], exps[:, 0])
@@ -227,7 +222,7 @@ def test_criterion_9_figure_properties(figure_bundle):
 
     flat = [
         check_coherence_symmetry(
-            figure_initial(fid), figure_bundle[fid]["gauges"], figure_bundle[fid]["ref"], 1e-9
+            figure_initial(fid), figure_bundle[fid]["flow"], figure_bundle[fid]["ref"], 1e-9
         )
         for fid in (2, 4, 6)
     ]
@@ -253,7 +248,7 @@ def test_criterion_10_root_adjudication():
 
     results = run_checks(
         BathSchedule(gamma=Constant(1.0), r=Constant(0.3)),
-        InitialDecomposition.from_amplitudes(math.sqrt(0.2), math.sqrt(0.8)),
+        pure_state(math.sqrt(0.2), math.sqrt(0.8)),
         t_max=2.0,
         dt_out=0.1,
         dt_int=0.001,

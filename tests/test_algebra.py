@@ -39,6 +39,11 @@ def test_unvectorize_roundtrip():
     for _ in range(20):
         rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert np.array_equal(unvectorize(vectorize(rho)), rho)
+    stack = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    vectors = vectorize(stack)
+    assert np.array_equal(vectors, np.array([vectorize(rho) for rho in stack]))
+    assert np.array_equal(unvectorize(vectors), np.array([unvectorize(v) for v in vectors]))
+    assert np.array_equal(unvectorize(vectors), stack)
 
 
 def test_basis_matrices_map_to_unit_vectors():

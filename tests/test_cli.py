@@ -17,6 +17,7 @@ from squeezebath.cli import (
     resolve_config,
 )
 from squeezebath.errors import InvalidInputError
+from squeezebath.states import pure_state
 
 
 # name -> status and tolerance of each line of the default verify report, in order
@@ -73,9 +74,8 @@ def test_defaults_resolve():
     assert rc.dt_int == 0.001
     assert rc.figure_ids == (1, 2, 3, 4, 5, 6)
     assert not rc.schedule.thermal
-    assert rc.init.mu == pytest.approx(
-        math.sqrt(0.2) * complex(math.cos(math.pi / 3), math.sin(math.pi / 3)), rel=1e-12
-    )
+    mu = math.sqrt(0.2) * complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
+    assert np.allclose(rc.rho0, pure_state(mu, math.sqrt(0.8)), rtol=1e-12, atol=0)
 
 
 def test_overrides_change_schedule_kind():
@@ -185,9 +185,9 @@ def test_figure_definitions():
     assert figure_schedule(5).r(10.0) == pytest.approx(0.6 * math.exp(-1.0), rel=1e-14)
     odd = figure_initial(1)
     even = figure_initial(2)
-    assert odd.mu.imag > 0.0
-    assert even.mu.imag == 0.0
-    assert abs(odd.mu) == pytest.approx(abs(even.mu), rel=1e-15)
+    assert odd[0, 1].imag > 0.0
+    assert even[0, 1].imag == 0.0
+    assert odd[0, 0] == pytest.approx(even[0, 0], rel=1e-15)
     with pytest.raises(InvalidInputError):
         figure_schedule(7)
 

@@ -180,7 +180,7 @@ def test_reference_fourth_order_convergence():
         states = integrate_reference(sched, rho0, grid, step)
         worst = 0.0
         for i, t in enumerate(grid):
-            sx, sy, sz = autonomous_expectations(mu, nu, 1.0, n, m.real, float(t))
+            sx, sy, sz = autonomous_expectations(rho0, 1.0, n, m.real, float(t))
             exact = 0.5 * np.array([[1.0 + sz, sx - 1j * sy], [sx + 1j * sy, 1.0 - sz]])
             worst = max(worst, trace_distance(states[i], exact))
         return worst

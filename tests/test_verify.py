@@ -6,8 +6,8 @@ import pytest
 from squeezebath import verify
 from squeezebath.algebra import composite_generators
 from squeezebath.bath import BathSchedule, Constant
-from squeezebath.gaugeflow import InitialDecomposition
 from squeezebath.liouvillian import rate_matrix_batch, steady_state
+from squeezebath.states import pure_state
 
 
 def _swapped_generators():
@@ -31,7 +31,7 @@ def test_run_checks_fails_the_check_of_a_broken_dependency(monkeypatch, attr, br
     # the short run of acceptance criterion 10
     results = verify.run_checks(
         BathSchedule(gamma=Constant(1.0), r=Constant(0.3)),
-        InitialDecomposition.from_amplitudes(math.sqrt(0.2), math.sqrt(0.8)),
+        pure_state(math.sqrt(0.2), math.sqrt(0.8)),
         t_max=2.0,
         dt_out=0.1,
         dt_int=0.001,
