@@ -23,7 +23,6 @@ from .bath import (
     Ramp,
     Sinusoid,
     bath_params,
-    schedule_eval,
 )
 from .errors import (
     HorizonError,
@@ -72,7 +71,6 @@ __all__ = [
     "Ramp",
     "Sinusoid",
     "bath_params",
-    "schedule_eval",
     "HorizonError",
     "InvalidInputError",
     "NumericalFailureError",

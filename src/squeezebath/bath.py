@@ -32,7 +32,6 @@ __all__ = [
     "BathPoint",
     "BathSchedule",
     "bath_params",
-    "schedule_eval",
 ]
 
 _TAU = 2.0 * np.pi
@@ -250,13 +249,34 @@ class BathSchedule:
             )
 
     def at(self, t: float) -> BathPoint:
-        """Evaluate the schedule at one time; see schedule_eval."""
-        return schedule_eval(self, t)
+        """Evaluate the schedule at time t and return the reservoir point.
+
+        Parameters
+        ----------
+        t : float
+            Must lie in [0, horizon] up to a relative slack of 1e-9.
+
+        Returns
+        -------
+        BathPoint
+            (gamma(t), N(t), M(t)).  In thermal-override mode N = nbar and M = 0.
+
+        Raises
+        ------
+        HorizonError
+            If t is outside the schedule window.
+        InvalidInputError
+            If gamma(t) or r(t) evaluates negative.
+        """
+        if not math.isfinite(t):
+            raise InvalidInputError("time must be finite, got %r" % (t,))
+        gamma, n, m = self.params_on(np.array([float(t)]))
+        return BathPoint(float(gamma[0]), float(n[0]), complex(m[0]))
 
     def params_on(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized (gamma, N, M) arrays over an array of times.
 
-        Performs the same range and sign validation as schedule_eval, then
+        Performs the same range and sign validation as at, then
         evaluates all three controls in one pass.  M has complex dtype.
         """
         times = np.asarray(times, dtype=float)
@@ -278,30 +298,3 @@ class BathSchedule:
         n = sh * sh
         m = sh * np.cosh(r) * np.exp(-1j * _wrap_phase(theta))
         return np.ascontiguousarray(gamma), n, m
-
-
-def schedule_eval(schedule: BathSchedule, t: float) -> BathPoint:
-    """Evaluate a schedule at time t and return the reservoir point.
-
-    Parameters
-    ----------
-    schedule : BathSchedule
-    t : float
-        Must lie in [0, horizon] up to a relative slack of 1e-9.
-
-    Returns
-    -------
-    BathPoint
-        (gamma(t), N(t), M(t)).  In thermal-override mode N = nbar and M = 0.
-
-    Raises
-    ------
-    HorizonError
-        If t is outside the schedule window.
-    InvalidInputError
-        If gamma(t) or r(t) evaluates negative.
-    """
-    if not math.isfinite(t):
-        raise InvalidInputError("time must be finite, got %r" % (t,))
-    gamma, n, m = schedule.params_on(np.array([float(t)]))
-    return BathPoint(float(gamma[0]), float(n[0]), complex(m[0]))

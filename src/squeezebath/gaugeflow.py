@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .algebra import unvectorize, vectorize
-from .bath import BathSchedule, schedule_eval
+from .bath import BathSchedule
 from .errors import InvalidInputError, NumericalFailureError
 from .integrate import plan_integration
 from .states import check_density
@@ -82,7 +82,7 @@ def gauge_derivatives(t: float, y: np.ndarray, schedule: BathSchedule) -> np.nda
     y is one gauge state, shape (8,); the result holds the time derivatives
     of its columns (including the log-weight exponent rates).
     """
-    point = schedule_eval(schedule, t)
+    point = schedule.at(t)
     y = tuple(complex(v) for v in np.asarray(y))
     return np.array(_gauge_rhs(point.gamma, point.n_param, point.m_param, y), dtype=complex)
 
@@ -248,8 +248,8 @@ def assemble_density(rho0: np.ndarray, flow: np.ndarray) -> np.ndarray:
 
 
 def autonomous_expectations(
-    rho0: np.ndarray, gamma: float, n: float, m: float, t: float
-) -> tuple[float, float, float]:
+    rho0: np.ndarray, gamma: float, n: float, m: float, t: float | np.ndarray
+) -> np.ndarray:
     """Closed-form Pauli expectations for a constant reservoir with real M.
 
     Starting from the density matrix rho0 (checked by check_density):
@@ -260,21 +260,24 @@ def autonomous_expectations(
                        / (2N + 1)
 
     The two quadratures decay at the split rates gamma (N +- M + 1/2), the
-    inversion at gamma (2N+1) toward -1/(2N+1).
+    inversion at gamma (2N+1) toward -1/(2N+1).  t is one time or an array
+    of times; the result has shape t.shape + (3,) with columns sx, sy, sz,
+    like pauli_expectations.
     """
     rho0 = check_density(rho0)
+    t = np.asarray(t, dtype=float)
     for name, v in (("gamma", gamma), ("N", n), ("M", m), ("t", t)):
-        if not math.isfinite(v):
+        if not np.all(np.isfinite(v)):
             raise InvalidInputError("%s must be finite, got %r" % (name, v))
-    if t < 0.0:
-        raise InvalidInputError("t must be >= 0, got %r" % (t,))
+    if np.any(t < 0.0):
+        raise InvalidInputError("t must be >= 0, got %r" % (float(np.min(t)),))
     p_e = float(rho0[0, 0].real)
     p_g = float(rho0[1, 1].real)
     coh = complex(rho0[0, 1])
-    sx = 2.0 * coh.real * math.exp(-gamma * (n + m + 0.5) * t)
-    sy = -2.0 * coh.imag * math.exp(-gamma * (n - m + 0.5) * t)
+    sx = 2.0 * coh.real * np.exp(-gamma * (n + m + 0.5) * t)
+    sy = -2.0 * coh.imag * np.exp(-gamma * (n - m + 0.5) * t)
     sz = (
-        2.0 * (p_e * (n + 1.0) - p_g * n) * math.exp(-gamma * (2.0 * n + 1.0) * t)
+        2.0 * (p_e * (n + 1.0) - p_g * n) * np.exp(-gamma * (2.0 * n + 1.0) * t)
         - 1.0
     ) / (2.0 * n + 1.0)
-    return (sx, sy, sz)
+    return np.stack([sx, sy, sz], axis=-1)

@@ -73,17 +73,15 @@ def plan_substeps(grid: np.ndarray, step: float) -> SubstepPlan:
     if not step > 0.0:
         raise InvalidInputError("step must be > 0, got %r" % (step,))
     spans = np.diff(grid)
-    counts = np.maximum(1, np.ceil(spans / step - 1e-9).astype(int)) if spans.size else np.zeros(0, dtype=int)
-    widths = spans / counts if spans.size else np.zeros(0)
-    chunks = []
-    offsets = np.zeros(len(spans), dtype=int)
-    pos = 0
-    for i, (t0, t1) in enumerate(zip(grid[:-1], grid[1:])):
-        offsets[i] = pos
-        nodes = np.linspace(t0, t1, 2 * counts[i] + 1)
-        chunks.append(nodes)
-        pos += nodes.size
-    nodes = np.concatenate(chunks) if chunks else np.zeros(0)
+    counts = np.maximum(1, np.ceil(spans / step - 1e-9)).astype(int)
+    widths = spans / counts
+    sizes = 2 * counts + 1
+    offsets = np.cumsum(sizes) - sizes
+    # node j of an interval is t0 + j * span / (2m) and its last node is t1,
+    # exactly as np.linspace(t0, t1, 2m + 1) computes them
+    j = np.arange(int(np.sum(sizes))) - np.repeat(offsets, sizes)
+    nodes = j * np.repeat(spans / (2 * counts), sizes) + np.repeat(grid[:-1], sizes)
+    nodes[offsets + sizes - 1] = grid[1:]
     return SubstepPlan(nodes=nodes, offsets=offsets, counts=counts, widths=widths)
 
 

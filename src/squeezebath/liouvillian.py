@@ -7,27 +7,20 @@ The master equation for the atomic density matrix,
             - gamma M  sm rho sm - gamma conj(M) sp rho sp,
 
 is linear in rho, so on the component vector (ee, gg, eg, ge) it is a 4x4
-matrix, the rate operator.  This module builds that matrix two independent
-ways (directly from the sandwich terms above, and as a combination of the
-composite ladder generators), exposes its spectrum and steady state, and
-integrates the equation step by step.  The stepwise integrator is the
-ground-truth oracle against which the analytic gauge-flow solution is tested,
-so it shares no solution formulas with the gaugeflow module.
+matrix, the rate operator.  This module builds that matrix once, from the
+left and right lifts of the sandwich terms above, exposes its spectrum and
+steady state, and integrates the equation step by step.  The stepwise
+integrator is the ground-truth oracle against which the analytic gauge-flow
+solution is tested, so it shares no solution formulas with the gaugeflow
+module, nor the generator form of the operator that the analytic route rests
+on (verify checks that form against this construction).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    composite_generators,
-    lift_left,
-    lift_right,
-    unvectorize,
-    vectorize,
-)
+from .algebra import SIGMA_MINUS, SIGMA_PLUS, lift_left, lift_right, unvectorize, vectorize
 from .bath import BathPoint, BathSchedule, _validate_bath_point
 from .errors import InvalidInputError, NumericalFailureError
 from .integrate import plan_integration
@@ -41,83 +34,52 @@ __all__ = [
     "integrate_reference",
 ]
 
-_GEN = composite_generators()
 _I4 = np.eye(4, dtype=complex)
+_SP_L, _SM_L = lift_left(SIGMA_PLUS), lift_left(SIGMA_MINUS)
+_SP_R, _SM_R = lift_right(SIGMA_PLUS), lift_right(SIGMA_MINUS)
+_PM, _MP = SIGMA_PLUS @ SIGMA_MINUS, SIGMA_MINUS @ SIGMA_PLUS
+# The four sandwich terms of the master equation as constant matrices; the
+# rate operator weighs them by gamma(N+1)/2, gamma N/2, -gamma M, -gamma conj(M).
+_EMISSION = 2.0 * _SM_L @ _SP_R - lift_left(_PM) - lift_right(_PM)
+_ABSORPTION = 2.0 * _SP_L @ _SM_R - lift_left(_MP) - lift_right(_MP)
+_SQUEEZE = _SM_L @ _SM_R
+_SQUEEZE_CONJ = _SP_L @ _SP_R
+
+
+def _add_term(out: np.ndarray, term: np.ndarray, coeff) -> None:
+    for i, j in zip(*np.nonzero(term)):
+        out[..., i, j] += term[i, j] * coeff
 
 
 def rate_matrix_batch(gamma, n, m) -> np.ndarray:
-    """Stack of rate matrices for arrays of reservoir parameters.
+    """Rate matrices for scalars or arrays of reservoir parameters.
 
-    Parameters gamma, n (real) and m (complex) must have a common shape (K,);
-    the result has shape (K, 4, 4).  Used by the reference integrator to
-    evaluate the operator on many node times in one pass.
+    gamma, n (real) and m (complex) are scalars or arrays of a common shape
+    (K,); the result has shape (4, 4) or (K, 4, 4).  This is the one
+    construction of the rate operator: each sandwich term times its weight.
+    The weights are computed one at a time, so a long stack of node times
+    holds one weight array beside the result.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = np.asarray(n, dtype=float)
     m = np.asarray(m, dtype=complex)
     out = np.zeros(gamma.shape + (4, 4), dtype=complex)
-    out[..., 0, 0] = -gamma * (n + 1.0)
-    out[..., 0, 1] = gamma * n
-    out[..., 1, 0] = gamma * (n + 1.0)
-    out[..., 1, 1] = -gamma * n
-    out[..., 2, 2] = -gamma * (n + 0.5)
-    out[..., 2, 3] = -gamma * np.conj(m)
-    out[..., 3, 2] = -gamma * m
-    out[..., 3, 3] = -gamma * (n + 0.5)
+    _add_term(out, _EMISSION, 0.5 * gamma * (n + 1.0))
+    _add_term(out, _ABSORPTION, 0.5 * gamma * n)
+    _add_term(out, _SQUEEZE, -gamma * m)
+    _add_term(out, _SQUEEZE_CONJ, -gamma * np.conj(m))
     return out
 
 
-def build_rate_operator(point: BathPoint, method: str = "sandwich") -> np.ndarray:
-    """Build the rate operator at one reservoir point.
+def build_rate_operator(point: BathPoint) -> np.ndarray:
+    """The rate operator at one reservoir point, shape (4, 4).
 
-    Parameters
-    ----------
-    point : BathPoint
-    method : {"sandwich", "algebraic"}
-        "sandwich" assembles the operator term by term from left/right lifts
-        of the master-equation sandwich products.  "algebraic" takes the
-        combination of composite ladder generators
-
-            gamma [ (N+1) j_minus + N j_plus - j0/2
-                    - M k_minus - conj(M) k_plus - (2N+1)/2 ]
-
-        The two constructions agree entrywise to <= 1e-14 and tests pin that.
-
-    Returns
-    -------
-    ndarray, shape (4, 4)
-        Block diagonal: entries coupling the population components (0, 1) to
-        the coherence components (2, 3) are exactly zero, and the population
-        columns sum to zero (trace preservation).
+    Block diagonal: entries coupling the population components (0, 1) to the
+    coherence components (2, 3) are exactly zero, and the population columns
+    sum to zero (trace preservation).
     """
     _validate_bath_point(point.gamma, point.n_param, point.m_param)
-    g = point.gamma
-    n = point.n_param
-    m = complex(point.m_param)
-    if method == "sandwich":
-        sp_l = lift_left(SIGMA_PLUS)
-        sm_l = lift_left(SIGMA_MINUS)
-        sp_r = lift_right(SIGMA_PLUS)
-        sm_r = lift_right(SIGMA_MINUS)
-        pm_l = lift_left(SIGMA_PLUS @ SIGMA_MINUS)
-        pm_r = lift_right(SIGMA_PLUS @ SIGMA_MINUS)
-        mp_l = lift_left(SIGMA_MINUS @ SIGMA_PLUS)
-        mp_r = lift_right(SIGMA_MINUS @ SIGMA_PLUS)
-        mat = 0.5 * g * (n + 1.0) * (2.0 * sm_l @ sp_r - pm_l - pm_r)
-        mat = mat + 0.5 * g * n * (2.0 * sp_l @ sm_r - mp_l - mp_r)
-        mat = mat - g * m * (sm_l @ sm_r) - g * np.conj(m) * (sp_l @ sp_r)
-    elif method == "algebraic":
-        mat = g * (
-            (n + 1.0) * _GEN.j_minus
-            + n * _GEN.j_plus
-            - 0.5 * _GEN.j0
-            - m * _GEN.k_minus
-            - np.conj(m) * _GEN.k_plus
-            - 0.5 * (2.0 * n + 1.0) * _I4
-        )
-    else:
-        raise InvalidInputError("method must be 'sandwich' or 'algebraic', got %r" % (method,))
-    return np.asarray(mat, dtype=complex)
+    return rate_matrix_batch(point.gamma, point.n_param, point.m_param)
 
 
 def _as_matrix(rate) -> np.ndarray:

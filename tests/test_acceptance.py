@@ -103,7 +103,7 @@ def test_criterion_2_construction_equivalence():
     ok = res.status == "PASS" and elapsed < 1.0
     _report(
         2, ok,
-        "sandwich, algebraic and batched over 10x10x8 grid: max %.3e (tol 1e-14), %.3f s"
+        "sandwich-term operator vs generator form over 10x10x8 grid: max %.3e (tol 1e-14), %.3f s"
         % (res.measured, elapsed),
     )
 

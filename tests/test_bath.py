@@ -11,7 +11,6 @@ from squeezebath.bath import (
     Ramp,
     Sinusoid,
     bath_params,
-    schedule_eval,
 )
 from squeezebath.errors import HorizonError, InvalidInputError
 
@@ -158,7 +157,6 @@ def test_negative_controls_rejected_at_evaluation():
 
 def test_schedule_eval_helper_and_determinism():
     sched = BathSchedule(gamma=ExpDecay(2.0, 0.3), r=Sinusoid(0.4, 0.2, 1.0, 0.0))
-    a = schedule_eval(sched, 1.7)
-    b = schedule_eval(sched, 1.7)
+    a = sched.at(1.7)
+    b = sched.at(1.7)
     assert a == b
-    assert a == sched.at(1.7)

@@ -49,6 +49,17 @@ def test_plan_substeps_exact_division_is_not_inflated():
     assert tuple(plan.counts) == (1, 1)
 
 
+def test_plan_substeps_nodes_are_linspace_per_interval():
+    rng = np.random.default_rng(8)
+    grid = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.7, 50))))
+    plan = plan_substeps(grid, 0.013)
+    for i, (t0, t1) in enumerate(zip(grid[:-1], grid[1:])):
+        size = 2 * plan.counts[i] + 1
+        got = plan.nodes[plan.offsets[i] : plan.offsets[i] + size]
+        assert np.array_equal(got, np.linspace(t0, t1, size))
+    assert plan.nodes.size == plan.offsets[-1] + size
+
+
 def test_default_step_scales_with_gamma():
     assert default_step(np.array([1.0, 2.0, 0.5])) == pytest.approx(5e-4)
     assert default_step(np.array([0.0])) == np.inf
