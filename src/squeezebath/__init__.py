@@ -35,7 +35,6 @@ from .gaugeflow import (
     autonomous_expectations,
     autonomous_gauge,
     evolve_gauge,
-    gauge_derivatives,
 )
 from .integrate import uniform_grid
 from .liouvillian import (
@@ -75,7 +74,6 @@ __all__ = [
     "InvalidInputError",
     "NumericalFailureError",
     "UnsupportedScheduleError",
-    "gauge_derivatives",
     "evolve_gauge",
     "autonomous_gauge",
     "assemble_density",

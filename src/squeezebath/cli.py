@@ -368,18 +368,14 @@ def _fmt(value: float) -> str:
 
 
 def write_trajectory_csv(path: str, frame: TrajectoryFrame) -> None:
+    table = np.column_stack((
+        frame.times, frame.gamma, frame.r, frame.theta, frame.n, frame.m.real, frame.m.imag,
+        frame.expectations, frame.ref_expectations, frame.dist, frame.trace_err, frame.min_eig,
+    ))
+    row = ",".join(["%.15g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for i in range(frame.times.size):
-            row = (
-                frame.times[i], frame.gamma[i], frame.r[i], frame.theta[i],
-                frame.n[i], frame.m[i].real, frame.m[i].imag,
-                frame.expectations[i, 0], frame.expectations[i, 1], frame.expectations[i, 2],
-                frame.ref_expectations[i, 0], frame.ref_expectations[i, 1],
-                frame.ref_expectations[i, 2],
-                frame.dist[i], frame.trace_err[i], frame.min_eig[i],
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % tuple(values) for values in table.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -2,37 +2,44 @@
 
 Instead of integrating the 4-component linear master equation directly, the
 solution is written as a time-dependent similarity transformation applied to
-the initial components.  The transformation is fixed by four scalar gauge
-parameters: a Riccati pair (alpha_plus, alpha_minus) acting in the population
-sector and a second pair (eta_plus, eta_minus) acting in the coherence
-sector, together with four exponential weight factors f_{s,s'}.  All four
-parameters start at zero and obey first-order ODEs driven by the reservoir
-parameters (gamma, N, M):
+the initial components.  The transformation is fixed by a Riccati pair
+(alpha_plus, alpha_minus) acting in the population sector, a second pair
+(eta_plus, eta_minus) acting in the coherence sector, and four weight
+factors f_{s,s'}.  alpha_minus grows like exp(gamma (2N+1) t) and eta_minus
+like sinh(u) cosh(u) with u = gamma M t, but the density only ever uses the
+products b = alpha_minus f_ee and e = eta_minus f_eg.  The flow integrates
+those products in place of alpha_minus and eta_minus.  With
+c = N + 1/2 + M eta_plus, the product rule gives
 
-    d alpha_plus /dt = -gamma (N+1) alpha_plus^2 - gamma alpha_plus + gamma N
-    d alpha_minus/dt =  gamma (N+1) (1 + 2 alpha_plus alpha_minus) + gamma alpha_minus
-    d eta_plus   /dt =  gamma (M eta_plus^2 - conj(M))
-    d eta_minus  /dt = -gamma M (1 + 2 eta_plus eta_minus)
-
-and the weights obey d(log f_{s,s'})/dt =
--gamma { [(N+1) alpha_plus + 1/2](s+s')/2 - M eta_plus (s-s')/2 + (2N+1)/2 }.
-
-The weights are stored and integrated as complex logarithms: they decay like
-exp(-rate * t) while alpha_minus grows like the inverse, and only products of
-the two are of order one.  Assembly therefore multiplies each term in
-log space.
+    d alpha_plus/dt = gamma (N - alpha_plus - (N+1) alpha_plus^2)
+    d b/dt          = gamma [(N+1) f_ee + ((N+1) alpha_plus - N) b]
+    d eta_plus/dt   = gamma (M eta_plus^2 - conj(M))
+    d e/dt          = -gamma (M f_eg + c e)
+    d f_ee/dt       = -gamma (N+1) (1 + alpha_plus) f_ee
+    d f_gg/dt       = -gamma (N - (N+1) alpha_plus) f_gg
+    d f_eg/dt       = -gamma (N + 1/2 - M eta_plus) f_eg
+    d f_ge/dt       = -gamma c f_ge
 
 A gauge state is a complex array whose last axis holds the eight columns
 
-    (alpha_plus, alpha_minus, eta_plus, eta_minus,
-     log f_ee, log f_gg, log f_eg, log f_ge),
+    (alpha_plus, b, eta_plus, e, f_ee, f_gg, f_eg, f_ge),
 
-the weights in the component order of BASIS_LABELS.  At t = 0 every column is
-zero (the transformation starts at the identity).  evolve_gauge returns one
-row per grid time, the flow, which depends only on the reservoir; the
-initial state enters only in assemble_density.
+the weights in the component order of BASIS_LABELS.  At t = 0 the
+transformation is the identity, (0, 0, 0, 0, 1, 1, 1, 1).  evolve_gauge
+returns one row per grid time, the flow, which depends only on the
+reservoir; the initial state enters only in assemble_density.
 
-For a constant reservoir all five quantities have closed forms, implemented
+Every column stays bounded.  Setting one initial component to 1 in the
+expansion of assemble_density shows that b, f_gg, e and f_ge are matrix
+elements of the evolved basis operators |e><e|, |g><g|, |e><g| and |g><e|,
+which the trace-preserving evolution keeps within 1.  alpha_plus stays in
+[0, 1), so the trace identities f_gg (1 + alpha_plus) = 1 and
+f_ee + (1 + alpha_plus) b = 1 bound f_ee; eta_plus (-tanh(gamma M t) for a
+constant reservoir) and with it f_eg stay of order one.  The right-hand side
+and the assembly are therefore polynomials in bounded values, with nothing
+to overflow.
+
+For a constant reservoir all eight columns have closed forms, implemented
 in autonomous_gauge; the time stepping must reproduce them, and both must
 match the brute-force reference integrator.
 """
@@ -51,7 +58,6 @@ from .integrate import plan_integration
 from .states import check_density
 
 __all__ = [
-    "gauge_derivatives",
     "evolve_gauge",
     "autonomous_gauge",
     "assemble_density",
@@ -60,31 +66,19 @@ __all__ = [
 
 
 def _gauge_rhs(gamma: float, n: float, m: complex, y: tuple[complex, ...]):
-    ap, am, ep, em = y[0], y[1], y[2], y[3]
-    mc = m.conjugate()
-    half = n + 0.5
+    ap, b, ep, e, f_ee, f_gg, f_eg, f_ge = y
     mep = m * ep
+    c = n + 0.5 + mep
     return (
         gamma * (n - ap - (n + 1.0) * ap * ap),
-        gamma * ((n + 1.0) * (1.0 + 2.0 * ap * am) + am),
-        gamma * (mep * ep - mc),
-        -gamma * (m + 2.0 * mep * em),
-        -gamma * (n + 1.0) * (1.0 + ap),
-        -gamma * (n - (n + 1.0) * ap),
-        -gamma * (half - mep),
-        -gamma * (half + mep),
+        gamma * ((n + 1.0) * f_ee + ((n + 1.0) * ap - n) * b),
+        gamma * (mep * ep - m.conjugate()),
+        -gamma * (m * f_eg + c * e),
+        -gamma * (n + 1.0) * (1.0 + ap) * f_ee,
+        -gamma * (n - (n + 1.0) * ap) * f_gg,
+        -gamma * (n + 0.5 - mep) * f_eg,
+        -gamma * c * f_ge,
     )
-
-
-def gauge_derivatives(t: float, y: np.ndarray, schedule: BathSchedule) -> np.ndarray:
-    """Right-hand sides of the gauge ODE system at time t.
-
-    y is one gauge state, shape (8,); the result holds the time derivatives
-    of its columns (including the log-weight exponent rates).
-    """
-    point = schedule.at(t)
-    y = tuple(complex(v) for v in np.asarray(y))
-    return np.array(_gauge_rhs(point.gamma, point.n_param, point.m_param, y), dtype=complex)
 
 
 def evolve_gauge(
@@ -106,7 +100,8 @@ def evolve_gauge(
     Returns
     -------
     ndarray, shape (len(grid), 8)
-        The gauge state at each grid time; row 0 is zero.
+        The gauge state at each grid time; row 0 is the identity
+        (0, 0, 0, 0, 1, 1, 1, 1).
 
     Raises
     ------
@@ -120,7 +115,8 @@ def evolve_gauge(
     gl = [float(v) for v in g_nodes]
     nl = [float(v) for v in n_nodes]
     ml = [complex(v) for v in m_nodes]
-    y: tuple[complex, ...] = (0j, 0j, 0j, 0j, 0j, 0j, 0j, 0j)
+    y: tuple[complex, ...] = (0j, 0j, 0j, 0j, 1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
+    out[0] = y
     for i in range(grid.size - 1):
         m_sub = int(plan.counts[i])
         h = float(plan.widths[i])
@@ -154,26 +150,25 @@ def evolve_gauge(
     return out
 
 
-def _log_cosh(x: float) -> float:
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
-
-
 def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:
     """Closed-form gauge state, shape (8,), for a constant reservoir with real M.
 
-    The alpha pair depends on gamma, N and t through E = exp(-gamma(2N+1)t):
+    With E = exp(-gamma (2N+1) t) and D = N + 1 + N E, the population
+    columns are
 
-        alpha_plus  = N (1 - E) / (N + 1 + N E)
-        alpha_minus = (N+1)(N + 1 + N E)(1 - E) / ((2N+1)^2 E)
+        alpha_plus = N (1 - E) / D,      b    = (N+1) (1 - E) / (2N+1),
+        f_ee       = (2N+1) E / D,       f_gg = D / (2N+1)
 
     (alpha_plus is the standard form of the printed expression multiplied
-    through by N, which also resolves its 0/0 limit at N = 0 to 0).  The eta
-    pair is hyperbolic in u = gamma M t:
+    through by N, which also resolves its 0/0 limit at N = 0 to 0).  With
+    u = gamma M t, S = exp(-gamma (N + 1/2 - |M|) t) and
+    F = exp(-gamma (N + 1/2 + |M|) t), the coherence columns are
 
-        eta_plus = -tanh(u),  eta_minus = -sinh(u) cosh(u)
+        eta_plus = -tanh(u),             e    = -sign(M) (S - F) / 2,
+        f_eg     = 2 F / (1 + exp(-2 |u|)),  f_ge = (S + F) / 2.
 
-    and the log-weights integrate the exponent rates in closed form.
+    Every exponent is non-positive for a physical reservoir
+    (|M| <= N + 1/2), so no intermediate value overflows at any t.
     """
     for name, v in (("gamma", gamma), ("N", n), ("M", m), ("t", t)):
         if not math.isfinite(v):
@@ -182,35 +177,25 @@ def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:
         raise InvalidInputError("t must be >= 0, got %r" % (t,))
     if gamma < 0.0 or n < 0.0:
         raise InvalidInputError("gamma and N must be >= 0")
-    x = gamma * (2.0 * n + 1.0) * t
-    e = math.exp(-x)
-    den = n + 1.0 + n * e
-    ap = n * (1.0 - e) / den
-    if e > 0.0:
-        am = (n + 1.0) * den * (1.0 - e) / ((2.0 * n + 1.0) ** 2 * e)
-    else:
-        am = math.inf
+    w = 2.0 * n + 1.0
+    big_e = math.exp(-gamma * w * t)
+    den = n + 1.0 + n * big_e
     u = gamma * m * t
-    ep = -math.tanh(u)
-    em = -math.sinh(u) * math.cosh(u) if abs(u) < 350.0 else -math.copysign(math.inf, u)
-    lc = _log_cosh(u)
-    f_ee = -x + math.log((2.0 * n + 1.0) / den)
-    f_gg = math.log(den / (2.0 * n + 1.0))
-    f_eg = -gamma * (n + 0.5) * t - lc
-    f_ge = -gamma * (n + 0.5) * t + lc
-    return np.array([ap, am, ep, em, f_ee, f_gg, f_eg, f_ge], dtype=complex)
-
-
-def _term(lam: complex, log_f: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    # lam * exp(log_f) * coeff, multiplied in log space: the weight factor
-    # and the coefficient can separately overflow or underflow while their
-    # product stays of order one.  Exactly zero where lam or coeff is.
-    coeff = np.broadcast_to(coeff, log_f.shape)
-    out = np.zeros(log_f.shape, dtype=complex)
-    if lam != 0:
-        live = coeff != 0
-        out[live] = lam * np.exp(log_f[live] + np.log(coeff[live]))
-    return out
+    s = math.exp(-gamma * (n + 0.5 - abs(m)) * t)
+    f = math.exp(-gamma * (n + 0.5 + abs(m)) * t)
+    return np.array(
+        [
+            n * (1.0 - big_e) / den,
+            (n + 1.0) * (1.0 - big_e) / w,
+            -math.tanh(u),
+            -math.copysign(0.5 * (s - f), m),
+            w * big_e / den,
+            den / w,
+            2.0 * f / (1.0 + math.exp(-2.0 * abs(u))),
+            0.5 * (s + f),
+        ],
+        dtype=complex,
+    )
 
 
 def assemble_density(rho0: np.ndarray, flow: np.ndarray) -> np.ndarray:
@@ -221,26 +206,26 @@ def assemble_density(rho0: np.ndarray, flow: np.ndarray) -> np.ndarray:
     result; the result has shape (..., 2, 2).  Implements the component
     expansion
 
-        rho_ee = l_ee f_ee (1 + a+ a-) + l_gg f_gg a+
-        rho_gg = l_ee f_ee a-          + l_gg f_gg
-        rho_eg = l_eg f_eg (1 + e+ e-) + l_ge f_ge e+
-        rho_ge = l_eg f_eg e-          + l_ge f_ge
+        rho_ee = l_ee (f_ee + a+ b) + l_gg f_gg a+
+        rho_gg = l_ee b             + l_gg f_gg
+        rho_eg = l_eg (f_eg + e+ e) + l_ge f_ge e+
+        rho_ge = l_eg e             + l_ge f_ge
 
-    with l the components of rho0, a+- = alpha_plus/minus, e+- =
-    eta_plus/minus and f the exponential weights.  The result is Hermitian
-    with trace 1 up to integration tolerances.
+    with l the components of rho0, a+ = alpha_plus, e+ = eta_plus and
+    (b, e, f) the remaining columns of the gauge state.  The result is
+    Hermitian with trace 1 up to integration tolerances.
     """
     l_ee, l_gg, l_eg, l_ge = (complex(v) for v in vectorize(check_density(rho0)))
     flow = np.asarray(flow, dtype=complex)
-    if not np.all(np.isfinite(flow[..., :4])):
+    if not np.all(np.isfinite(flow)):
         raise NumericalFailureError("gauge parameters are not finite; cannot assemble")
-    ap, am, ep, em, f_ee, f_gg, f_eg, f_ge = np.moveaxis(flow, -1, 0)
+    ap, b, ep, e, f_ee, f_gg, f_eg, f_ge = np.moveaxis(flow, -1, 0)
     rho = np.stack(
         [
-            _term(l_ee, f_ee, 1.0 + ap * am) + _term(l_gg, f_gg, ap),
-            _term(l_ee, f_ee, am) + _term(l_gg, f_gg, 1.0),
-            _term(l_eg, f_eg, 1.0 + ep * em) + _term(l_ge, f_ge, ep),
-            _term(l_eg, f_eg, em) + _term(l_ge, f_ge, 1.0),
+            l_ee * (f_ee + ap * b) + l_gg * f_gg * ap,
+            l_ee * b + l_gg * f_gg,
+            l_eg * (f_eg + ep * e) + l_ge * f_ge * ep,
+            l_eg * e + l_ge * f_ge,
         ],
         axis=-1,
     )

@@ -322,12 +322,11 @@ def check_oracle_agreement(states, ref, tol: float) -> CheckResult:
 
 
 def check_gauge_trace_identities(flow, tol: float) -> CheckResult:
-    """f_gg (1 + a+) = 1 and f_ee (1 + a+ a- + a-) = 1 at every gauge state."""
-    ap, am = flow[:, 0], flow[:, 1]
-    f_ee, f_gg = np.exp(flow[:, 4]), np.exp(flow[:, 5])
+    """f_gg (1 + a+) = 1 and f_ee + (1 + a+) b = 1 at every gauge state."""
+    ap, b, f_ee, f_gg = flow[:, 0], flow[:, 1], flow[:, 4], flow[:, 5]
     worst = max(
         float(np.max(np.abs(f_gg * (1.0 + ap) - 1.0))),
-        float(np.max(np.abs(f_ee * (1.0 + ap * am + am) - 1.0))),
+        float(np.max(np.abs(f_ee + (1.0 + ap) * b - 1.0))),
     )
     return _result("gauge-trace-identities", worst <= tol, worst, tol)
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import squeezebath
+from squeezebath import verify
+from squeezebath.bath import Constant
 from squeezebath.cli import (
     DEFAULTS,
     TRAJECTORY_HEADER,
@@ -16,7 +18,7 @@ from squeezebath.cli import (
     main,
     resolve_config,
 )
-from squeezebath.errors import InvalidInputError
+from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.states import pure_state
 
 
@@ -255,9 +257,25 @@ def test_verify_default_passes(tmp_path, capsys):
     assert "summary:" in captured.out
 
 
-def test_verify_reports_a_gauge_overflow_as_failed_checks(tmp_path, capsys):
-    # constant r = 2 overflows the gauge flow at t ~ 25.9: every check that
-    # reads the run's flow fails with the error, and the oracle run is missing
+def test_verify_passes_under_strong_squeezing(tmp_path):
+    # constant r = 2 drives alpha_minus up like exp(27 t); the flow's columns stay bounded
+    out = tmp_path / "r2"
+    rc = main(["verify", "--out", str(out), "--schedule.r.kind=const", "--schedule.r.value=2"])
+    assert rc == 0
+    assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines({})
+
+
+def test_verify_reports_a_failed_gauge_flow_as_failed_checks(tmp_path, capsys, monkeypatch):
+    # the run's flow raises: every check that reads it fails with the error,
+    # and the oracle run is missing; flows of the other schedules still run
+    evolve_gauge = verify.evolve_gauge
+
+    def failing(schedule, grid, step=None):
+        if schedule.r == Constant(2.0):
+            raise NumericalFailureError("gauge parameters non-finite at t = 1.0")
+        return evolve_gauge(schedule, grid, step)
+
+    monkeypatch.setattr(verify, "evolve_gauge", failing)
     out = tmp_path / "r2"
     rc = main(["verify", "--out", str(out), "--schedule.r.kind=const", "--schedule.r.value=2"])
     assert rc == 2

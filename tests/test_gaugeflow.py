@@ -7,11 +7,11 @@ import pytest
 from squeezebath.bath import BathSchedule, Constant, ExpDecay, bath_params
 from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import (
+    _gauge_rhs,
     assemble_density,
     autonomous_expectations,
     autonomous_gauge,
     evolve_gauge,
-    gauge_derivatives,
 )
 from squeezebath.integrate import uniform_grid
 from squeezebath.liouvillian import integrate_reference
@@ -26,34 +26,14 @@ from squeezebath.verify import check_gauge_trace_identities, check_oracle_agreem
 FIG1 = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
 
 ODD_RHO0 = pure_state(math.sqrt(0.2) * cmath.exp(1j * math.pi / 3.0), math.sqrt(0.8))
-IDENTITY = np.zeros(8, dtype=complex)
-
-
-def test_derivatives_at_identity():
-    n, m = bath_params(0.6, 0.4)
-    sched = BathSchedule(gamma=Constant(1.3), r=Constant(0.6), theta=Constant(0.4))
-    d = gauge_derivatives(0.0, IDENTITY, sched)
-    assert d.shape == (8,)
-    assert d[0] == pytest.approx(1.3 * n, rel=1e-14)
-    assert d[1] == pytest.approx(1.3 * (n + 1.0), rel=1e-14)
-    assert d[2] == pytest.approx(-1.3 * m.conjugate(), rel=1e-14)
-    assert d[3] == pytest.approx(-1.3 * m, rel=1e-14)
-    # log-factor drifts: -gamma(N+1), -gamma N, -gamma(N+1/2) twice
-    assert d[4] == pytest.approx(-1.3 * (n + 1.0), rel=1e-14)
-    assert d[5] == pytest.approx(-1.3 * n, rel=1e-14)
-    assert d[6] == pytest.approx(-1.3 * (n + 0.5), rel=1e-14)
-    assert d[7] == pytest.approx(-1.3 * (n + 0.5), rel=1e-14)
+IDENTITY = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=complex)
 
 
 def test_alpha_plus_fixed_points():
     n, m = bath_params(0.6, 0.0)
-    sched = BathSchedule(gamma=Constant(1.0), r=Constant(0.6))
-    stable = IDENTITY.copy()
-    stable[0] = n / (n + 1.0)
-    assert abs(gauge_derivatives(0.0, stable, sched)[0]) <= 1e-15
-    repelling = IDENTITY.copy()
-    repelling[0] = -1.0
-    assert abs(gauge_derivatives(0.0, repelling, sched)[0]) <= 1e-15
+    for fixed in (n / (n + 1.0), -1.0):  # stable, repelling
+        y = (complex(fixed),) + tuple(IDENTITY[1:])
+        assert abs(_gauge_rhs(1.0, n, m, y)[0]) <= 1e-15
 
 
 def test_autonomous_alpha_plus_closed_form():
@@ -65,11 +45,11 @@ def test_autonomous_alpha_plus_closed_form():
 def test_autonomous_vacuum():
     g = autonomous_gauge(1.0, 0.0, 0.0, 1.0)
     assert g[0] == 0.0
-    assert g[1] == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert g[1] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
     assert g[2] == 0.0
     assert g[3] == 0.0
-    assert g[4] == pytest.approx(-1.0, rel=1e-14)
-    assert g[5] == 0.0
+    assert g[4] == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert g[5] == 1.0
 
 
 def test_autonomous_eta_is_minus_tanh():
@@ -77,7 +57,8 @@ def test_autonomous_eta_is_minus_tanh():
     t = 0.5 / m.real  # gamma M t = 1/2
     g = autonomous_gauge(1.0, n, m.real, t)
     assert g[2] == pytest.approx(-0.46211715726000974, rel=1e-13)
-    assert g[3] == pytest.approx(-math.sinh(0.5) * math.cosh(0.5), rel=1e-13)
+    # e = eta_minus f_eg = -sinh(u) exp(-gamma (N + 1/2) t)
+    assert g[3] == pytest.approx(-math.sinh(0.5) * math.exp(-(n + 0.5) * t), rel=1e-13)
 
 
 def test_autonomous_rejects_bad_arguments():
@@ -94,17 +75,39 @@ def test_evolve_matches_closed_form():
     flow = evolve_gauge(sched, grid)
     for i, t in enumerate(grid):
         want = autonomous_gauge(1.0, n, m.real, float(t))
-        got = flow[i]
-        assert abs(got[0] - want[0]) <= 1e-9
-        assert abs(got[1] - want[1]) <= 1e-9 * max(1.0, abs(want[1]))
-        assert abs(got[2] - want[2]) <= 1e-9
-        assert abs(got[3] - want[3]) <= 1e-9
-        for k in range(4, 8):
-            assert abs(got[k] - want[k]) <= 1e-9
+        assert np.max(np.abs(flow[i] - want)) <= 1e-9
 
 
 def test_evolve_starts_at_identity():
-    assert np.array_equal(evolve_gauge(FIG1, [0.0]), np.zeros((1, 8)))
+    assert np.array_equal(evolve_gauge(FIG1, [0.0]), IDENTITY[None, :])
+
+
+def test_strong_squeezing_matches_closed_form_at_long_times():
+    # r = 2: alpha_minus grows like exp(27 t); the flow's columns stay bounded
+    n, m = bath_params(2.0, 0.0)
+    grid = uniform_grid(60.0, 0.05)
+    flow = evolve_gauge(BathSchedule(gamma=Constant(1.0), r=Constant(2.0)), grid)
+    got = pauli_expectations(assemble_density(ODD_RHO0, flow))
+    want = autonomous_expectations(ODD_RHO0, 1.0, n, m.real, grid)
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_constant_squeezing_reaches_equilibrium():
+    # the paper's approach to the equilibrium state, at a long horizon
+    n, _ = bath_params(0.6, 0.0)
+    flow = evolve_gauge(BathSchedule(gamma=Constant(1.0), r=Constant(0.6)),
+                        uniform_grid(1000.0, 1.0), step=0.01)
+    assert trace_distance(assemble_density(ODD_RHO0, flow[-1]), steady_populations(n)) <= 1e-10
+
+
+def test_autonomous_gauge_is_bounded_at_long_times():
+    n, m = bath_params(2.0, 0.0)
+    g = autonomous_gauge(1.0, n, m.real, 1000.0)
+    assert np.all(np.isfinite(g))
+    assert np.max(np.abs(g)) <= 1.0
+    got = pauli_expectations(assemble_density(ODD_RHO0, g))
+    want = autonomous_expectations(ODD_RHO0, 1.0, n, m.real, 1000.0)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_evolve_step_must_fit_grid():
