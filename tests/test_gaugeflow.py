@@ -4,16 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from squeezebath.bath import BathSchedule, Constant, ExpDecay, bath_params
+from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid, bath_params
 from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import (
-    _gauge_rhs,
     assemble_density,
     autonomous_expectations,
     autonomous_gauge,
     evolve_gauge,
 )
-from squeezebath.integrate import uniform_grid
+from squeezebath.integrate import plan_integration, plan_substeps, uniform_grid
 from squeezebath.liouvillian import integrate_reference
 from squeezebath.states import (
     pauli_expectations,
@@ -27,6 +26,81 @@ FIG1 = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
 
 ODD_RHO0 = pure_state(math.sqrt(0.2) * cmath.exp(1j * math.pi / 3.0), math.sqrt(0.8))
 IDENTITY = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=complex)
+
+
+def _gauge_rhs(gamma, n, m, y):
+    # the module docstring's eight ODEs, written once over a tuple of columns
+    ap, b, ep, e, f_ee, f_gg, f_eg, f_ge = y
+    mep = m * ep
+    c = n + 0.5 + mep
+    return (
+        gamma * (n - ap - (n + 1.0) * ap * ap),
+        gamma * ((n + 1.0) * f_ee + ((n + 1.0) * ap - n) * b),
+        gamma * (mep * ep - m.conjugate()),
+        -gamma * (m * f_eg + c * e),
+        -gamma * (n + 1.0) * (1.0 + ap) * f_ee,
+        -gamma * (n - (n + 1.0) * ap) * f_gg,
+        -gamma * (n + 0.5 - mep) * f_eg,
+        -gamma * c * f_ge,
+    )
+
+
+def _plain_rk4_flow(schedule, grid, step=None):
+    # evolve_gauge written the plain way: complex tuples, one _gauge_rhs call
+    # per stage; evolve_gauge must reproduce it bit for bit
+    grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
+    gl = [float(v) for v in g_nodes]
+    nl = [float(v) for v in n_nodes]
+    ml = [complex(v) for v in m_nodes]
+    out = np.zeros((grid.size, 8), dtype=complex)
+    y = tuple(complex(v) for v in IDENTITY)
+    out[0] = y
+    for i in range(grid.size - 1):
+        h = float(plan.widths[i])
+        h2 = 0.5 * h
+        h6 = h / 6.0
+        for k in range(int(plan.counts[i])):
+            j = int(plan.offsets[i]) + 2 * k
+            k1 = _gauge_rhs(gl[j], nl[j], ml[j], y)
+            k2 = _gauge_rhs(gl[j + 1], nl[j + 1], ml[j + 1],
+                            tuple(a + h2 * d for a, d in zip(y, k1)))
+            k3 = _gauge_rhs(gl[j + 1], nl[j + 1], ml[j + 1],
+                            tuple(a + h2 * d for a, d in zip(y, k2)))
+            k4 = _gauge_rhs(gl[j + 2], nl[j + 2], ml[j + 2],
+                            tuple(a + h * d for a, d in zip(y, k3)))
+            y = tuple(a + h6 * (d1 + 2.0 * (d2 + d3) + d4)
+                      for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4))
+        assert all(cmath.isfinite(v) for v in y)
+        out[i + 1] = y
+    return out
+
+
+def _uneven_grid(step):
+    # spans of 1 to 7 substeps, in a fixed irregular order
+    spans = step * (1.0 + (0.37 * np.arange(40)) % 6.0)
+    grid = np.concatenate([[0.0], np.cumsum(spans)])
+    assert set(plan_substeps(grid, step).counts.tolist()) == set(range(1, 8))
+    return grid
+
+
+FLOW_CASES = {
+    "uneven-sin-gamma-sin-r-ramp-theta": (
+        BathSchedule(gamma=Sinusoid(1.0, 0.5, 2.0), r=Sinusoid(1.5, 0.3, 1.3, 0.2),
+                     theta=Ramp(0.3, 0.7)),
+        _uneven_grid(0.01), 0.01,
+    ),
+    "thermal": (BathSchedule(gamma=Constant(1.0), nbar=0.7), uniform_grid(5.0, 0.05), None),
+    "const-r2": (BathSchedule(gamma=Constant(1.0), r=Constant(2.0)), uniform_grid(10.0, 0.05),
+                 None),
+    "one-point": (FIG1, np.array([0.0]), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_CASES))
+def test_flow_equals_plain_rk4_bit_for_bit(case):
+    schedule, grid, step = FLOW_CASES[case]
+    assert np.array_equal(evolve_gauge(schedule, grid, step),
+                          _plain_rk4_flow(schedule, grid, step))
 
 
 def test_alpha_plus_fixed_points():
@@ -134,6 +208,14 @@ def test_gauge_blowup_is_reported():
     sched = BathSchedule(gamma=Constant(1e80), r=Constant(0.1))
     with pytest.raises(NumericalFailureError, match="t = "):
         evolve_gauge(sched, np.array([0.0, 1.0]), step=1.0)
+
+
+def test_gauge_blowup_names_the_first_nonfinite_time():
+    # gamma = max(1e80 (t - 1), 0) is 0 on [0, 1], so row 1 stays the
+    # identity and the flow blows up on the second interval only
+    sched = BathSchedule(gamma=Ramp(-1e80, 1e80), r=Constant(0.1))
+    with pytest.raises(NumericalFailureError, match=r"non-finite at t = 2\.0$"):
+        evolve_gauge(sched, np.array([0.0, 1.0, 2.0]), step=1.0)
 
 
 def test_flow_is_an_array_assembled_in_one_call():
