@@ -25,7 +25,6 @@ from .bath import (
     bath_params,
 )
 from .errors import (
-    HorizonError,
     InvalidInputError,
     NumericalFailureError,
     UnsupportedScheduleError,
@@ -70,7 +69,6 @@ __all__ = [
     "Ramp",
     "Sinusoid",
     "bath_params",
-    "HorizonError",
     "InvalidInputError",
     "NumericalFailureError",
     "UnsupportedScheduleError",

@@ -26,12 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "SIGMA_PLUS",
     "SIGMA_MINUS",
-    "IDENTITY_2",
     "BASIS_LABELS",
     "GeneratorSet",
     "vectorize",
@@ -43,12 +39,8 @@ __all__ = [
     "commutator",
 ]
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 # Component order of the flattened density matrix.  Entry i of a vector is
 # rho[_COMPONENT_INDEX[i]].  BASIS_LABELS gives the (s, s') level pair of each

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import HorizonError, InvalidInputError
+from .errors import InvalidInputError
 
 __all__ = [
     "Constant",
@@ -206,47 +206,31 @@ def bath_params(r: float, theta: float) -> tuple[float, complex]:
 
 @dataclass(frozen=True)
 class BathSchedule:
-    """Reservoir controls over a time window [0, horizon].
+    """Reservoir controls for times t >= 0.
 
     Parameters
     ----------
     gamma : ControlFunction
-        Coupling rate, must evaluate >= 0 on the window.
+        Coupling rate, must evaluate >= 0.
     r, theta : ControlFunction
-        Squeeze amplitude (>= 0 on the window) and phase.  Ignored when nbar
+        Squeeze amplitude (must evaluate >= 0) and phase.  Ignored when nbar
         is set.
     nbar : float or None
         If not None, override the squeezing: N = nbar and M = 0 at all times.
-    horizon : float
-        Upper end of the validity window; evaluation beyond it raises
-        HorizonError.  Defaults to infinity.
     """
 
     gamma: ControlFunction
     r: ControlFunction = field(default_factory=lambda: Constant(0.0))
     theta: ControlFunction = field(default_factory=lambda: Constant(0.0))
     nbar: float | None = None
-    horizon: float = math.inf
 
     def __post_init__(self):
         if self.nbar is not None and not (math.isfinite(self.nbar) and self.nbar >= 0.0):
             raise InvalidInputError("nbar must be finite and >= 0, got %r" % (self.nbar,))
-        if math.isnan(self.horizon) or self.horizon < 0.0:
-            raise InvalidInputError("horizon must be >= 0, got %r" % (self.horizon,))
 
     @property
     def thermal(self) -> bool:
         return self.nbar is not None
-
-    def _check_times(self, t: np.ndarray) -> None:
-        slack = 1e-9 * max(1.0, self.horizon if math.isfinite(self.horizon) else 1.0)
-        tmin = float(np.min(t))
-        tmax = float(np.max(t))
-        if tmin < -slack or tmax > self.horizon + slack:
-            bad = tmin if tmin < -slack else tmax
-            raise HorizonError(
-                "time %r outside schedule window [0, %r]" % (bad, self.horizon)
-            )
 
     def at(self, t: float) -> BathPoint:
         """Evaluate the schedule at time t and return the reservoir point.
@@ -254,7 +238,7 @@ class BathSchedule:
         Parameters
         ----------
         t : float
-            Must lie in [0, horizon] up to a relative slack of 1e-9.
+            Must be >= 0 up to a slack of 1e-9.
 
         Returns
         -------
@@ -263,10 +247,8 @@ class BathSchedule:
 
         Raises
         ------
-        HorizonError
-            If t is outside the schedule window.
         InvalidInputError
-            If gamma(t) or r(t) evaluates negative.
+            If t < -1e-9, or if gamma(t) or r(t) evaluates negative.
         """
         if not math.isfinite(t):
             raise InvalidInputError("time must be finite, got %r" % (t,))
@@ -280,7 +262,9 @@ class BathSchedule:
         evaluates all three controls in one pass.  M has complex dtype.
         """
         times = np.asarray(times, dtype=float)
-        self._check_times(times)
+        tmin = float(np.min(times))
+        if tmin < -1e-9:
+            raise InvalidInputError("time %r outside schedule window [0, inf]" % (tmin,))
         gamma = np.broadcast_to(np.asarray(self.gamma(times), dtype=float), times.shape)
         if np.any(gamma < 0.0):
             t_bad = float(times[np.argmax(gamma < 0.0)])

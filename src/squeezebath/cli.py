@@ -307,9 +307,10 @@ def compute_frame(
     t_max: float,
     dt_out: float,
     dt_int: float,
-    tol: dict[str, float],
-) -> TrajectoryFrame:
-    """Run both pipelines on a uniform grid and enforce the row tolerances."""
+) -> list[TrajectoryFrame]:
+    """Run both pipelines on a uniform grid: one frame per state of the
+    (k, 2, 2) stack rho0, with each route solving the schedule once.  The
+    caller checks each frame's row tolerances just before writing it."""
     grid = uniform_grid(t_max, dt_out)
     states = assemble_density(rho0, evolve_gauge(schedule, grid, dt_int))
     ref = integrate_reference(schedule, rho0, grid, dt_int)
@@ -323,21 +324,22 @@ def compute_frame(
         r_col = np.broadcast_to(np.asarray(schedule.r(grid), dtype=float), grid.shape).copy()
         theta_col = np.broadcast_to(np.asarray(schedule.theta(grid), dtype=float), grid.shape).copy()
 
-    frame = TrajectoryFrame(
-        times=grid,
-        gamma=gamma_col,
-        r=r_col,
-        theta=theta_col,
-        n=n_col,
-        m=m_col,
-        expectations=pauli_expectations(states),
-        ref_expectations=pauli_expectations(ref),
-        dist=trace_distance(states, ref),
-        trace_err=trace_error(states),
-        min_eig=min_eigenvalue(states),
-    )
-    _enforce_row_tolerances(frame, tol)
-    return frame
+    return [
+        TrajectoryFrame(
+            times=grid,
+            gamma=gamma_col,
+            r=r_col,
+            theta=theta_col,
+            n=n_col,
+            m=m_col,
+            expectations=pauli_expectations(rho),
+            ref_expectations=pauli_expectations(rho_ref),
+            dist=trace_distance(rho, rho_ref),
+            trace_err=trace_error(rho),
+            min_eig=min_eigenvalue(rho),
+        )
+        for rho, rho_ref in zip(states.swapaxes(0, 1), ref.swapaxes(0, 1))
+    ]
 
 
 def _enforce_row_tolerances(frame: TrajectoryFrame, tol: dict[str, float]) -> None:
@@ -464,7 +466,8 @@ def write_line_chart(path: str, times: np.ndarray, series, title: str) -> None:
 
 
 def run_trajectory(rc: RunConfig) -> int:
-    frame = compute_frame(rc.schedule, rc.rho0, rc.t_max, rc.dt_out, rc.dt_int, rc.tol)
+    [frame] = compute_frame(rc.schedule, rc.rho0[None], rc.t_max, rc.dt_out, rc.dt_int)
+    _enforce_row_tolerances(frame, rc.tol)
     path = os.path.join(rc.out_dir, "trajectory.csv")
     write_trajectory_csv(path, frame)
     print(
@@ -475,11 +478,18 @@ def run_trajectory(rc: RunConfig) -> int:
 
 
 def run_figures(rc: RunConfig) -> int:
+    # The figures on one schedule (same c1) are solved together, when the
+    # first of them is reached; files and lines still follow figures.ids.
+    frames: dict[int, TrajectoryFrame] = {}
     for fid in rc.figure_ids:
-        frame = compute_frame(
-            figure_schedule(fid), figure_initial(fid),
-            rc.t_max, rc.dt_out, rc.dt_int, rc.tol,
-        )
+        if fid not in frames:
+            group = [g for g in rc.figure_ids if _FIGURES[g][0] == _FIGURES[fid][0]]
+            frames.update(zip(group, compute_frame(
+                figure_schedule(fid), np.stack([figure_initial(g) for g in group]),
+                rc.t_max, rc.dt_out, rc.dt_int,
+            )))
+        frame = frames.pop(fid)
+        _enforce_row_tolerances(frame, rc.tol)
         path = os.path.join(rc.out_dir, "fig%d.csv" % fid)
         write_trajectory_csv(path, frame)
         message = "wrote %s (max oracle distance %.3e)" % (path, float(np.max(frame.dist)))

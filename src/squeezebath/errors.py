@@ -1,17 +1,13 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration and validation problems
-(InvalidInputError, HorizonError, UnsupportedScheduleError) exit with code 1,
+(InvalidInputError, UnsupportedScheduleError) exit with code 1,
 runtime numerical problems (NumericalFailureError) exit with code 2.
 """
 
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
-
-
-class HorizonError(InvalidInputError):
-    """A time lies outside the closed interval [0, horizon] of a schedule."""
 
 
 class UnsupportedScheduleError(InvalidInputError):

@@ -27,7 +27,8 @@ A gauge state is a complex array whose last axis holds the eight columns
 the weights in the component order of BASIS_LABELS.  At t = 0 the
 transformation is the identity, (0, 0, 0, 0, 1, 1, 1, 1).  evolve_gauge
 returns one row per grid time, the flow, which depends only on the
-reservoir; the initial state enters only in assemble_density.
+reservoir; the initial state enters only in assemble_density, so one flow
+serves any number of initial states.
 
 Every column stays bounded.  Setting one initial component to 1 in the
 expansion of assemble_density shows that b, f_gg, e and f_ge are matrix
@@ -270,10 +271,11 @@ def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:
 def assemble_density(rho0: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Density matrices at the instants described by gauge states.
 
-    rho0 is the initial density matrix (checked by check_density), flow one
-    gauge state of shape (8,) or a (..., 8) stack such as evolve_gauge's
-    result; the result has shape (..., 2, 2).  Implements the component
-    expansion
+    rho0 is the initial density matrix, or a (k, 2, 2) stack of them (checked
+    by check_density); flow is one gauge state of shape (8,) or a (..., 8)
+    stack such as evolve_gauge's result.  The result has shape
+    flow.shape[:-1] + rho0.shape: every gauge state assembled for every
+    initial state.  Implements the component expansion
 
         rho_ee = l_ee (f_ee + a+ b) + l_gg f_gg a+
         rho_gg = l_ee b             + l_gg f_gg
@@ -284,11 +286,14 @@ def assemble_density(rho0: np.ndarray, flow: np.ndarray) -> np.ndarray:
     (b, e, f) the remaining columns of the gauge state.  The result is
     Hermitian with trace 1 up to integration tolerances.
     """
-    l_ee, l_gg, l_eg, l_ge = (complex(v) for v in vectorize(check_density(rho0)))
+    rho0 = check_density(rho0)
+    l_ee, l_gg, l_eg, l_ge = np.moveaxis(vectorize(rho0), -1, 0)
     flow = np.asarray(flow, dtype=complex)
     if not np.all(np.isfinite(flow)):
         raise NumericalFailureError("gauge parameters are not finite; cannot assemble")
-    ap, b, ep, e, f_ee, f_gg, f_eg, f_ge = np.moveaxis(flow, -1, 0)
+    # one trailing axis per stack axis of rho0, so the columns broadcast over it
+    columns = np.moveaxis(flow, -1, 0).reshape((8,) + flow.shape[:-1] + (1,) * (rho0.ndim - 2))
+    ap, b, ep, e, f_ee, f_gg, f_eg, f_ge = columns
     rho = np.stack(
         [
             l_ee * (f_ee + ap * b) + l_gg * f_gg * ap,
@@ -319,6 +324,8 @@ def autonomous_expectations(
     like pauli_expectations.
     """
     rho0 = check_density(rho0)
+    if rho0.ndim != 2:
+        raise InvalidInputError("rho0 must be one 2x2 state, got shape %r" % (rho0.shape,))
     t = np.asarray(t, dtype=float)
     for name, v in (("gamma", gamma), ("N", n), ("M", m), ("t", t)):
         if not np.all(np.isfinite(v)):

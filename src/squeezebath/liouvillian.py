@@ -139,8 +139,10 @@ def integrate_reference(
     schedule : BathSchedule
         Reservoir controls; the rate operator is rebuilt at every substep
         node (start, midpoint, end).
-    rho0 : ndarray, shape (2, 2)
-        Physical initial state (trace one, Hermitian, positive within 1e-8).
+    rho0 : ndarray, shape (2, 2) or (k, 2, 2)
+        Physical initial state, or a stack of k of them (trace one,
+        Hermitian, positive within 1e-8).  A stack is integrated in one pass
+        and each state gets the same bits it gets alone.
     grid : array of times
         Output times, starting at 0, strictly increasing.
     step : float, optional
@@ -149,8 +151,8 @@ def integrate_reference(
 
     Returns
     -------
-    ndarray, shape (len(grid), 2, 2)
-        The density matrix at each grid time.
+    ndarray, shape (len(grid),) + rho0.shape
+        The density matrix, or the stack of them, at each grid time.
 
     Raises
     ------
@@ -160,9 +162,11 @@ def integrate_reference(
     rho0 = check_density(rho0)
     grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
     rates = rate_matrix_batch(g_nodes, n_nodes, m_nodes)
-    vectors = np.zeros((grid.size, 4), dtype=complex)
-    y = vectorize(rho0)
-    vectors[0] = y
+    # States are column vectors, so that a @ y is the same matrix-vector
+    # product for every state of a stack; y @ a.T would round differently.
+    y = vectorize(rho0)[..., None]
+    vectors = np.zeros((grid.size,) + y.shape[:-1], dtype=complex)
+    vectors[0] = y[..., 0]
     for i in range(grid.size - 1):
         m_sub = int(plan.counts[i])
         h = float(plan.widths[i])
@@ -181,5 +185,5 @@ def integrate_reference(
             raise NumericalFailureError(
                 "reference state non-finite at t = %r" % (float(grid[i + 1]),)
             )
-        vectors[i + 1] = y
+        vectors[i + 1] = y[..., 0]
     return unvectorize(vectors)

@@ -243,12 +243,8 @@ def asymptotic_gauge_limits(schedule: BathSchedule) -> AsymptoticLimits:
     Raises
     ------
     UnsupportedScheduleError
-        For non-convergent controls (e.g. a sinusoid) or a finite horizon.
+        For non-convergent controls (e.g. a sinusoid).
     """
-    if math.isfinite(schedule.horizon):
-        raise UnsupportedScheduleError(
-            "long-time limits need an unbounded horizon, got %r" % (schedule.horizon,)
-        )
     g_inf = schedule.gamma.limit
     if g_inf is None:
         raise UnsupportedScheduleError("gamma control does not converge")

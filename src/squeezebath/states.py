@@ -1,9 +1,10 @@
 """Small helpers for 2x2 density matrices stored as plain complex arrays.
 
-check_density validates the initial state that both solution routes take.
-The diagnostics (pauli_expectations, trace_error, hermiticity_defect,
-min_eigenvalue, trace_distance) take one 2x2 matrix or a (..., 2, 2) stack,
-such as a trajectory, and return one value per matrix.
+check_density validates the initial state, or (k, 2, 2) stack of initial
+states, that both solution routes take.  The diagnostics (pauli_expectations,
+trace_error, hermiticity_defect, min_eigenvalue, trace_distance) take one 2x2
+matrix or a (..., 2, 2) stack, such as a trajectory, and return one value per
+matrix.
 """
 
 from __future__ import annotations
@@ -111,20 +112,25 @@ def trace_distance(a: np.ndarray, b: np.ndarray):
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:
-    """rho as a complex 2x2 array, if it is a physical density matrix.
+    """rho as a complex array, if it holds physical density matrices.
 
-    Raises InvalidInputError unless rho is finite, has trace one and is
-    Hermitian (both within 1e-9), and has no eigenvalue below -1e-8.
+    rho is one 2x2 matrix or a (k, 2, 2) stack.  Raises InvalidInputError,
+    naming the worst value over the stack, unless every matrix is finite, has
+    trace one and is Hermitian (both within 1e-9), and has no eigenvalue below
+    -1e-8.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise InvalidInputError("rho0 must be 2x2, got shape %r" % (rho.shape,))
+    if rho.shape[-2:] != (2, 2) or rho.ndim not in (2, 3) or not rho.size:
+        raise InvalidInputError("rho0 must be 2x2 or (k, 2, 2), got shape %r" % (rho.shape,))
     if not np.all(np.isfinite(rho)):
         raise InvalidInputError("rho0 must be finite")
-    if trace_error(rho) > 1e-9:
-        raise InvalidInputError("rho0 trace differs from 1 by %g" % trace_error(rho))
-    if hermiticity_defect(rho) > 1e-9:
-        raise InvalidInputError("rho0 is not Hermitian (defect %g)" % hermiticity_defect(rho))
-    if min_eigenvalue(rho) < -1e-8:
-        raise InvalidInputError("rho0 has negative eigenvalue %g" % min_eigenvalue(rho))
+    worst = np.max(trace_error(rho))
+    if worst > 1e-9:
+        raise InvalidInputError("rho0 trace differs from 1 by %g" % worst)
+    worst = np.max(hermiticity_defect(rho))
+    if worst > 1e-9:
+        raise InvalidInputError("rho0 is not Hermitian (defect %g)" % worst)
+    worst = np.min(min_eigenvalue(rho))
+    if worst < -1e-8:
+        raise InvalidInputError("rho0 has negative eigenvalue %g" % worst)
     return rho

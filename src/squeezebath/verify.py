@@ -32,7 +32,7 @@ from .algebra import (
     vectorize,
 )
 from .bath import BathPoint, BathSchedule, Constant, ExpDecay, bath_params
-from .errors import NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
 from .integrate import uniform_grid
 from .liouvillian import (
@@ -459,12 +459,15 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the full verification suite and return one result per check.
 
-    rho0 is the run's initial state; an unphysical one is refused up front
-    (check_density).  The run's schedule and the fig-1 schedule are each evolved once (once in
-    all when they are equal); every check that reads one of these flows gets
-    it from that evolution.
+    rho0 is the run's one initial state; an unphysical one is refused up front
+    (check_density).  The run's schedule and the fig-1 schedule are each
+    evolved once (once in all when they are equal); every check that reads
+    one of these flows gets it from that evolution.  The run's reference is
+    integrated once, for rho0 and its real-coherence twin in one stack.
     """
     rho0 = check_density(rho0)
+    if rho0.ndim != 2:
+        raise InvalidInputError("rho0 must be one 2x2 state, got shape %r" % (rho0.shape,))
     thermal = schedule.thermal
     grid = uniform_grid(t_max, dt_out)
     results: list[CheckResult] = []
@@ -490,8 +493,12 @@ def run_checks(
     results += _run(check_eigenmode_consistency, 1.0, 0.5, 0.7, 1e-10)
     results += _run(check_zero_mode, 1.0, 0.5, 1e-12)
 
+    # same populations as rho0, coherence replaced by its modulus
+    real_rho0 = rho0.copy()
+    real_rho0[0, 1] = real_rho0[1, 0] = abs(real_rho0[0, 1])
     flow = _attempt(evolve_gauge, schedule, grid, dt_int)
-    ref = _attempt(integrate_reference, schedule, rho0, grid, dt_int)
+    refs = _attempt(integrate_reference, schedule, np.stack([rho0, real_rho0]), grid, dt_int)
+    ref, real_ref = (refs, refs) if isinstance(refs, Exception) else refs.swapaxes(0, 1)
     states = _attempt(assemble_density, rho0, flow)
     results += _run(check_oracle_agreement, states, ref, tol.get("oracle", 1e-7))
     results += _run(check_gauge_trace_identities, flow, tol.get("identity", 1e-9))
@@ -506,10 +513,6 @@ def run_checks(
     if _attempt(_real_squeeze_phase, schedule, grid) is False:
         results.append(_skipped(check_coherence_symmetry, "squeeze phase is not 0 on this schedule"))
     else:
-        # same populations, coherence replaced by its modulus
-        real_rho0 = rho0.copy()
-        real_rho0[0, 1] = real_rho0[1, 0] = abs(real_rho0[0, 1])
-        real_ref = _attempt(integrate_reference, schedule, real_rho0, grid, dt_int)
         results += _run(check_coherence_symmetry, real_rho0, flow, real_ref, 1e-9)
 
     squeezing_only = (

@@ -40,6 +40,8 @@ from squeezebath.verify import (
 )
 
 FIGURE_IDS = (1, 2, 3, 4, 5, 6)
+# figure ids that share a schedule (the same squeeze amplitude c1)
+FIGURE_PAIRS = ((1, 2), (3, 4), (5, 6))
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -51,29 +53,32 @@ def _passed(results) -> bool:
     return all(r.status == "PASS" for r in results)
 
 
-def _flow(fid: int, grid, step=None):
-    """Gauge flow, assembled states and reference trajectory of one figure run."""
-    sched = figure_schedule(fid)
-    rho0 = figure_initial(fid)
+def _flows(pair, grid, step=None):
+    """Gauge flow, assembled states and reference trajectories of the figure
+    runs on one schedule, both initial states in one call per route; states
+    and ref have one column per figure id of pair."""
+    sched = figure_schedule(pair[0])
+    rho0 = np.stack([figure_initial(fid) for fid in pair])
     flow = evolve_gauge(sched, grid, step)
     return flow, assemble_density(rho0, flow), integrate_reference(sched, rho0, grid, step)
 
 
 @pytest.fixture(scope="module")
 def figure_bundle():
-    """Default-step runs of all six figure schedules, shared by criteria 6-9."""
+    """Default-step runs of all six figures, shared by criteria 6-9."""
     bundle = {}
     start = time.perf_counter()
     grid = uniform_grid(30.0, 0.05)
-    for fid in FIGURE_IDS:
-        flow, states, ref = _flow(fid, grid)
-        bundle[fid] = {
-            "times": grid,
-            "flow": flow,
-            "states": states,
-            "ref": ref,
-            "exps": pauli_expectations(states),
-        }
+    for pair in FIGURE_PAIRS:
+        flow, states, ref = _flows(pair, grid)
+        for j, fid in enumerate(pair):
+            bundle[fid] = {
+                "times": grid,
+                "flow": flow,
+                "states": states[:, j],
+                "ref": ref[:, j],
+                "exps": pauli_expectations(states[:, j]),
+            }
     bundle["elapsed"] = time.perf_counter() - start
     return bundle
 
@@ -155,13 +160,13 @@ def test_criterion_6_oracle_agreement(figure_bundle):
     # 4th-order check: truncation error at default steps sits at the roundoff
     # floor, so the ~16x improvement is measured where truncation dominates,
     # halving both the output and internal steps from 0.05 to 0.025.
-    ratios = {}
-    for fid in FIGURE_IDS:
-        errs = []
+    errs = {fid: [] for fid in FIGURE_IDS}
+    for pair in FIGURE_PAIRS:
         for step in (0.05, 0.025):
-            _, states, ref = _flow(fid, uniform_grid(30.0, step), step)
-            errs.append(check_oracle_agreement(states, ref, 1e-7).measured)
-        ratios[fid] = errs[0] / errs[1]
+            _, states, ref = _flows(pair, uniform_grid(30.0, step), step)
+            for j, fid in enumerate(pair):
+                errs[fid].append(check_oracle_agreement(states[:, j], ref[:, j], 1e-7).measured)
+    ratios = {fid: errs[fid][0] / errs[fid][1] for fid in FIGURE_IDS}
     elapsed = time.perf_counter() - start + figure_bundle["elapsed"]
     ratios_ok = all(10.0 <= v <= 24.0 for v in ratios.values())
     ok = _passed(results) and ratios_ok and elapsed < 10.0

@@ -12,7 +12,7 @@ from squeezebath.bath import (
     Sinusoid,
     bath_params,
 )
-from squeezebath.errors import HorizonError, InvalidInputError
+from squeezebath.errors import InvalidInputError
 
 
 def test_vacuum_params():
@@ -137,13 +137,14 @@ def test_thermal_override():
     assert point.m_param == 0.0
 
 
-def test_horizon_guard():
-    sched = BathSchedule(gamma=Constant(1.0), horizon=10.0)
-    sched.at(10.0)  # boundary itself is allowed
-    with pytest.raises(HorizonError):
-        sched.at(10.1)
-    with pytest.raises(HorizonError):
+def test_negative_time_is_refused():
+    sched = BathSchedule(gamma=Constant(1.0))
+    sched.at(-1e-10)  # within the 1e-9 slack
+    sched.at(1e6)
+    with pytest.raises(InvalidInputError, match="outside schedule window"):
         sched.at(-0.5)
+    with pytest.raises(InvalidInputError, match="-2e-09"):
+        sched.params_on(np.array([0.0, -2e-9, 1.0]))
 
 
 def test_negative_controls_rejected_at_evaluation():

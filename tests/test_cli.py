@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import squeezebath
-from squeezebath import verify
+from squeezebath import cli, verify
 from squeezebath.bath import Constant
 from squeezebath.cli import (
     DEFAULTS,
@@ -170,6 +170,46 @@ def test_figures_subset_with_charts(tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_figures_solve_each_schedule_once(tmp_path, capsys, monkeypatch):
+    # figures 2k-1 and 2k share a schedule, so six figures need three solves per route
+    calls = {"evolve_gauge": 0, "integrate_reference": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    grid = ["--grid.t_max=2", "--grid.dt_out=0.1"]
+    out = tmp_path / "all"
+    assert main(["figures", "--out", str(out), "--figures.ids=4,1,6,3,2,5", *grid]) == 0
+    assert calls == {"evolve_gauge": 3, "integrate_reference": 3}
+    # files are written and reported in figures.ids order
+    assert re.findall(r"fig(\d)\.csv", capsys.readouterr().out) == list("416325")
+    for fid in range(1, 7):
+        solo = tmp_path / ("solo%d" % fid)
+        assert main(["figures", "--out", str(solo), "--figures.ids=%d" % fid, *grid]) == 0
+        name = "fig%d.csv" % fid
+        assert _read(out / name) == _read(solo / name)
+
+
+def test_figures_stop_at_the_first_failing_figure(tmp_path, capsys):
+    # with tol.oracle between the distances of the two figures on one
+    # schedule, the passing figure listed first is written before the run fails
+    grid = ["--grid.t_max=2", "--grid.dt_out=0.1"]
+    dist = {}
+    for fid in (5, 6):
+        solo = tmp_path / ("solo%d" % fid)
+        assert main(["figures", "--out", str(solo), "--figures.ids=%d" % fid, *grid]) == 0
+        dist[fid] = np.max(_column(_read(solo / ("fig%d.csv" % fid)), "trace_dist_ref"))
+    good, bad = sorted(dist, key=dist.get)
+    assert dist[good] < dist[bad]
+    tol = "--tol.oracle=%r" % float((dist[good] + dist[bad]) / 2.0)
+    out = tmp_path / "pair"
+    assert main(["figures", "--out", str(out), "--figures.ids=%d,%d" % (good, bad), tol, *grid]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["fig%d.csv" % good]
+    assert "exceeds tol.oracle" in capsys.readouterr().err
+
+
 def test_even_figure_sy_is_flat_zero(tmp_path):
     out = tmp_path / "even"
     rc = main(
@@ -283,6 +323,29 @@ def test_verify_reports_a_failed_gauge_flow_as_failed_checks(tmp_path, capsys, m
     assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines({
         "oracle-agreement": raised,
         "gauge-trace-identities": raised,
+        "conservation-positivity": "SKIP skipped: oracle run unavailable",
+        "coherence-symmetry": raised,
+    })
+    assert "oracle-agreement" in capsys.readouterr().err
+
+
+def test_verify_reports_a_failed_reference_run_as_failed_checks(tmp_path, capsys, monkeypatch):
+    # the run's reference raises: the checks that read it fail with the error,
+    # the gauge flow's own check still passes
+    integrate_reference = verify.integrate_reference
+
+    def failing(schedule, rho0, grid, step=None):
+        if schedule.r == Constant(2.0):
+            raise NumericalFailureError("reference state non-finite at t = 1.0")
+        return integrate_reference(schedule, rho0, grid, step)
+
+    monkeypatch.setattr(verify, "integrate_reference", failing)
+    out = tmp_path / "r2"
+    rc = main(["verify", "--out", str(out), "--schedule.r.kind=const", "--schedule.r.value=2"])
+    assert rc == 2
+    raised = "FAIL raised NumericalFailureError"
+    assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines({
+        "oracle-agreement": raised,
         "conservation-positivity": "SKIP skipped: oracle run unavailable",
         "coherence-symmetry": raised,
     })

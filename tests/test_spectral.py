@@ -145,8 +145,6 @@ def test_asymptotics_unsupported_schedules():
         asymptotic_gauge_limits(BathSchedule(gamma=Ramp(1.0, 0.5)))
     with pytest.raises(UnsupportedScheduleError):
         asymptotic_gauge_limits(BathSchedule(gamma=ExpDecay(1.0, 0.1)))
-    with pytest.raises(UnsupportedScheduleError):
-        asymptotic_gauge_limits(BathSchedule(gamma=Constant(1.0), horizon=10.0))
 
 
 def test_flow_approaches_stable_branch():

@@ -1,7 +1,11 @@
+import cmath
+import math
+import re
+
 import numpy as np
 import pytest
 
-from squeezebath.bath import BathSchedule, Constant, ExpDecay
+from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
 from squeezebath.errors import InvalidInputError
 from squeezebath.gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
 from squeezebath.integrate import uniform_grid
@@ -33,28 +37,81 @@ def test_helpers_on_a_stack_equal_the_per_matrix_results():
     assert states.shape == (len(grid), 2, 2)
 
 
+_TRACE = np.diag([0.7, 0.7])  # trace 1.4
+_HERMITICITY = np.array([[0.5, 0.2], [0.3, 0.5]])  # not Hermitian
+_POSITIVITY = np.diag([1.2, -0.2])  # trace 1, negative eigenvalue
+
+
 @pytest.mark.parametrize(
-    "rho0",
+    "rho0, bad",
     [
-        np.diag([0.7, 0.7]),  # trace 1.4
-        np.array([[0.5, 0.2], [0.3, 0.5]]),  # not Hermitian
-        np.diag([1.2, -0.2]),  # trace 1, negative eigenvalue
+        (_TRACE, _TRACE),
+        (_HERMITICITY, _HERMITICITY),
+        (_POSITIVITY, _POSITIVITY),
+        # a stack is refused whole, with the message of its bad state
+        (np.stack([excited_state(), _POSITIVITY]), _POSITIVITY),
+        # and names the worst value over the stack
+        (np.stack([np.diag([0.6, 0.5]), _TRACE]), _TRACE),
     ],
-    ids=["trace", "hermiticity", "positivity"],
+    ids=["trace", "hermiticity", "positivity", "stack", "stack-worst"],
 )
-def test_both_routes_refuse_the_same_unphysical_states(rho0):
+def test_both_routes_refuse_the_same_unphysical_states(rho0, bad):
     sched = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
     grid = uniform_grid(0.5, 0.25)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError) as solo:
+        check_density(bad)
+    message = "^%s$" % re.escape(str(solo.value))
+    with pytest.raises(InvalidInputError, match=message):
         check_density(rho0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=message):
         integrate_reference(sched, rho0, grid)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=message):
         assemble_density(rho0, evolve_gauge(sched, grid))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=message):
         autonomous_expectations(rho0, 1.0, 0.0, 0.0, 0.5)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=message):
         run_checks(sched, rho0, 0.5, 0.25, 0.001, {})
+
+
+# three physical states: complex coherence, excited, mixed
+_STACK = np.stack([
+    pure_state(math.sqrt(0.2) * cmath.exp(1j * math.pi / 3.0), math.sqrt(0.8)),
+    excited_state(),
+    np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]]),
+])
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        BathSchedule(gamma=Sinusoid(1.0, 0.3, 2.0), r=Sinusoid(0.3, 0.1, 1.0, 0.5),
+                     theta=Ramp(0.4, 0.2)),
+        BathSchedule(gamma=Constant(1.0), nbar=0.7),
+    ],
+    ids=["sin-r-ramp-theta", "thermal"],
+)
+def test_both_routes_on_a_stack_equal_solo_runs(sched):
+    # non-uniform grid: 1 to 100 substeps per interval
+    grid = np.array([0.0, 0.013, 0.05, 0.45, 0.46, 0.6])
+    step = 0.004
+    ref = integrate_reference(sched, _STACK, grid, step)
+    flow = evolve_gauge(sched, grid, step)
+    states = assemble_density(_STACK, flow)
+    assert ref.shape == states.shape == (len(grid), 3, 2, 2)
+    assert assemble_density(_STACK, flow[-1]).shape == (3, 2, 2)
+    for j, rho0 in enumerate(_STACK):
+        assert np.array_equal(ref[:, j], integrate_reference(sched, rho0, grid, step))
+        assert np.array_equal(states[:, j], assemble_density(rho0, flow))
+
+
+def test_single_state_consumers_refuse_a_stack():
+    sched = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
+    with pytest.raises(InvalidInputError, match="one 2x2 state"):
+        autonomous_expectations(_STACK, 1.0, 0.0, 0.0, 0.5)
+    with pytest.raises(InvalidInputError, match="one 2x2 state"):
+        run_checks(sched, _STACK, 0.5, 0.25, 0.001, {})
+    with pytest.raises(InvalidInputError, match="2x2 or \\(k, 2, 2\\)"):
+        check_density(np.eye(3) / 3.0)
 
 
 def test_unnormalized_amplitudes_are_refused():
