@@ -22,7 +22,7 @@ from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, evolve_gauge
 from .integrate import uniform_grid
 from .liouvillian import build_rate_operator, integrate_reference, spectrum, steady_state
-from .spectral import asymptotic_gauge_limits
+from .spectral import asymptotic_gauge_limits, closed_form_spectrum
 from .states import (
     amplitudes_from_polar,
     min_eigenvalue,
@@ -518,10 +518,7 @@ def run_spectrum(rc: RunConfig) -> int:
     point = rc.schedule.at(rc.spectrum_at)
     eigs = spectrum(build_rate_operator(point))
     g, n, m = point.gamma, point.n_param, point.m_param
-    formulas = sorted(
-        (0.0, -g * (2 * n + 1), -g * (n + 0.5 - abs(m)), -g * (n + 0.5 + abs(m))),
-        reverse=True,
-    )
+    formulas = closed_form_spectrum(g, n, m)
     path = os.path.join(rc.out_dir, "spectrum.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,eig_re,eig_im,rate_formula,abs_diff\n")

@@ -101,14 +101,15 @@ def evolve_gauge(
     # arithmetic would give the same real parts, exactly, at about 1.5 times
     # the cost.  Only the coherence sector (eta_plus, e, f_eg, f_ge) sees M
     # and stays complex.  Node k of a substep (start 0, midpoint 1, end 2)
-    # gives gk, nk, mk = gamma, N, M, with nk1 = N + 1 and nkh = N + 1/2.
+    # gives gk, nk, mk = gamma, N, M, with nk1 = N + 1 and nkh = N + 1/2;
+    # j runs over the start nodes of all substeps of the grid, and each end
+    # node, across grid times too, is the next substep's start node.
     # Every expression keeps the operation order of the module docstring's
     # ODEs; test_gaugeflow compares the flow bit for bit with a plain RK4
     # over that right-hand side, which pins the order.
     gl = g_nodes.tolist()
     nl = n_nodes.tolist()
     ml = m_nodes.tolist()
-    offsets = plan.offsets.tolist()
     counts = plan.counts.tolist()
     widths = plan.widths.tolist()
     ap = b = 0.0
@@ -117,15 +118,13 @@ def evolve_gauge(
     f_eg = f_ge = 1 + 0j
     out = np.empty((grid.size, 8), dtype=complex)
     out[0] = (ap, b, ep, e, f_ee, f_gg, f_eg, f_ge)
+    g0, n0, m0 = gl[0], nl[0], ml[0]
+    j = 0
     for i in range(grid.size - 1):
         h = widths[i]
         h2 = 0.5 * h
         h6 = h / 6.0
-        base = offsets[i]
-        g0 = gl[base]
-        n0 = nl[base]
-        m0 = ml[base]
-        for j in range(base, base + 2 * counts[i], 2):
+        for j in range(j, j + 2 * counts[i], 2):
             g1 = gl[j + 1]
             n1 = nl[j + 1]
             m1 = ml[j + 1]
@@ -209,6 +208,7 @@ def evolve_gauge(
             g0 = g2
             n0 = n2
             m0 = m2
+        j += 2  # the last substep's end node starts the next interval
         out[i + 1] = (ap, b, ep, e, f_ee, f_gg, f_eg, f_ge)
     # Non-finite values never become finite again, so the first non-finite
     # row is the first interval on which the flow blew up.

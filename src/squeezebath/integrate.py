@@ -4,8 +4,9 @@ Both integrators in this package (the linear reference integrator and the
 nonlinear gauge-parameter flow) use the classic 4th-order scheme with a fixed
 substep.  Each output interval [t_i, t_{i+1}] is cut into m equal substeps of
 width h <= step, and the right-hand side is evaluated on the 2m+1 node times
-t_i + j*h/2.  Planning the nodes up front lets the bath controls be evaluated
-for a whole trajectory in one vectorized pass.
+t_i + j*h/2, of which neighbouring intervals share the boundary node.  Planning
+the nodes up front lets the bath controls be evaluated for a whole trajectory
+in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -56,14 +57,13 @@ def check_grid(grid: np.ndarray) -> np.ndarray:
 class SubstepPlan:
     """Substep layout for one grid.
 
-    nodes holds the concatenated node times of all intervals; interval i uses
-    counts[i] substeps of width widths[i], and its nodes start at offsets[i].
-    Substep k of interval i runs from node offsets[i] + 2k over the midpoint
-    node +1 to the end node +2.
+    Interval i is cut into counts[i] substeps of width widths[i].  Substep k
+    of the grid runs from node 2k over the midpoint node 2k+1 to the end node
+    2k+2, the start node of substep k+1, so grid time i+1 is exactly node
+    2 cumsum(counts)[i] and a one-point grid plans the single node 0.
     """
 
     nodes: np.ndarray
-    offsets: np.ndarray
     counts: np.ndarray
     widths: np.ndarray
 
@@ -75,14 +75,12 @@ def plan_substeps(grid: np.ndarray, step: float) -> SubstepPlan:
     spans = np.diff(grid)
     counts = np.maximum(1, np.ceil(spans / step - 1e-9)).astype(int)
     widths = spans / counts
-    sizes = 2 * counts + 1
-    offsets = np.cumsum(sizes) - sizes
-    # node j of an interval is t0 + j * span / (2m) and its last node is t1,
-    # exactly as np.linspace(t0, t1, 2m + 1) computes them
-    j = np.arange(int(np.sum(sizes))) - np.repeat(offsets, sizes)
-    nodes = j * np.repeat(spans / (2 * counts), sizes) + np.repeat(grid[:-1], sizes)
-    nodes[offsets + sizes - 1] = grid[1:]
-    return SubstepPlan(nodes=nodes, offsets=offsets, counts=counts, widths=widths)
+    sizes = 2 * counts
+    # node j < 2m of an interval is t0 + j * span / (2m), exactly as in
+    # np.linspace(t0, t1, 2m + 1); its node 2m is the next interval's node 0
+    j = np.arange(int(np.sum(sizes))) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    nodes = j * np.repeat(spans / sizes, sizes) + np.repeat(grid[:-1], sizes)
+    return SubstepPlan(nodes=np.append(nodes, grid[-1]), counts=counts, widths=widths)
 
 
 def default_step(gamma_values: np.ndarray) -> float:
@@ -98,22 +96,16 @@ def plan_integration(schedule, grid: np.ndarray, step: float | None):
 
     The shared preamble of both integrators.  step must be > 0 and no wider
     than the smallest grid spacing; None means default_step of gamma on the
-    grid.  The node arrays are empty when the grid is a single time.
+    grid.
     """
     grid = check_grid(grid)
-    if step is not None:
-        if not step > 0.0:
-            raise InvalidInputError("step must be > 0, got %r" % (step,))
-        if grid.size > 1:
-            spacing = float(np.min(np.diff(grid)))
-            if step > spacing * (1.0 + 1e-9):
-                raise InvalidInputError(
-                    "internal step %r exceeds smallest grid spacing %r" % (step, spacing)
-                )
-    gamma_grid, _, _ = schedule.params_on(grid)
     if step is None:
-        step = default_step(gamma_grid)
+        step = default_step(schedule.params_on(grid)[0])
+    elif grid.size > 1:
+        spacing = float(np.min(np.diff(grid)))
+        if step > spacing * (1.0 + 1e-9):
+            raise InvalidInputError(
+                "internal step %r exceeds smallest grid spacing %r" % (step, spacing)
+            )
     plan = plan_substeps(grid, step)
-    if not plan.nodes.size:
-        return grid, plan, (np.zeros(0), np.zeros(0), np.zeros(0, dtype=complex))
     return grid, plan, schedule.params_on(plan.nodes)

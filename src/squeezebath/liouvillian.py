@@ -162,28 +162,31 @@ def integrate_reference(
     rho0 = check_density(rho0)
     grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
     rates = rate_matrix_batch(g_nodes, n_nodes, m_nodes)
+    # substep k of the grid runs over nodes 2k, 2k+1 and 2k+2
+    starts, mids, ends = rates[0:-1:2], rates[1::2], rates[2::2]
     # States are column vectors, so that a @ y is the same matrix-vector
     # product for every state of a stack; y @ a.T would round differently.
     y = vectorize(rho0)[..., None]
     vectors = np.zeros((grid.size,) + y.shape[:-1], dtype=complex)
     vectors[0] = y[..., 0]
+    done = 0  # substeps before interval i
     for i in range(grid.size - 1):
         m_sub = int(plan.counts[i])
         h = float(plan.widths[i])
-        base = int(plan.offsets[i])
-        g0 = rates[base : base + 2 * m_sub : 2]
-        gm = rates[base + 1 : base + 2 * m_sub : 2]
-        g1 = rates[base + 2 : base + 2 * m_sub + 2 : 2]
-        k1 = g0
+        k1 = starts[done : done + m_sub]
+        gm = mids[done : done + m_sub]
         k2 = np.matmul(gm, _I4 + (0.5 * h) * k1)
         k3 = np.matmul(gm, _I4 + (0.5 * h) * k2)
-        k4 = np.matmul(g1, _I4 + h * k3)
+        k4 = np.matmul(ends[done : done + m_sub], _I4 + h * k3)
         one_step = _I4 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         for a in one_step:
             y = a @ y
-        if not np.all(np.isfinite(y)):
-            raise NumericalFailureError(
-                "reference state non-finite at t = %r" % (float(grid[i + 1]),)
-            )
         vectors[i + 1] = y[..., 0]
+        done += m_sub
+    # non-finite values stay non-finite, so the first such row is where it blew up
+    finite = np.isfinite(vectors).reshape(grid.size, -1).all(axis=1)
+    if not finite.all():
+        raise NumericalFailureError(
+            "reference state non-finite at t = %r" % (float(grid[np.argmin(finite)]),)
+        )
     return unvectorize(vectors)

@@ -41,6 +41,7 @@ __all__ = [
     "AsymptoticLimits",
     "solve_transformation_conditions",
     "condition_residuals",
+    "closed_form_spectrum",
     "eigen_modes",
     "asymptotic_gauge_limits",
 ]
@@ -53,12 +54,10 @@ _I4 = np.eye(4, dtype=complex)
 class TransformationBranch:
     """One root set of the steady transformation conditions.
 
-    kind is "stable" or "unstable"; eta_sign is the sign in
-    eta_plus = eta_sign * exp(i theta).
+    solve_transformation_conditions returns the stable branch first and the
+    unstable one second.
     """
 
-    kind: str
-    eta_sign: int
     alpha_plus: complex
     alpha_minus: complex
     eta_plus: complex
@@ -67,7 +66,9 @@ class TransformationBranch:
 
 @dataclass(frozen=True)
 class EigenMode:
-    """Eigenvalue beta and right/left eigenvectors for one component label.
+    """Eigenvalue beta and right/left eigenvectors of one mode.
+
+    eigen_modes lists the modes in the component order of BASIS_LABELS.
 
     mode is the right eigenvector of the rate operator reshaped to 2x2;
     dual is the corresponding eigenvector of the adjoint operator, so that
@@ -75,8 +76,6 @@ class EigenMode:
     """
 
     beta: complex
-    s: int
-    s_prime: int
     mode: np.ndarray
     dual: np.ndarray
 
@@ -115,16 +114,11 @@ def solve_transformation_conditions(
         raise InvalidInputError("theta must be finite, got %r" % (theta,))
     phase = cmath.exp(1j * float(_wrap_phase(theta)))
     branches = []
-    for kind, ap, eta_sign in (
-        ("stable", n / (n + 1.0), -1),
-        ("unstable", -1.0, +1),
-    ):
+    for ap, eta_sign in ((n / (n + 1.0), -1), (-1.0, +1)):
         am = -(n + 1.0) / (2.0 * (n + 1.0) * ap + 1.0)
         ep = eta_sign * phase
         em = -1.0 / (2.0 * ep)
         branch = TransformationBranch(
-            kind=kind,
-            eta_sign=eta_sign,
             alpha_plus=complex(ap),
             alpha_minus=complex(am),
             eta_plus=ep,
@@ -137,6 +131,15 @@ def solve_transformation_conditions(
             )
         branches.append(branch)
     return branches[0], branches[1]
+
+
+def closed_form_spectrum(gamma: float, n: float, m: complex) -> np.ndarray:
+    """The rate operator's eigenvalues {0, -gamma (2N+1), -gamma (N+1/2 -+ |M|)}
+    in closed form for any phase of m, sorted like liouvillian.spectrum."""
+    rates = np.array(
+        [0.0, -gamma * (2 * n + 1), -gamma * (n + 0.5 - abs(m)), -gamma * (n + 0.5 + abs(m))]
+    )
+    return -np.sort(-rates, kind="stable")
 
 
 def _transformation(branch: TransformationBranch) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +208,6 @@ def eigen_modes(
         modes.append(
             EigenMode(
                 beta=complex(beta),
-                s=s,
-                s_prime=sp,
                 mode=unvectorize(u[:, i]),
                 dual=unvectorize(u_inv_dag[:, i]),
             )
@@ -218,11 +219,12 @@ def eigen_modes(
 class AsymptoticLimits:
     """Long-time limits of a converging schedule and its gauge flow.
 
-    eta_plus is None when the limit is indeterminate (ideal squeezing that
-    switches off, M -> 0: the eta flow freezes wherever it was).
+    n_param and m_param are the limiting N and (real) M, and steady is the
+    limiting steady state.  eta_plus is None when the limit is indeterminate
+    (ideal squeezing that switches off, M -> 0: the eta flow freezes wherever
+    it was).
     """
 
-    gamma: float
     n_param: float
     m_param: float
     alpha_plus: float
@@ -272,7 +274,6 @@ def asymptotic_gauge_limits(schedule: BathSchedule) -> AsymptoticLimits:
             m_inf = m_c.real
         eta_limit = -1.0 if m_inf > 0.0 else None
     return AsymptoticLimits(
-        gamma=float(g_inf),
         n_param=n_inf,
         m_param=m_inf,
         alpha_plus=n_inf / (n_inf + 1.0),

@@ -42,7 +42,12 @@ from .liouvillian import (
     spectrum,
     steady_state,
 )
-from .spectral import condition_residuals, eigen_modes, solve_transformation_conditions
+from .spectral import (
+    closed_form_spectrum,
+    condition_residuals,
+    eigen_modes,
+    solve_transformation_conditions,
+)
 from .states import (
     check_density,
     hermiticity_defect,
@@ -216,9 +221,7 @@ def check_spectrum_formulas(seed: int, samples: int, tol: float) -> CheckResult:
         g = float(rng.uniform(0.1, 3.0))
         n, m = bath_params(float(rng.uniform(0.0, 1.5)), 0.0)
         eigs = spectrum(build_rate_operator(BathPoint(g, n, m)))
-        want = np.sort_complex(
-            np.array([0.0, -g * (2 * n + 1), -g * (n + 0.5 - abs(m)), -g * (n + 0.5 + abs(m))])
-        )[::-1]
+        want = closed_form_spectrum(g, n, m)
         scale = g * (2 * n + 1)
         worst = max(worst, float(np.max(np.abs(eigs - want))) / scale)
     return _result("spectrum-formulas", worst <= tol, worst, tol, "%d random (gamma, r)" % samples)

@@ -55,12 +55,16 @@ def _plain_rk4_flow(schedule, grid, step=None):
     out = np.zeros((grid.size, 8), dtype=complex)
     y = tuple(complex(v) for v in IDENTITY)
     out[0] = y
+    # substeps are numbered across the whole grid; substep k reads nodes
+    # 2k, 2k+1 and 2k+2
+    k = 0
     for i in range(grid.size - 1):
         h = float(plan.widths[i])
         h2 = 0.5 * h
         h6 = h / 6.0
-        for k in range(int(plan.counts[i])):
-            j = int(plan.offsets[i]) + 2 * k
+        for _ in range(int(plan.counts[i])):
+            j = 2 * k
+            k += 1
             k1 = _gauge_rhs(gl[j], nl[j], ml[j], y)
             k2 = _gauge_rhs(gl[j + 1], nl[j + 1], ml[j + 1],
                             tuple(a + h2 * d for a, d in zip(y, k1)))

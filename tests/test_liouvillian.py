@@ -7,7 +7,7 @@ import pytest
 
 import squeezebath.liouvillian
 
-from squeezebath.bath import BathPoint, BathSchedule, Constant, ExpDecay, bath_params
+from squeezebath.bath import BathPoint, BathSchedule, Constant, ExpDecay, Ramp, bath_params
 from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import autonomous_expectations
 from squeezebath.integrate import uniform_grid
@@ -210,6 +210,16 @@ def test_reference_detects_blowup():
     grid = uniform_grid(3.0, 1.0)
     with pytest.raises(NumericalFailureError, match="t = "):
         integrate_reference(sched, excited_state(), grid, step=1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reference_blowup_names_the_first_nonfinite_time():
+    # gamma = max(1e120 (t - 1), 0) is 0 on [0, 1], so row 1 stays the initial
+    # state; on the second interval one RK4 step grows like (gamma h)^3 and
+    # overflows (the linear equation needs a larger gamma than the gauge flow)
+    sched = BathSchedule(gamma=Ramp(-1e120, 1e120), r=Constant(0.1))
+    with pytest.raises(NumericalFailureError, match=r"non-finite at t = 2\.0$"):
+        integrate_reference(sched, excited_state(), np.array([0.0, 1.0, 2.0]), step=1.0)
 
 
 def test_reference_route_imports_nothing_from_gaugeflow():

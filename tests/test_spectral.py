@@ -19,7 +19,12 @@ from squeezebath.spectral import (
     eigen_modes,
     solve_transformation_conditions,
 )
-from squeezebath.verify import check_branch_conditions, check_eigenmode_consistency
+from squeezebath.verify import (
+    check_alpha_root_adjudication,
+    check_branch_conditions,
+    check_eigenmode_consistency,
+    check_zero_mode,
+)
 
 
 def test_branch_values_at_n_one():
@@ -54,10 +59,9 @@ def test_branch_conditions_residuals():
 def test_quadratic_root_adjudication():
     # (N+1) x^2 + x - N has root x = N/(N+1); the ratio N/(2N+1) leaves a
     # residual of 4/9 at N = 1 and is not a solution.
+    assert check_alpha_root_adjudication().status == "PASS"
     n = 1.0
-    good = n / (n + 1.0)
     bad = n / (2.0 * n + 1.0)
-    assert abs((n + 1.0) * good**2 + good - n) <= 1e-15
     assert abs((n + 1.0) * bad**2 + bad - n) == pytest.approx(4.0 / 9.0, rel=1e-12)
 
 
@@ -78,15 +82,17 @@ def test_duals_are_biorthogonal():
 
 
 def test_zero_mode_is_the_steady_state():
+    assert check_zero_mode(1.0, 0.5, 1e-12).status == "PASS"
+    # the check covers the stable branch; the unstable one has the same zero mode
     n, m = bath_params(0.5, 0.0)
     gamma = 1.0
-    for branch in solve_transformation_conditions(n, 0.0):
-        modes = eigen_modes(gamma, n, m, branch)
-        zeros = [md for md in modes if abs(md.beta) <= 1e-12 * gamma * (2 * n + 1)]
-        assert len(zeros) == 1
-        rho = zeros[0].mode / np.trace(zeros[0].mode)
-        want = np.diag([n / (2 * n + 1), (n + 1) / (2 * n + 1)])
-        assert np.max(np.abs(rho - want)) <= 1e-12
+    unstable = solve_transformation_conditions(n, 0.0)[1]
+    modes = eigen_modes(gamma, n, m, unstable)
+    zeros = [md for md in modes if abs(md.beta) <= 1e-12 * gamma * (2 * n + 1)]
+    assert len(zeros) == 1
+    rho = zeros[0].mode / np.trace(zeros[0].mode)
+    want = np.diag([n / (2 * n + 1), (n + 1) / (2 * n + 1)])
+    assert np.max(np.abs(rho - want)) <= 1e-12
 
 
 def test_mode_rates_are_nonpositive():
