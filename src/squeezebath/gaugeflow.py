@@ -92,7 +92,7 @@ def evolve_gauge(
     NumericalFailureError
         On non-finite gauge values (Riccati blow-up), naming the time.
     """
-    grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
+    grid, chunks = plan_integration(schedule, grid, step)
     # One classic RK4 substep, unrolled into Python scalars: an order of
     # magnitude faster than numpy arithmetic on length-8 arrays, and about
     # twice as fast as a right-hand-side function over tuples.  The population
@@ -102,114 +102,115 @@ def evolve_gauge(
     # the cost.  Only the coherence sector (eta_plus, e, f_eg, f_ge) sees M
     # and stays complex.  Node k of a substep (start 0, midpoint 1, end 2)
     # gives gk, nk, mk = gamma, N, M, with nk1 = N + 1 and nkh = N + 1/2;
-    # j runs over the start nodes of all substeps of the grid, and each end
-    # node, across grid times too, is the next substep's start node.
+    # j runs over the start nodes of the substeps of a chunk, and each end
+    # node, across grid times and chunks too, is the next substep's start
+    # node, so the start node's parameters and the eight columns carry over.
     # Every expression keeps the operation order of the module docstring's
     # ODEs; test_gaugeflow compares the flow bit for bit with a plain RK4
     # over that right-hand side, which pins the order.
-    gl = g_nodes.tolist()
-    nl = n_nodes.tolist()
-    ml = m_nodes.tolist()
-    counts = plan.counts.tolist()
-    widths = plan.widths.tolist()
     ap = b = 0.0
     f_ee = f_gg = 1.0
     ep = e = 0j
     f_eg = f_ge = 1 + 0j
     out = np.empty((grid.size, 8), dtype=complex)
     out[0] = (ap, b, ep, e, f_ee, f_gg, f_eg, f_ge)
-    g0, n0, m0 = gl[0], nl[0], ml[0]
-    j = 0
-    for i in range(grid.size - 1):
-        h = widths[i]
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        for j in range(j, j + 2 * counts[i], 2):
-            g1 = gl[j + 1]
-            n1 = nl[j + 1]
-            m1 = ml[j + 1]
-            g2 = gl[j + 2]
-            n2 = nl[j + 2]
-            m2 = ml[j + 2]
-            # k1 at the start node
-            n01 = n0 + 1.0
-            n0h = n0 + 0.5
-            mep = m0 * ep
-            c = n0h + mep
-            ap1 = g0 * (n0 - ap - n01 * ap * ap)
-            b1 = g0 * (n01 * f_ee + (n01 * ap - n0) * b)
-            ep1 = g0 * (mep * ep - m0.conjugate())
-            e1 = -g0 * (m0 * f_eg + c * e)
-            fee1 = -g0 * n01 * (1.0 + ap) * f_ee
-            fgg1 = -g0 * (n0 - n01 * ap) * f_gg
-            feg1 = -g0 * (n0h - mep) * f_eg
-            fge1 = -g0 * c * f_ge
-            # k2 and k3 at the midpoint node
-            n11 = n1 + 1.0
-            n1h = n1 + 0.5
-            m1c = m1.conjugate()
-            y_ap = ap + h2 * ap1
-            y_b = b + h2 * b1
-            y_ep = ep + h2 * ep1
-            y_e = e + h2 * e1
-            y_fee = f_ee + h2 * fee1
-            y_fgg = f_gg + h2 * fgg1
-            y_feg = f_eg + h2 * feg1
-            y_fge = f_ge + h2 * fge1
-            mep = m1 * y_ep
-            c = n1h + mep
-            ap2 = g1 * (n1 - y_ap - n11 * y_ap * y_ap)
-            b2 = g1 * (n11 * y_fee + (n11 * y_ap - n1) * y_b)
-            ep2 = g1 * (mep * y_ep - m1c)
-            e2 = -g1 * (m1 * y_feg + c * y_e)
-            fee2 = -g1 * n11 * (1.0 + y_ap) * y_fee
-            fgg2 = -g1 * (n1 - n11 * y_ap) * y_fgg
-            feg2 = -g1 * (n1h - mep) * y_feg
-            fge2 = -g1 * c * y_fge
-            y_ap = ap + h2 * ap2
-            y_b = b + h2 * b2
-            y_ep = ep + h2 * ep2
-            y_e = e + h2 * e2
-            y_fee = f_ee + h2 * fee2
-            y_fgg = f_gg + h2 * fgg2
-            y_feg = f_eg + h2 * feg2
-            y_fge = f_ge + h2 * fge2
-            mep = m1 * y_ep
-            c = n1h + mep
-            ap3 = g1 * (n1 - y_ap - n11 * y_ap * y_ap)
-            b3 = g1 * (n11 * y_fee + (n11 * y_ap - n1) * y_b)
-            ep3 = g1 * (mep * y_ep - m1c)
-            e3 = -g1 * (m1 * y_feg + c * y_e)
-            fee3 = -g1 * n11 * (1.0 + y_ap) * y_fee
-            fgg3 = -g1 * (n1 - n11 * y_ap) * y_fgg
-            feg3 = -g1 * (n1h - mep) * y_feg
-            fge3 = -g1 * c * y_fge
-            # k4 at the end node
-            n21 = n2 + 1.0
-            n2h = n2 + 0.5
-            y_ap = ap + h * ap3
-            y_b = b + h * b3
-            y_ep = ep + h * ep3
-            y_e = e + h * e3
-            y_fee = f_ee + h * fee3
-            y_fgg = f_gg + h * fgg3
-            y_feg = f_eg + h * feg3
-            y_fge = f_ge + h * fge3
-            mep = m2 * y_ep
-            c = n2h + mep
-            ap += h6 * (ap1 + 2.0 * (ap2 + ap3) + g2 * (n2 - y_ap - n21 * y_ap * y_ap))
-            b += h6 * (b1 + 2.0 * (b2 + b3) + g2 * (n21 * y_fee + (n21 * y_ap - n2) * y_b))
-            ep += h6 * (ep1 + 2.0 * (ep2 + ep3) + g2 * (mep * y_ep - m2.conjugate()))
-            e += h6 * (e1 + 2.0 * (e2 + e3) + -g2 * (m2 * y_feg + c * y_e))
-            f_ee += h6 * (fee1 + 2.0 * (fee2 + fee3) + -g2 * n21 * (1.0 + y_ap) * y_fee)
-            f_gg += h6 * (fgg1 + 2.0 * (fgg2 + fgg3) + -g2 * (n2 - n21 * y_ap) * y_fgg)
-            f_eg += h6 * (feg1 + 2.0 * (feg2 + feg3) + -g2 * (n2h - mep) * y_feg)
-            f_ge += h6 * (fge1 + 2.0 * (fge2 + fge3) + -g2 * c * y_fge)
-            g0 = g2
-            n0 = n2
-            m0 = m2
-        j += 2  # the last substep's end node starts the next interval
-        out[i + 1] = (ap, b, ep, e, f_ee, f_gg, f_eg, f_ge)
+    for i0, plan, (g_nodes, n_nodes, m_nodes) in chunks:
+        gl = g_nodes.tolist()
+        nl = n_nodes.tolist()
+        ml = m_nodes.tolist()
+        if i0 == 0:
+            g0, n0, m0 = gl[0], nl[0], ml[0]
+        j = 0
+        rows = zip(plan.counts.tolist(), plan.widths.tolist())
+        for i, (count, h) in enumerate(rows, i0 + 1):
+            h2 = 0.5 * h
+            h6 = h / 6.0
+            for j in range(j, j + 2 * count, 2):
+                g1 = gl[j + 1]
+                n1 = nl[j + 1]
+                m1 = ml[j + 1]
+                g2 = gl[j + 2]
+                n2 = nl[j + 2]
+                m2 = ml[j + 2]
+                # k1 at the start node
+                n01 = n0 + 1.0
+                n0h = n0 + 0.5
+                mep = m0 * ep
+                c = n0h + mep
+                ap1 = g0 * (n0 - ap - n01 * ap * ap)
+                b1 = g0 * (n01 * f_ee + (n01 * ap - n0) * b)
+                ep1 = g0 * (mep * ep - m0.conjugate())
+                e1 = -g0 * (m0 * f_eg + c * e)
+                fee1 = -g0 * n01 * (1.0 + ap) * f_ee
+                fgg1 = -g0 * (n0 - n01 * ap) * f_gg
+                feg1 = -g0 * (n0h - mep) * f_eg
+                fge1 = -g0 * c * f_ge
+                # k2 and k3 at the midpoint node
+                n11 = n1 + 1.0
+                n1h = n1 + 0.5
+                m1c = m1.conjugate()
+                y_ap = ap + h2 * ap1
+                y_b = b + h2 * b1
+                y_ep = ep + h2 * ep1
+                y_e = e + h2 * e1
+                y_fee = f_ee + h2 * fee1
+                y_fgg = f_gg + h2 * fgg1
+                y_feg = f_eg + h2 * feg1
+                y_fge = f_ge + h2 * fge1
+                mep = m1 * y_ep
+                c = n1h + mep
+                ap2 = g1 * (n1 - y_ap - n11 * y_ap * y_ap)
+                b2 = g1 * (n11 * y_fee + (n11 * y_ap - n1) * y_b)
+                ep2 = g1 * (mep * y_ep - m1c)
+                e2 = -g1 * (m1 * y_feg + c * y_e)
+                fee2 = -g1 * n11 * (1.0 + y_ap) * y_fee
+                fgg2 = -g1 * (n1 - n11 * y_ap) * y_fgg
+                feg2 = -g1 * (n1h - mep) * y_feg
+                fge2 = -g1 * c * y_fge
+                y_ap = ap + h2 * ap2
+                y_b = b + h2 * b2
+                y_ep = ep + h2 * ep2
+                y_e = e + h2 * e2
+                y_fee = f_ee + h2 * fee2
+                y_fgg = f_gg + h2 * fgg2
+                y_feg = f_eg + h2 * feg2
+                y_fge = f_ge + h2 * fge2
+                mep = m1 * y_ep
+                c = n1h + mep
+                ap3 = g1 * (n1 - y_ap - n11 * y_ap * y_ap)
+                b3 = g1 * (n11 * y_fee + (n11 * y_ap - n1) * y_b)
+                ep3 = g1 * (mep * y_ep - m1c)
+                e3 = -g1 * (m1 * y_feg + c * y_e)
+                fee3 = -g1 * n11 * (1.0 + y_ap) * y_fee
+                fgg3 = -g1 * (n1 - n11 * y_ap) * y_fgg
+                feg3 = -g1 * (n1h - mep) * y_feg
+                fge3 = -g1 * c * y_fge
+                # k4 at the end node
+                n21 = n2 + 1.0
+                n2h = n2 + 0.5
+                y_ap = ap + h * ap3
+                y_b = b + h * b3
+                y_ep = ep + h * ep3
+                y_e = e + h * e3
+                y_fee = f_ee + h * fee3
+                y_fgg = f_gg + h * fgg3
+                y_feg = f_eg + h * feg3
+                y_fge = f_ge + h * fge3
+                mep = m2 * y_ep
+                c = n2h + mep
+                ap += h6 * (ap1 + 2.0 * (ap2 + ap3) + g2 * (n2 - y_ap - n21 * y_ap * y_ap))
+                b += h6 * (b1 + 2.0 * (b2 + b3) + g2 * (n21 * y_fee + (n21 * y_ap - n2) * y_b))
+                ep += h6 * (ep1 + 2.0 * (ep2 + ep3) + g2 * (mep * y_ep - m2.conjugate()))
+                e += h6 * (e1 + 2.0 * (e2 + e3) + -g2 * (m2 * y_feg + c * y_e))
+                f_ee += h6 * (fee1 + 2.0 * (fee2 + fee3) + -g2 * n21 * (1.0 + y_ap) * y_fee)
+                f_gg += h6 * (fgg1 + 2.0 * (fgg2 + fgg3) + -g2 * (n2 - n21 * y_ap) * y_fgg)
+                f_eg += h6 * (feg1 + 2.0 * (feg2 + feg3) + -g2 * (n2h - mep) * y_feg)
+                f_ge += h6 * (fge1 + 2.0 * (fge2 + fge3) + -g2 * c * y_fge)
+                g0 = g2
+                n0 = n2
+                m0 = m2
+            j += 2  # the last substep's end node starts the next interval
+            out[i] = (ap, b, ep, e, f_ee, f_gg, f_eg, f_ge)
     # Non-finite values never become finite again, so the first non-finite
     # row is the first interval on which the flow blew up.
     finite = np.isfinite(out).all(axis=1)

@@ -126,6 +126,36 @@ def steady_state(rate) -> np.ndarray:
     return unvectorize(vec / tr)
 
 
+def _segment_products(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Products of consecutive runs of near-identity matrices, as differences.
+
+    deltas is a (sum(counts), 4, 4) stack of differences D_k of matrices
+    I + D_k from the identity, cut into runs of counts[i]; row i of the result
+    is the difference from the identity of the product over run i, the later
+    matrix on the left.  Each level combines neighbouring pairs (D, D') within
+    every run by (I + D')(I + D) = I + (D' + D + D' D) and carries an odd
+    run's last difference to the next level unchanged, so a run of c matrices
+    takes ceil(log2(c)) levels and a run of one is passed through as it is.
+    Adding the identity only to the finished product keeps the low bits of
+    the differences, which multiplying the rounded one-step matrices loses.
+    """
+    while deltas.shape[0] > counts.size:
+        pairs = counts // 2
+        new_counts = counts - pairs
+        # first index of each run, before and after this level
+        starts = np.cumsum(counts) - counts
+        new_starts = np.cumsum(new_counts) - new_counts
+        p = np.arange(int(pairs.sum())) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        left = np.repeat(starts, pairs) + 2 * p
+        out = np.empty((int(new_counts.sum()), 4, 4), dtype=deltas.dtype)
+        later, earlier = deltas[left + 1], deltas[left]
+        out[np.repeat(new_starts, pairs) + p] = later + earlier + np.matmul(later, earlier)
+        odd = counts % 2 == 1
+        out[(new_starts + new_counts - 1)[odd]] = deltas[(starts + counts - 1)[odd]]
+        deltas, counts = out, new_counts
+    return deltas
+
+
 def integrate_reference(
     schedule: BathSchedule,
     rho0: np.ndarray,
@@ -133,6 +163,13 @@ def integrate_reference(
     step: float | None = None,
 ) -> np.ndarray:
     """Integrate the master equation with the classic 4th-order fixed step.
+
+    The grid is walked in the chunks of plan_integration.  For each chunk,
+    the rate operators at its nodes and the RK4 one-step matrices I + D_k of
+    all its substeps are built in one batch.  The one-step matrices of each
+    interval are multiplied by a pairwise product over their differences D_k
+    from the identity, and each interval's product is applied to the state
+    once.
 
     Parameters
     ----------
@@ -160,29 +197,24 @@ def integrate_reference(
         If the state stops being finite, with the offending time named.
     """
     rho0 = check_density(rho0)
-    grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
-    rates = rate_matrix_batch(g_nodes, n_nodes, m_nodes)
-    # substep k of the grid runs over nodes 2k, 2k+1 and 2k+2
-    starts, mids, ends = rates[0:-1:2], rates[1::2], rates[2::2]
+    grid, chunks = plan_integration(schedule, grid, step)
     # States are column vectors, so that a @ y is the same matrix-vector
     # product for every state of a stack; y @ a.T would round differently.
     y = vectorize(rho0)[..., None]
     vectors = np.zeros((grid.size,) + y.shape[:-1], dtype=complex)
     vectors[0] = y[..., 0]
-    done = 0  # substeps before interval i
-    for i in range(grid.size - 1):
-        m_sub = int(plan.counts[i])
-        h = float(plan.widths[i])
-        k1 = starts[done : done + m_sub]
-        gm = mids[done : done + m_sub]
-        k2 = np.matmul(gm, _I4 + (0.5 * h) * k1)
-        k3 = np.matmul(gm, _I4 + (0.5 * h) * k2)
-        k4 = np.matmul(ends[done : done + m_sub], _I4 + h * k3)
-        one_step = _I4 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for a in one_step:
+    for i0, plan, params in chunks:
+        rates = rate_matrix_batch(*params)
+        # substep k of the chunk runs over nodes 2k, 2k+1 and 2k+2
+        k1, mids, ends = rates[0:-1:2], rates[1::2], rates[2::2]
+        h = np.repeat(plan.widths, plan.counts)[:, None, None]
+        k2 = np.matmul(mids, _I4 + (0.5 * h) * k1)
+        k3 = np.matmul(mids, _I4 + (0.5 * h) * k2)
+        k4 = np.matmul(ends, _I4 + h * k3)
+        deltas = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for i, a in enumerate(_I4 + _segment_products(deltas, plan.counts), i0 + 1):
             y = a @ y
-        vectors[i + 1] = y[..., 0]
-        done += m_sub
+            vectors[i] = y[..., 0]
     # non-finite values stay non-finite, so the first such row is where it blew up
     finite = np.isfinite(vectors).reshape(grid.size, -1).all(axis=1)
     if not finite.all():

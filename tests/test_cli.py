@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import squeezebath
-from squeezebath import cli, verify
+from squeezebath import cli, integrate, verify
 from squeezebath.bath import Constant
 from squeezebath.cli import (
     DEFAULTS,
@@ -241,6 +241,15 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     assert main(["trajectory", "--config", str(tmp_path / "missing.cfg")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["trajectory", "figures", "verify"])
+def test_oversized_grid_is_refused_up_front(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(integrate, "MAX_ROWS", 100)
+    args = [command, "--out", str(tmp_path), "--grid.t_max=10", "--grid.dt_out=0.05"]
+    assert main(args) == 1
+    assert "grid of 201 rows exceeds the limit of 100 rows" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_config_line_exits_one(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from squeezebath import integrate
 from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid, bath_params
 from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import (
@@ -12,7 +13,7 @@ from squeezebath.gaugeflow import (
     autonomous_gauge,
     evolve_gauge,
 )
-from squeezebath.integrate import plan_integration, plan_substeps, uniform_grid
+from squeezebath.integrate import default_step, plan_substeps, uniform_grid
 from squeezebath.liouvillian import integrate_reference
 from squeezebath.states import (
     pauli_expectations,
@@ -47,8 +48,12 @@ def _gauge_rhs(gamma, n, m, y):
 
 def _plain_rk4_flow(schedule, grid, step=None):
     # evolve_gauge written the plain way: complex tuples, one _gauge_rhs call
-    # per stage; evolve_gauge must reproduce it bit for bit
-    grid, plan, (g_nodes, n_nodes, m_nodes) = plan_integration(schedule, grid, step)
+    # per stage, over the nodes of the whole grid planned at once; evolve_gauge,
+    # which plans and evaluates them chunk by chunk, must reproduce it bit for bit
+    if step is None:
+        step = default_step(schedule.params_on(grid)[0])
+    plan = plan_substeps(grid, step)
+    g_nodes, n_nodes, m_nodes = schedule.params_on(plan.nodes)
     gl = [float(v) for v in g_nodes]
     nl = [float(v) for v in n_nodes]
     ml = [complex(v) for v in m_nodes]
@@ -103,6 +108,18 @@ FLOW_CASES = {
 @pytest.mark.parametrize("case", sorted(FLOW_CASES))
 def test_flow_equals_plain_rk4_bit_for_bit(case):
     schedule, grid, step = FLOW_CASES[case]
+    assert np.array_equal(evolve_gauge(schedule, grid, step),
+                          _plain_rk4_flow(schedule, grid, step))
+
+
+def test_flow_is_the_same_across_chunk_boundaries(monkeypatch):
+    # chunks of at most 5 substeps put chunk boundaries after nearly every
+    # interval of the 1-7 substep grid, and the 12-substep interval in the
+    # middle forms a chunk by itself
+    monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", 5)
+    schedule, grid, step = FLOW_CASES["uneven-sin-gamma-sin-r-ramp-theta"]
+    grid = np.concatenate([grid[:21], grid[20] + 12 * step + grid[20:] - grid[20]])
+    assert 12 in plan_substeps(grid, step).counts
     assert np.array_equal(evolve_gauge(schedule, grid, step),
                           _plain_rk4_flow(schedule, grid, step))
 

@@ -1,15 +1,23 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from squeezebath.bath import BathSchedule, Sinusoid
+from squeezebath import integrate
+from squeezebath.bath import BathSchedule, Constant, Ramp, Sinusoid
 from squeezebath.errors import InvalidInputError
+from squeezebath.gaugeflow import evolve_gauge
 from squeezebath.integrate import (
+    CHUNK_SUBSTEPS,
     check_grid,
     default_step,
     plan_integration,
     plan_substeps,
     uniform_grid,
 )
+from squeezebath.liouvillian import integrate_reference
+from squeezebath.states import excited_state
 
 
 def test_uniform_grid_endpoints():
@@ -27,6 +35,13 @@ def test_uniform_grid_requires_divisible_step():
         uniform_grid(-1.0, 0.1)
     with pytest.raises(InvalidInputError):
         uniform_grid(1.0, 0.0)
+
+
+def test_uniform_grid_refuses_more_rows_than_the_limit(monkeypatch):
+    monkeypatch.setattr(integrate, "MAX_ROWS", 100)
+    assert uniform_grid(9.9, 0.1).size == 100
+    with pytest.raises(InvalidInputError, match=r"^grid of 101 rows exceeds the limit of 100 rows$"):
+        uniform_grid(10.0, 0.1)
 
 
 def test_check_grid_rejects_bad_grids():
@@ -79,9 +94,111 @@ def test_default_step_scales_with_gamma():
     assert default_step(np.array([0.0])) == np.inf
 
 
-def test_negative_control_is_refused_at_its_first_node_time():
+def _uneven_grid():
+    # spans of 1 to 7 substeps of 0.01, then one span of 30 substeps
+    spans = 0.01 * (1.0 + (0.37 * np.arange(40)) % 6.0)
+    return np.concatenate([[0.0], np.cumsum(np.append(spans, 0.3))])
+
+
+@pytest.mark.parametrize("limit", [1, 5, 12, CHUNK_SUBSTEPS])
+def test_chunks_are_slices_of_the_whole_grid_plan(monkeypatch, limit):
+    monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", limit)
+    sched = BathSchedule(gamma=Sinusoid(1.0, 0.5, 2.0), r=Ramp(0.2, 0.1))
+    grid = _uneven_grid()
+    whole = plan_substeps(grid, 0.01)
+    g_whole, n_whole, m_whole = sched.params_on(whole.nodes)
+    checked, chunks = plan_integration(sched, grid, 0.01)
+    assert np.array_equal(checked, grid)
+    i_next = 0
+    for i0, plan, (g, n, m) in chunks:
+        # chunks are consecutive runs of whole intervals
+        assert i0 == i_next
+        i_next = i0 + plan.counts.size
+        assert plan.counts.sum() <= limit or plan.counts.size == 1
+        # their nodes, and the controls there, are bitwise those of the whole grid
+        k0 = 2 * int(whole.counts[:i0].sum())
+        nodes = slice(k0, k0 + plan.nodes.size)
+        assert np.array_equal(plan.nodes, whole.nodes[nodes])
+        assert np.array_equal(plan.counts, whole.counts[i0:i_next])
+        assert np.array_equal(plan.widths, whole.widths[i0:i_next])
+        for got, want in ((g, g_whole), (n, n_whole), (m, m_whole)):
+            assert np.array_equal(got, want[nodes])
+    assert i_next == grid.size - 1
+
+
+def test_one_point_grid_is_one_chunk_of_its_node():
+    _, chunks = plan_integration(BathSchedule(gamma=Constant(1.0)), np.array([0.0]), None)
+    [(i0, plan, (g, _, _))] = list(chunks)
+    assert i0 == 0 and np.array_equal(plan.nodes, [0.0]) and np.array_equal(g, [1.0])
+    with pytest.raises(InvalidInputError, match=r"gamma\(t\) < 0 at t = 0\.0$"):
+        next(plan_integration(BathSchedule(gamma=Constant(-1.0)), np.array([0.0]), None)[1])
+
+
+def test_negative_control_is_refused_at_its_first_node_time(monkeypatch):
     # 0.5 + sin(t) turns negative after 7 pi / 6 = 3.66519..., between grid
-    # times 3.65 and 3.7; the first node time past it is 3.6655
+    # times 3.65 and 3.7; the first node time past it is 3.6655.  The chunks
+    # are planned lazily, so each route refuses it when it reaches the chunk
+    # holding that node, in interval 73 of 50 substeps each: a later chunk
+    # than the first at the default chunk size and at 5 substeps, the first
+    # chunk when one chunk holds the whole grid.
     sched = BathSchedule(gamma=Sinusoid(0.5, 1.0, 1.0, 0.0))
-    with pytest.raises(InvalidInputError, match=r"gamma\(t\) < 0 at t = 3\.6655$"):
-        plan_integration(sched, uniform_grid(30.0, 0.05), 0.001)
+    grid = uniform_grid(30.0, 0.05)
+    message = r"gamma\(t\) < 0 at t = 3\.6655$"
+    for limit in (5, CHUNK_SUBSTEPS, 10**9):
+        monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", limit)
+        _, chunks = plan_integration(sched, grid, 0.001)
+        if limit < 10**9:
+            assert next(chunks)[1].nodes[-1] < 3.6655
+        with pytest.raises(InvalidInputError, match=message):
+            evolve_gauge(sched, grid, 0.001)
+        with pytest.raises(InvalidInputError, match=message):
+            integrate_reference(sched, excited_state(), grid, 0.001)
+
+
+def _peak_blocks(run):
+    # the most pymalloc blocks alive during run(), above the count before it,
+    # sampled at every Python call and return (a chunk's yield among them)
+    # and at every 64th C call or return.  tracemalloc slows the unrolled
+    # gauge loop about 200 times (2 000 substeps: 0.011 s -> 2.2 s); the
+    # Python objects the loop reads are what grew with the horizon.
+    base = peak = sys.getallocatedblocks()
+    c_events = 0
+
+    def sample(frame, event, arg):
+        nonlocal peak, c_events
+        if event.startswith("c_"):
+            c_events += 1
+            if c_events % 64:
+                return
+        peak = max(peak, sys.getallocatedblocks())
+
+    sys.setprofile(sample)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return peak - base
+
+
+def _peak_traced_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_route_memory_does_not_grow_with_the_horizon():
+    # 10 000 and 40 000 substeps at dt_out = 1, so the output rows are
+    # negligible: with the node parameters of the whole grid held at once,
+    # each peak would grow fourfold
+    sched = BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.3, 0.1, 0.6, 1.1), theta=Ramp(1.2, 0.01))
+    gauge, reference = [], []
+    for t_max in (10.0, 40.0):
+        grid = uniform_grid(t_max, 1.0)
+        gauge.append(_peak_blocks(lambda: evolve_gauge(sched, grid, 0.001)))
+        reference.append(_peak_traced_bytes(
+            lambda: integrate_reference(sched, excited_state(), grid, 0.001)))
+    assert gauge[1] <= 1.5 * gauge[0], gauge
+    assert reference[1] <= 1.5 * reference[0], reference

@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import pathlib
 
@@ -7,11 +8,14 @@ import pytest
 
 import squeezebath.liouvillian
 
-from squeezebath.bath import BathPoint, BathSchedule, Constant, ExpDecay, Ramp, bath_params
+from squeezebath import integrate
+from squeezebath.algebra import unvectorize, vectorize
+from squeezebath.bath import BathPoint, BathSchedule, Constant, ExpDecay, Ramp, Sinusoid, bath_params
 from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import autonomous_expectations
-from squeezebath.integrate import uniform_grid
+from squeezebath.integrate import plan_substeps, uniform_grid
 from squeezebath.liouvillian import (
+    _segment_products,
     build_rate_operator,
     integrate_reference,
     rate_matrix_batch,
@@ -23,12 +27,44 @@ from squeezebath.states import (
     hermiticity_defect,
     min_eigenvalue,
     pauli_expectations,
+    pure_state,
     trace_distance,
     trace_error,
 )
 from squeezebath.verify import check_construction_equality, check_spectrum_formulas
 
 ROOT2 = math.sqrt(2.0)
+I4 = np.eye(4, dtype=complex)
+
+
+def _plain_reference(schedule, rho0, grid, step):
+    # integrate_reference written the plain way: the rate stack of the whole
+    # grid at once, and one one-step matrix applied after the other
+    plan = plan_substeps(grid, step)
+    rates = rate_matrix_batch(*schedule.params_on(plan.nodes))
+    y = vectorize(rho0)[..., None]
+    out = [y[..., 0]]
+    k = 0  # substep k runs over nodes 2k, 2k+1 and 2k+2
+    for m_sub, h in zip(plan.counts, plan.widths):
+        for _ in range(m_sub):
+            k1, mid, end = rates[2 * k], rates[2 * k + 1], rates[2 * k + 2]
+            k2 = mid @ (I4 + (0.5 * h) * k1)
+            k3 = mid @ (I4 + (0.5 * h) * k2)
+            k4 = end @ (I4 + h * k3)
+            y = (I4 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) @ y
+            k += 1
+        out.append(y[..., 0])
+    return unvectorize(np.array(out))
+
+
+# sin gamma, sin r and ramped theta on intervals of 1 to 7 substeps of 0.01,
+# with one interval of 12 substeps in the middle
+CHUNKED_SCHEDULE = BathSchedule(gamma=Sinusoid(1.0, 0.5, 2.0), r=Sinusoid(1.5, 0.3, 1.3, 0.2),
+                                theta=Ramp(0.3, 0.7))
+CHUNKED_GRID = np.concatenate([[0.0], np.cumsum(
+    0.01 * np.insert(1.0 + (0.37 * np.arange(40)) % 6.0, 20, 12.0))])
+CHUNKED_RHO0 = np.stack([pure_state(math.sqrt(0.3) * np.exp(0.4j), math.sqrt(0.7)),
+                         excited_state(), pure_state(1.0 / ROOT2, 1j / ROOT2)])
 
 
 def test_vacuum_rate_matrix_is_exact():
@@ -220,6 +256,37 @@ def test_reference_blowup_names_the_first_nonfinite_time():
     sched = BathSchedule(gamma=Ramp(-1e120, 1e120), r=Constant(0.1))
     with pytest.raises(NumericalFailureError, match=r"non-finite at t = 2\.0$"):
         integrate_reference(sched, excited_state(), np.array([0.0, 1.0, 2.0]), step=1.0)
+
+
+def test_segment_products_equal_sequential_products():
+    # runs of 1, odd and unequal lengths, against a plain left fold
+    rng = np.random.default_rng(10)
+    counts = np.array([1, 3, 2, 7, 1, 4, 5, 8, 1])
+    deltas = 0.3 * (rng.normal(size=(counts.sum(), 4, 4)) + 1j * rng.normal(size=(counts.sum(), 4, 4)))
+    got = _segment_products(deltas, counts)
+    assert got.shape == (counts.size, 4, 4)
+    ends = np.cumsum(counts)
+    for i, (end, count) in enumerate(zip(ends, counts)):
+        want = functools.reduce(lambda acc, d: (I4 + d) @ acc, deltas[end - count : end], I4)
+        assert np.max(np.abs(I4 + got[i] - want)) <= 1e-14 * np.max(np.abs(want))
+    # a run of one matrix is passed through untouched
+    assert np.array_equal(got[0], deltas[0])
+
+
+@pytest.mark.parametrize("limit", [5, integrate.CHUNK_SUBSTEPS])
+def test_reference_equals_the_plain_sequential_loop(monkeypatch, limit):
+    monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", limit)
+    got = integrate_reference(CHUNKED_SCHEDULE, CHUNKED_RHO0, CHUNKED_GRID, 0.01)
+    want = _plain_reference(CHUNKED_SCHEDULE, CHUNKED_RHO0, CHUNKED_GRID, 0.01)
+    assert float(np.max(np.abs(got - want))) <= 1e-14
+    # each state of the stack gets the bits it gets alone
+    for k, rho0 in enumerate(CHUNKED_RHO0):
+        solo = integrate_reference(CHUNKED_SCHEDULE, rho0, CHUNKED_GRID, 0.01)
+        assert np.array_equal(got[:, k], solo)
+    # with one substep per interval there is no product to form: the same bits
+    grid = uniform_grid(1.0, 0.01)
+    assert np.array_equal(integrate_reference(CHUNKED_SCHEDULE, CHUNKED_RHO0, grid, 0.01),
+                          _plain_reference(CHUNKED_SCHEDULE, CHUNKED_RHO0, grid, 0.01))
 
 
 def test_reference_route_imports_nothing_from_gaugeflow():
