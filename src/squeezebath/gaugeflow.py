@@ -40,6 +40,29 @@ constant reservoir) and with it f_eg stay of order one.  The right-hand side
 and the assembly are therefore polynomials in bounded values, with nothing
 to overflow.
 
+The flow is a product of gauge-group elements.  By assemble_density, the
+population sector acts on (l_ee, l_gg) through [[f_ee + a b, a f_gg],
+[b, f_gg]] with a = alpha_plus, and the coherence sector likewise with
+(eta_plus, e, f_eg, f_ge).  These matrices form a group, so evolve_gauge
+takes one RK4 step of the ODEs above from the identity for every substep at
+once and composes the steps.  A step is an element (a, b, d_ee, d_gg) with
+d = f - 1, exactly the RK4 increment of the weight.  With p = d_ee + a b and
+delta = d_gg^B + a^A b^B, element A followed by element B is
+
+    d_gg = d_gg^A + delta + d_gg^A delta
+    b    = b^B + b^A + b^B p^A + d_gg^B b^A
+    a    = (a^A + a^B + p^B a^A + a^B d_gg^B) / (1 + delta)
+    d_ee = p^B + p^A + p^B p^A + a^B (1 + d_gg^B) b^A - a b
+
+where 1 + delta is the ratio of f_gg at the two end times, never zero
+where the flow exists.  Each interval's substeps are composed pairwise
+within the interval only, so the flow does not depend on the chunking.  The
+intervals' elements are applied in order to a running state that keeps
+plain weights, which a difference from 1 cannot hold once they decay (f_ee
+and f_eg reach 1e-119 at r = 2, t = 10).  From the determinant f_ee f_gg,
+element B multiplies f_gg by 1 + delta and f_ee by
+(1 + d_ee^B)(1 + d_gg^B) / (1 + delta).
+
 For a constant reservoir all eight columns have closed forms, implemented
 in autonomous_gauge; the time stepping must reproduce them, and both must
 match the brute-force reference integrator.
@@ -70,7 +93,12 @@ def evolve_gauge(
     grid: np.ndarray,
     step: float | None = None,
 ) -> np.ndarray:
-    """Integrate the gauge ODEs from the identity with fixed 4th-order steps.
+    """The gauge flow as a product of per-substep group elements.
+
+    Per chunk of plan_integration, every substep's RK4 step from the
+    identity is taken at once, each interval's steps are composed pairwise,
+    and the intervals' elements are applied in order to a running state with
+    plain weights (see the module docstring).
 
     Parameters
     ----------
@@ -93,132 +121,101 @@ def evolve_gauge(
         On non-finite gauge values (Riccati blow-up), naming the time.
     """
     grid, chunks = plan_integration(schedule, grid, step)
-    # One classic RK4 substep, unrolled into Python scalars: an order of
-    # magnitude faster than numpy arithmetic on length-8 arrays, and about
-    # twice as fast as a right-hand-side function over tuples.  The population
-    # sector (alpha_plus, b, f_ee, f_gg) starts real and its ODEs have only
-    # real coefficients (gamma, N), so it is carried as floats: complex
-    # arithmetic would give the same real parts, exactly, at about 1.5 times
-    # the cost.  Only the coherence sector (eta_plus, e, f_eg, f_ge) sees M
-    # and stays complex.  Node k of a substep (start 0, midpoint 1, end 2)
-    # gives gk, nk, mk = gamma, N, M, with nk1 = N + 1 and nkh = N + 1/2;
-    # j runs over the start nodes of the substeps of a chunk, and each end
-    # node, across grid times and chunks too, is the next substep's start
-    # node, so the start node's parameters and the eight columns carry over.
-    # Every expression keeps the operation order of the module docstring's
-    # ODEs; test_gaugeflow compares the flow bit for bit with a plain RK4
-    # over that right-hand side, which pins the order.
-    ap = b = 0.0
-    f_ee = f_gg = 1.0
-    ep = e = 0j
-    f_eg = f_ge = 1 + 0j
+    pop = (0.0, 0.0, 1.0, 1.0)
+    coh = (0j, 0j, 1 + 0j, 1 + 0j)
     out = np.empty((grid.size, 8), dtype=complex)
-    out[0] = (ap, b, ep, e, f_ee, f_gg, f_eg, f_ge)
-    for i0, plan, (g_nodes, n_nodes, m_nodes) in chunks:
-        gl = g_nodes.tolist()
-        nl = n_nodes.tolist()
-        ml = m_nodes.tolist()
-        if i0 == 0:
-            g0, n0, m0 = gl[0], nl[0], ml[0]
-        j = 0
-        rows = zip(plan.counts.tolist(), plan.widths.tolist())
-        for i, (count, h) in enumerate(rows, i0 + 1):
-            h2 = 0.5 * h
-            h6 = h / 6.0
-            for j in range(j, j + 2 * count, 2):
-                g1 = gl[j + 1]
-                n1 = nl[j + 1]
-                m1 = ml[j + 1]
-                g2 = gl[j + 2]
-                n2 = nl[j + 2]
-                m2 = ml[j + 2]
-                # k1 at the start node
-                n01 = n0 + 1.0
-                n0h = n0 + 0.5
-                mep = m0 * ep
-                c = n0h + mep
-                ap1 = g0 * (n0 - ap - n01 * ap * ap)
-                b1 = g0 * (n01 * f_ee + (n01 * ap - n0) * b)
-                ep1 = g0 * (mep * ep - m0.conjugate())
-                e1 = -g0 * (m0 * f_eg + c * e)
-                fee1 = -g0 * n01 * (1.0 + ap) * f_ee
-                fgg1 = -g0 * (n0 - n01 * ap) * f_gg
-                feg1 = -g0 * (n0h - mep) * f_eg
-                fge1 = -g0 * c * f_ge
-                # k2 and k3 at the midpoint node
-                n11 = n1 + 1.0
-                n1h = n1 + 0.5
-                m1c = m1.conjugate()
-                y_ap = ap + h2 * ap1
-                y_b = b + h2 * b1
-                y_ep = ep + h2 * ep1
-                y_e = e + h2 * e1
-                y_fee = f_ee + h2 * fee1
-                y_fgg = f_gg + h2 * fgg1
-                y_feg = f_eg + h2 * feg1
-                y_fge = f_ge + h2 * fge1
-                mep = m1 * y_ep
-                c = n1h + mep
-                ap2 = g1 * (n1 - y_ap - n11 * y_ap * y_ap)
-                b2 = g1 * (n11 * y_fee + (n11 * y_ap - n1) * y_b)
-                ep2 = g1 * (mep * y_ep - m1c)
-                e2 = -g1 * (m1 * y_feg + c * y_e)
-                fee2 = -g1 * n11 * (1.0 + y_ap) * y_fee
-                fgg2 = -g1 * (n1 - n11 * y_ap) * y_fgg
-                feg2 = -g1 * (n1h - mep) * y_feg
-                fge2 = -g1 * c * y_fge
-                y_ap = ap + h2 * ap2
-                y_b = b + h2 * b2
-                y_ep = ep + h2 * ep2
-                y_e = e + h2 * e2
-                y_fee = f_ee + h2 * fee2
-                y_fgg = f_gg + h2 * fgg2
-                y_feg = f_eg + h2 * feg2
-                y_fge = f_ge + h2 * fge2
-                mep = m1 * y_ep
-                c = n1h + mep
-                ap3 = g1 * (n1 - y_ap - n11 * y_ap * y_ap)
-                b3 = g1 * (n11 * y_fee + (n11 * y_ap - n1) * y_b)
-                ep3 = g1 * (mep * y_ep - m1c)
-                e3 = -g1 * (m1 * y_feg + c * y_e)
-                fee3 = -g1 * n11 * (1.0 + y_ap) * y_fee
-                fgg3 = -g1 * (n1 - n11 * y_ap) * y_fgg
-                feg3 = -g1 * (n1h - mep) * y_feg
-                fge3 = -g1 * c * y_fge
-                # k4 at the end node
-                n21 = n2 + 1.0
-                n2h = n2 + 0.5
-                y_ap = ap + h * ap3
-                y_b = b + h * b3
-                y_ep = ep + h * ep3
-                y_e = e + h * e3
-                y_fee = f_ee + h * fee3
-                y_fgg = f_gg + h * fgg3
-                y_feg = f_eg + h * feg3
-                y_fge = f_ge + h * fge3
-                mep = m2 * y_ep
-                c = n2h + mep
-                ap += h6 * (ap1 + 2.0 * (ap2 + ap3) + g2 * (n2 - y_ap - n21 * y_ap * y_ap))
-                b += h6 * (b1 + 2.0 * (b2 + b3) + g2 * (n21 * y_fee + (n21 * y_ap - n2) * y_b))
-                ep += h6 * (ep1 + 2.0 * (ep2 + ep3) + g2 * (mep * y_ep - m2.conjugate()))
-                e += h6 * (e1 + 2.0 * (e2 + e3) + -g2 * (m2 * y_feg + c * y_e))
-                f_ee += h6 * (fee1 + 2.0 * (fee2 + fee3) + -g2 * n21 * (1.0 + y_ap) * y_fee)
-                f_gg += h6 * (fgg1 + 2.0 * (fgg2 + fgg3) + -g2 * (n2 - n21 * y_ap) * y_fgg)
-                f_eg += h6 * (feg1 + 2.0 * (feg2 + feg3) + -g2 * (n2h - mep) * y_feg)
-                f_ge += h6 * (fge1 + 2.0 * (fge2 + fge3) + -g2 * c * y_fge)
-                g0 = g2
-                n0 = n2
-                m0 = m2
-            j += 2  # the last substep's end node starts the next interval
-            out[i] = (ap, b, ep, e, f_ee, f_gg, f_eg, f_ge)
-    # Non-finite values never become finite again, so the first non-finite
-    # row is the first interval on which the flow blew up.
+    out[0] = pop[:2] + coh[:2] + pop[2:] + coh[2:]
+    for i0, plan, nodes in chunks:
+        # a blown-up flow is reported below, by its first non-finite row
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = _rk4_steps(nodes, np.repeat(plan.widths, plan.counts))
+            elements = [s.T.tolist() for s in _interval_elements(steps, plan.counts)]
+        for i, (pop_el, coh_el) in enumerate(zip(*elements), i0 + 1):
+            pop = _advance(pop, pop_el)
+            coh = _advance(coh, coh_el)
+            out[i] = pop[:2] + coh[:2] + pop[2:] + coh[2:]
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise NumericalFailureError(
             "gauge parameters non-finite at t = %r" % (float(grid[np.argmin(finite)]),)
         )
     return out
+
+
+def _rk4_steps(nodes, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # One RK4 step from the identity per substep, from (gamma, N, M) at the
+    # 2S+1 nodes and the S widths h: (4, S) arrays of elements, real for the
+    # population sector and complex for the coherence sector.
+    g, n, m = nodes
+    # the start (k = 0), midpoint (1) and end (2) node of every substep
+    at = [tuple(x[k : x.size - 2 + k : 2] for x in (g, n, n + 1.0, n + 0.5, m, m.conj()))
+          for k in range(3)]
+    h2, h6 = 0.5 * h, h / 6.0
+    zero = (0.0, 0.0, 0.0, 0.0)
+    k1 = _derivatives(at[0], zero, zero)
+    k2 = _derivatives(at[1], *([h2 * x for x in k] for k in k1))
+    k3 = _derivatives(at[1], *([h2 * x for x in k] for k in k2))
+    k4 = _derivatives(at[2], *([h * x for x in k] for k in k3))
+    return tuple(np.array([h6 * (a + 2.0 * (b + c) + d) for a, b, c, d in zip(*sector)])
+                 for sector in zip(k1, k2, k3, k4))
+
+
+def _derivatives(at, pop, coh):
+    # the module docstring's right-hand side, at weights in difference form
+    g, n, n1, nh, m, mc = at
+    ap, b, d_ee, d_gg = pop
+    ep, e, d_eg, d_ge = coh
+    mep = m * ep
+    c = nh + mep
+    return ((g * (n - ap - n1 * ap * ap),
+             g * (n1 * (1.0 + d_ee) + (n1 * ap - n) * b),
+             -g * n1 * (1.0 + ap) * (1.0 + d_ee),
+             -g * (n - n1 * ap) * (1.0 + d_gg)),
+            (g * (mep * ep - mc),
+             -g * (m * (1.0 + d_eg) + c * e),
+             -g * (nh - mep) * (1.0 + d_eg),
+             -g * c * (1.0 + d_ge)))
+
+
+def _compose(first, then):
+    # element `first` followed by element `then`, the module docstring's law;
+    # scalars or arrays
+    a1, b1, d1_ee, d1_gg = first
+    a2, b2, d2_ee, d2_gg = then
+    p1 = d1_ee + a1 * b1
+    p2 = d2_ee + a2 * b2
+    delta = d2_gg + a1 * b2
+    ap = (a1 + a2 + p2 * a1 + a2 * d2_gg) / (1.0 + delta)
+    b = b2 + b1 + b2 * p1 + d2_gg * b1
+    d_ee = p2 + p1 + p2 * p1 + a2 * (1.0 + d2_gg) * b1 - ap * b
+    return ap, b, d_ee, d1_gg + delta + d1_gg * delta
+
+
+def _interval_elements(steps, counts: np.ndarray) -> list[np.ndarray]:
+    # Compose each run of counts[i] elements (columns of each sector's array)
+    # into one: every level composes neighbouring pairs within a run and
+    # carries an odd run's last element up unchanged.
+    size = int(counts.sum())
+    while size > counts.size:
+        pos = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)  # within its run
+        first = np.flatnonzero(pos % 2 == 0)
+        then = np.minimum(first + 1, size - 1)
+        paired = pos[then] == pos[first] + 1
+        steps = [np.where(paired, _compose(s.take(first, 1), s.take(then, 1)), s.take(first, 1))
+                 for s in steps]
+        size = first.size
+        counts = (counts + 1) // 2
+    return steps
+
+
+def _advance(state, element):
+    # a running state with plain weights followed by an element, in Python scalars
+    ap, b, f_ee, f_gg = state
+    a2, b2, d2_ee, d2_gg = element
+    f2 = 1.0 + d2_gg
+    w = f2 + ap * b2  # 1 + delta
+    return ((ap * (1.0 + d2_ee + a2 * b2) + a2 * f2) / w, b2 * (f_ee + ap * b) + f2 * b,
+            f_ee * (1.0 + d2_ee) * f2 / w, f_gg * w)
 
 
 def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:

@@ -8,6 +8,8 @@ from squeezebath import integrate
 from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid, bath_params
 from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import (
+    _advance,
+    _compose,
     assemble_density,
     autonomous_expectations,
     autonomous_gauge,
@@ -47,9 +49,9 @@ def _gauge_rhs(gamma, n, m, y):
 
 
 def _plain_rk4_flow(schedule, grid, step=None):
-    # evolve_gauge written the plain way: complex tuples, one _gauge_rhs call
-    # per stage, over the nodes of the whole grid planned at once; evolve_gauge,
-    # which plans and evaluates them chunk by chunk, must reproduce it bit for bit
+    # the gauge ODEs stepped the plain way: RK4 on the state itself, complex
+    # tuples, one _gauge_rhs call per stage, over the nodes of the whole grid
+    # planned at once
     if step is None:
         step = default_step(schedule.params_on(grid)[0])
     plan = plan_substeps(grid, step)
@@ -105,23 +107,83 @@ FLOW_CASES = {
 }
 
 
+# Largest |evolve_gauge - _plain_rk4_flow| over the flow, measured: 3.6e-7,
+# 4.4e-10, 3.4e-14 and 0.  Composing steps taken from the identity is a
+# different RK4 discretisation of the nonlinear Riccati flow than stepping
+# the state, so the two differ at the level of their truncation errors
+# (largest where gamma (2N+1) h is about 0.5, on the uneven grid).
+PLAIN_RK4_GAP = {
+    "uneven-sin-gamma-sin-r-ramp-theta": 1e-6,
+    "const-r2": 1e-9,
+    "thermal": 1e-13,
+    "one-point": 0.0,
+}
+
+
 @pytest.mark.parametrize("case", sorted(FLOW_CASES))
-def test_flow_equals_plain_rk4_bit_for_bit(case):
+def test_flow_agrees_with_plain_rk4(case):
     schedule, grid, step = FLOW_CASES[case]
-    assert np.array_equal(evolve_gauge(schedule, grid, step),
-                          _plain_rk4_flow(schedule, grid, step))
+    gap = np.abs(evolve_gauge(schedule, grid, step) - _plain_rk4_flow(schedule, grid, step))
+    assert np.max(gap) <= PLAIN_RK4_GAP[case]
 
 
-def test_flow_is_the_same_across_chunk_boundaries(monkeypatch):
+def test_flow_is_the_same_at_any_chunk_size(monkeypatch):
     # chunks of at most 5 substeps put chunk boundaries after nearly every
     # interval of the 1-7 substep grid, and the 12-substep interval in the
-    # middle forms a chunk by itself
-    monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", 5)
+    # middle forms a chunk by itself; elements are composed only within an
+    # interval, so the flow cannot depend on where the chunks end
     schedule, grid, step = FLOW_CASES["uneven-sin-gamma-sin-r-ramp-theta"]
     grid = np.concatenate([grid[:21], grid[20] + 12 * step + grid[20:] - grid[20]])
     assert 12 in plan_substeps(grid, step).counts
-    assert np.array_equal(evolve_gauge(schedule, grid, step),
-                          _plain_rk4_flow(schedule, grid, step))
+    whole = evolve_gauge(schedule, grid, step)
+    monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", 5)
+    assert np.array_equal(evolve_gauge(schedule, grid, step), whole)
+
+
+def _sector_matrix(element, plain=False):
+    # the 2x2 matrix through which a sector's element acts in assemble_density
+    a, b, f1, f2 = element
+    if not plain:
+        f1, f2 = 1.0 + f1, 1.0 + f2
+    return np.array([[f1 + a * b, a * f2], [b, f2]])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_composition_law_is_the_sector_matrix_product(dtype):
+    rng = np.random.default_rng(11)
+
+    def element():
+        x = rng.uniform(-0.3, 0.3, 4)
+        if dtype is complex:
+            x = x + 1j * rng.uniform(-0.3, 0.3, 4)
+        return tuple(x.astype(dtype).tolist())
+
+    worst = 0.0
+    for _ in range(200):
+        a, b, c = element(), element(), element()
+        ab = _compose(a, b)
+        worst = max(worst, np.max(np.abs(_sector_matrix(ab)
+                                         - _sector_matrix(b) @ _sector_matrix(a))))
+        # associativity
+        worst = max(worst, np.max(np.abs(np.subtract(_compose(ab, c),
+                                                      _compose(a, _compose(b, c))))))
+        # a running state with plain weights, then an element
+        state = (a[0], a[1], 1.0 + a[2], 1.0 + a[3])
+        worst = max(worst, np.max(np.abs(
+            _sector_matrix(_advance(state, b), plain=True)
+            - _sector_matrix(b) @ _sector_matrix(state, plain=True))))
+    assert worst <= 5e-15  # measured 6.9e-16
+
+
+def test_decaying_weights_keep_their_relative_precision():
+    # r = 2: f_ee and f_eg fall to about 5.5e-119 at t = 10, and each keeps
+    # the relative precision of the columns of order one (measured 7.7e-8)
+    n, m = bath_params(2.0, 0.0)
+    grid = uniform_grid(10.0, 0.05)
+    flow = evolve_gauge(BathSchedule(gamma=Constant(1.0), r=Constant(2.0)), grid)
+    want = np.array([autonomous_gauge(1.0, n, m.real, float(t)) for t in grid[1:]])
+    assert np.min(np.abs(want[-1, [4, 6]])) <= 1e-118
+    assert np.max(np.abs(flow[1:] - want) / np.abs(want)) <= 1e-6
 
 
 def test_alpha_plus_fixed_points():
@@ -225,12 +287,14 @@ def test_trace_identities_along_flow():
     assert check_gauge_trace_identities(flow, 1e-9).status == "PASS"
 
 
+@pytest.mark.filterwarnings("error")
 def test_gauge_blowup_is_reported():
     sched = BathSchedule(gamma=Constant(1e80), r=Constant(0.1))
     with pytest.raises(NumericalFailureError, match="t = "):
         evolve_gauge(sched, np.array([0.0, 1.0]), step=1.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_gauge_blowup_names_the_first_nonfinite_time():
     # gamma = max(1e80 (t - 1), 0) is 0 on [0, 1], so row 1 stays the
     # identity and the flow blows up on the second interval only

@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 
 import numpy as np
@@ -155,31 +154,6 @@ def test_negative_control_is_refused_at_its_first_node_time(monkeypatch):
             integrate_reference(sched, excited_state(), grid, 0.001)
 
 
-def _peak_blocks(run):
-    # the most pymalloc blocks alive during run(), above the count before it,
-    # sampled at every Python call and return (a chunk's yield among them)
-    # and at every 64th C call or return.  tracemalloc slows the unrolled
-    # gauge loop about 200 times (2 000 substeps: 0.011 s -> 2.2 s); the
-    # Python objects the loop reads are what grew with the horizon.
-    base = peak = sys.getallocatedblocks()
-    c_events = 0
-
-    def sample(frame, event, arg):
-        nonlocal peak, c_events
-        if event.startswith("c_"):
-            c_events += 1
-            if c_events % 64:
-                return
-        peak = max(peak, sys.getallocatedblocks())
-
-    sys.setprofile(sample)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return peak - base
-
-
 def _peak_traced_bytes(run):
     tracemalloc.start()
     try:
@@ -197,7 +171,7 @@ def test_route_memory_does_not_grow_with_the_horizon():
     gauge, reference = [], []
     for t_max in (10.0, 40.0):
         grid = uniform_grid(t_max, 1.0)
-        gauge.append(_peak_blocks(lambda: evolve_gauge(sched, grid, 0.001)))
+        gauge.append(_peak_traced_bytes(lambda: evolve_gauge(sched, grid, 0.001)))
         reference.append(_peak_traced_bytes(
             lambda: integrate_reference(sched, excited_state(), grid, 0.001)))
     assert gauge[1] <= 1.5 * gauge[0], gauge

@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import squeezebath.gaugeflow
 import squeezebath.liouvillian
 
 from squeezebath import integrate
@@ -289,16 +290,28 @@ def test_reference_equals_the_plain_sequential_loop(monkeypatch, limit):
                           _plain_reference(CHUNKED_SCHEDULE, CHUNKED_RHO0, grid, 0.01))
 
 
-def test_reference_route_imports_nothing_from_gaugeflow():
-    # the reference is the oracle for the gauge flow, so it may share no code with it,
-    # nor the generator form of the rate operator that the analytic route rests on:
-    # it integrates the master equation's sandwich terms
-    source = pathlib.Path(squeezebath.liouvillian.__file__).read_text(encoding="utf-8")
+def _imported_modules(module):
+    source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
     imported = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             imported += ["%s.%s" % (node.module, a.name) for a in node.names] + [node.module or ""]
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names]
+    return imported
+
+
+def test_reference_route_imports_nothing_from_gaugeflow():
+    # the reference is the oracle for the gauge flow, so it may share no code with it,
+    # nor the generator form of the rate operator that the analytic route rests on:
+    # it integrates the master equation's sandwich terms
+    imported = _imported_modules(squeezebath.liouvillian)
     forbidden = {"gaugeflow", "spectral", "composite_generators"}
     assert not [m for m in imported if forbidden & set(m.split("."))], imported
+
+
+def test_gauge_route_imports_nothing_from_liouvillian():
+    # the converse: the gauge flow composes its own elements in gauge
+    # coordinates and takes nothing from the reference
+    imported = _imported_modules(squeezebath.gaugeflow)
+    assert not [m for m in imported if "liouvillian" in m.split(".")], imported
