@@ -260,25 +260,34 @@ class BathSchedule:
 
         Performs the same range and sign validation as at, then
         evaluates all three controls in one pass.  M has complex dtype.
+        Controls that overflow are refused at the first time where gamma,
+        N or M is not finite.
         """
         times = np.asarray(times, dtype=float)
         tmin = float(np.min(times))
         if tmin < -1e-9:
             raise InvalidInputError("time %r outside schedule window [0, inf]" % (tmin,))
-        gamma = np.broadcast_to(np.asarray(self.gamma(times), dtype=float), times.shape)
-        if np.any(gamma < 0.0):
-            t_bad = float(times[np.argmax(gamma < 0.0)])
-            raise InvalidInputError("gamma(t) < 0 at t = %r" % (t_bad,))
-        if self.thermal:
-            n = np.full(times.shape, float(self.nbar))
-            m = np.zeros(times.shape, dtype=complex)
-            return np.ascontiguousarray(gamma), n, m
-        r = np.broadcast_to(np.asarray(self.r(times), dtype=float), times.shape)
-        if np.any(r < 0.0):
-            t_bad = float(times[np.argmax(r < 0.0)])
-            raise InvalidInputError("r(t) < 0 at t = %r" % (t_bad,))
-        theta = np.broadcast_to(np.asarray(self.theta(times), dtype=float), times.shape)
-        sh = np.sinh(r)
-        n = sh * sh
-        m = sh * np.cosh(r) * np.exp(-1j * _wrap_phase(theta))
+        # an overflowing control is refused below, at its first non-finite value
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = np.broadcast_to(np.asarray(self.gamma(times), dtype=float), times.shape)
+            if np.any(gamma < 0.0):
+                t_bad = float(times[np.argmax(gamma < 0.0)])
+                raise InvalidInputError("gamma(t) < 0 at t = %r" % (t_bad,))
+            if self.thermal:
+                n = np.full(times.shape, float(self.nbar))
+                m = np.zeros(times.shape, dtype=complex)
+            else:
+                r = np.broadcast_to(np.asarray(self.r(times), dtype=float), times.shape)
+                if np.any(r < 0.0):
+                    t_bad = float(times[np.argmax(r < 0.0)])
+                    raise InvalidInputError("r(t) < 0 at t = %r" % (t_bad,))
+                theta = np.broadcast_to(np.asarray(self.theta(times), dtype=float), times.shape)
+                sh = np.sinh(r)
+                n = sh * sh
+                m = sh * np.cosh(r) * np.exp(-1j * _wrap_phase(theta))
+        bad = ~(np.isfinite(gamma) & np.isfinite(n) & np.isfinite(m))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise InvalidInputError("gamma, N or M not finite at t = %r (gamma = %r, N = %r, M = %r)"
+                                    % (float(times[k]), float(gamma[k]), float(n[k]), complex(m[k])))
         return np.ascontiguousarray(gamma), n, m

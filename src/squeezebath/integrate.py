@@ -10,6 +10,12 @@ CHUNK_SUBSTEPS substeps.  A chunk's nodes are planned, and the bath controls
 evaluated on them in one vectorized pass, only when the chunk is reached, so
 the memory an integration needs beside its output rows does not grow with
 the horizon.
+
+Both integrators take a chunk's RK4 steps at once and reduce each interval's
+steps to one by the same pairwise product, whose schedule pairing_levels
+computes from the substep counts alone; each integrator keeps its own array
+layout and composition law.  Grids whose row or substep counts would exceed
+MAX_ROWS or MAX_INTERVAL_SUBSTEPS are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "check_grid",
-           "plan_integration", "CHUNK_SUBSTEPS", "MAX_ROWS"]
+           "plan_integration", "pairing_levels", "CHUNK_SUBSTEPS", "MAX_ROWS",
+           "MAX_INTERVAL_SUBSTEPS"]
 
 # Substeps per chunk of plan_integration.  512 and 8192 ran equally fast; far
 # larger chunks only raise the peak memory of the reference's batched steps.
@@ -34,25 +41,32 @@ CHUNK_SUBSTEPS = 2048
 # rest), so 800 000 rows stay near 870 MB, under 1 GB.
 MAX_ROWS = 800_000
 
+# Most substeps plan_substeps cuts one grid interval into.  An interval is
+# never split across chunks, and inside one the reference holds 2 272 B per
+# substep, so 400 000 substeps stay near 910 MB, under 1 GB.
+MAX_INTERVAL_SUBSTEPS = 400_000
+
 
 def uniform_grid(t_max: float, dt: float) -> np.ndarray:
     """Evenly spaced output times 0, dt, 2 dt, ..., t_max.
 
-    t_max must be an integer multiple of dt (within a relative 1e-9), and the
-    grid may hold at most MAX_ROWS times.
+    The grid may hold at most MAX_ROWS times, and t_max must be an integer
+    multiple of dt (within a relative 1e-9).
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise InvalidInputError("t_max must be finite and > 0, got %r" % (t_max,))
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidInputError("dt must be finite and > 0, got %r" % (dt,))
-    n = int(round(t_max / dt))
+    # compared as a float before any cast: t_max / dt may exceed any int
+    rows = np.rint(t_max / dt) + 1.0
+    if rows > MAX_ROWS:
+        raise InvalidInputError(
+            "grid of %.15g rows exceeds the limit of %d rows" % (rows, MAX_ROWS)
+        )
+    n = int(rows) - 1
     if n < 1 or abs(n * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise InvalidInputError(
             "t_max = %r is not an integer multiple of dt = %r" % (t_max, dt)
-        )
-    if n + 1 > MAX_ROWS:
-        raise InvalidInputError(
-            "grid of %d rows exceeds the limit of %d rows" % (n + 1, MAX_ROWS)
         )
     return np.linspace(0.0, t_max, n + 1)
 
@@ -89,7 +103,14 @@ class SubstepPlan:
 def _substep_counts(spans: np.ndarray, step: float) -> np.ndarray:
     if not step > 0.0:
         raise InvalidInputError("step must be > 0, got %r" % (step,))
-    return np.maximum(1, np.ceil(spans / step - 1e-9)).astype(int)
+    # compared as floats before the cast: spans / step may exceed any int
+    counts = np.maximum(1.0, np.ceil(spans / step - 1e-9))
+    if np.any(counts > MAX_INTERVAL_SUBSTEPS):
+        raise InvalidInputError(
+            "an interval of %.15g substeps exceeds the limit of %d substeps per interval"
+            % (np.max(counts), MAX_INTERVAL_SUBSTEPS)
+        )
+    return counts.astype(int)
 
 
 def plan_substeps(grid: np.ndarray, step: float) -> SubstepPlan:
@@ -154,3 +175,24 @@ def _chunks(schedule, grid: np.ndarray, step: float, done: np.ndarray):
         if i1 == last:
             return
         i0 = i1
+
+
+def pairing_levels(counts: np.ndarray):
+    """The pairwise product over runs of counts[i] steps, level by level.
+
+    Yields (first, then, paired) for each level: a stack x of the level's
+    steps, run after run, becomes the next level's stack
+    where(paired, combine(x[first], x[then]), x[first]), with combine(A, B)
+    the product of step A followed by step B.  Each level pairs neighbouring
+    steps within a run and carries an odd run's last step up unchanged, so
+    a run of c steps is one step after ceil(log2(c)) levels, a run of one is
+    never touched and no step is paired across a run boundary.
+    """
+    size = int(np.sum(counts))
+    while size > counts.size:
+        pos = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)  # within its run
+        first = np.flatnonzero(pos % 2 == 0)
+        then = np.minimum(first + 1, size - 1)
+        yield first, then, pos[then] == pos[first] + 1
+        size = first.size
+        counts = (counts + 1) // 2

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import SIGMA_MINUS, SIGMA_PLUS, lift_left, lift_right, unvectorize, vectorize
 from .bath import BathPoint, BathSchedule, _validate_bath_point
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import plan_integration
+from .integrate import pairing_levels, plan_integration
 from .states import check_density
 
 __all__ = [
@@ -126,36 +126,6 @@ def steady_state(rate) -> np.ndarray:
     return unvectorize(vec / tr)
 
 
-def _segment_products(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Products of consecutive runs of near-identity matrices, as differences.
-
-    deltas is a (sum(counts), 4, 4) stack of differences D_k of matrices
-    I + D_k from the identity, cut into runs of counts[i]; row i of the result
-    is the difference from the identity of the product over run i, the later
-    matrix on the left.  Each level combines neighbouring pairs (D, D') within
-    every run by (I + D')(I + D) = I + (D' + D + D' D) and carries an odd
-    run's last difference to the next level unchanged, so a run of c matrices
-    takes ceil(log2(c)) levels and a run of one is passed through as it is.
-    Adding the identity only to the finished product keeps the low bits of
-    the differences, which multiplying the rounded one-step matrices loses.
-    """
-    while deltas.shape[0] > counts.size:
-        pairs = counts // 2
-        new_counts = counts - pairs
-        # first index of each run, before and after this level
-        starts = np.cumsum(counts) - counts
-        new_starts = np.cumsum(new_counts) - new_counts
-        p = np.arange(int(pairs.sum())) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        left = np.repeat(starts, pairs) + 2 * p
-        out = np.empty((int(new_counts.sum()), 4, 4), dtype=deltas.dtype)
-        later, earlier = deltas[left + 1], deltas[left]
-        out[np.repeat(new_starts, pairs) + p] = later + earlier + np.matmul(later, earlier)
-        odd = counts % 2 == 1
-        out[(new_starts + new_counts - 1)[odd]] = deltas[(starts + counts - 1)[odd]]
-        deltas, counts = out, new_counts
-    return deltas
-
-
 def integrate_reference(
     schedule: BathSchedule,
     rho0: np.ndarray,
@@ -167,9 +137,11 @@ def integrate_reference(
     The grid is walked in the chunks of plan_integration.  For each chunk,
     the rate operators at its nodes and the RK4 one-step matrices I + D_k of
     all its substeps are built in one batch.  The one-step matrices of each
-    interval are multiplied by a pairwise product over their differences D_k
-    from the identity, and each interval's product is applied to the state
-    once.
+    interval are multiplied by the pairwise schedule of pairing_levels, which
+    the gauge route shares, over their differences D_k from the identity:
+    (I + D')(I + D) = I + (D' + D + D' D), so adding the identity only to the
+    finished product keeps the low bits that multiplying the rounded one-step
+    matrices loses.  Each interval's product is applied to the state once.
 
     Parameters
     ----------
@@ -212,7 +184,12 @@ def integrate_reference(
         k3 = np.matmul(mids, _I4 + (0.5 * h) * k2)
         k4 = np.matmul(ends, _I4 + h * k3)
         deltas = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for i, a in enumerate(_I4 + _segment_products(deltas, plan.counts), i0 + 1):
+        for first, then, paired in pairing_levels(plan.counts):
+            d, d2 = deltas[first], deltas[then]
+            deltas = d2 + d
+            deltas += d2 @ d
+            np.copyto(deltas, d, where=~paired[:, None, None])
+        for i, a in enumerate(_I4 + deltas, i0 + 1):
             y = a @ y
             vectors[i] = y[..., 0]
     # non-finite values stay non-finite, so the first such row is where it blew up

@@ -156,6 +156,20 @@ def test_negative_controls_rejected_at_evaluation():
         sched.at(1.0)
 
 
+def test_overflowing_controls_are_refused_at_their_first_time():
+    # under the suite's error::RuntimeWarning filter: the overflow warns nothing.
+    # r = exp(1000 t) makes N = sinh(r)^2 overflow once r > 355, first at t = 0.006;
+    # gamma = exp(1000 t) itself overflows past t = 0.7098, first at t = 0.71
+    times = np.arange(101) * 1e-3
+    sched = BathSchedule(gamma=Constant(1.0), r=ExpDecay(1.0, -1000.0))
+    with pytest.raises(InvalidInputError, match=r"^gamma, N or M not finite at t = 0\.006 "):
+        sched.params_on(times)
+    for sched in (BathSchedule(gamma=ExpDecay(1.0, -1000.0), r=Constant(0.1)),
+                  BathSchedule(gamma=ExpDecay(1.0, -1000.0), nbar=0.5)):
+        with pytest.raises(InvalidInputError, match=r"not finite at t = 0\.71 \(gamma = inf,"):
+            sched.params_on(np.arange(101) * 1e-2)
+
+
 def test_schedule_eval_helper_and_determinism():
     sched = BathSchedule(gamma=ExpDecay(2.0, 0.3), r=Sinusoid(0.4, 0.2, 1.0, 0.0))
     a = sched.at(1.7)

@@ -252,6 +252,23 @@ def test_oversized_grid_is_refused_up_front(tmp_path, capsys, monkeypatch, comma
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("overrides, message", [
+    # substeps per interval past any int, or past memory: refused before the cast
+    ("grid.t_max=1 grid.dt_out=1 grid.dt_int=1e-300", "an interval of 1e+300 substeps exceeds"),
+    ("grid.t_max=1 grid.dt_out=0.5 grid.dt_int=1e-19", "an interval of 5e+18 substeps exceeds"),
+    ("grid.t_max=1 grid.dt_out=1 grid.dt_int=1e-12", "an interval of 1000000000000 substeps"),
+    ("grid.t_max=1e300 grid.dt_out=1e-10", "grid of inf rows exceeds the limit of 800000 rows"),
+    # controls that overflow are the input's fault, not the numerics'
+    ("schedule.r.kind=exp schedule.r.c1=1 schedule.r.c2=-1000 grid.t_max=1", "not finite at t = "),
+    ("schedule.gamma.kind=exp schedule.gamma.c1=1 schedule.gamma.c2=-1000 grid.t_max=1",
+     "not finite at t = "),
+])
+def test_sizes_and_controls_past_float_range_exit_one(tmp_path, capsys, overrides, message):
+    assert main(["trajectory", "--out", str(tmp_path)] + overrides.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_bad_config_line_exits_one(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("this line has no equals sign\n", encoding="utf-8")

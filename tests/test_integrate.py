@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from squeezebath.integrate import (
     CHUNK_SUBSTEPS,
     check_grid,
     default_step,
+    pairing_levels,
     plan_integration,
     plan_substeps,
     uniform_grid,
@@ -41,6 +43,31 @@ def test_uniform_grid_refuses_more_rows_than_the_limit(monkeypatch):
     assert uniform_grid(9.9, 0.1).size == 100
     with pytest.raises(InvalidInputError, match=r"^grid of 101 rows exceeds the limit of 100 rows$"):
         uniform_grid(10.0, 0.1)
+
+
+def test_grid_sizes_past_any_int_are_refused():
+    # t_max / dt overflows to inf: compared as a float, never cast
+    with pytest.raises(InvalidInputError, match=r"^grid of inf rows exceeds the limit of 800000 rows$"):
+        uniform_grid(1e300, 1e-10)
+    with pytest.raises(InvalidInputError, match=r"^grid of 1e\+20 rows exceeds"):
+        uniform_grid(1e10, 1e-10)
+
+
+def test_substeps_per_interval_are_limited(monkeypatch):
+    sched = BathSchedule(gamma=Constant(1.0))
+    for grid, step, count in (([0.0, 1.0], 1e-300, "1e+300"), ([0.0, 0.5, 1.0], 1e-19, "5e+18"),
+                              ([0.0, 1.0], 1e-12, "1000000000000")):
+        message = r"^an interval of %s substeps exceeds the limit of 400000 substeps per interval$"
+        with pytest.raises(InvalidInputError, match=message % count.replace("+", r"\+")):
+            plan_integration(sched, np.array(grid), step)
+        with pytest.raises(InvalidInputError, match=message % count.replace("+", r"\+")):
+            plan_substeps(np.array(grid), step)
+    # the limit itself is allowed, one more substep is not
+    monkeypatch.setattr(integrate, "MAX_INTERVAL_SUBSTEPS", 10)
+    grid = np.array([0.0, 0.5, 1.5])
+    assert plan_substeps(grid, 0.1).counts.tolist() == [5, 10]
+    with pytest.raises(InvalidInputError, match="an interval of 11 substeps"):
+        plan_integration(sched, grid, 1.0 / 11.0)
 
 
 def test_check_grid_rejects_bad_grids():
@@ -91,6 +118,26 @@ def test_plan_substeps_nodes_are_linspace_per_interval():
 def test_default_step_scales_with_gamma():
     assert default_step(np.array([1.0, 2.0, 0.5])) == pytest.approx(5e-4)
     assert default_step(np.array([0.0])) == np.inf
+
+
+@pytest.mark.parametrize("counts", [[1, 3, 2, 7, 1, 4, 5, 8, 1], [12], []],
+                         ids=["mixed-runs", "one-run-of-12", "one-point-grid"])
+def test_pairing_levels_fold_each_run_in_order(counts):
+    # fold string labels with concatenation, "first, then then": each run must
+    # come out as its labels in order, with no step paired across a boundary
+    counts = np.array(counts, dtype=int)
+    labels = ["%d," % k for k in range(counts.sum())]
+    steps = np.array(labels, dtype=object)
+    levels = 0
+    for first, then, paired in pairing_levels(counts):
+        steps = np.where(paired, steps[first] + steps[then], steps[first])
+        levels += 1
+    ends = np.cumsum(counts)
+    assert steps.tolist() == ["".join(labels[e - c : e]) for e, c in zip(ends, counts)]
+    # a run of one is carried up untouched, as the very same object
+    for e, c, got in zip(ends, counts, steps):
+        assert c > 1 or got is labels[e - 1]
+    assert levels == (math.ceil(math.log2(counts.max())) if counts.size else 0)
 
 
 def _uneven_grid():

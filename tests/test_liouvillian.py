@@ -1,5 +1,4 @@
 import ast
-import functools
 import math
 import pathlib
 
@@ -16,7 +15,6 @@ from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import autonomous_expectations
 from squeezebath.integrate import plan_substeps, uniform_grid
 from squeezebath.liouvillian import (
-    _segment_products,
     build_rate_operator,
     integrate_reference,
     rate_matrix_batch,
@@ -259,21 +257,6 @@ def test_reference_blowup_names_the_first_nonfinite_time():
         integrate_reference(sched, excited_state(), np.array([0.0, 1.0, 2.0]), step=1.0)
 
 
-def test_segment_products_equal_sequential_products():
-    # runs of 1, odd and unequal lengths, against a plain left fold
-    rng = np.random.default_rng(10)
-    counts = np.array([1, 3, 2, 7, 1, 4, 5, 8, 1])
-    deltas = 0.3 * (rng.normal(size=(counts.sum(), 4, 4)) + 1j * rng.normal(size=(counts.sum(), 4, 4)))
-    got = _segment_products(deltas, counts)
-    assert got.shape == (counts.size, 4, 4)
-    ends = np.cumsum(counts)
-    for i, (end, count) in enumerate(zip(ends, counts)):
-        want = functools.reduce(lambda acc, d: (I4 + d) @ acc, deltas[end - count : end], I4)
-        assert np.max(np.abs(I4 + got[i] - want)) <= 1e-14 * np.max(np.abs(want))
-    # a run of one matrix is passed through untouched
-    assert np.array_equal(got[0], deltas[0])
-
-
 @pytest.mark.parametrize("limit", [5, integrate.CHUNK_SUBSTEPS])
 def test_reference_equals_the_plain_sequential_loop(monkeypatch, limit):
     monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", limit)
@@ -315,3 +298,11 @@ def test_gauge_route_imports_nothing_from_liouvillian():
     # coordinates and takes nothing from the reference
     imported = _imported_modules(squeezebath.gaugeflow)
     assert not [m for m in imported if "liouvillian" in m.split(".")], imported
+
+
+def test_shared_integration_module_imports_neither_route():
+    # both routes plan their substeps and pair their steps in integrate, so
+    # it may take nothing from either route nor from the analytic generators
+    imported = _imported_modules(integrate)
+    forbidden = {"gaugeflow", "liouvillian", "spectral"}
+    assert not [m for m in imported if forbidden & set(m.split("."))], imported
