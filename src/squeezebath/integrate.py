@@ -20,6 +20,7 @@ MAX_ROWS or MAX_INTERVAL_SUBSTEPS are refused before anything is allocated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,8 +43,8 @@ CHUNK_SUBSTEPS = 2048
 MAX_ROWS = 800_000
 
 # Most substeps plan_substeps cuts one grid interval into.  An interval is
-# never split across chunks, and inside one the reference holds 2 272 B per
-# substep, so 400 000 substeps stay near 910 MB, under 1 GB.
+# never split across chunks, and inside one the reference holds 1 065 B per
+# substep and the gauge route 840 B, so 400 000 substeps stay near 430 MB.
 MAX_INTERVAL_SUBSTEPS = 400_000
 
 
@@ -177,22 +178,39 @@ def _chunks(schedule, grid: np.ndarray, step: float, done: np.ndarray):
         i0 = i1
 
 
-def pairing_levels(counts: np.ndarray):
+def pairing_levels(counts: np.ndarray) -> tuple:
     """The pairwise product over runs of counts[i] steps, level by level.
 
-    Yields (first, then, paired) for each level: a stack x of the level's
+    Returns one (first, then, paired) per level: a stack x of the level's
     steps, run after run, becomes the next level's stack
     where(paired, combine(x[first], x[then]), x[first]), with combine(A, B)
     the product of step A followed by step B.  Each level pairs neighbouring
     steps within a run and carries an odd run's last step up unchanged, so
     a run of c steps is one step after ceil(log2(c)) levels, a run of one is
     never touched and no step is paired across a run boundary.
+
+    Every chunk of a uniform grid has the same counts, so the levels are
+    computed once per distinct counts and returned as the same read-only
+    arrays on every later call.
     """
+    return _pairing_levels(np.asarray(counts, dtype=np.intp).tobytes())
+
+
+# A uniform grid's chunks have at most two distinct counts (full chunks and
+# the last one); a few more entries cover the grids of one command.
+@functools.lru_cache(maxsize=8)
+def _pairing_levels(key: bytes) -> tuple:
+    counts = np.frombuffer(key, dtype=np.intp)
     size = int(np.sum(counts))
+    levels = []
     while size > counts.size:
         pos = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)  # within its run
         first = np.flatnonzero(pos % 2 == 0)
         then = np.minimum(first + 1, size - 1)
-        yield first, then, pos[then] == pos[first] + 1
+        level = (first, then, pos[then] == pos[first] + 1)
+        for a in level:
+            a.setflags(write=False)
+        levels.append(level)
         size = first.size
         counts = (counts + 1) // 2
+    return tuple(levels)

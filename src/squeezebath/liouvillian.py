@@ -14,6 +14,13 @@ integrator is the ground-truth oracle against which the analytic gauge-flow
 solution is tested, so it shares no solution formulas with the gaugeflow
 module, nor the generator form of the operator that the analytic route rests
 on (verify checks that form against this construction).
+
+rate_matrix_batch, and so the spectrum and steady state, work in the
+component basis.  The integrator works in the real Bloch coordinates
+(tr rho, <sz>, <sx>, <sy>): the equation maps Hermitian matrices to
+Hermitian ones, so there the same weighted sum of sandwich terms is a real
+4x4 matrix (the Bloch equations of the squeezed-vacuum atom), and the
+integrator's batched arithmetic is real.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ __all__ = [
     "integrate_reference",
 ]
 
-_I4 = np.eye(4, dtype=complex)
 _SP_L, _SM_L = lift_left(SIGMA_PLUS), lift_left(SIGMA_MINUS)
 _SP_R, _SM_R = lift_right(SIGMA_PLUS), lift_right(SIGMA_MINUS)
 _PM, _MP = SIGMA_PLUS @ SIGMA_MINUS, SIGMA_MINUS @ SIGMA_PLUS
@@ -45,30 +51,60 @@ _ABSORPTION = 2.0 * _SP_L @ _SM_R - lift_left(_MP) - lift_right(_MP)
 _SQUEEZE = _SM_L @ _SM_R
 _SQUEEZE_CONJ = _SP_L @ _SP_R
 
+# Bloch coordinates (tr rho, <sz>, <sx>, <sy>) of a component vector: rows
+# ee+gg, ee-gg, eg+ge and i(eg-ge).  The master equation maps Hermitian rho to
+# Hermitian drho/dt, so in these coordinates each weighted term is real: the
+# emission and absorption terms as they are, the squeeze pair once split into
+# real weights, -gamma Re M on SQ + SQC and -gamma Im M on i(SQ - SQC).
+_TO_BLOCH = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1j, -1j]])
+_FROM_BLOCH = 0.5 * np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, -1j], [0, 0, 1, 1j]])
+_TERMS = (_EMISSION, _ABSORPTION, _SQUEEZE, _SQUEEZE_CONJ)
+_BLOCH_TERMS = [
+    _TO_BLOCH @ term @ _FROM_BLOCH
+    for term in (_EMISSION, _ABSORPTION, _SQUEEZE + _SQUEEZE_CONJ, 1j * (_SQUEEZE - _SQUEEZE_CONJ))
+]
+assert not any(np.any(term.imag) for term in _BLOCH_TERMS)
+_BLOCH_TERMS = tuple(term.real for term in _BLOCH_TERMS)
+_I4 = np.eye(4)
 
-def _add_term(out: np.ndarray, term: np.ndarray, coeff) -> None:
-    for i, j in zip(*np.nonzero(term)):
-        out[..., i, j] += term[i, j] * coeff
+
+def _weighted_sum(terms, gamma, n, m, m_parts, dtype) -> np.ndarray:
+    # The four terms weighted by gamma(N+1)/2, gamma N/2, then -gamma times
+    # each of m_parts applied to M.  Each weight is made when its term is
+    # reached, so a long stack of node times holds one weight array beside
+    # the result.
+    gamma = np.asarray(gamma, dtype=float)
+    n = np.asarray(n, dtype=float)
+    m = np.asarray(m, dtype=complex)
+
+    def weights():
+        yield 0.5 * gamma * (n + 1.0)
+        yield 0.5 * gamma * n
+        for part in m_parts:
+            yield -gamma * part(m)
+
+    out = np.zeros(gamma.shape + (4, 4), dtype=dtype)
+    for term, weight in zip(terms, weights()):
+        for i, j in zip(*np.nonzero(term)):
+            out[..., i, j] += term[i, j] * weight
+    return out
 
 
 def rate_matrix_batch(gamma, n, m) -> np.ndarray:
     """Rate matrices for scalars or arrays of reservoir parameters.
 
     gamma, n (real) and m (complex) are scalars or arrays of a common shape
-    (K,); the result has shape (4, 4) or (K, 4, 4).  This is the one
-    construction of the rate operator: each sandwich term times its weight.
-    The weights are computed one at a time, so a long stack of node times
-    holds one weight array beside the result.
+    (K,); the result has shape (4, 4) or (K, 4, 4), in the component basis
+    (ee, gg, eg, ge).  This is the one construction of the rate operator:
+    each sandwich term times its weight.  integrate_reference builds its real
+    Bloch-coordinate stack by the same weighted sum.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    n = np.asarray(n, dtype=float)
-    m = np.asarray(m, dtype=complex)
-    out = np.zeros(gamma.shape + (4, 4), dtype=complex)
-    _add_term(out, _EMISSION, 0.5 * gamma * (n + 1.0))
-    _add_term(out, _ABSORPTION, 0.5 * gamma * n)
-    _add_term(out, _SQUEEZE, -gamma * m)
-    _add_term(out, _SQUEEZE_CONJ, -gamma * np.conj(m))
-    return out
+    return _weighted_sum(_TERMS, gamma, n, m, (np.asarray, np.conj), complex)
+
+
+def _bloch_rates(gamma, n, m) -> np.ndarray:
+    # rate_matrix_batch in Bloch coordinates, _TO_BLOCH @ rate @ _FROM_BLOCH, as a real array
+    return _weighted_sum(_BLOCH_TERMS, gamma, n, m, (np.real, np.imag), float)
 
 
 def build_rate_operator(point: BathPoint) -> np.ndarray:
@@ -134,14 +170,19 @@ def integrate_reference(
 ) -> np.ndarray:
     """Integrate the master equation with the classic 4th-order fixed step.
 
-    The grid is walked in the chunks of plan_integration.  For each chunk,
-    the rate operators at its nodes and the RK4 one-step matrices I + D_k of
-    all its substeps are built in one batch.  The one-step matrices of each
+    The state is carried in Bloch coordinates (tr rho, <sz>, <sx>, <sy>),
+    where the rate operator is a real 4x4 matrix; it is converted in from
+    rho0 and back out once, at the end.  The grid is walked in the chunks of
+    plan_integration.  For each chunk, the real rate operators at its nodes
+    and the RK4 one-step matrices I + D_k of all its substeps are built in
+    one batch, a dense general 4x4 each.  The one-step matrices of each
     interval are multiplied by the pairwise schedule of pairing_levels, which
     the gauge route shares, over their differences D_k from the identity:
     (I + D')(I + D) = I + (D' + D + D' D), so adding the identity only to the
     finished product keeps the low bits that multiplying the rounded one-step
     matrices loses.  Each interval's product is applied to the state once.
+    The state itself stays complex, so an initial state that is Hermitian
+    only within the tolerance is propagated as the linear map propagates it.
 
     Parameters
     ----------
@@ -172,11 +213,11 @@ def integrate_reference(
     grid, chunks = plan_integration(schedule, grid, step)
     # States are column vectors, so that a @ y is the same matrix-vector
     # product for every state of a stack; y @ a.T would round differently.
-    y = vectorize(rho0)[..., None]
+    y = _TO_BLOCH @ vectorize(rho0)[..., None]
     vectors = np.zeros((grid.size,) + y.shape[:-1], dtype=complex)
     vectors[0] = y[..., 0]
     for i0, plan, params in chunks:
-        rates = rate_matrix_batch(*params)
+        rates = _bloch_rates(*params)
         # substep k of the chunk runs over nodes 2k, 2k+1 and 2k+2
         k1, mids, ends = rates[0:-1:2], rates[1::2], rates[2::2]
         h = np.repeat(plan.widths, plan.counts)[:, None, None]
@@ -198,4 +239,6 @@ def integrate_reference(
         raise NumericalFailureError(
             "reference state non-finite at t = %r" % (float(grid[np.argmin(finite)]),)
         )
+    # rebound, so the Bloch rows are freed before unvectorize copies the result
+    vectors = vectors @ _FROM_BLOCH.T
     return unvectorize(vectors)

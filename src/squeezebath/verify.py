@@ -34,7 +34,7 @@ from .algebra import (
 from .bath import BathPoint, BathSchedule, Constant, ExpDecay, bath_params
 from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
-from .integrate import uniform_grid
+from .integrate import plan_integration, uniform_grid
 from .liouvillian import (
     build_rate_operator,
     integrate_reference,
@@ -463,16 +463,20 @@ def run_checks(
     """Run the full verification suite and return one result per check.
 
     rho0 is the run's one initial state; an unphysical one is refused up front
-    (check_density).  The run's schedule and the fig-1 schedule are each
-    evolved once (once in all when they are equal); every check that reads
-    one of these flows gets it from that evolution.  The run's reference is
-    integrated once, for rho0 and its real-coherence twin in one stack.
+    (check_density), and so are the substep counts and the controls at the
+    grid times that trajectory refuses.  The run's schedule and the fig-1
+    schedule are each evolved once (once in all when they are equal); every
+    check that reads one of these flows gets it from that evolution.  The
+    run's reference is integrated once, for rho0 and its real-coherence twin
+    in one stack.
     """
     rho0 = check_density(rho0)
     if rho0.ndim != 2:
         raise InvalidInputError("rho0 must be one 2x2 state, got shape %r" % (rho0.shape,))
     thermal = schedule.thermal
     grid = uniform_grid(t_max, dt_out)
+    plan_integration(schedule, grid, dt_int)
+    schedule.params_on(grid)
     results: list[CheckResult] = []
     results += _run(check_commutators)
     results += _run(check_basis_actions)

@@ -264,9 +264,14 @@ def test_oversized_grid_is_refused_up_front(tmp_path, capsys, monkeypatch, comma
      "not finite at t = "),
 ])
 def test_sizes_and_controls_past_float_range_exit_one(tmp_path, capsys, overrides, message):
-    assert main(["trajectory", "--out", str(tmp_path)] + overrides.split()) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err, err
+    # verify refuses them as trajectory does: before any check runs, so it
+    # writes no report
+    for command in ("trajectory", "verify"):
+        out = tmp_path / command
+        assert main([command, "--out", str(out)] + overrides.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert list(out.iterdir()) == []
 
 
 def test_bad_config_line_exits_one(tmp_path, capsys):

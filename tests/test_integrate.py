@@ -140,6 +140,20 @@ def test_pairing_levels_fold_each_run_in_order(counts):
     assert levels == (math.ceil(math.log2(counts.max())) if counts.size else 0)
 
 
+def test_pairing_levels_are_computed_once_per_counts():
+    # every chunk of a uniform grid has the same counts: the second call
+    # returns the very arrays of the first, and nobody may write into them
+    levels = pairing_levels(np.array([3, 4, 1, 5]))
+    again = pairing_levels(np.array([3, 4, 1, 5]))
+    assert again is levels
+    assert all(a is b for la, lb in zip(levels, again) for a, b in zip(la, lb))
+    for level in levels:
+        for a in level:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    assert pairing_levels(np.array([3, 4, 1, 6])) is not levels
+
+
 def _uneven_grid():
     # spans of 1 to 7 substeps of 0.01, then one span of 30 substeps
     spans = 0.01 * (1.0 + (0.37 * np.arange(40)) % 6.0)
@@ -223,3 +237,17 @@ def test_route_memory_does_not_grow_with_the_horizon():
             lambda: integrate_reference(sched, excited_state(), grid, 0.001)))
     assert gauge[1] <= 1.5 * gauge[0], gauge
     assert reference[1] <= 1.5 * reference[0], reference
+
+
+def test_reference_memory_per_substep_and_on_a_long_horizon_chunk():
+    # inside one interval of 40 000 substeps every substep's real rate
+    # matrices and RK4 stages are held at once, about 1 070 B per substep
+    sched = BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.3, 0.1, 0.6, 1.1), theta=Ramp(1.2, 0.01))
+    one_interval = np.array([0.0, 40.0])
+    peak = _peak_traced_bytes(lambda: integrate_reference(sched, excited_state(), one_interval, 0.001))
+    assert peak / 40_000 <= 1_300, peak / 40_000
+    # a long_horizon-shaped run to t = 30: 601 rows of 50 substeps each
+    sched = BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.33, 0.135, 0.91, 2.17), theta=Ramp(1.5, 0.0095))
+    grid = uniform_grid(30.0, 0.05)
+    peak = _peak_traced_bytes(lambda: integrate_reference(sched, excited_state(), grid, 0.001))
+    assert peak <= 3.0e6, peak

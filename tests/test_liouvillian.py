@@ -15,6 +15,7 @@ from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import autonomous_expectations
 from squeezebath.integrate import plan_substeps, uniform_grid
 from squeezebath.liouvillian import (
+    _bloch_rates,
     build_rate_operator,
     integrate_reference,
     rate_matrix_batch,
@@ -54,6 +55,32 @@ def _plain_reference(schedule, rho0, grid, step):
             k += 1
         out.append(y[..., 0])
     return unvectorize(np.array(out))
+
+
+# Bloch coordinates (tr rho, <sz>, <sx>, <sy>) of a component vector (ee, gg, eg, ge)
+TO_BLOCH = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1j, -1j]])
+FROM_BLOCH = 0.5 * np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, -1j], [0, 0, 1, 1j]])
+
+
+def _plain_bloch_reference(schedule, rho0, grid, step):
+    # the same plain loop on the real Bloch-coordinate rate stack that
+    # integrate_reference integrates, with the state converted in and out once
+    plan = plan_substeps(grid, step)
+    rates = _bloch_rates(*schedule.params_on(plan.nodes))
+    eye = np.eye(4)
+    y = TO_BLOCH @ vectorize(rho0)[..., None]
+    out = [y[..., 0]]
+    k = 0
+    for m_sub, h in zip(plan.counts, plan.widths):
+        for _ in range(m_sub):
+            k1, mid, end = rates[2 * k], rates[2 * k + 1], rates[2 * k + 2]
+            k2 = mid @ (eye + (0.5 * h) * k1)
+            k3 = mid @ (eye + (0.5 * h) * k2)
+            k4 = end @ (eye + h * k3)
+            y = (eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) @ y
+            k += 1
+        out.append(y[..., 0])
+    return unvectorize(np.array(out) @ FROM_BLOCH.T)
 
 
 # sin gamma, sin r and ramped theta on intervals of 1 to 7 substeps of 0.01,
@@ -267,10 +294,27 @@ def test_reference_equals_the_plain_sequential_loop(monkeypatch, limit):
     for k, rho0 in enumerate(CHUNKED_RHO0):
         solo = integrate_reference(CHUNKED_SCHEDULE, rho0, CHUNKED_GRID, 0.01)
         assert np.array_equal(got[:, k], solo)
-    # with one substep per interval there is no product to form: the same bits
+    # with one substep per interval there is no product to form: the bits of
+    # the plain loop in Bloch coordinates
     grid = uniform_grid(1.0, 0.01)
     assert np.array_equal(integrate_reference(CHUNKED_SCHEDULE, CHUNKED_RHO0, grid, 0.01),
-                          _plain_reference(CHUNKED_SCHEDULE, CHUNKED_RHO0, grid, 0.01))
+                          _plain_bloch_reference(CHUNKED_SCHEDULE, CHUNKED_RHO0, grid, 0.01))
+
+
+@pytest.mark.parametrize("nbar", [None, 0.7], ids=["squeezed", "thermal"])
+def test_bloch_rates_are_the_rate_operator_in_bloch_coordinates(nbar):
+    assert np.array_equal(FROM_BLOCH @ TO_BLOCH, np.eye(4))
+    rng = np.random.default_rng(5)
+    g = rng.uniform(0.0, 3.0, 64)
+    if nbar is None:
+        n = rng.uniform(0.0, 4.0, 64)
+        m = rng.normal(size=64) + 1j * rng.normal(size=64)
+    else:
+        n, m = np.full(64, nbar), np.zeros(64, dtype=complex)
+    bloch = _bloch_rates(g, n, m)
+    assert bloch.dtype == np.float64 and bloch.shape == (64, 4, 4)
+    # exactly, not only within rounding
+    assert np.array_equal(TO_BLOCH @ rate_matrix_batch(g, n, m) @ FROM_BLOCH, bloch)
 
 
 def _imported_modules(module):
