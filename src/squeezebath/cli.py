@@ -283,22 +283,7 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# trajectory frame
-
-
-@dataclass
-class TrajectoryFrame:
-    times: np.ndarray
-    gamma: np.ndarray
-    r: np.ndarray
-    theta: np.ndarray
-    n: np.ndarray
-    m: np.ndarray
-    expectations: np.ndarray
-    ref_expectations: np.ndarray
-    dist: np.ndarray
-    trace_err: np.ndarray
-    min_eig: np.ndarray
+# trajectory table
 
 
 def compute_frame(
@@ -307,61 +292,62 @@ def compute_frame(
     t_max: float,
     dt_out: float,
     dt_int: float,
-) -> list[TrajectoryFrame]:
-    """Run both pipelines on a uniform grid: one frame per state of the
-    (k, 2, 2) stack rho0, with each route solving the schedule once.  The
-    caller checks each frame's row tolerances just before writing it."""
+) -> list[np.ndarray]:
+    """Run both pipelines on a uniform grid: one trajectory table per state
+    of the (k, 2, 2) stack rho0, with each route solving the schedule once.
+
+    A table is a (rows, 16) float64 array, one row per grid time, whose
+    columns are those of TRAJECTORY_HEADER: the time and the controls
+    gamma, r, theta, N, Re M, Im M (shared by every state; r and theta are 0
+    under the thermal override), then the algebraic route's sx, sy, sz, the
+    reference's, the trace distance between the two states, and the
+    algebraic state's trace error and smallest eigenvalue.  The caller
+    checks each table's row tolerances just before writing it."""
     grid = uniform_grid(t_max, dt_out)
     states = assemble_density(rho0, evolve_gauge(schedule, grid, dt_int))
     ref = integrate_reference(schedule, rho0, grid, dt_int)
 
-    gamma_col, n_col, m_col = schedule.params_on(grid)
-    if schedule.thermal:
-        # squeeze controls are inert under the thermal override
-        r_col = np.zeros_like(grid)
-        theta_col = np.zeros_like(grid)
-    else:
-        r_col = np.broadcast_to(np.asarray(schedule.r(grid), dtype=float), grid.shape).copy()
-        theta_col = np.broadcast_to(np.asarray(schedule.theta(grid), dtype=float), grid.shape).copy()
-
+    gamma, n, m = schedule.params_on(grid)
+    # squeeze controls are inert under the thermal override
+    r, theta = (0.0, 0.0) if schedule.thermal else (schedule.r(grid), schedule.theta(grid))
+    controls = np.column_stack(np.broadcast_arrays(grid, gamma, r, theta, n, m.real, m.imag))
+    del gamma, n, m, r, theta  # not held beside their copies while the tables are built
     return [
-        TrajectoryFrame(
-            times=grid,
-            gamma=gamma_col,
-            r=r_col,
-            theta=theta_col,
-            n=n_col,
-            m=m_col,
-            expectations=pauli_expectations(rho),
-            ref_expectations=pauli_expectations(rho_ref),
-            dist=trace_distance(rho, rho_ref),
-            trace_err=trace_error(rho),
-            min_eig=min_eigenvalue(rho),
-        )
+        np.column_stack((
+            controls, pauli_expectations(rho), pauli_expectations(rho_ref),
+            trace_distance(rho, rho_ref), trace_error(rho), min_eigenvalue(rho),
+        ))
         for rho, rho_ref in zip(states.swapaxes(0, 1), ref.swapaxes(0, 1))
     ]
 
 
-def _enforce_row_tolerances(frame: TrajectoryFrame, tol: dict[str, float]) -> None:
-    bad = np.abs(frame.trace_err) > tol["trace"]
+def _column(table: np.ndarray, name: str) -> np.ndarray:
+    return table[:, TRAJECTORY_HEADER.split(",").index(name)]
+
+
+def _enforce_row_tolerances(table: np.ndarray, tol: dict[str, float]) -> None:
+    times, trace_err, min_eig, dist = (
+        _column(table, name) for name in ("t", "trace_err", "min_eig", "trace_dist_ref")
+    )
+    bad = np.abs(trace_err) > tol["trace"]
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericalFailureError(
             "trace error %.3e exceeds tol.trace=%g at t = %g"
-            % (frame.trace_err[i], tol["trace"], frame.times[i])
+            % (trace_err[i], tol["trace"], times[i])
         )
-    bad = frame.min_eig < -tol["min_eig"]
+    bad = min_eig < -tol["min_eig"]
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericalFailureError(
             "smallest eigenvalue %.3e violates tol.min_eig=%g at t = %g"
-            % (frame.min_eig[i], tol["min_eig"], frame.times[i])
+            % (min_eig[i], tol["min_eig"], times[i])
         )
-    i = int(np.argmax(frame.dist))
-    if frame.dist[i] > tol["oracle"]:
+    i = int(np.argmax(dist))
+    if dist[i] > tol["oracle"]:
         raise NumericalFailureError(
             "trace distance to reference %.3e exceeds tol.oracle=%g at t = %g"
-            % (frame.dist[i], tol["oracle"], frame.times[i])
+            % (dist[i], tol["oracle"], times[i])
         )
 
 
@@ -369,15 +355,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".15g")
 
 
-def write_trajectory_csv(path: str, frame: TrajectoryFrame) -> None:
-    table = np.column_stack((
-        frame.times, frame.gamma, frame.r, frame.theta, frame.n, frame.m.real, frame.m.imag,
-        frame.expectations, frame.ref_expectations, frame.dist, frame.trace_err, frame.min_eig,
-    ))
+def write_trajectory_csv(path: str, table: np.ndarray) -> None:
+    # formatted row by row, so that one row at a time is held as Python floats
     row = ",".join(["%.15g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        fh.writelines(row % tuple(values) for values in table.tolist())
+        fh.writelines(row % tuple(values.tolist()) for values in table)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +449,13 @@ def write_line_chart(path: str, times: np.ndarray, series, title: str) -> None:
 
 
 def run_trajectory(rc: RunConfig) -> int:
-    [frame] = compute_frame(rc.schedule, rc.rho0[None], rc.t_max, rc.dt_out, rc.dt_int)
-    _enforce_row_tolerances(frame, rc.tol)
+    [table] = compute_frame(rc.schedule, rc.rho0[None], rc.t_max, rc.dt_out, rc.dt_int)
+    _enforce_row_tolerances(table, rc.tol)
     path = os.path.join(rc.out_dir, "trajectory.csv")
-    write_trajectory_csv(path, frame)
+    write_trajectory_csv(path, table)
     print(
         "wrote %s (%d rows, max oracle distance %.3e)"
-        % (path, frame.times.size, float(np.max(frame.dist)))
+        % (path, len(table), float(np.max(_column(table, "trace_dist_ref"))))
     )
     return 0
 
@@ -480,19 +463,21 @@ def run_trajectory(rc: RunConfig) -> int:
 def run_figures(rc: RunConfig) -> int:
     # The figures on one schedule (same c1) are solved together, when the
     # first of them is reached; files and lines still follow figures.ids.
-    frames: dict[int, TrajectoryFrame] = {}
+    tables: dict[int, np.ndarray] = {}
     for fid in rc.figure_ids:
-        if fid not in frames:
+        if fid not in tables:
             group = [g for g in rc.figure_ids if _FIGURES[g][0] == _FIGURES[fid][0]]
-            frames.update(zip(group, compute_frame(
+            tables.update(zip(group, compute_frame(
                 figure_schedule(fid), np.stack([figure_initial(g) for g in group]),
                 rc.t_max, rc.dt_out, rc.dt_int,
             )))
-        frame = frames.pop(fid)
-        _enforce_row_tolerances(frame, rc.tol)
+        table = tables.pop(fid)
+        _enforce_row_tolerances(table, rc.tol)
         path = os.path.join(rc.out_dir, "fig%d.csv" % fid)
-        write_trajectory_csv(path, frame)
-        message = "wrote %s (max oracle distance %.3e)" % (path, float(np.max(frame.dist)))
+        write_trajectory_csv(path, table)
+        message = "wrote %s (max oracle distance %.3e)" % (
+            path, float(np.max(_column(table, "trace_dist_ref"))),
+        )
         if rc.plot:
             chart = os.path.join(rc.out_dir, "fig%d.svg" % fid)
             c1, complex_phase = _FIGURES[fid]
@@ -501,12 +486,8 @@ def run_figures(rc: RunConfig) -> int:
             )
             write_line_chart(
                 chart,
-                frame.times,
-                [
-                    ("sx", frame.expectations[:, 0]),
-                    ("sy", frame.expectations[:, 1]),
-                    ("sz", frame.expectations[:, 2]),
-                ],
+                _column(table, "t"),
+                [(name, _column(table, name)) for name in ("sx", "sy", "sz")],
                 title,
             )
             message += ", chart %s" % chart
@@ -614,7 +595,9 @@ def main(argv=None) -> int:
         rc = resolve_config(user, args.out)
         os.makedirs(rc.out_dir, exist_ok=True)
         return _COMMANDS[args.command](rc)
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError) as exc:
+        # an OSError here comes from creating or writing an output, and
+        # os.makedirs and open name the path in its message
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except NumericalFailureError as exc:

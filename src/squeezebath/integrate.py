@@ -37,9 +37,9 @@ __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "chec
 CHUNK_SUBSTEPS = 2048
 
 # Largest output grid uniform_grid plans.  With the integrations chunked, the
-# rows are what grows with the horizon: a trajectory run peaked at 41.7 MB with
-# 10 001 rows and 135.6 MB with 100 001 (about 1.04 kB per row over 31 MB at
-# rest), so 800 000 rows stay near 870 MB, under 1 GB.
+# rows are what grows with the horizon: a trajectory run peaked at 37.8 MB with
+# 10 001 rows, 75.7 MB with 100 001 and 116.7 MB with 200 001 (0.43-0.45 kB
+# per row over 31 MB at rest), so 800 000 rows stay near 390 MB, under 1 GB.
 MAX_ROWS = 800_000
 
 # Most substeps plan_substeps cuts one grid interval into.  An interval is

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,21 @@ def test_sizes_and_controls_past_float_range_exit_one(tmp_path, capsys, override
         assert list(out.iterdir()) == []
 
 
+def test_unusable_output_path_exits_one(tmp_path, capsys):
+    # an --out that is a regular file or lies under one, and an output file
+    # that is a directory: one error line naming the path, no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for command, output in (("trajectory", "trajectory.csv"), ("verify", "verify_report.txt")):
+        taken = tmp_path / command
+        (taken / output).mkdir(parents=True)
+        for out in (blocker, blocker / "sub", taken):
+            assert main([command, "--out", str(out), "--grid.t_max=1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(out) in err and "Traceback" not in err
+
+
 def test_bad_config_line_exits_one(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("this line has no equals sign\n", encoding="utf-8")
@@ -406,6 +422,44 @@ def test_verify_thermal_skips_squeezing_checks(tmp_path):
     assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines(
         dict.fromkeys(skipped, thermal)
     )
+
+
+def test_verify_skips_coherence_symmetry_at_a_squeeze_phase(tmp_path):
+    out = tmp_path / "theta"
+    assert main(["verify", "--out", str(out), "--schedule.theta.value=0.7"]) == 0
+    assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines({
+        "coherence-symmetry": "SKIP skipped: squeeze phase is not 0 on this schedule",
+    })
+
+
+def _peak_traced_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path):
+    # the writer holds one row at a time as Python floats; the whole table
+    # as floats would take about 700 B per row
+    peaks = []
+    for rows in (5_001, 20_001):
+        table = np.linspace(-1.0, 1.0, rows * 16).reshape(rows, 16)
+        peaks.append(_peak_traced_bytes(
+            lambda: cli.write_trajectory_csv(str(tmp_path / "t.csv"), table)))
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_trajectory_memory_per_row(tmp_path, capsys):
+    # 20 001 rows of one substep each peak near 400 B per row, in
+    # compute_frame; a writer holding the whole table as Python floats
+    # takes the run to about 840 B
+    args = ["trajectory", "--out", str(tmp_path), "--grid.t_max=20", "--grid.dt_out=0.001"]
+    peak = _peak_traced_bytes(lambda: main(args))
+    assert "(20001 rows," in capsys.readouterr().out
+    assert peak / 20_001 <= 600, peak / 20_001
 
 
 def test_defaults_cover_every_documented_key():
