@@ -69,6 +69,10 @@ class Constant:
     def limit(self) -> float:
         return self.value
 
+    @property
+    def variation_rate(self) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class ExpDecay:
@@ -91,6 +95,10 @@ class ExpDecay:
             return self.amplitude
         return None
 
+    @property
+    def variation_rate(self) -> float:
+        return abs(self.rate)
+
 
 @dataclass(frozen=True)
 class Ramp:
@@ -112,6 +120,11 @@ class Ramp:
         if self.slope == 0.0:
             return max(self.offset, 0.0)
         return None
+
+    @property
+    def variation_rate(self) -> float:
+        # a straight line has no time scale of its own
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -139,6 +152,10 @@ class Sinusoid:
         if self.omega == 0.0:
             return self.offset + self.amplitude * math.sin(self.phase)
         return None
+
+    @property
+    def variation_rate(self) -> float:
+        return abs(self.omega)
 
 
 ControlFunction = Union[Constant, ExpDecay, Ramp, Sinusoid]
@@ -231,6 +248,14 @@ class BathSchedule:
     @property
     def thermal(self) -> bool:
         return self.nbar is not None
+
+    @property
+    def variation_rate(self) -> float:
+        """The fastest rate at which a control in use varies: |rate| of an
+        ExpDecay, |omega| of a Sinusoid, 0 for a Constant or a Ramp.  r and
+        theta do not count under the thermal override."""
+        controls = (self.gamma,) if self.thermal else (self.gamma, self.r, self.theta)
+        return max(c.variation_rate for c in controls)
 
     def at(self, t: float) -> BathPoint:
         """Evaluate the schedule at time t and return the reservoir point.

@@ -20,7 +20,7 @@ from . import verify as verify_mod
 from .bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
 from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, evolve_gauge
-from .integrate import uniform_grid
+from .integrate import default_step, uniform_grid
 from .liouvillian import build_rate_operator, integrate_reference, spectrum, steady_state
 from .spectral import asymptotic_gauge_limits, closed_form_spectrum
 from .states import (
@@ -56,7 +56,7 @@ DEFAULTS = {
     "initial.nu_phase": "0",
     "grid.t_max": "30",
     "grid.dt_out": "0.05",
-    "grid.dt_int": "0.001",
+    "grid.dt_int": "auto",
     "figures.ids": "1,2,3,4,5,6",
     "figures.plot": "false",
     "spectrum.at": "0",
@@ -110,7 +110,7 @@ class RunConfig:
     rho0: np.ndarray
     t_max: float
     dt_out: float
-    dt_int: float
+    dt_int: float | None  # None for auto, resolved per schedule (verify: per run)
     out_dir: str
     figure_ids: tuple[int, ...]
     plot: bool
@@ -272,7 +272,7 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
         rho0=rho0,
         t_max=_as_float(merged, "grid.t_max"),
         dt_out=_as_float(merged, "grid.dt_out"),
-        dt_int=_as_float(merged, "grid.dt_int"),
+        dt_int=None if merged["grid.dt_int"] == "auto" else _as_float(merged, "grid.dt_int"),
         out_dir=out_dir,
         figure_ids=_parse_figure_ids(merged["figures.ids"]),
         plot=_as_bool(merged, "figures.plot"),
@@ -291,7 +291,7 @@ def compute_frame(
     rho0: np.ndarray,
     t_max: float,
     dt_out: float,
-    dt_int: float,
+    dt_int: float | None,
 ) -> list[np.ndarray]:
     """Run both pipelines on a uniform grid: one trajectory table per state
     of the (k, 2, 2) stack rho0, with each route solving the schedule once.
@@ -302,10 +302,12 @@ def compute_frame(
     under the thermal override), then the algebraic route's sx, sy, sz, the
     reference's, the trace distance between the two states, and the
     algebraic state's trace error and smallest eigenvalue.  The caller
-    checks each table's row tolerances just before writing it."""
+    checks each table's row tolerances just before writing it.  dt_int None
+    is the step of default_step, resolved once for both routes."""
     grid = uniform_grid(t_max, dt_out)
-    states = assemble_density(rho0, evolve_gauge(schedule, grid, dt_int))
-    ref = integrate_reference(schedule, rho0, grid, dt_int)
+    step = default_step(schedule, grid) if dt_int is None else dt_int
+    states = assemble_density(rho0, evolve_gauge(schedule, grid, step))
+    ref = integrate_reference(schedule, rho0, grid, step)
 
     gamma, n, m = schedule.params_on(grid)
     # squeeze controls are inert under the thermal override
@@ -541,11 +543,13 @@ def run_steady(rc: RunConfig) -> int:
 
 
 def run_verify(rc: RunConfig) -> int:
-    results = verify_mod.run_checks(
-        rc.schedule, rc.rho0, rc.t_max, rc.dt_out, rc.dt_int, rc.tol
-    )
-    header = "verification report (t_max=%g, dt_out=%g, dt_int=%g, %s)" % (
-        rc.t_max, rc.dt_out, rc.dt_int,
+    step = rc.dt_int
+    if step is None:
+        step = default_step(rc.schedule, uniform_grid(rc.t_max, rc.dt_out))
+    results = verify_mod.run_checks(rc.schedule, rc.rho0, rc.t_max, rc.dt_out, step, rc.tol)
+    # the step at repr precision: passed back as grid.dt_int, it reproduces the run
+    header = "verification report (t_max=%g, dt_out=%g, dt_int=%r, %s)" % (
+        rc.t_max, rc.dt_out, step,
         "thermal override" if rc.schedule.thermal else "ideal squeezed reservoir",
     )
     text = verify_mod.format_report(results, header)

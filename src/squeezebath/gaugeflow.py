@@ -108,8 +108,8 @@ def evolve_gauge(
     grid : array of times
         Output times starting at 0, strictly increasing.
     step : float, optional
-        Internal substep, at most the grid spacing; defaults to 1e-3 over
-        the largest gamma on the grid.
+        Internal substep, at most the grid spacing; defaults to
+        integrate.default_step(schedule, grid).
 
     Returns
     -------

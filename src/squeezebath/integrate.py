@@ -2,14 +2,17 @@
 
 Both integrators in this package (the linear reference integrator and the
 nonlinear gauge-parameter flow) use the classic 4th-order scheme with a fixed
-substep.  Each output interval [t_i, t_{i+1}] is cut into m equal substeps of
-width h <= step, and the right-hand side is evaluated on the 2m+1 node times
-t_i + j*h/2, of which neighbouring intervals share the boundary node.  Both
-integrators walk the grid in chunks of whole intervals holding at most
-CHUNK_SUBSTEPS substeps.  A chunk's nodes are planned, and the bath controls
-evaluated on them in one vectorized pass, only when the chunk is reached, so
-the memory an integration needs beside its output rows does not grow with
-the horizon.
+substep.  Unless a caller sets one, the step is default_step's, which follows
+the fastest relaxation rate gamma (2N + 1) of the schedule on the grid and
+how fast its controls vary; the CLI's grid.dt_int=auto resolves to that
+number too.  Each output interval [t_i, t_{i+1}] is cut into m equal
+substeps of width h <= step, and the right-hand side is evaluated on the
+2m+1 node times t_i + j*h/2, of which neighbouring intervals share the
+boundary node.  Both integrators walk the grid in chunks of whole intervals
+holding at most CHUNK_SUBSTEPS substeps.  A chunk's nodes are planned, and
+the bath controls evaluated on them in one vectorized pass, only when the
+chunk is reached, so the memory an integration needs beside its output rows
+does not grow with the horizon.
 
 Both integrators take a chunk's RK4 steps at once and reduce each interval's
 steps to one by the same pairwise product, whose schedule pairing_levels
@@ -104,8 +107,10 @@ class SubstepPlan:
 def _substep_counts(spans: np.ndarray, step: float) -> np.ndarray:
     if not step > 0.0:
         raise InvalidInputError("step must be > 0, got %r" % (step,))
-    # compared as floats before the cast: spans / step may exceed any int
-    counts = np.maximum(1.0, np.ceil(spans / step - 1e-9))
+    # compared as floats before the cast: spans / step may exceed any int,
+    # or overflow to inf, which is refused below
+    with np.errstate(over="ignore"):
+        counts = np.maximum(1.0, np.ceil(spans / step - 1e-9))
     if np.any(counts > MAX_INTERVAL_SUBSTEPS):
         raise InvalidInputError(
             "an interval of %.15g substeps exceeds the limit of %d substeps per interval"
@@ -127,20 +132,39 @@ def plan_substeps(grid: np.ndarray, step: float) -> SubstepPlan:
     return SubstepPlan(nodes=np.append(nodes, grid[-1]), counts=counts, widths=widths)
 
 
-def default_step(gamma_values: np.ndarray) -> float:
-    """Default integrator substep 1e-3 in units of the largest coupling rate."""
-    gmax = float(np.max(gamma_values)) if np.size(gamma_values) else 0.0
-    if gmax <= 0.0:
-        return math.inf
-    return 1e-3 / gmax
+def default_step(schedule, grid: np.ndarray) -> float:
+    """The integrator substep for a schedule on an output grid.
+
+    1e-3 / max(max gamma, 1), narrowed to 1e-2 over the fastest rate, and
+    never wider than the smallest grid spacing.  The fastest rate is the
+    larger of max gamma (2N + 1) over the controls at the grid times and
+    the schedule's variation_rate.  The solution relaxes at rates up to
+    gamma (2N + 1) (closed_form_spectrum), and the controls change at their
+    variation_rate, so the second term keeps each substep's RK4 error small
+    under strong squeezing, a hot reservoir or fast controls; where both
+    rates are at most 10 the first term decides, and a weak or absent
+    coupling still gets 1e-3.  A rate past the float range is refused.
+    """
+    grid = check_grid(grid)
+    gamma, n, _ = schedule.params_on(grid)
+    with np.errstate(over="ignore"):  # refused below, not warned about
+        fastest = max(float(np.max(gamma * (2.0 * n + 1.0))), schedule.variation_rate)
+    if fastest == math.inf:
+        raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
+    step = 1e-3 / max(float(np.max(gamma)), 1.0)
+    if fastest > 0.0:
+        step = min(step, 1e-2 / fastest)
+    if grid.size > 1:
+        step = min(step, float(np.min(np.diff(grid))))
+    return step
 
 
 def plan_integration(schedule, grid: np.ndarray, step: float | None):
     """The checked grid and an iterator over its chunks of substeps.
 
     The shared preamble of both integrators.  step must be > 0 and no wider
-    than the smallest grid spacing; None means default_step of gamma on the
-    grid.  Both are checked here, before any chunk is planned.
+    than the smallest grid spacing; None means default_step(schedule, grid).
+    Both are checked here, before any chunk is planned.
 
     The iterator yields (i0, plan, (gamma, N, M)) for each run of whole grid
     intervals i0 .. i1 - 1 holding at most CHUNK_SUBSTEPS substeps (an
@@ -153,7 +177,7 @@ def plan_integration(schedule, grid: np.ndarray, step: float | None):
     """
     grid = check_grid(grid)
     if step is None:
-        step = default_step(schedule.params_on(grid)[0])
+        step = default_step(schedule, grid)
     elif grid.size > 1:
         spacing = float(np.min(np.diff(grid)))
         if step > spacing * (1.0 + 1e-9):

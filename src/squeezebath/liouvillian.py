@@ -197,7 +197,7 @@ def integrate_reference(
         Output times, starting at 0, strictly increasing.
     step : float, optional
         Internal substep; must not exceed the grid spacing.  Defaults to
-        1e-3 divided by the largest gamma on the grid.
+        integrate.default_step(schedule, grid).
 
     Returns
     -------

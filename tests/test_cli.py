@@ -74,7 +74,8 @@ def test_defaults_resolve():
     rc = resolve_config({}, ".")
     assert rc.t_max == 30.0
     assert rc.dt_out == 0.05
-    assert rc.dt_int == 0.001
+    assert DEFAULTS["grid.dt_int"] == "auto" and rc.dt_int is None
+    assert resolve_config({"grid.dt_int": "0.002"}, ".").dt_int == 0.002
     assert rc.figure_ids == (1, 2, 3, 4, 5, 6)
     assert not rc.schedule.thermal
     mu = math.sqrt(0.2) * complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
@@ -122,6 +123,12 @@ def test_trajectory_output_is_deterministic(tmp_path):
     args = ["trajectory", "--grid.t_max=1", "--grid.dt_out=0.25"]
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
+    assert _read(out_a / "trajectory.csv") == _read(out_b / "trajectory.csv")
+    # at gamma = 0.2 the auto step, 1e-3, is capped at the grid spacing (a
+    # rounding below 0.001): the run is that of an explicit grid.dt_int = dt_out
+    args = ["trajectory", "--schedule.gamma.value=0.2", "--grid.t_max=1", "--grid.dt_out=0.001"]
+    assert main(args + ["--out", str(out_a)]) == 0
+    assert main(args + ["--out", str(out_b), "--grid.dt_int=0.001"]) == 0
     assert _read(out_a / "trajectory.csv") == _read(out_b / "trajectory.csv")
 
 
@@ -258,15 +265,19 @@ def test_oversized_grid_is_refused_up_front(tmp_path, capsys, monkeypatch, comma
     ("grid.t_max=1 grid.dt_out=1 grid.dt_int=1e-300", "an interval of 1e+300 substeps exceeds"),
     ("grid.t_max=1 grid.dt_out=0.5 grid.dt_int=1e-19", "an interval of 5e+18 substeps exceeds"),
     ("grid.t_max=1 grid.dt_out=1 grid.dt_int=1e-12", "an interval of 1000000000000 substeps"),
+    ("grid.t_max=1e10 grid.dt_out=1e10 grid.dt_int=1e-300", "an interval of inf substeps exceeds"),
     ("grid.t_max=1e300 grid.dt_out=1e-10", "grid of inf rows exceeds the limit of 800000 rows"),
     # controls that overflow are the input's fault, not the numerics'
     ("schedule.r.kind=exp schedule.r.c1=1 schedule.r.c2=-1000 grid.t_max=1", "not finite at t = "),
     ("schedule.gamma.kind=exp schedule.gamma.c1=1 schedule.gamma.c2=-1000 grid.t_max=1",
      "not finite at t = "),
+    ("schedule.gamma.value=1e10 schedule.r.kind=const schedule.r.value=350 grid.t_max=1",
+     "relaxation rate gamma (2N + 1) exceeds the float range"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_sizes_and_controls_past_float_range_exit_one(tmp_path, capsys, overrides, message):
     # verify refuses them as trajectory does: before any check runs, so it
-    # writes no report
+    # writes no report; a warning on the way (an overflow) fails the test
     for command in ("trajectory", "verify"):
         out = tmp_path / command
         assert main([command, "--out", str(out)] + overrides.split()) == 1
@@ -342,14 +353,53 @@ def test_verify_default_passes(tmp_path, capsys):
     assert _report_lines(report) == _verify_lines({})
     assert "residual[N/(N+1)]" in report and "residual[N/(2N+1)]" in report
     assert "summary:" in captured.out
+    assert "(t_max=30, dt_out=0.05, dt_int=0.001, ideal" in report
+    # a decoupled run (gamma = 0) still gets 0.001, which the fixed checks'
+    # gamma = 1 schedules, evolved on the same step, need
+    out = tmp_path / "decoupled"
+    assert main(["verify", "--out", str(out), "--schedule.gamma.value=0"]) == 0
+    report = _read(out / "verify_report.txt")
+    assert "dt_int=0.001," in report
+    assert _report_lines(report) == _verify_lines({})
 
 
-def test_verify_passes_under_strong_squeezing(tmp_path):
+def _measured(report, name):
+    return float(re.search(r"\] %s +measured (\S+)," % name, report).group(1))
+
+
+def test_verify_passes_under_strong_squeezing(tmp_path, monkeypatch):
     # constant r = 2 drives alpha_minus up like exp(27 t); the flow's columns stay bounded
-    out = tmp_path / "r2"
-    rc = main(["verify", "--out", str(out), "--schedule.r.kind=const", "--schedule.r.value=2"])
-    assert rc == 0
-    assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines({})
+    flows, evolve_gauge = [], verify.evolve_gauge
+
+    def recorded(schedule, grid, step=None):
+        flows.append((schedule, grid, step, evolve_gauge(schedule, grid, step)))
+        return flows[-1][-1]
+
+    monkeypatch.setattr(verify, "evolve_gauge", recorded)
+    r2 = ["verify", "--schedule.r.kind=const", "--schedule.r.value=2"]
+    assert main(r2 + ["--out", str(tmp_path / "auto")]) == 0
+    report = _read(tmp_path / "auto" / "verify_report.txt")
+    assert _report_lines(report) == _verify_lines({})
+    assert _measured(report, "gauge-trace-identities") <= 1e-10  # 6.5e-11 at dt_int 0.001
+    # the routes get the auto step as a number: the Python API's default
+    schedule, grid, step, flow = flows[0]
+    assert type(step) is float and step == integrate.default_step(schedule, grid) < 1e-3
+    assert np.array_equal(flow, evolve_gauge(schedule, grid))
+    # the header prints it at repr precision, so passing it back reproduces the run
+    assert "dt_int=%r," % step in report
+    again = tmp_path / "again"
+    assert main(r2 + ["--out", str(again), "--grid.dt_int=%r" % step]) == 0
+    assert _read(again / "verify_report.txt") == report
+    # an explicit step is used as given: at dt_int 0.001, the step before it
+    # followed the relaxation rate, both truncation errors are larger
+    fixed = tmp_path / "fixed"
+    assert main(r2 + ["--out", str(fixed), "--grid.dt_int=0.001"]) == 0
+    fixed_report = _read(fixed / "verify_report.txt")
+    assert "dt_int=0.001," in fixed_report
+    names = ("oracle-agreement", "gauge-trace-identities")
+    measured = [_measured(fixed_report, name) for name in names]
+    assert measured == pytest.approx([5.408e-10, 6.508e-11], rel=1e-2)
+    assert all(m > _measured(report, name) for m, name in zip(measured, names))
 
 
 def test_verify_reports_a_failed_gauge_flow_as_failed_checks(tmp_path, capsys, monkeypatch):

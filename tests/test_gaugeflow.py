@@ -53,7 +53,7 @@ def _plain_rk4_flow(schedule, grid, step=None):
     # tuples, one _gauge_rhs call per stage, over the nodes of the whole grid
     # planned at once
     if step is None:
-        step = default_step(schedule.params_on(grid)[0])
+        step = default_step(schedule, grid)
     plan = plan_substeps(grid, step)
     g_nodes, n_nodes, m_nodes = schedule.params_on(plan.nodes)
     gl = [float(v) for v in g_nodes]
@@ -108,10 +108,11 @@ FLOW_CASES = {
 
 
 # Largest |evolve_gauge - _plain_rk4_flow| over the flow, measured: 3.6e-7,
-# 4.4e-10, 3.4e-14 and 0.  Composing steps taken from the identity is a
-# different RK4 discretisation of the nonlinear Riccati flow than stepping
-# the state, so the two differ at the level of their truncation errors
-# (largest where gamma (2N+1) h is about 0.5, on the uneven grid).
+# 7.8e-12 (at the default step of about 3.7e-4; 4.4e-10 at 1e-3), 3.4e-14
+# and 0.  Composing steps taken from the identity is a different RK4
+# discretisation of the nonlinear Riccati flow than stepping the state, so
+# the two differ at the level of their truncation errors (largest where
+# gamma (2N+1) h is about 0.5, on the uneven grid).
 PLAIN_RK4_GAP = {
     "uneven-sin-gamma-sin-r-ramp-theta": 1e-6,
     "const-r2": 1e-9,
@@ -177,7 +178,8 @@ def test_composition_law_is_the_sector_matrix_product(dtype):
 
 def test_decaying_weights_keep_their_relative_precision():
     # r = 2: f_ee and f_eg fall to about 5.5e-119 at t = 10, and each keeps
-    # the relative precision of the columns of order one (measured 7.7e-8)
+    # the relative precision of the columns of order one (measured 1.4e-9 at
+    # the default step of about 3.7e-4, 7.7e-8 at 1e-3)
     n, m = bath_params(2.0, 0.0)
     grid = uniform_grid(10.0, 0.05)
     flow = evolve_gauge(BathSchedule(gamma=Constant(1.0), r=Constant(2.0)), grid)

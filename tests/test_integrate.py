@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from squeezebath import integrate
-from squeezebath.bath import BathSchedule, Constant, Ramp, Sinusoid
+from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
 from squeezebath.errors import InvalidInputError
 from squeezebath.gaugeflow import evolve_gauge
 from squeezebath.integrate import (
@@ -115,9 +115,64 @@ def test_plan_substeps_nodes_are_linspace_per_interval():
     assert np.array_equal(plan.nodes[2 * np.cumsum(plan.counts)], grid[1:])
 
 
+class _Controls:
+    # a schedule whose controls at the grid times are given outright
+    variation_rate = 0.0
+
+    def __init__(self, gamma, n):
+        self.gamma, self.n = np.array(gamma), np.array(n)
+
+    def params_on(self, times):
+        return self.gamma, self.n, np.zeros(self.n.shape, dtype=complex)
+
+
 def test_default_step_scales_with_gamma():
-    assert default_step(np.array([1.0, 2.0, 0.5])) == pytest.approx(5e-4)
-    assert default_step(np.array([0.0])) == np.inf
+    # min(1e-3 / max(max gamma, 1), 1e-2 / fastest rate), at most the spacing
+    grid = np.array([0.0, 1.0, 2.0])
+    assert default_step(_Controls([1.0, 2.0, 0.5], [0.0] * 3), grid) == 5e-4
+    # the fastest rate decides once 2N + 1 exceeds 10: r = 2 and nbar = 20
+    squeezed = BathSchedule(gamma=Constant(1.0), r=Constant(2.0))
+    n = squeezed.at(0.0).n_param
+    r2 = default_step(squeezed, grid)
+    assert r2 == 1e-2 / (2.0 * n + 1.0) == pytest.approx(1e-2 / math.cosh(4.0), rel=1e-15)
+    assert default_step(BathSchedule(gamma=Constant(1.0), nbar=20.0), grid) == 1e-2 / 41.0
+    # the rate is gamma (2N + 1) at one time, not max gamma times max N
+    assert default_step(_Controls([2.0, 0.1], [0.0, 20.0]), grid[:2]) == 5e-4
+    # the crossover at 2N + 1 = 10, for any gamma
+    for gamma in (1.0, 4.0):
+        steps = [default_step(BathSchedule(gamma=Constant(gamma), nbar=nbar), grid)
+                 for nbar in (4.4, 4.5, 4.6)]
+        assert steps == [1e-3 / gamma, 1e-3 / gamma, 1e-2 / (10.2 * gamma)]
+    # a weak coupling keeps 1e-3, never wider: gamma = 0.2
+    assert default_step(BathSchedule(gamma=Constant(0.2)), grid) == 1e-3
+    # never wider than the smallest spacing: gamma = 0.2 on a 0.001 grid
+    fine = uniform_grid(1.0, 0.001)
+    assert default_step(BathSchedule(gamma=Constant(0.2)), fine) == np.min(np.diff(fine)) < 1e-3
+    # a coupling that is 0 everywhere is not refused, and gets 1e-3 too
+    off = BathSchedule(gamma=Constant(0.0), r=Constant(1.0))
+    assert default_step(off, grid) == default_step(off, np.array([0.0])) == 1e-3
+    assert np.array_equal(evolve_gauge(off, grid)[-1], [0, 0, 0, 0, 1, 1, 1, 1])
+
+
+def test_default_step_resolves_the_fastest_control():
+    # 1e-2 over the schedule's variation_rate once it passes 10: omega of a
+    # sin control, rate of an exp control; a ramp sets no rate of its own
+    grid = uniform_grid(5.0, 0.05)
+    fast = Sinusoid(1.0, 0.9, 100.0)
+    assert default_step(BathSchedule(gamma=Constant(0.3), r=fast), grid) == 1e-4
+    assert default_step(BathSchedule(gamma=Constant(1.0), theta=Sinusoid(0.0, 1.0, -40.0)),
+                        grid) == 1e-2 / 40.0
+    assert default_step(BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.5, 20.0)), grid) == 5e-4
+    assert default_step(BathSchedule(gamma=Constant(1.0), theta=Ramp(0.0, 50.0)), grid) == 1e-3
+    assert default_step(BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.5, 0.1, 10.0)),
+                        grid) == 1e-3
+    # under the thermal override r and theta are not used, and do not count
+    assert default_step(BathSchedule(gamma=Constant(1.0), r=fast, nbar=0.5), grid) == 1e-3
+    # gamma at 2pi/0.05 is 0 at every output time and up to 10 between them:
+    # the step resolves its oscillation, not the samples
+    aliased = BathSchedule(gamma=Sinusoid(5.0, 5.0, 2.0 * np.pi / 0.05, -np.pi / 2.0))
+    assert np.max(aliased.params_on(grid)[0]) < 1e-12
+    assert default_step(aliased, grid) == 1e-2 / (2.0 * np.pi / 0.05)
 
 
 @pytest.mark.parametrize("counts", [[1, 3, 2, 7, 1, 4, 5, 8, 1], [12], []],

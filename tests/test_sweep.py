@@ -1,0 +1,99 @@
+"""Seeded draws over the physical input domain, run through the CLI.
+
+Physically valid inputs must give results: every draw of the physical
+domain exits 0.  Grids from tiny to absurd either run or are refused with
+exit code 1 and one `error:` line; a numerical failure (exit 2) or an
+uncaught exception fails the test.  A draw that fails is a defect of the
+program, so the seeds and ranges below stay as they are.
+"""
+
+import math
+import random
+
+import pytest
+
+from squeezebath.cli import main
+
+
+def _control(rng, prefix, lo, hi, t_max):
+    # a control of any kind whose values on [0, t_max] stay within [lo, hi];
+    # a sin control has omega in [0, 100]
+    kind = rng.choice(["const", "exp", "ramp", "sin"])
+    start, end = rng.uniform(lo, hi), rng.uniform(lo, hi)
+    if kind == "const":
+        params = {"value": start}
+    elif kind == "exp":
+        # start * exp(-c2 t) runs from start to an end of the same sign
+        params = {"c1": start, "c2": math.log(start / math.copysign(end, start)) / t_max}
+    elif kind == "ramp":
+        params = {"a": start, "b": (end - start) / t_max}
+    else:
+        params = {"a": (start + end) / 2.0, "b": (end - start) / 2.0,
+                  "omega": rng.uniform(0.0, 100.0), "phase": rng.uniform(-math.pi, math.pi)}
+    return ["--%s.kind=%s" % (prefix, kind)] + [
+        "--%s.%s=%r" % (prefix, name, value) for name, value in params.items()
+    ]
+
+
+def _physical_draw(rng):
+    # gamma within [0.2, 5]; r within [0, 2] and theta within [-pi, pi], or
+    # for about a quarter of the draws the thermal override with nbar in [0, 20]
+    args = ["--grid.t_max=5"] + _control(rng, "schedule.gamma", 0.2, 5.0, 5.0)
+    if rng.random() < 0.25:
+        return args + ["--schedule.mode=thermal", "--schedule.nbar=%r" % rng.uniform(0.0, 20.0)]
+    return (args + _control(rng, "schedule.r", 0.0, 2.0, 5.0)
+            + _control(rng, "schedule.theta", -math.pi, math.pi, 5.0))
+
+
+# found by hand: squeezing that oscillates faster than the relaxation rate,
+# which fails tol.trace unless the step also resolves the control's omega
+_FAST_SQUEEZING = ["--grid.t_max=5", "--schedule.gamma.value=0.3", "--schedule.r.kind=sin",
+                   "--schedule.r.a=1", "--schedule.r.b=0.9", "--schedule.r.omega=100",
+                   "--schedule.r.phase=0"]
+
+
+def _grid_draw(rng):
+    # default schedule, auto step; the absurd grids need more rows than
+    # MAX_ROWS or more substeps per interval than MAX_INTERVAL_SUBSTEPS, so
+    # none of them is a long run that the program accepts
+    kind = rng.choice(["wide", "rows", "interval", "multiple", "sign"])
+    if kind == "wide":
+        t_max = 10.0 ** rng.uniform(-6.0, 1.5)
+        dt_out = t_max / rng.randint(1, 200)
+    elif kind == "rows":
+        t_max = 10.0 ** rng.uniform(3.0, 300.0)
+        dt_out = t_max / 10.0 ** rng.uniform(6.0, 300.0)
+    elif kind == "interval":
+        dt_out = 10.0 ** rng.uniform(3.0, 300.0)
+        t_max = dt_out * rng.randint(1, 5)
+    elif kind == "multiple":
+        t_max = rng.uniform(0.1, 10.0)
+        dt_out = t_max / (rng.randint(1, 50) + 0.5)
+    else:
+        t_max, dt_out = rng.choice([(-1.0, 0.05), (0.0, 0.05), (1.0, -0.05), (1.0, 0.0)])
+    return ["--grid.t_max=%r" % t_max, "--grid.dt_out=%r" % dt_out]
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
+def test_physical_draws_give_results_and_grids_run_or_are_refused(tmp_path, capsys):
+    # _FAST_SQUEEZING and 60 physical draws at t_max = 5 (the slowest, where
+    # gamma (2N + 1) is near 200, plan about 100 000 substeps in 0.3 s), and
+    # 60 grid draws: 4.1 s in all on a 2-core host.  At a fixed step of
+    # 0.001, 16 of the 61 physical runs fail with a trace error
+    rng = random.Random(20051)
+    physical = [_FAST_SQUEEZING] + [_physical_draw(rng) for _ in range(60)]
+    failed = []
+    for k, draw in enumerate(physical):
+        args = ["trajectory", "--out", str(tmp_path / ("p%d" % k))] + draw
+        code = main(args)
+        err = capsys.readouterr().err
+        if code != 0:
+            failed.append((args[3:], code, err))
+    for k in range(60):
+        args = ["trajectory", "--out", str(tmp_path / ("g%d" % k))] + _grid_draw(rng)
+        code = main(args)
+        err = capsys.readouterr().err
+        if not (code == 0 and err == "" or code == 1 and err.startswith("error: ")
+                and err.count("\n") == 1):
+            failed.append((args[3:], code, err))
+    assert not failed, failed
