@@ -69,6 +69,10 @@ class Constant:
     def limit(self) -> float:
         return self.value
 
+    def peak(self, t_end: float) -> float:
+        """The largest value on [0, t_end]."""
+        return self.value
+
     @property
     def variation_rate(self) -> float:
         return 0.0
@@ -99,6 +103,10 @@ class ExpDecay:
     def variation_rate(self) -> float:
         return abs(self.rate)
 
+    def peak(self, t_end: float) -> float:
+        """The largest value on [0, t_end], at an end: the control is monotone."""
+        return float(max(self(0.0), self(t_end)))
+
 
 @dataclass(frozen=True)
 class Ramp:
@@ -125,6 +133,10 @@ class Ramp:
     def variation_rate(self) -> float:
         # a straight line has no time scale of its own
         return 0.0
+
+    def peak(self, t_end: float) -> float:
+        """The largest value on [0, t_end], at an end: the control is monotone."""
+        return float(max(self(0.0), self(t_end)))
 
 
 @dataclass(frozen=True)
@@ -156,6 +168,16 @@ class Sinusoid:
     @property
     def variation_rate(self) -> float:
         return abs(self.omega)
+
+    def peak(self, t_end: float) -> float:
+        """The largest value on [0, t_end]: offset + |amplitude| where the
+        phase omega t + phase passes a crest on the way, else the larger end."""
+        lo, hi = sorted((self.phase, self.omega * t_end + self.phase))
+        crest = math.copysign(0.5 * math.pi, self.amplitude)
+        # the last crest crest + 2 pi k at or below hi, if it is not below lo
+        if crest + _TAU * math.floor((hi - crest) / _TAU) >= lo:
+            return self.offset + abs(self.amplitude)
+        return float(max(self(0.0), self(t_end)))
 
 
 ControlFunction = Union[Constant, ExpDecay, Ramp, Sinusoid]

@@ -57,12 +57,24 @@ delta = d_gg^B + a^A b^B, element A followed by element B is
 where 1 + delta is the ratio of f_gg at the two end times, never zero
 where the flow exists.  Each interval's substeps are composed by the
 pairwise schedule of integrate.pairing_levels, which the reference route
-shares, within the interval only, so the flow does not depend on the
-chunking.  The intervals' elements are applied in order to a running state
-that keeps plain weights, which a difference from 1 cannot hold once they
-decay (f_ee and f_eg reach 1e-119 at r = 2, t = 10).  From the
-determinant f_ee f_gg, element B multiplies f_gg by 1 + delta and f_ee by
-(1 + d_ee^B)(1 + d_gg^B) / (1 + delta).
+shares, within the interval only, so each interval's element does not
+depend on the chunking.  From there on the elements keep plain weights
+f = 1 + d, which a difference from 1 cannot hold once they decay (f_ee and
+f_eg reach 1e-119 at r = 2, t = 10).  With plain weights, element A
+followed by element B is
+
+    w    = f_gg^B + a^A b^B
+    a    = (a^A (f_ee^B + a^B b^B) + a^B f_gg^B) / w
+    b    = b^B (f_ee^A + a^A b^A) + f_gg^B b^A
+    f_ee = f_ee^A f_ee^B f_gg^B / w
+    f_gg = f_gg^A w
+
+where w = 1 + delta, so f_ee comes from the determinant f_ee f_gg and a
+decaying weight is only ever multiplied.  Per chunk, the prefix scan of
+integrate.scan_levels, which the reference route shares too, joins the
+intervals' elements by this law into the product of each run of them from
+the chunk's start, and the state at the chunk's start followed by each
+prefix is the flow at each of the chunk's grid times.
 
 For a constant reservoir all eight columns have closed forms, implemented
 in autonomous_gauge; the time stepping must reproduce them, and both must
@@ -78,7 +90,7 @@ import numpy as np
 from .algebra import unvectorize, vectorize
 from .bath import BathSchedule
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import pairing_levels, plan_integration
+from .integrate import pairing_levels, plan_integration, scan_levels
 from .states import check_density
 
 __all__ = [
@@ -87,6 +99,11 @@ __all__ = [
     "assemble_density",
     "autonomous_expectations",
 ]
+
+# the columns of the population and coherence sectors in a gauge state, and
+# what turns a (4, K) stack of elements in difference form into plain weights
+_POP, _COH = [0, 1, 4, 5], [2, 3, 6, 7]
+_PLAIN = np.array([[0], [0], [1], [1]])
 
 
 def evolve_gauge(
@@ -98,9 +115,10 @@ def evolve_gauge(
 
     Per chunk of plan_integration, every substep's RK4 step from the
     identity is taken at once, each interval's steps are composed by the
-    pairwise schedule of pairing_levels, and the intervals' elements are
-    applied in order to a running state with plain weights (see the module
-    docstring).
+    pairwise schedule of pairing_levels, the intervals' elements are joined
+    into every prefix of the chunk by the scan of scan_levels with plain
+    weights, and the flow at the chunk's start is followed by each prefix
+    in one batched join (see the module docstring).
 
     Parameters
     ----------
@@ -123,25 +141,23 @@ def evolve_gauge(
         On non-finite gauge values (Riccati blow-up), naming the time.
     """
     grid, chunks = plan_integration(schedule, grid, step)
-    pop = (0.0, 0.0, 1.0, 1.0)
-    coh = (0j, 0j, 1 + 0j, 1 + 0j)
     out = np.empty((grid.size, 8), dtype=complex)
-    out[0] = pop[:2] + coh[:2] + pop[2:] + coh[2:]
+    out[0] = (0, 0, 0, 0, 1, 1, 1, 1)
     for i0, plan, nodes in chunks:
+        rows = slice(i0 + 1, i0 + 1 + plan.counts.size)
         # a blown-up flow is reported below, by its first non-finite row
         with np.errstate(over="ignore", invalid="ignore"):
             steps = _rk4_steps(nodes, np.repeat(plan.widths, plan.counts))
             # steps stays bound until the next chunk: freeing the full-size
             # steps in the middle of a chunk made the route about 20% slower
-            elements = steps
-            for first, then, paired in pairing_levels(plan.counts):
-                elements = [np.where(paired, _compose(s.take(first, 1), s.take(then, 1)),
-                                     s.take(first, 1)) for s in elements]
-            elements = [s.T.tolist() for s in elements]
-        for i, (pop_el, coh_el) in enumerate(zip(*elements), i0 + 1):
-            pop = _advance(pop, pop_el)
-            coh = _advance(coh, coh_el)
-            out[i] = pop[:2] + coh[:2] + pop[2:] + coh[2:]
+            elements = _fold(steps, pairing_levels(plan.counts), _compose)
+            # the intervals' elements with plain weights, f = 1 + d
+            elements = [s + _PLAIN for s in elements]
+            pop, coh = _fold(elements, scan_levels(plan.counts.size), _join)
+            # the chunk's start state followed by each prefix of its intervals
+            start = out[i0]
+            out[rows, _POP] = np.transpose(_join(start[_POP].real, pop))
+            out[rows, _COH] = np.transpose(_join(start[_COH], coh))
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise NumericalFailureError(
@@ -199,14 +215,23 @@ def _compose(first, then):
     return ap, b, d_ee, d1_gg + delta + d1_gg * delta
 
 
-def _advance(state, element):
-    # a running state with plain weights followed by an element, in Python scalars
-    ap, b, f_ee, f_gg = state
-    a2, b2, d2_ee, d2_gg = element
-    f2 = 1.0 + d2_gg
-    w = f2 + ap * b2  # 1 + delta
-    return ((ap * (1.0 + d2_ee + a2 * b2) + a2 * f2) / w, b2 * (f_ee + ap * b) + f2 * b,
-            f_ee * (1.0 + d2_ee) * f2 / w, f_gg * w)
+def _join(first, then):
+    # element `first` followed by element `then`, both with plain weights
+    # (a, b, f_ee, f_gg); f_ee from the determinant f_ee f_gg; scalars or arrays
+    a1, b1, f1_ee, f1_gg = first
+    a2, b2, f2_ee, f2_gg = then
+    w = f2_gg + a1 * b2  # 1 + delta
+    return ((a1 * (f2_ee + a2 * b2) + a2 * f2_gg) / w, b2 * (f1_ee + a1 * b1) + f2_gg * b1,
+            f1_ee * f2_ee * f2_gg / w, f1_gg * w)
+
+
+def _fold(stacks, levels, law):
+    # each (4, K) stack of elements through the levels of pairing_levels or
+    # scan_levels, joined by law
+    for first, then, paired in levels:
+        stacks = [np.where(paired, law(s.take(first, 1), s.take(then, 1)), s.take(first, 1))
+                  for s in stacks]
+    return stacks
 
 
 def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:

@@ -3,9 +3,9 @@
 Both integrators in this package (the linear reference integrator and the
 nonlinear gauge-parameter flow) use the classic 4th-order scheme with a fixed
 substep.  Unless a caller sets one, the step is default_step's, which follows
-the fastest relaxation rate gamma (2N + 1) of the schedule on the grid and
-how fast its controls vary; the CLI's grid.dt_int=auto resolves to that
-number too.  Each output interval [t_i, t_{i+1}] is cut into m equal
+the fastest relaxation rate gamma (2N + 1) the controls can reach up to the
+grid's end and how fast they vary; the CLI's grid.dt_int=auto resolves to
+that number too.  Each output interval [t_i, t_{i+1}] is cut into m equal
 substeps of width h <= step, and the right-hand side is evaluated on the
 2m+1 node times t_i + j*h/2, of which neighbouring intervals share the
 boundary node.  Both integrators walk the grid in chunks of whole intervals
@@ -16,8 +16,12 @@ does not grow with the horizon.
 
 Both integrators take a chunk's RK4 steps at once and reduce each interval's
 steps to one by the same pairwise product, whose schedule pairing_levels
-computes from the substep counts alone; each integrator keeps its own array
-layout and composition law.  Grids whose row or substep counts would exceed
+computes from the substep counts alone.  Then the same inclusive prefix
+scan, whose schedule scan_levels computes from the chunk's interval count,
+joins the intervals' products into the product from the chunk's start to
+each of its grid times, and one batched product applies the state at the
+chunk's start to all of them.  Each integrator keeps its own array layout
+and composition law.  Grids whose row or substep counts would exceed
 MAX_ROWS or MAX_INTERVAL_SUBSTEPS are refused before anything is allocated.
 """
 
@@ -32,8 +36,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "check_grid",
-           "plan_integration", "pairing_levels", "CHUNK_SUBSTEPS", "MAX_ROWS",
-           "MAX_INTERVAL_SUBSTEPS"]
+           "plan_integration", "pairing_levels", "scan_levels", "CHUNK_SUBSTEPS",
+           "MAX_ROWS", "MAX_INTERVAL_SUBSTEPS"]
 
 # Substeps per chunk of plan_integration.  512 and 8192 ran equally fast; far
 # larger chunks only raise the peak memory of the reference's batched steps.
@@ -135,23 +139,34 @@ def plan_substeps(grid: np.ndarray, step: float) -> SubstepPlan:
 def default_step(schedule, grid: np.ndarray) -> float:
     """The integrator substep for a schedule on an output grid.
 
-    1e-3 / max(max gamma, 1), narrowed to 1e-2 over the fastest rate, and
+    1e-3 / max(peak gamma, 1), narrowed to 1e-2 over the fastest rate, and
     never wider than the smallest grid spacing.  The fastest rate is the
-    larger of max gamma (2N + 1) over the controls at the grid times and
-    the schedule's variation_rate.  The solution relaxes at rates up to
-    gamma (2N + 1) (closed_form_spectrum), and the controls change at their
-    variation_rate, so the second term keeps each substep's RK4 error small
-    under strong squeezing, a hot reservoir or fast controls; where both
-    rates are at most 10 the first term decides, and a weak or absent
-    coupling still gets 1e-3.  A rate past the float range is refused.
+    larger of peak gamma times (2N + 1) at peak r, and the schedule's
+    variation_rate; each peak is the control's closed-form largest value
+    over [0, t_end] (its peak method), so a rate that the controls reach
+    only between grid times counts too.  The solution relaxes at rates up
+    to gamma (2N + 1) (closed_form_spectrum), and the controls change at
+    their variation_rate, so the second term keeps each substep's RK4 error
+    small under strong squeezing, a hot reservoir or fast controls; where
+    both rates are at most 10 the first term decides, and a weak or absent
+    coupling still gets 1e-3.  The controls are first evaluated on the grid,
+    which refuses a bad value there with params_on's message; a rate past
+    the float range is refused too.
     """
     grid = check_grid(grid)
-    gamma, n, _ = schedule.params_on(grid)
-    with np.errstate(over="ignore"):  # refused below, not warned about
-        fastest = max(float(np.max(gamma * (2.0 * n + 1.0))), schedule.variation_rate)
-    if fastest == math.inf:
+    schedule.params_on(grid)  # refuses a bad control at a grid time, with its message
+    t_end = float(grid[-1])
+    gamma = schedule.gamma.peak(t_end)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        if schedule.thermal:
+            n = schedule.nbar
+        else:
+            sh = np.sinh(schedule.r.peak(t_end))
+            n = sh * sh
+        fastest = max(float(gamma * (2.0 * n + 1.0)), schedule.variation_rate)
+    if not fastest < math.inf:
         raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
-    step = 1e-3 / max(float(np.max(gamma)), 1.0)
+    step = 1e-3 / max(gamma, 1.0)
     if fastest > 0.0:
         step = min(step, 1e-2 / fastest)
     if grid.size > 1:
@@ -237,4 +252,39 @@ def _pairing_levels(key: bytes) -> tuple:
         levels.append(level)
         size = first.size
         counts = (counts + 1) // 2
+    return tuple(levels)
+
+
+def scan_levels(size: int) -> tuple:
+    """The inclusive prefix scan over a stack of size steps, level by level.
+
+    Returns one (first, then, paired) per level, applied as the levels of
+    pairing_levels are: the stack x becomes
+    where(paired, combine(x[first], x[then]), x[first]).  The level of
+    offset s = 1, 2, 4, ... < size replaces each entry i >= s by entry
+    i - s followed by entry i and carries the entries below s up unchanged
+    (Hillis and Steele; Blelloch, "Prefix sums and their applications",
+    1990).  So after ceil(log2(size)) levels entry i is the product of
+    steps 0 .. i in order, and entry 0 is never touched.
+
+    Every full chunk of a grid has the same size, so the levels are computed
+    once per size and returned as the same read-only arrays on every later
+    call.
+    """
+    return _scan_levels(int(size))
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_levels(size: int) -> tuple:
+    then = np.arange(size)
+    then.setflags(write=False)
+    levels = []
+    offset = 1
+    while offset < size:
+        paired = then >= offset
+        first = np.where(paired, then - offset, then)
+        for a in (first, paired):
+            a.setflags(write=False)
+        levels.append((first, then, paired))
+        offset *= 2
     return tuple(levels)

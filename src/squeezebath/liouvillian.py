@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import SIGMA_MINUS, SIGMA_PLUS, lift_left, lift_right, unvectorize, vectorize
 from .bath import BathPoint, BathSchedule, _validate_bath_point
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import pairing_levels, plan_integration
+from .integrate import pairing_levels, plan_integration, scan_levels
 from .states import check_density
 
 __all__ = [
@@ -180,9 +180,13 @@ def integrate_reference(
     the gauge route shares, over their differences D_k from the identity:
     (I + D')(I + D) = I + (D' + D + D' D), so adding the identity only to the
     finished product keeps the low bits that multiplying the rounded one-step
-    matrices loses.  Each interval's product is applied to the state once.
-    The state itself stays complex, so an initial state that is Hermitian
-    only within the tolerance is propagated as the linear map propagates it.
+    matrices loses.  The prefix scan of scan_levels, which the gauge route
+    shares too, then joins the chunk's interval products by the same law
+    into I + P_i, the product from the chunk's start to each of its grid
+    times, and one batched matmul applies every I + P_i to the state at the
+    chunk's start.  The state itself stays complex, so an initial state that
+    is Hermitian only within the tolerance is propagated as the linear map
+    propagates it.
 
     Parameters
     ----------
@@ -216,6 +220,8 @@ def integrate_reference(
     y = _TO_BLOCH @ vectorize(rho0)[..., None]
     vectors = np.zeros((grid.size,) + y.shape[:-1], dtype=complex)
     vectors[0] = y[..., 0]
+    # one 4x4 per state of the stack: (4, 4) for one state, (1, 4, 4) for a stack
+    matrix_shape = (1,) * (y.ndim - 2) + (4, 4)
     for i0, plan, params in chunks:
         rates = _bloch_rates(*params)
         # substep k of the chunk runs over nodes 2k, 2k+1 and 2k+2
@@ -225,14 +231,17 @@ def integrate_reference(
         k3 = np.matmul(mids, _I4 + (0.5 * h) * k2)
         k4 = np.matmul(ends, _I4 + h * k3)
         deltas = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for first, then, paired in pairing_levels(plan.counts):
-            d, d2 = deltas[first], deltas[then]
+        # each interval's product, then each prefix of the chunk's intervals
+        size = plan.counts.size
+        for first, then, paired in pairing_levels(plan.counts) + scan_levels(size):
+            d, d2 = deltas.take(first, 0), deltas.take(then, 0)
             deltas = d2 + d
             deltas += d2 @ d
             np.copyto(deltas, d, where=~paired[:, None, None])
-        for i, a in enumerate(_I4 + deltas, i0 + 1):
-            y = a @ y
-            vectors[i] = y[..., 0]
+        # the chunk's start state times every prefix, in one batched product
+        start = vectors[i0][..., None]
+        prefixes = (_I4 + deltas).reshape((size,) + matrix_shape)
+        vectors[i0 + 1 : i0 + 1 + size] = (prefixes @ start)[..., 0]
     # non-finite values stay non-finite, so the first such row is where it blew up
     finite = np.isfinite(vectors).reshape(grid.size, -1).all(axis=1)
     if not finite.all():

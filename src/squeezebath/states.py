@@ -98,17 +98,30 @@ def hermiticity_defect(rho: np.ndarray):
     return np.max(np.abs(rho - _dagger(rho)), axis=(-2, -1))
 
 
+def _mean_and_spread(x: np.ndarray):
+    # (m, s) of the eigenvalues m -+ s of the Hermitian part [[a, b],
+    # [conj b, d]] of each 2x2 matrix, in closed form: m = (a + d)/2 and
+    # s = hypot((a - d)/2, |b|)
+    x = np.asarray(x)
+    a, d = x[..., 0, 0].real, x[..., 1, 1].real
+    b = 0.5 * (x[..., 0, 1] + np.conj(x[..., 1, 0]))
+    return 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
+
+
 def min_eigenvalue(rho: np.ndarray):
     """Smallest eigenvalue of the Hermitian part of rho."""
-    rho = np.asarray(rho)
-    return np.min(np.linalg.eigvalsh(0.5 * (rho + _dagger(rho))), axis=-1)
+    mean, spread = _mean_and_spread(rho)
+    return mean - spread
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):
-    """Half the trace norm of a - b (difference Hermitized first)."""
-    diff = np.asarray(a) - np.asarray(b)
-    diff = 0.5 * (diff + _dagger(diff))
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    """Half the trace norm of a - b (difference Hermitized first).
+
+    With the eigenvalues m -+ s of the difference, s >= 0, half the sum of
+    their magnitudes is max(|m|, s).
+    """
+    mean, spread = _mean_and_spread(np.asarray(a) - np.asarray(b))
+    return np.maximum(np.abs(mean), spread)
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:

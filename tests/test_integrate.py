@@ -15,6 +15,7 @@ from squeezebath.integrate import (
     pairing_levels,
     plan_integration,
     plan_substeps,
+    scan_levels,
     uniform_grid,
 )
 from squeezebath.liouvillian import integrate_reference
@@ -115,29 +116,20 @@ def test_plan_substeps_nodes_are_linspace_per_interval():
     assert np.array_equal(plan.nodes[2 * np.cumsum(plan.counts)], grid[1:])
 
 
-class _Controls:
-    # a schedule whose controls at the grid times are given outright
-    variation_rate = 0.0
-
-    def __init__(self, gamma, n):
-        self.gamma, self.n = np.array(gamma), np.array(n)
-
-    def params_on(self, times):
-        return self.gamma, self.n, np.zeros(self.n.shape, dtype=complex)
-
-
 def test_default_step_scales_with_gamma():
-    # min(1e-3 / max(max gamma, 1), 1e-2 / fastest rate), at most the spacing
+    # min(1e-3 / max(peak gamma, 1), 1e-2 / fastest rate), at most the spacing
     grid = np.array([0.0, 1.0, 2.0])
-    assert default_step(_Controls([1.0, 2.0, 0.5], [0.0] * 3), grid) == 5e-4
+    assert default_step(BathSchedule(gamma=Ramp(2.0, -0.75)), grid) == 5e-4
     # the fastest rate decides once 2N + 1 exceeds 10: r = 2 and nbar = 20
     squeezed = BathSchedule(gamma=Constant(1.0), r=Constant(2.0))
     n = squeezed.at(0.0).n_param
     r2 = default_step(squeezed, grid)
     assert r2 == 1e-2 / (2.0 * n + 1.0) == pytest.approx(1e-2 / math.cosh(4.0), rel=1e-15)
     assert default_step(BathSchedule(gamma=Constant(1.0), nbar=20.0), grid) == 1e-2 / 41.0
-    # the rate is gamma (2N + 1) at one time, not max gamma times max N
-    assert default_step(_Controls([2.0, 0.1], [0.0, 20.0]), grid[:2]) == 5e-4
+    # the rate is peak gamma times 2N + 1 at peak r, even where the two
+    # peaks fall at different times: gamma 2 -> 0.1 while r 0 -> 2 on [0, 1]
+    apart = BathSchedule(gamma=Ramp(2.0, -1.9), r=Ramp(0.0, 2.0))
+    assert default_step(apart, grid[:2]) == 1e-2 / (2.0 * (2.0 * n + 1.0))
     # the crossover at 2N + 1 = 10, for any gamma
     for gamma in (1.0, 4.0):
         steps = [default_step(BathSchedule(gamma=Constant(gamma), nbar=nbar), grid)
@@ -152,6 +144,31 @@ def test_default_step_scales_with_gamma():
     off = BathSchedule(gamma=Constant(0.0), r=Constant(1.0))
     assert default_step(off, grid) == default_step(off, np.array([0.0])) == 1e-3
     assert np.array_equal(evolve_gauge(off, grid)[-1], [0, 0, 0, 0, 1, 1, 1, 1])
+
+
+def test_control_peaks_bound_every_value_up_to_the_end():
+    # each kind's closed-form peak over [0, t_end]: a constant's value, the
+    # larger end of a monotone exp or ramp control (the ramp's clip at 0
+    # included), and for a sin control offset + |amplitude| where its phase
+    # passes a crest (pi/2, or -pi/2 for a negative amplitude, modulo 2 pi)
+    # before t_end, else its larger end
+    t_end = 3.0
+    times = np.linspace(0.0, t_end, 3001)
+    cases = [(Constant(0.7), 0.7), (ExpDecay(2.0, 0.5), 2.0),
+             (ExpDecay(2.0, -0.5), 2.0 * math.exp(1.5)), (Ramp(1.0, 0.5), 2.5),
+             (Ramp(1.0, -0.5), 1.0), (Ramp(-4.0, 1.0), 0.0), (Sinusoid(1.0, -0.3, 7.0), 1.3),
+             (Sinusoid(1.0, 0.3, -7.0, 2.0), 1.3), (Sinusoid(0.0, 3.0, 0.01), 3.0 * math.sin(0.03)),
+             (Sinusoid(0.0, 2.0, -0.5, 1.0), 2.0 * math.sin(1.0)),
+             (Sinusoid(0.5, -2.0, 0.2, 2.0), 0.5 - 2.0 * math.sin(2.6)),
+             (Sinusoid(1.0, 0.5, 0.0, 0.2), 1.0 + 0.5 * math.sin(0.2))]
+    for control, peak in cases:
+        assert control.peak(t_end) == pytest.approx(peak, rel=1e-15), control
+        assert np.max(control(times)) <= control.peak(t_end), control
+    assert ExpDecay(2.0, -0.5).peak(t_end) == float(ExpDecay(2.0, -0.5)(t_end))
+    assert Ramp(1.0, 0.5).peak(0.0) == 1.0
+    # a slow sin control far from its crest keeps the step of its largest value
+    slow = BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.0, 3.0, 0.01))
+    assert default_step(slow, uniform_grid(30.0, 0.05)) == 1e-3
 
 
 def test_default_step_resolves_the_fastest_control():
@@ -173,6 +190,20 @@ def test_default_step_resolves_the_fastest_control():
     aliased = BathSchedule(gamma=Sinusoid(5.0, 5.0, 2.0 * np.pi / 0.05, -np.pi / 2.0))
     assert np.max(aliased.params_on(grid)[0]) < 1e-12
     assert default_step(aliased, grid) == 1e-2 / (2.0 * np.pi / 0.05)
+
+
+def test_default_step_sees_a_rate_reached_only_between_grid_times():
+    # gamma = 5 - 5 cos(4 pi t) is 0 at every output time of dt_out = 0.5
+    # and reaches 10 between them; at r = 3, gamma (2N + 1) reaches about
+    # 2017 there.  Read at the grid times the rule would give 1e-2 / (4 pi)
+    # and the run would exit 2 (trace error 5.3e-9 at t = 0.5); the peaks
+    # give 1e-2 / (10 (2N + 1)) and the run passes every tolerance.
+    schedule = BathSchedule(gamma=Sinusoid(5.0, 5.0, 4.0 * math.pi, -math.pi / 2.0),
+                            r=Constant(3.0))
+    grid = uniform_grid(5.0, 0.5)
+    assert np.max(schedule.params_on(grid)[0]) < 1e-12
+    n = schedule.at(0.0).n_param
+    assert default_step(schedule, grid) == 1e-2 / (10.0 * (2.0 * n + 1.0))
 
 
 @pytest.mark.parametrize("counts", [[1, 3, 2, 7, 1, 4, 5, 8, 1], [12], []],
@@ -207,6 +238,32 @@ def test_pairing_levels_are_computed_once_per_counts():
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
     assert pairing_levels(np.array([3, 4, 1, 6])) is not levels
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 12, 2048])
+def test_scan_levels_give_every_prefix_in_order(size):
+    # fold string labels with concatenation, "first, then then", as the
+    # routes fold their interval elements: entry i must come out as labels
+    # 0 .. i in order, after ceil(log2(size)) levels
+    labels = ["%d," % k for k in range(size)]
+    steps = np.array(labels, dtype=object)
+    levels = scan_levels(size)
+    for first, then, paired in levels:
+        steps = np.where(paired, steps[first] + steps[then], steps[first])
+    assert steps.tolist() == ["".join(labels[: i + 1]) for i in range(size)]
+    # the first entry is carried up untouched, as the very same object
+    assert size == 0 or steps[0] is labels[0]
+    assert len(levels) == (math.ceil(math.log2(size)) if size else 0)
+
+
+def test_scan_levels_are_computed_once_per_size():
+    levels = scan_levels(12)
+    assert scan_levels(np.intp(12)) is levels
+    for level in levels:
+        for a in level:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    assert scan_levels(13) is not levels
 
 
 def _uneven_grid():

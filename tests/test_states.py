@@ -37,6 +37,43 @@ def test_helpers_on_a_stack_equal_the_per_matrix_results():
     assert states.shape == (len(grid), 2, 2)
 
 
+def test_closed_form_eigenvalues_match_eigvalsh():
+    # min_eigenvalue and trace_distance take the eigenvalues of the
+    # Hermitian part in closed form.  On general, degenerate (b = 0, a = d,
+    # zero included), pure and 1e-15-scale matrices they stay within
+    # 8 eps of the largest eigenvalue magnitude of eigvalsh's values
+    # (measured 3.3 eps, on a pure state's zero eigenvalue)
+    rng = np.random.default_rng(17)
+
+    def noise(k):
+        return rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+
+    def hermitian_part(x):
+        return 0.5 * (x + np.conj(np.swapaxes(x, -1, -2)))
+
+    degenerate = np.append(rng.normal(size=50), 0.0)[:, None, None] * np.eye(2)
+    angles = rng.uniform(0.0, 2.0 * math.pi, (100, 3))
+    pure = np.array([pure_state(math.cos(a) * cmath.exp(1j * p), math.sin(a) * cmath.exp(1j * q))
+                     for a, p, q in angles])
+    tiny = 1e-15 * noise(100)
+    stack = np.concatenate([noise(200), degenerate, pure, tiny])
+    eps = np.finfo(float).eps
+
+    def check(got, eigs, want):
+        assert np.all(np.abs(got - want) <= 8.0 * eps * np.max(np.abs(eigs), axis=-1))
+
+    eigs = np.linalg.eigvalsh(hermitian_part(stack))
+    check(min_eigenvalue(stack), eigs, eigs[:, 0])
+    check(trace_distance(stack, np.zeros_like(stack)), eigs, 0.5 * np.sum(np.abs(eigs), axis=-1))
+    # nearby states, whose difference is on the 1e-15 scale
+    near = pure + tiny
+    eigs = np.linalg.eigvalsh(hermitian_part(near - pure))
+    check(trace_distance(near, pure), eigs, 0.5 * np.sum(np.abs(eigs), axis=-1))
+    # the degenerate matrices, and the zero matrix among them, come out exact
+    assert np.array_equal(min_eigenvalue(degenerate), degenerate[:, 0, 0])
+    assert np.array_equal(trace_distance(degenerate, 0.0 * degenerate), np.abs(degenerate[:, 0, 0]))
+
+
 _TRACE = np.diag([0.7, 0.7])  # trace 1.4
 _HERMITICITY = np.array([[0.5, 0.2], [0.3, 0.5]])  # not Hermitian
 _POSITIVITY = np.diag([1.2, -0.2])  # trace 1, negative eigenvalue

@@ -10,6 +10,7 @@ program, so the seeds and ranges below stay as they are.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from squeezebath.cli import main
@@ -97,3 +98,22 @@ def test_physical_draws_give_results_and_grids_run_or_are_refused(tmp_path, caps
                 and err.count("\n") == 1):
             failed.append((args[3:], code, err))
     assert not failed, failed
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_rate_reached_only_between_grid_times_gives_results(tmp_path, capsys):
+    # gamma = 5 - 5 cos(4 pi t) is 0 at every output time of dt_out = 0.5
+    # and up to 10 between them, so at r = 3 gamma (2N + 1) reaches about
+    # 2017 only between grid times.  A step read from the controls at the
+    # grid times exits 2 (trace error 5.3e-9 at t = 0.5); the controls'
+    # peaks give a step of about 5e-6, about a million substeps (3 s)
+    args = ["trajectory", "--out", str(tmp_path), "--schedule.gamma.kind=sin",
+            "--schedule.gamma.a=5", "--schedule.gamma.b=5",
+            "--schedule.gamma.omega=%r" % (4.0 * math.pi),
+            "--schedule.gamma.phase=%r" % (-math.pi / 2.0),
+            "--schedule.r.kind=const", "--schedule.r.value=3",
+            "--grid.t_max=5", "--grid.dt_out=0.5"]
+    assert main(args) == 0, capsys.readouterr().err
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (11, 16)
+    assert np.max(rows[:, 13]) <= 1e-10  # trace_dist_ref, the oracle distance
