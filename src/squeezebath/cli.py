@@ -357,12 +357,18 @@ def _fmt(value: float) -> str:
     return format(float(value), ".15g")
 
 
+_CSV_BLOCK_ROWS = 256
+
+
 def write_trajectory_csv(path: str, table: np.ndarray) -> None:
-    # formatted row by row, so that one row at a time is held as Python floats
+    # formatted _CSV_BLOCK_ROWS rows per % call, so that one block at a time
+    # is held as Python floats
     row = ",".join(["%.15g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        fh.writelines(row % tuple(values.tolist()) for values in table)
+        for i in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[i : i + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

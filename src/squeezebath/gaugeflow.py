@@ -70,11 +70,13 @@ followed by element B is
     f_gg = f_gg^A w
 
 where w = 1 + delta, so f_ee comes from the determinant f_ee f_gg and a
-decaying weight is only ever multiplied.  Per chunk, the prefix scan of
-integrate.scan_levels, which the reference route shares too, joins the
-intervals' elements by this law into the product of each run of them from
-the chunk's start, and the state at the chunk's start followed by each
-prefix is the flow at each of the chunk's grid times.
+decaying weight is only ever multiplied.  Per chunk, the prefix scan at
+the offsets of integrate.scan_levels, which the reference route shares
+too, joins the intervals' elements by this law into the product of each
+run of them from the chunk's start: at offset s, each stack's entries
+from s on become _join(x[:, :-s], x[:, s:]), computed from the level's
+input by contiguous slices.  The state at the chunk's start followed by
+each prefix is the flow at each of the chunk's grid times.
 
 For a constant reservoir all eight columns have closed forms, implemented
 in autonomous_gauge; the time stepping must reproduce them, and both must
@@ -116,9 +118,9 @@ def evolve_gauge(
     Per chunk of plan_integration, every substep's RK4 step from the
     identity is taken at once, each interval's steps are composed by the
     pairwise schedule of pairing_levels, the intervals' elements are joined
-    into every prefix of the chunk by the scan of scan_levels with plain
-    weights, and the flow at the chunk's start is followed by each prefix
-    in one batched join (see the module docstring).
+    into every prefix of the chunk by the scan at the offsets of scan_levels
+    with plain weights, and the flow at the chunk's start is followed by
+    each prefix in one batched join (see the module docstring).
 
     Parameters
     ----------
@@ -150,10 +152,11 @@ def evolve_gauge(
             steps = _rk4_steps(nodes, np.repeat(plan.widths, plan.counts))
             # steps stays bound until the next chunk: freeing the full-size
             # steps in the middle of a chunk made the route about 20% slower
-            elements = _fold(steps, pairing_levels(plan.counts), _compose)
             # the intervals' elements with plain weights, f = 1 + d
-            elements = [s + _PLAIN for s in elements]
-            pop, coh = _fold(elements, scan_levels(plan.counts.size), _join)
+            pop, coh = (s + _PLAIN for s in _fold(steps, pairing_levels(plan.counts)))
+            for off in scan_levels(plan.counts.size):
+                for s in (pop, coh):
+                    s[:, off:] = _join(s[:, :-off], s[:, off:])
             # the chunk's start state followed by each prefix of its intervals
             start = out[i0]
             out[rows, _POP] = np.transpose(_join(start[_POP].real, pop))
@@ -225,11 +228,11 @@ def _join(first, then):
             f1_ee * f2_ee * f2_gg / w, f1_gg * w)
 
 
-def _fold(stacks, levels, law):
-    # each (4, K) stack of elements through the levels of pairing_levels or
-    # scan_levels, joined by law
+def _fold(stacks, levels):
+    # each (4, K) stack through the levels of pairing_levels, by gathers as the
+    # runs have uneven lengths; the prefix scan's offsets use contiguous slices
     for first, then, paired in levels:
-        stacks = [np.where(paired, law(s.take(first, 1), s.take(then, 1)), s.take(first, 1))
+        stacks = [np.where(paired, _compose(s.take(first, 1), s.take(then, 1)), s.take(first, 1))
                   for s in stacks]
     return stacks
 

@@ -17,12 +17,13 @@ does not grow with the horizon.
 Both integrators take a chunk's RK4 steps at once and reduce each interval's
 steps to one by the same pairwise product, whose schedule pairing_levels
 computes from the substep counts alone.  Then the same inclusive prefix
-scan, whose schedule scan_levels computes from the chunk's interval count,
-joins the intervals' products into the product from the chunk's start to
-each of its grid times, and one batched product applies the state at the
-chunk's start to all of them.  Each integrator keeps its own array layout
-and composition law.  Grids whose row or substep counts would exceed
-MAX_ROWS or MAX_INTERVAL_SUBSTEPS are refused before anything is allocated.
+scan joins the intervals' products into the product from the chunk's start
+to each of its grid times; scan_levels gives its offsets, and each level is
+applied by contiguous slices, with no index arrays and nothing cached.  One
+batched product applies the state at the chunk's start to all of them.
+Each integrator keeps its own array layout and composition law.  Grids
+whose row or substep counts would exceed MAX_ROWS or MAX_INTERVAL_SUBSTEPS
+are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -256,35 +257,15 @@ def _pairing_levels(key: bytes) -> tuple:
 
 
 def scan_levels(size: int) -> tuple:
-    """The inclusive prefix scan over a stack of size steps, level by level.
+    """The offsets of the inclusive prefix scan over a stack of size steps.
 
-    Returns one (first, then, paired) per level, applied as the levels of
-    pairing_levels are: the stack x becomes
-    where(paired, combine(x[first], x[then]), x[first]).  The level of
-    offset s = 1, 2, 4, ... < size replaces each entry i >= s by entry
-    i - s followed by entry i and carries the entries below s up unchanged
-    (Hillis and Steele; Blelloch, "Prefix sums and their applications",
-    1990).  So after ceil(log2(size)) levels entry i is the product of
-    steps 0 .. i in order, and entry 0 is never touched.
-
-    Every full chunk of a grid has the same size, so the levels are computed
-    once per size and returned as the same read-only arrays on every later
-    call.
+    Returns the offsets s = 1, 2, 4, ... below size, one per level (Hillis
+    and Steele; Blelloch, "Prefix sums and their applications", 1990).  The
+    level of offset s is applied by contiguous slices: the stack x becomes
+    x[s:] = combine(x[:-s], x[s:]), both operands read from the level's
+    input, and the entries below s are carried up unchanged.  So after
+    ceil(log2(size)) levels entry i is the product of steps 0 .. i in order,
+    and entry 0 is never touched.  There are no index arrays to keep, so
+    nothing is cached.
     """
-    return _scan_levels(int(size))
-
-
-@functools.lru_cache(maxsize=8)
-def _scan_levels(size: int) -> tuple:
-    then = np.arange(size)
-    then.setflags(write=False)
-    levels = []
-    offset = 1
-    while offset < size:
-        paired = then >= offset
-        first = np.where(paired, then - offset, then)
-        for a in (first, paired):
-            a.setflags(write=False)
-        levels.append((first, then, paired))
-        offset *= 2
-    return tuple(levels)
+    return tuple(1 << k for k in range(max(int(size) - 1, 0).bit_length()))

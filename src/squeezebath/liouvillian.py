@@ -180,13 +180,15 @@ def integrate_reference(
     the gauge route shares, over their differences D_k from the identity:
     (I + D')(I + D) = I + (D' + D + D' D), so adding the identity only to the
     finished product keeps the low bits that multiplying the rounded one-step
-    matrices loses.  The prefix scan of scan_levels, which the gauge route
-    shares too, then joins the chunk's interval products by the same law
-    into I + P_i, the product from the chunk's start to each of its grid
-    times, and one batched matmul applies every I + P_i to the state at the
-    chunk's start.  The state itself stays complex, so an initial state that
-    is Hermitian only within the tolerance is propagated as the linear map
-    propagates it.
+    matrices loses.  The prefix scan at the offsets s of scan_levels, which
+    the gauge route shares too, then joins the chunk's interval products by
+    the same law into I + P_i, the product from the chunk's start to each of
+    its grid times: at offset s the stack's entries from s on become
+    D[s:] + D[:-s] + D[s:] D[:-s], computed from the level's input by
+    contiguous slices.  One batched matmul applies every I + P_i to the
+    state at the chunk's start.  The state itself stays complex, so an
+    initial state that is Hermitian only within the tolerance is propagated
+    as the linear map propagates it.
 
     Parameters
     ----------
@@ -231,13 +233,19 @@ def integrate_reference(
         k3 = np.matmul(mids, _I4 + (0.5 * h) * k2)
         k4 = np.matmul(ends, _I4 + h * k3)
         deltas = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # each interval's product, then each prefix of the chunk's intervals
-        size = plan.counts.size
-        for first, then, paired in pairing_levels(plan.counts) + scan_levels(size):
+        # each interval's product
+        for first, then, paired in pairing_levels(plan.counts):
             d, d2 = deltas.take(first, 0), deltas.take(then, 0)
             deltas = d2 + d
             deltas += d2 @ d
             np.copyto(deltas, d, where=~paired[:, None, None])
+        # then each prefix of the chunk's intervals, by contiguous slices
+        size = plan.counts.size
+        for s in scan_levels(size):
+            d, d2 = deltas[:-s], deltas[s:]
+            joined = d2 + d
+            joined += d2 @ d
+            deltas[s:] = joined
         # the chunk's start state times every prefix, in one batched product
         start = vectors[i0][..., None]
         prefixes = (_I4 + deltas).reshape((size,) + matrix_shape)

@@ -491,9 +491,30 @@ def _peak_traced_bytes(run):
         tracemalloc.stop()
 
 
+# signed zeros, the smallest subnormal, huge and tiny magnitudes, and both
+# sides of 1e15, where %g switches to exponent form
+_CSV_VALUES = [0.0, -0.0, 5e-324, 1e-300, -1e300, 1.0, 1e14, 1e15]
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 601])
+def test_csv_writer_matches_one_row_at_a_time(tmp_path, monkeypatch, rows, block):
+    if block is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+    rng = np.random.default_rng(rows)
+    values = _CSV_VALUES + (rng.standard_normal(8) * 10.0 ** rng.integers(-20, 20, 8)).tolist()
+    table = rng.choice(values, size=(rows, 16))
+    path = tmp_path / "t.csv"
+    cli.write_trajectory_csv(str(path), table)
+    want = "".join(
+        [TRAJECTORY_HEADER + "\n"] + [",".join("%.15g" % v for v in row) + "\n" for row in table]
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path):
-    # the writer holds one row at a time as Python floats; the whole table
-    # as floats would take about 700 B per row
+    # the writer holds one block of rows at a time as Python floats; the
+    # whole table as floats would take about 700 B per row
     peaks = []
     for rows in (5_001, 20_001):
         table = np.linspace(-1.0, 1.0, rows * 16).reshape(rows, 16)
@@ -504,8 +525,9 @@ def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path):
 
 def test_trajectory_memory_per_row(tmp_path, capsys):
     # 20 001 rows of one substep each peak near 400 B per row, in
-    # compute_frame; a writer holding the whole table as Python floats
-    # takes the run to about 840 B
+    # compute_frame, with the writer holding one block of rows at a time;
+    # a writer holding the whole table as Python floats takes the run to
+    # about 840 B
     args = ["trajectory", "--out", str(tmp_path), "--grid.t_max=20", "--grid.dt_out=0.001"]
     peak = _peak_traced_bytes(lambda: main(args))
     assert "(20001 rows," in capsys.readouterr().out

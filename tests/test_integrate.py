@@ -243,27 +243,28 @@ def test_pairing_levels_are_computed_once_per_counts():
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 12, 2048])
 def test_scan_levels_give_every_prefix_in_order(size):
     # fold string labels with concatenation, "first, then then", as the
-    # routes fold their interval elements: entry i must come out as labels
-    # 0 .. i in order, after ceil(log2(size)) levels
+    # routes fold their interval elements, x[s:] = x[:-s] + x[s:] at each
+    # offset s: entry i must come out as labels 0 .. i in order, after
+    # ceil(log2(size)) levels
     labels = ["%d," % k for k in range(size)]
     steps = np.array(labels, dtype=object)
     levels = scan_levels(size)
-    for first, then, paired in levels:
-        steps = np.where(paired, steps[first] + steps[then], steps[first])
+    for s in levels:
+        steps[s:] = steps[:-s] + steps[s:]
     assert steps.tolist() == ["".join(labels[: i + 1]) for i in range(size)]
     # the first entry is carried up untouched, as the very same object
     assert size == 0 or steps[0] is labels[0]
     assert len(levels) == (math.ceil(math.log2(size)) if size else 0)
 
 
-def test_scan_levels_are_computed_once_per_size():
-    levels = scan_levels(12)
-    assert scan_levels(np.intp(12)) is levels
-    for level in levels:
-        for a in level:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = a[0]
-    assert scan_levels(13) is not levels
+def test_scan_levels_are_the_offsets_below_the_size():
+    assert scan_levels(0) == ()
+    assert scan_levels(1) == ()
+    assert scan_levels(2) == (1,)
+    assert scan_levels(3) == (1, 2)
+    assert scan_levels(4) == (1, 2)
+    assert scan_levels(5) == (1, 2, 4)
+    assert scan_levels(2048) == (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 def _uneven_grid():
