@@ -73,6 +73,10 @@ class Constant:
         """The largest value on [0, t_end]."""
         return self.value
 
+    def speed(self, t_end: float) -> float:
+        """The largest |f'| on [0, t_end]."""
+        return 0.0
+
     @property
     def variation_rate(self) -> float:
         return 0.0
@@ -107,6 +111,10 @@ class ExpDecay:
         """The largest value on [0, t_end], at an end: the control is monotone."""
         return float(max(self(0.0), self(t_end)))
 
+    def speed(self, t_end: float) -> float:
+        """The largest |f'| = |rate f| on [0, t_end], at an end: |f| is monotone."""
+        return abs(self.rate) * float(max(abs(self(0.0)), abs(self(t_end))))
+
 
 @dataclass(frozen=True)
 class Ramp:
@@ -137,6 +145,10 @@ class Ramp:
     def peak(self, t_end: float) -> float:
         """The largest value on [0, t_end], at an end: the control is monotone."""
         return float(max(self(0.0), self(t_end)))
+
+    def speed(self, t_end: float) -> float:
+        """The largest |f'| on [0, t_end], at most |slope|."""
+        return abs(self.slope)
 
 
 @dataclass(frozen=True)
@@ -178,6 +190,10 @@ class Sinusoid:
         if crest + _TAU * math.floor((hi - crest) / _TAU) >= lo:
             return self.offset + abs(self.amplitude)
         return float(max(self(0.0), self(t_end)))
+
+    def speed(self, t_end: float) -> float:
+        """The largest |f'| on [0, t_end], at most |amplitude omega|."""
+        return abs(self.amplitude * self.omega)
 
 
 ControlFunction = Union[Constant, ExpDecay, Ramp, Sinusoid]

@@ -55,13 +55,14 @@ delta = d_gg^B + a^A b^B, element A followed by element B is
     d_ee = p^B + p^A + p^B p^A + a^B (1 + d_gg^B) b^A - a b
 
 where 1 + delta is the ratio of f_gg at the two end times, never zero
-where the flow exists.  Each interval's substeps are composed by the
-pairwise schedule of integrate.pairing_levels, which the reference route
-shares, within the interval only, so each interval's element does not
-depend on the chunking.  From there on the elements keep plain weights
-f = 1 + d, which a difference from 1 cannot hold once they decay (f_ee and
-f_eg reach 1e-119 at r = 2, t = 10).  With plain weights, element A
-followed by element B is
+where the flow exists.  Every interval of a chunk has the same m
+substeps, so each sector's steps form a (4, K, m) stack, and each
+interval's steps are composed by integrate.pairwise_products, which the
+reference route shares, within the interval only, so each interval's
+element does not depend on the chunking.  From there on the elements keep
+plain weights f = 1 + d, which a difference from 1 cannot hold once they
+decay (f_ee and f_eg reach 1e-119 at r = 2, t = 10).  With plain weights,
+element A followed by element B is
 
     w    = f_gg^B + a^A b^B
     a    = (a^A (f_ee^B + a^B b^B) + a^B f_gg^B) / w
@@ -70,13 +71,11 @@ followed by element B is
     f_gg = f_gg^A w
 
 where w = 1 + delta, so f_ee comes from the determinant f_ee f_gg and a
-decaying weight is only ever multiplied.  Per chunk, the prefix scan at
-the offsets of integrate.scan_levels, which the reference route shares
-too, joins the intervals' elements by this law into the product of each
-run of them from the chunk's start: at offset s, each stack's entries
-from s on become _join(x[:, :-s], x[:, s:]), computed from the level's
-input by contiguous slices.  The state at the chunk's start followed by
-each prefix is the flow at each of the chunk's grid times.
+decaying weight is only ever multiplied.  Per chunk,
+integrate.prefix_products, which the reference route shares too, joins
+the intervals' elements by this law into the product of each run of them
+from the chunk's start.  The state at the chunk's start followed by each
+prefix is the flow at each of the chunk's grid times.
 
 For a constant reservoir all eight columns have closed forms, implemented
 in autonomous_gauge; the time stepping must reproduce them, and both must
@@ -92,7 +91,7 @@ import numpy as np
 from .algebra import unvectorize, vectorize
 from .bath import BathSchedule
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import pairing_levels, plan_integration, scan_levels
+from .integrate import pairwise_products, plan_integration, prefix_products
 from .states import check_density
 
 __all__ = [
@@ -116,11 +115,11 @@ def evolve_gauge(
     """The gauge flow as a product of per-substep group elements.
 
     Per chunk of plan_integration, every substep's RK4 step from the
-    identity is taken at once, each interval's steps are composed by the
-    pairwise schedule of pairing_levels, the intervals' elements are joined
-    into every prefix of the chunk by the scan at the offsets of scan_levels
-    with plain weights, and the flow at the chunk's start is followed by
-    each prefix in one batched join (see the module docstring).
+    identity is taken at once, each interval's steps are composed by
+    pairwise_products, the intervals' elements are joined into every prefix
+    of the chunk by prefix_products with plain weights, and the flow at the
+    chunk's start is followed by each prefix in one batched join (see the
+    module docstring).
 
     Parameters
     ----------
@@ -152,11 +151,13 @@ def evolve_gauge(
             steps = _rk4_steps(nodes, np.repeat(plan.widths, plan.counts))
             # steps stays bound until the next chunk: freeing the full-size
             # steps in the middle of a chunk made the route about 20% slower
-            # the intervals' elements with plain weights, f = 1 + d
-            pop, coh = (s + _PLAIN for s in _fold(steps, pairing_levels(plan.counts)))
-            for off in scan_levels(plan.counts.size):
-                for s in (pop, coh):
-                    s[:, off:] = _join(s[:, :-off], s[:, off:])
+            # the intervals' elements with plain weights, f = 1 + d, then
+            # each prefix of the chunk's intervals
+            m = plan.counts.max(initial=1)
+            pop, coh = (pairwise_products(s.reshape(4, -1, m), 2, _pair)[..., 0] + _PLAIN
+                        for s in steps)
+            for s in (pop, coh):
+                prefix_products(s, 1, _join)
             # the chunk's start state followed by each prefix of its intervals
             start = out[i0]
             out[rows, _POP] = np.transpose(_join(start[_POP].real, pop))
@@ -228,13 +229,10 @@ def _join(first, then):
             f1_ee * f2_ee * f2_gg / w, f1_gg * w)
 
 
-def _fold(stacks, levels):
-    # each (4, K) stack through the levels of pairing_levels, by gathers as the
-    # runs have uneven lengths; the prefix scan's offsets use contiguous slices
-    for first, then, paired in levels:
-        stacks = [np.where(paired, _compose(s.take(first, 1), s.take(then, 1)), s.take(first, 1))
-                  for s in stacks]
-    return stacks
+def _pair(first, then):
+    # _compose of (4, K, n) stacks, as one array; on the strided views that
+    # pairwise_products passes, a 40-by-50 chunk paired 1.4x slower than on copies
+    return np.array(_compose(np.ascontiguousarray(first), np.ascontiguousarray(then)))
 
 
 def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:

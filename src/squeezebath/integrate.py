@@ -9,26 +9,25 @@ that number too.  Each output interval [t_i, t_{i+1}] is cut into m equal
 substeps of width h <= step, and the right-hand side is evaluated on the
 2m+1 node times t_i + j*h/2, of which neighbouring intervals share the
 boundary node.  Both integrators walk the grid in chunks of whole intervals
-holding at most CHUNK_SUBSTEPS substeps.  A chunk's nodes are planned, and
-the bath controls evaluated on them in one vectorized pass, only when the
-chunk is reached, so the memory an integration needs beside its output rows
-does not grow with the horizon.
+holding at most CHUNK_SUBSTEPS substeps and one substep count m.  A chunk's
+nodes are planned, and the bath controls evaluated on them in one
+vectorized pass, only when the chunk is reached, so the memory an
+integration needs beside its output rows does not grow with the horizon.
 
-Both integrators take a chunk's RK4 steps at once and reduce each interval's
-steps to one by the same pairwise product, whose schedule pairing_levels
-computes from the substep counts alone.  Then the same inclusive prefix
-scan joins the intervals' products into the product from the chunk's start
-to each of its grid times; scan_levels gives its offsets, and each level is
-applied by contiguous slices, with no index arrays and nothing cached.  One
-batched product applies the state at the chunk's start to all of them.
-Each integrator keeps its own array layout and composition law.  Grids
+Both integrators take a chunk's RK4 steps at once, as a stack of K
+intervals by m steps, and reduce it by two shared functions, each
+integrator passing only its own array layout and composition law:
+pairwise_products multiplies each interval's steps by neighbouring pairs,
+and prefix_products joins the intervals' products into the product from
+the chunk's start to each of its grid times.  Both work by strided or
+contiguous slices, with no index arrays and nothing cached.  One batched
+product applies the state at the chunk's start to all of them.  Grids
 whose row or substep counts would exceed MAX_ROWS or MAX_INTERVAL_SUBSTEPS
 are refused before anything is allocated.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "check_grid",
-           "plan_integration", "pairing_levels", "scan_levels", "CHUNK_SUBSTEPS",
+           "plan_integration", "pairwise_products", "prefix_products", "CHUNK_SUBSTEPS",
            "MAX_ROWS", "MAX_INTERVAL_SUBSTEPS"]
 
 # Substeps per chunk of plan_integration.  512 and 8192 ran equally fast; far
@@ -142,17 +141,18 @@ def default_step(schedule, grid: np.ndarray) -> float:
 
     1e-3 / max(peak gamma, 1), narrowed to 1e-2 over the fastest rate, and
     never wider than the smallest grid spacing.  The fastest rate is the
-    larger of peak gamma times (2N + 1) at peak r, and the schedule's
-    variation_rate; each peak is the control's closed-form largest value
-    over [0, t_end] (its peak method), so a rate that the controls reach
-    only between grid times counts too.  The solution relaxes at rates up
-    to gamma (2N + 1) (closed_form_spectrum), and the controls change at
-    their variation_rate, so the second term keeps each substep's RK4 error
-    small under strong squeezing, a hot reservoir or fast controls; where
-    both rates are at most 10 the first term decides, and a weak or absent
-    coupling still gets 1e-3.  The controls are first evaluated on the grid,
-    which refuses a bad value there with params_on's message; a rate past
-    the float range is refused too.
+    largest of peak gamma times (2N + 1) at peak r, the schedule's
+    variation_rate and, for a squeezed reservoir (not thermal, peak r > 0),
+    theta's speed, at which the phase of M = |M| exp(-i theta) turns; each
+    is the controls' closed-form peak over [0, t_end] (their peak and speed
+    methods), so a rate that the controls reach only between grid times
+    counts too.  The solution relaxes at rates up to gamma (2N + 1)
+    (closed_form_spectrum), so the second term keeps each substep's RK4
+    error small under strong squeezing, a hot reservoir or fast controls;
+    where these rates are at most 10 the first term decides, and a weak or
+    absent coupling still gets 1e-3.  The controls are first evaluated on
+    the grid, which refuses a bad value there with params_on's message; a
+    rate past the float range is refused too.
     """
     grid = check_grid(grid)
     schedule.params_on(grid)  # refuses a bad control at a grid time, with its message
@@ -160,11 +160,13 @@ def default_step(schedule, grid: np.ndarray) -> float:
     gamma = schedule.gamma.peak(t_end)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         if schedule.thermal:
-            n = schedule.nbar
+            n, turn = schedule.nbar, 0.0
         else:
-            sh = np.sinh(schedule.r.peak(t_end))
+            r = schedule.r.peak(t_end)
+            sh = np.sinh(r)
             n = sh * sh
-        fastest = max(float(gamma * (2.0 * n + 1.0)), schedule.variation_rate)
+            turn = schedule.theta.speed(t_end) if r > 0.0 else 0.0  # M = 0 at r = 0
+        fastest = max(float(gamma * (2.0 * n + 1.0)), schedule.variation_rate, turn)
     if not fastest < math.inf:
         raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
     step = 1e-3 / max(gamma, 1.0)
@@ -183,8 +185,9 @@ def plan_integration(schedule, grid: np.ndarray, step: float | None):
     Both are checked here, before any chunk is planned.
 
     The iterator yields (i0, plan, (gamma, N, M)) for each run of whole grid
-    intervals i0 .. i1 - 1 holding at most CHUNK_SUBSTEPS substeps (an
-    interval holding more is a chunk by itself): plan is
+    intervals i0 .. i1 - 1 of one substep count holding at most
+    CHUNK_SUBSTEPS substeps (an interval holding more is a chunk by
+    itself): plan is
     plan_substeps(grid[i0 : i1 + 1], step) and (gamma, N, M) the controls at
     its nodes.  Chunk nodes are bitwise the nodes the whole grid would plan,
     and consecutive chunks share their boundary node.  A one-point grid
@@ -200,72 +203,56 @@ def plan_integration(schedule, grid: np.ndarray, step: float | None):
             raise InvalidInputError(
                 "internal step %r exceeds smallest grid spacing %r" % (step, spacing)
             )
-    # done[i]: substeps before grid time i
-    done = np.concatenate(([0], np.cumsum(_substep_counts(np.diff(grid), step))))
-    return grid, _chunks(schedule, grid, step, done)
+    return grid, _chunks(schedule, grid, step, _substep_counts(np.diff(grid), step))
 
 
-def _chunks(schedule, grid: np.ndarray, step: float, done: np.ndarray):
-    last = grid.size - 1
+def _chunks(schedule, grid: np.ndarray, step: float, counts: np.ndarray):
+    done = np.concatenate(([0], np.cumsum(counts)))  # substeps before grid time i
     i0 = 0
-    while True:
-        i1 = int(np.searchsorted(done, done[i0] + CHUNK_SUBSTEPS, side="right")) - 1
-        i1 = min(max(i1, i0 + 1), last)
-        plan = plan_substeps(grid[i0 : i1 + 1], step)
-        yield i0, plan, schedule.params_on(plan.nodes)
-        if i1 == last:
-            return
-        i0 = i1
+    # up to each grid time where the substep count changes, then the last one
+    for end in np.append(np.flatnonzero(np.diff(counts)) + 1, grid.size - 1).tolist():
+        while True:
+            i1 = int(np.searchsorted(done, done[i0] + CHUNK_SUBSTEPS, side="right")) - 1
+            i1 = min(max(i1, i0 + 1), end)
+            plan = plan_substeps(grid[i0 : i1 + 1], step)
+            yield i0, plan, schedule.params_on(plan.nodes)
+            i0 = i1
+            if i0 == end:
+                break
 
 
-def pairing_levels(counts: np.ndarray) -> tuple:
-    """The pairwise product over runs of counts[i] steps, level by level.
+def pairwise_products(x: np.ndarray, axis: int, combine) -> np.ndarray:
+    """The product of the steps along axis, by neighbouring pairs, level by level.
 
-    Returns one (first, then, paired) per level: a stack x of the level's
-    steps, run after run, becomes the next level's stack
-    where(paired, combine(x[first], x[then]), x[first]), with combine(A, B)
-    the product of step A followed by step B.  Each level pairs neighbouring
-    steps within a run and carries an odd run's last step up unchanged, so
-    a run of c steps is one step after ceil(log2(c)) levels, a run of one is
-    never touched and no step is paired across a run boundary.
-
-    Every chunk of a uniform grid has the same counts, so the levels are
-    computed once per distinct counts and returned as the same read-only
-    arrays on every later call.
+    Each level pairs steps 0 and 1, 2 and 3, ... by strided slices into
+    combine(x[0::2], x[1::2]), an array, with combine(A, B) the product of
+    step A followed by step B, and carries an odd last step up unchanged.
+    So m steps are one after ceil(log2(m)) levels; the result keeps axis,
+    of length 1 (0 for no steps), and a single step is x itself.
     """
-    return _pairing_levels(np.asarray(counts, dtype=np.intp).tobytes())
+    head = (slice(None),) * (axis % x.ndim)
+    while x.shape[axis] > 1:
+        m = x.shape[axis]
+        paired = combine(x[head + (slice(0, m - 1, 2),)], x[head + (slice(1, m, 2),)])
+        x = np.concatenate((paired, x[head + (slice(m - 1, m),)]), axis) if m % 2 else paired
+    return x
 
 
-# A uniform grid's chunks have at most two distinct counts (full chunks and
-# the last one); a few more entries cover the grids of one command.
-@functools.lru_cache(maxsize=8)
-def _pairing_levels(key: bytes) -> tuple:
-    counts = np.frombuffer(key, dtype=np.intp)
-    size = int(np.sum(counts))
-    levels = []
-    while size > counts.size:
-        pos = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)  # within its run
-        first = np.flatnonzero(pos % 2 == 0)
-        then = np.minimum(first + 1, size - 1)
-        level = (first, then, pos[then] == pos[first] + 1)
-        for a in level:
-            a.setflags(write=False)
-        levels.append(level)
-        size = first.size
-        counts = (counts + 1) // 2
-    return tuple(levels)
+def prefix_products(x: np.ndarray, axis: int, combine) -> np.ndarray:
+    """Every prefix product of the steps along axis, in place, and x.
 
-
-def scan_levels(size: int) -> tuple:
-    """The offsets of the inclusive prefix scan over a stack of size steps.
-
-    Returns the offsets s = 1, 2, 4, ... below size, one per level (Hillis
-    and Steele; Blelloch, "Prefix sums and their applications", 1990).  The
-    level of offset s is applied by contiguous slices: the stack x becomes
-    x[s:] = combine(x[:-s], x[s:]), both operands read from the level's
-    input, and the entries below s are carried up unchanged.  So after
-    ceil(log2(size)) levels entry i is the product of steps 0 .. i in order,
-    and entry 0 is never touched.  There are no index arrays to keep, so
-    nothing is cached.
+    The inclusive scan of Hillis and Steele (Blelloch, "Prefix sums and
+    their applications", 1990): at each offset s = 1, 2, 4, ... below the
+    length, x[s:] = combine(x[:-s], x[s:]) along axis, both operands read
+    from the level's input, and the entries below s stay as they are.  So
+    after ceil(log2(length)) levels entry i is the product of steps 0 .. i
+    in order, and entry 0 is never touched.
     """
-    return tuple(1 << k for k in range(max(int(size) - 1, 0).bit_length()))
+    head = (slice(None),) * (axis % x.ndim)
+    size = x.shape[axis]
+    s = 1
+    while s < size:
+        x[head + (slice(s, size),)] = combine(x[head + (slice(0, size - s),)],
+                                              x[head + (slice(s, size),)])
+        s *= 2
+    return x

@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import SIGMA_MINUS, SIGMA_PLUS, lift_left, lift_right, unvectorize, vectorize
 from .bath import BathPoint, BathSchedule, _validate_bath_point
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import pairing_levels, plan_integration, scan_levels
+from .integrate import pairwise_products, plan_integration, prefix_products
 from .states import check_density
 
 __all__ = [
@@ -162,6 +162,13 @@ def steady_state(rate) -> np.ndarray:
     return unvectorize(vec / tr)
 
 
+def _then(d, d2):
+    # (I + d) followed by (I + d2) is I + (d2 + d + d2 d)
+    out = d2 + d
+    out += d2 @ d
+    return out
+
+
 def integrate_reference(
     schedule: BathSchedule,
     rho0: np.ndarray,
@@ -175,19 +182,18 @@ def integrate_reference(
     rho0 and back out once, at the end.  The grid is walked in the chunks of
     plan_integration.  For each chunk, the real rate operators at its nodes
     and the RK4 one-step matrices I + D_k of all its substeps are built in
-    one batch, a dense general 4x4 each.  The one-step matrices of each
-    interval are multiplied by the pairwise schedule of pairing_levels, which
-    the gauge route shares, over their differences D_k from the identity:
-    (I + D')(I + D) = I + (D' + D + D' D), so adding the identity only to the
-    finished product keeps the low bits that multiplying the rounded one-step
-    matrices loses.  The prefix scan at the offsets s of scan_levels, which
-    the gauge route shares too, then joins the chunk's interval products by
-    the same law into I + P_i, the product from the chunk's start to each of
-    its grid times: at offset s the stack's entries from s on become
-    D[s:] + D[:-s] + D[s:] D[:-s], computed from the level's input by
-    contiguous slices.  One batched matmul applies every I + P_i to the
-    state at the chunk's start.  The state itself stays complex, so an
-    initial state that is Hermitian only within the tolerance is propagated
+    one batch, a dense general 4x4 each.  Every interval of a chunk has the
+    same m substeps, so their differences D_k from the identity form a
+    (K, m, 4, 4) stack, which the two functions of integrate that the gauge
+    route shares reduce by the law of D followed by D',
+    (I + D')(I + D) = I + (D' + D + D' D).  pairwise_products multiplies
+    each interval's steps; adding the identity only to the finished product
+    keeps the low bits that multiplying the rounded one-step matrices
+    loses.  prefix_products then joins the chunk's interval products into
+    I + P_i, the product from the chunk's start to each of its grid times,
+    and one batched matmul applies every I + P_i to the state at the
+    chunk's start.  The state itself stays complex, so an initial state
+    that is Hermitian only within the tolerance is propagated
     as the linear map propagates it.
 
     Parameters
@@ -233,19 +239,10 @@ def integrate_reference(
         k3 = np.matmul(mids, _I4 + (0.5 * h) * k2)
         k4 = np.matmul(ends, _I4 + h * k3)
         deltas = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # each interval's product
-        for first, then, paired in pairing_levels(plan.counts):
-            d, d2 = deltas.take(first, 0), deltas.take(then, 0)
-            deltas = d2 + d
-            deltas += d2 @ d
-            np.copyto(deltas, d, where=~paired[:, None, None])
-        # then each prefix of the chunk's intervals, by contiguous slices
+        # each interval's product, then each prefix of the chunk's intervals
         size = plan.counts.size
-        for s in scan_levels(size):
-            d, d2 = deltas[:-s], deltas[s:]
-            joined = d2 + d
-            joined += d2 @ d
-            deltas[s:] = joined
+        deltas = deltas.reshape(size, plan.counts.max(initial=1), 4, 4)
+        deltas = prefix_products(pairwise_products(deltas, 1, _then)[:, 0], 0, _then)
         # the chunk's start state times every prefix, in one batched product
         start = vectors[i0][..., None]
         prefixes = (_I4 + deltas).reshape((size,) + matrix_shape)

@@ -12,10 +12,10 @@ from squeezebath.integrate import (
     CHUNK_SUBSTEPS,
     check_grid,
     default_step,
-    pairing_levels,
+    pairwise_products,
     plan_integration,
     plan_substeps,
-    scan_levels,
+    prefix_products,
     uniform_grid,
 )
 from squeezebath.liouvillian import integrate_reference
@@ -165,6 +165,15 @@ def test_control_peaks_bound_every_value_up_to_the_end():
         assert control.peak(t_end) == pytest.approx(peak, rel=1e-15), control
         assert np.max(control(times)) <= control.peak(t_end), control
     assert ExpDecay(2.0, -0.5).peak(t_end) == float(ExpDecay(2.0, -0.5)(t_end))
+    # each kind's closed-form speed, the largest |f'| on [0, t_end], bounds
+    # the differences of its values: 0, |slope|, |amplitude omega| and
+    # |rate f| at the larger end
+    speeds = [(Constant(0.7), 0.0), (ExpDecay(2.0, 0.5), 1.0), (ExpDecay(-2.0, -0.5), math.exp(1.5)),
+              (Ramp(1.0, -0.5), 0.5), (Ramp(-4.0, 1.0), 1.0), (Sinusoid(1.0, -0.3, 7.0), 2.1)]
+    for control, speed in speeds:
+        assert control.speed(t_end) == pytest.approx(speed, rel=1e-15), control
+        slopes = np.abs(np.diff(control(times))) / np.diff(times)
+        assert np.max(slopes) <= control.speed(t_end) * (1.0 + 1e-9), control
     assert Ramp(1.0, 0.5).peak(0.0) == 1.0
     # a slow sin control far from its crest keeps the step of its largest value
     slow = BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.0, 3.0, 0.01))
@@ -181,6 +190,18 @@ def test_default_step_resolves_the_fastest_control():
                         grid) == 1e-2 / 40.0
     assert default_step(BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.5, 20.0)), grid) == 5e-4
     assert default_step(BathSchedule(gamma=Constant(1.0), theta=Ramp(0.0, 50.0)), grid) == 1e-3
+    # with r > 0 the phase of M turns at theta's peak speed |theta'|: 1e-2
+    # over it, where it passes 10 (exit 2 at the 1e-3 of these r = 0.8 runs)
+    squeezed = {"r": Constant(0.8), "gamma": Constant(1.0)}
+    for theta, t_max, step in ((Ramp(0.0, 1000.0), 1.0, 1e-5),
+                               (Sinusoid(0.0, 300.0, 10.0, 0.0), 1.0, 1e-2 / 3000.0),
+                               (ExpDecay(0.001, -3.0), 5.0, 1e-2 / (3.0 * (0.001 * math.exp(15.0))))):
+        assert default_step(BathSchedule(theta=theta, **squeezed), uniform_grid(t_max, 0.05)) == step
+    # but not at r = 0, where M = 0, nor under the thermal override
+    assert default_step(BathSchedule(gamma=Constant(1.0), r=Ramp(0.0, 0.0),
+                                     theta=Ramp(0.0, 1000.0)), grid) == 1e-3
+    assert default_step(BathSchedule(gamma=Constant(1.0), nbar=0.5, theta=Ramp(0.0, 1000.0)),
+                        grid) == 1e-3
     assert default_step(BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.5, 0.1, 10.0)),
                         grid) == 1e-3
     # under the thermal override r and theta are not used, and do not count
@@ -206,65 +227,62 @@ def test_default_step_sees_a_rate_reached_only_between_grid_times():
     assert default_step(schedule, grid) == 1e-2 / (10.0 * (2.0 * n + 1.0))
 
 
-@pytest.mark.parametrize("counts", [[1, 3, 2, 7, 1, 4, 5, 8, 1], [12], []],
-                         ids=["mixed-runs", "one-run-of-12", "one-point-grid"])
-def test_pairing_levels_fold_each_run_in_order(counts):
-    # fold string labels with concatenation, "first, then then": each run must
-    # come out as its labels in order, with no step paired across a boundary
-    counts = np.array(counts, dtype=int)
-    labels = ["%d," % k for k in range(counts.sum())]
-    steps = np.array(labels, dtype=object)
-    levels = 0
-    for first, then, paired in pairing_levels(counts):
-        steps = np.where(paired, steps[first] + steps[then], steps[first])
-        levels += 1
-    ends = np.cumsum(counts)
-    assert steps.tolist() == ["".join(labels[e - c : e]) for e, c in zip(ends, counts)]
+def _labels(shape):
+    # distinct string labels, folded with concatenation, "first, then then"
+    return np.array(["%d," % k for k in range(math.prod(shape))], dtype=object).reshape(shape)
+
+
+def _concat(calls):
+    # the composition law of labels, counting its calls
+    def combine(first, then):
+        calls.append(first.shape)
+        return first + then
+    return combine
+
+
+# each route's layout: the reference's (K, m) stack of 4x4 matrices,
+# pairing along axis 1 and scanning along axis 0, and the gauge route's
+# (4, K, m) stack of components, pairing along axis 2 and scanning along
+# axis 1; two matrix entries and two components keep the labels small
+_LAYOUTS = {"reference": (lambda k, m: (k, m, 2), 1, 0), "gauge": (lambda k, m: (2, k, m), 2, 1)}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 12, 50])
+def test_pairwise_products_fold_each_row_in_order(layout, m):
+    # each of 3 rows of m steps must come out as its labels in order, in
+    # ceil(log2(m)) levels, with no step paired across rows
+    shape, axis, _ = _LAYOUTS[layout]
+    steps = _labels(shape(3, m))
+    calls = []
+    got = pairwise_products(steps, axis, _concat(calls))
+    want = np.add.reduce(steps, axis)  # object addition: concatenation in order
+    assert got.shape == shape(3, min(m, 1))
+    assert m == 0 or np.array_equal(got.reshape(want.shape), want)
+    assert len(calls) == (math.ceil(math.log2(m)) if m else 0)
     # a run of one is carried up untouched, as the very same object
-    for e, c, got in zip(ends, counts, steps):
-        assert c > 1 or got is labels[e - 1]
-    assert levels == (math.ceil(math.log2(counts.max())) if counts.size else 0)
+    if m == 1:
+        assert got is steps
 
 
-def test_pairing_levels_are_computed_once_per_counts():
-    # every chunk of a uniform grid has the same counts: the second call
-    # returns the very arrays of the first, and nobody may write into them
-    levels = pairing_levels(np.array([3, 4, 1, 5]))
-    again = pairing_levels(np.array([3, 4, 1, 5]))
-    assert again is levels
-    assert all(a is b for la, lb in zip(levels, again) for a, b in zip(la, lb))
-    for level in levels:
-        for a in level:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = a[0]
-    assert pairing_levels(np.array([3, 4, 1, 6])) is not levels
-
-
-@pytest.mark.parametrize("size", [0, 1, 2, 3, 12, 2048])
-def test_scan_levels_give_every_prefix_in_order(size):
-    # fold string labels with concatenation, "first, then then", as the
-    # routes fold their interval elements, x[s:] = x[:-s] + x[s:] at each
-    # offset s: entry i must come out as labels 0 .. i in order, after
-    # ceil(log2(size)) levels
-    labels = ["%d," % k for k in range(size)]
-    steps = np.array(labels, dtype=object)
-    levels = scan_levels(size)
-    for s in levels:
-        steps[s:] = steps[:-s] + steps[s:]
-    assert steps.tolist() == ["".join(labels[: i + 1]) for i in range(size)]
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 5, 12, 2048])
+def test_prefix_products_give_every_prefix_in_order(layout, size):
+    # entry i must come out as labels 0 .. i in order, in place, after one
+    # level at each offset 1, 2, 4, ... below size
+    shape, _, axis = _LAYOUTS[layout]
+    steps = _labels(shape(size, 1))
+    before = steps.copy()
+    calls = []
+    assert prefix_products(steps, axis, _concat(calls)) is steps
+    prefixes = np.cumsum(before, axis=axis)  # object addition: concatenation in order
+    assert np.array_equal(steps, prefixes)
+    offsets = [size - first[axis] for first in calls]
+    assert offsets == [1 << k for k in range(max(size - 1, 0).bit_length())]
+    assert len(offsets) == (math.ceil(math.log2(size)) if size else 0)
     # the first entry is carried up untouched, as the very same object
-    assert size == 0 or steps[0] is labels[0]
-    assert len(levels) == (math.ceil(math.log2(size)) if size else 0)
-
-
-def test_scan_levels_are_the_offsets_below_the_size():
-    assert scan_levels(0) == ()
-    assert scan_levels(1) == ()
-    assert scan_levels(2) == (1,)
-    assert scan_levels(3) == (1, 2)
-    assert scan_levels(4) == (1, 2)
-    assert scan_levels(5) == (1, 2, 4)
-    assert scan_levels(2048) == (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+    first = (slice(None),) * axis + (0,)
+    assert size == 0 or all(a is b for a, b in zip(steps[first].flat, before[first].flat))
 
 
 def _uneven_grid():
@@ -282,12 +300,14 @@ def test_chunks_are_slices_of_the_whole_grid_plan(monkeypatch, limit):
     g_whole, n_whole, m_whole = sched.params_on(whole.nodes)
     checked, chunks = plan_integration(sched, grid, 0.01)
     assert np.array_equal(checked, grid)
-    i_next = 0
+    i_next, starts = 0, set()
     for i0, plan, (g, n, m) in chunks:
-        # chunks are consecutive runs of whole intervals
+        # chunks are consecutive runs of whole intervals of one count
         assert i0 == i_next
         i_next = i0 + plan.counts.size
+        starts.add(i0)
         assert plan.counts.sum() <= limit or plan.counts.size == 1
+        assert np.all(plan.counts == plan.counts[0])
         # their nodes, and the controls there, are bitwise those of the whole grid
         k0 = 2 * int(whole.counts[:i0].sum())
         nodes = slice(k0, k0 + plan.nodes.size)
@@ -297,6 +317,26 @@ def test_chunks_are_slices_of_the_whole_grid_plan(monkeypatch, limit):
         for got, want in ((g, g_whole), (n, n_whole), (m, m_whole)):
             assert np.array_equal(got, want[nodes])
     assert i_next == grid.size - 1
+    # a chunk starts at every change of the count, of which there are many
+    changes = set(np.flatnonzero(np.diff(whole.counts)) + 1)
+    assert len(changes) == 16 and changes <= starts
+
+
+def test_uniform_grids_plan_a_single_count():
+    # so their chunks are those of the substep limit alone: the
+    # long_horizon, dense_output and r = 2 grids at the auto step
+    long_horizon = BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.33, 0.135, 0.91, 2.17),
+                                theta=Ramp(1.5, 0.0095))
+    dense = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.2, 0.1), theta=Constant(0.7))
+    r2 = BathSchedule(gamma=Constant(1.0), r=Constant(2.0))
+    for sched, grid, count in ((long_horizon, uniform_grid(300.0, 0.05), 50),
+                               (dense, uniform_grid(10.0, 0.001), 1),
+                               (r2, uniform_grid(30.0, 0.05), 137)):
+        step = default_step(sched, grid)
+        assert np.unique(plan_substeps(grid, step).counts).tolist() == [count]
+        _, chunks = plan_integration(sched, grid, step)
+        starts = [i0 for i0, _, _ in chunks]
+        assert starts == list(range(0, grid.size - 1, max(CHUNK_SUBSTEPS // count, 1)))
 
 
 def test_one_point_grid_is_one_chunk_of_its_node():
