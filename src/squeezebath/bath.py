@@ -9,6 +9,12 @@ squeeze correlation M = sinh(r) cosh(r) exp(-i theta), which satisfy
 A schedule can instead override the squeezing with a plain thermal occupation
 nbar, in which case N = nbar and M = 0 at all times.
 
+Each control is one of four kinds, Constant, ExpDecay, Ramp and Sinusoid:
+frozen dataclasses on one base that refuses a non-finite parameter.  Beside
+its values, each kind gives in closed form its peak and its speed (largest
+|f'|) over [0, t_end] and its own rate of variation, from which
+integrate.default_step picks the integrator step.
+
 All evaluation is pure floating-point arithmetic with no hidden state, so
 repeated calls with the same arguments give bit-identical results.
 """
@@ -16,7 +22,7 @@ repeated calls with the same arguments give bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -54,13 +60,27 @@ def _require_finite(name: str, *values: float) -> None:
 
 
 @dataclass(frozen=True)
-class Constant:
+class _Control:
+    """What the four control kinds share: finite parameters, and by default
+    no time scale of their own and a peak at one end (a monotone control)."""
+
+    def __post_init__(self):
+        _require_finite("%s parameters" % type(self).__name__, *astuple(self))
+
+    @property
+    def variation_rate(self) -> float:
+        return 0.0
+
+    def peak(self, t_end: float) -> float:
+        """The largest value on [0, t_end], at an end: the control is monotone."""
+        return float(max(self(0.0), self(t_end)))
+
+
+@dataclass(frozen=True)
+class Constant(_Control):
     """Control function with a fixed value."""
 
     value: float
-
-    def __post_init__(self):
-        _require_finite("Constant.value", self.value)
 
     def __call__(self, t):
         return self.value + np.zeros_like(np.asarray(t, dtype=float))
@@ -69,28 +89,17 @@ class Constant:
     def limit(self) -> float:
         return self.value
 
-    def peak(self, t_end: float) -> float:
-        """The largest value on [0, t_end]."""
-        return self.value
-
     def speed(self, t_end: float) -> float:
         """The largest |f'| on [0, t_end]."""
         return 0.0
 
-    @property
-    def variation_rate(self) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
-class ExpDecay:
+class ExpDecay(_Control):
     """Control function amplitude * exp(-rate * t)."""
 
     amplitude: float
     rate: float
-
-    def __post_init__(self):
-        _require_finite("ExpDecay parameters", self.amplitude, self.rate)
 
     def __call__(self, t):
         return self.amplitude * np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -107,24 +116,17 @@ class ExpDecay:
     def variation_rate(self) -> float:
         return abs(self.rate)
 
-    def peak(self, t_end: float) -> float:
-        """The largest value on [0, t_end], at an end: the control is monotone."""
-        return float(max(self(0.0), self(t_end)))
-
     def speed(self, t_end: float) -> float:
         """The largest |f'| = |rate f| on [0, t_end], at an end: |f| is monotone."""
         return abs(self.rate) * float(max(abs(self(0.0)), abs(self(t_end))))
 
 
 @dataclass(frozen=True)
-class Ramp:
+class Ramp(_Control):
     """Control function max(offset + slope * t, 0)."""
 
     offset: float
     slope: float
-
-    def __post_init__(self):
-        _require_finite("Ramp parameters", self.offset, self.slope)
 
     def __call__(self, t):
         return np.maximum(self.offset + self.slope * np.asarray(t, dtype=float), 0.0)
@@ -137,33 +139,19 @@ class Ramp:
             return max(self.offset, 0.0)
         return None
 
-    @property
-    def variation_rate(self) -> float:
-        # a straight line has no time scale of its own
-        return 0.0
-
-    def peak(self, t_end: float) -> float:
-        """The largest value on [0, t_end], at an end: the control is monotone."""
-        return float(max(self(0.0), self(t_end)))
-
     def speed(self, t_end: float) -> float:
         """The largest |f'| on [0, t_end], at most |slope|."""
         return abs(self.slope)
 
 
 @dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_Control):
     """Control function offset + amplitude * sin(omega * t + phase)."""
 
     offset: float
     amplitude: float
     omega: float
     phase: float = 0.0
-
-    def __post_init__(self):
-        _require_finite(
-            "Sinusoid parameters", self.offset, self.amplitude, self.omega, self.phase
-        )
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -189,7 +177,7 @@ class Sinusoid:
         # the last crest crest + 2 pi k at or below hi, if it is not below lo
         if crest + _TAU * math.floor((hi - crest) / _TAU) >= lo:
             return self.offset + abs(self.amplitude)
-        return float(max(self(0.0), self(t_end)))
+        return super().peak(t_end)
 
     def speed(self, t_end: float) -> float:
         """The largest |f'| on [0, t_end], at most |amplitude omega|."""
@@ -287,14 +275,6 @@ class BathSchedule:
     def thermal(self) -> bool:
         return self.nbar is not None
 
-    @property
-    def variation_rate(self) -> float:
-        """The fastest rate at which a control in use varies: |rate| of an
-        ExpDecay, |omega| of a Sinusoid, 0 for a Constant or a Ramp.  r and
-        theta do not count under the thermal override."""
-        controls = (self.gamma,) if self.thermal else (self.gamma, self.r, self.theta)
-        return max(c.variation_rate for c in controls)
-
     def at(self, t: float) -> BathPoint:
         """Evaluate the schedule at time t and return the reservoir point.
 
@@ -332,7 +312,7 @@ class BathSchedule:
             raise InvalidInputError("time %r outside schedule window [0, inf]" % (tmin,))
         # an overflowing control is refused below, at its first non-finite value
         with np.errstate(over="ignore", invalid="ignore"):
-            gamma = np.broadcast_to(np.asarray(self.gamma(times), dtype=float), times.shape)
+            gamma = self.gamma(times)
             if np.any(gamma < 0.0):
                 t_bad = float(times[np.argmax(gamma < 0.0)])
                 raise InvalidInputError("gamma(t) < 0 at t = %r" % (t_bad,))
@@ -340,11 +320,11 @@ class BathSchedule:
                 n = np.full(times.shape, float(self.nbar))
                 m = np.zeros(times.shape, dtype=complex)
             else:
-                r = np.broadcast_to(np.asarray(self.r(times), dtype=float), times.shape)
+                r = self.r(times)
                 if np.any(r < 0.0):
                     t_bad = float(times[np.argmax(r < 0.0)])
                     raise InvalidInputError("r(t) < 0 at t = %r" % (t_bad,))
-                theta = np.broadcast_to(np.asarray(self.theta(times), dtype=float), times.shape)
+                theta = self.theta(times)
                 sh = np.sinh(r)
                 n = sh * sh
                 m = sh * np.cosh(r) * np.exp(-1j * _wrap_phase(theta))
@@ -353,4 +333,4 @@ class BathSchedule:
             k = int(np.argmax(bad))
             raise InvalidInputError("gamma, N or M not finite at t = %r (gamma = %r, N = %r, M = %r)"
                                     % (float(times[k]), float(gamma[k]), float(n[k]), complex(m[k])))
-        return np.ascontiguousarray(gamma), n, m
+        return gamma, n, m

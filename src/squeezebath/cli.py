@@ -31,6 +31,7 @@ from .states import (
     trace_distance,
     trace_error,
 )
+from .verify import _FIGURES, figure_initial, figure_schedule
 
 __all__ = ["main", "entrypoint", "RunConfig", "DEFAULTS", "TRAJECTORY_HEADER",
            "figure_schedule", "figure_initial", "compute_frame"]
@@ -69,40 +70,17 @@ DEFAULTS = {
 }
 
 _CONTROL_PREFIXES = ("schedule.gamma", "schedule.r", "schedule.theta")
-_KIND_PARAMS = {
-    "const": ("value",),
-    "exp": ("c1", "c2"),
-    "ramp": ("a", "b"),
-    "sin": ("a", "b", "omega", "phase"),
+# control kind -> (class, its config parameters in constructor order)
+_KINDS = {
+    "const": (Constant, ("value",)),
+    "exp": (ExpDecay, ("c1", "c2")),
+    "ramp": (Ramp, ("a", "b")),
+    "sin": (Sinusoid, ("a", "b", "omega", "phase")),
 }
 _BASE_KEYS = frozenset(
     k for k in DEFAULTS
     if not any(k.startswith(p + ".") for p in _CONTROL_PREFIXES)
 )
-
-# Figure id -> (squeeze amplitude c1, complex initial phase on mu).
-_FIGURES = {
-    1: (0.1, True), 2: (0.1, False),
-    3: (0.3, True), 4: (0.3, False),
-    5: (0.6, True), 6: (0.6, False),
-}
-
-
-def figure_schedule(fig_id: int) -> BathSchedule:
-    if fig_id not in _FIGURES:
-        raise InvalidInputError("figure id must be in 1..6, got %r" % (fig_id,))
-    c1, _ = _FIGURES[fig_id]
-    return BathSchedule(gamma=Constant(1.0), r=ExpDecay(c1, 0.1), theta=Constant(0.0))
-
-
-def figure_initial(fig_id: int) -> np.ndarray:
-    if fig_id not in _FIGURES:
-        raise InvalidInputError("figure id must be in 1..6, got %r" % (fig_id,))
-    _, complex_phase = _FIGURES[fig_id]
-    phase = math.pi / 3.0 if complex_phase else 0.0
-    mu = math.sqrt(0.2) * complex(math.cos(phase), math.sin(phase))
-    return pure_state(mu, math.sqrt(0.8))
-
 
 @dataclass
 class RunConfig:
@@ -162,7 +140,7 @@ def _known_key(key: str, merged: dict[str, str]) -> bool:
             return True
         if key.startswith(prefix + "."):
             kind = merged.get(prefix + ".kind", "")
-            return key[len(prefix) + 1:] in _KIND_PARAMS.get(kind, ())
+            return kind in _KINDS and key[len(prefix) + 1:] in _KINDS[kind][1]
     return False
 
 
@@ -188,26 +166,21 @@ def _as_bool(merged: dict[str, str], key: str) -> bool:
 
 def _control_from(merged: dict[str, str], user: dict[str, str], prefix: str):
     kind = merged[prefix + ".kind"]
-    if kind not in _KIND_PARAMS:
+    if kind not in _KINDS:
         raise InvalidInputError(
-            "%s.kind=%r is not one of const, exp, ramp, sin" % (prefix, kind)
+            "%s.kind=%r is not one of %s" % (prefix, kind, ", ".join(_KINDS))
         )
-    values = {}
-    for param in _KIND_PARAMS[kind]:
+    control, params = _KINDS[kind]
+    values = []
+    for param in params:
         key = prefix + "." + param
         if key in user:
-            values[param] = _as_float(user, key)
+            values.append(_as_float(user, key))
         elif key in DEFAULTS and DEFAULTS[prefix + ".kind"] == kind:
-            values[param] = _as_float(DEFAULTS, key)
+            values.append(_as_float(DEFAULTS, key))
         else:
             raise InvalidInputError("%s is required for kind=%s" % (key, kind))
-    if kind == "const":
-        return Constant(values["value"])
-    if kind == "exp":
-        return ExpDecay(values["c1"], values["c2"])
-    if kind == "ramp":
-        return Ramp(values["a"], values["b"])
-    return Sinusoid(values["a"], values["b"], values["omega"], values["phase"])
+    return control(*values)
 
 
 def _parse_figure_ids(raw: str) -> tuple[int, ...]:

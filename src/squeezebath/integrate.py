@@ -141,12 +141,15 @@ def default_step(schedule, grid: np.ndarray) -> float:
 
     1e-3 / max(peak gamma, 1), narrowed to 1e-2 over the fastest rate, and
     never wider than the smallest grid spacing.  The fastest rate is the
-    largest of peak gamma times (2N + 1) at peak r, the schedule's
-    variation_rate and, for a squeezed reservoir (not thermal, peak r > 0),
-    theta's speed, at which the phase of M = |M| exp(-i theta) turns; each
-    is the controls' closed-form peak over [0, t_end] (their peak and speed
-    methods), so a rate that the controls reach only between grid times
-    counts too.  The solution relaxes at rates up to gamma (2N + 1)
+    largest of peak gamma times (2N + 1) at peak r, each control's own
+    variation_rate (|rate| of an ExpDecay, |omega| of a Sinusoid, 0
+    otherwise) and theta's speed, at which the phase of M = |M| exp(-i
+    theta) turns, weighed by min(1, 2|M|) = min(1, sinh 2r) at peak r.
+    This is the one place that picks the controls that count: under the
+    thermal override only gamma, as r and theta are not used.  Each
+    number is the controls' closed-form peak over [0, t_end] (their peak
+    and speed methods), so a rate that the controls reach only between grid
+    times counts too.  The solution relaxes at rates up to gamma (2N + 1)
     (closed_form_spectrum), so the second term keeps each substep's RK4
     error small under strong squeezing, a hot reservoir or fast controls;
     where these rates are at most 10 the first term decides, and a weak or
@@ -160,13 +163,16 @@ def default_step(schedule, grid: np.ndarray) -> float:
     gamma = schedule.gamma.peak(t_end)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         if schedule.thermal:
-            n, turn = schedule.nbar, 0.0
+            n, turn, controls = schedule.nbar, 0.0, (schedule.gamma,)
         else:
             r = schedule.r.peak(t_end)
             sh = np.sinh(r)
             n = sh * sh
-            turn = schedule.theta.speed(t_end) if r > 0.0 else 0.0  # M = 0 at r = 0
-        fastest = max(float(gamma * (2.0 * n + 1.0)), schedule.variation_rate, turn)
+            # the phase moves M at |M| |theta'|, little under weak squeezing
+            turn = schedule.theta.speed(t_end) * min(1.0, float(np.sinh(2.0 * r)))
+            controls = (schedule.gamma, schedule.r, schedule.theta)
+        fastest = max(float(gamma * (2.0 * n + 1.0)),
+                      max(c.variation_rate for c in controls), turn)
     if not fastest < math.inf:
         raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
     step = 1e-3 / max(gamma, 1.0)

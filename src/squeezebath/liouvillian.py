@@ -231,22 +231,24 @@ def integrate_reference(
     # one 4x4 per state of the stack: (4, 4) for one state, (1, 4, 4) for a stack
     matrix_shape = (1,) * (y.ndim - 2) + (4, 4)
     for i0, plan, params in chunks:
-        rates = _bloch_rates(*params)
-        # substep k of the chunk runs over nodes 2k, 2k+1 and 2k+2
-        k1, mids, ends = rates[0:-1:2], rates[1::2], rates[2::2]
-        h = np.repeat(plan.widths, plan.counts)[:, None, None]
-        k2 = np.matmul(mids, _I4 + (0.5 * h) * k1)
-        k3 = np.matmul(mids, _I4 + (0.5 * h) * k2)
-        k4 = np.matmul(ends, _I4 + h * k3)
-        deltas = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # each interval's product, then each prefix of the chunk's intervals
-        size = plan.counts.size
-        deltas = deltas.reshape(size, plan.counts.max(initial=1), 4, 4)
-        deltas = prefix_products(pairwise_products(deltas, 1, _then)[:, 0], 0, _then)
-        # the chunk's start state times every prefix, in one batched product
-        start = vectors[i0][..., None]
-        prefixes = (_I4 + deltas).reshape((size,) + matrix_shape)
-        vectors[i0 + 1 : i0 + 1 + size] = (prefixes @ start)[..., 0]
+        # a blown-up state is reported below, by its first non-finite row
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = _bloch_rates(*params)
+            # substep k of the chunk runs over nodes 2k, 2k+1 and 2k+2
+            k1, mids, ends = rates[0:-1:2], rates[1::2], rates[2::2]
+            h = np.repeat(plan.widths, plan.counts)[:, None, None]
+            k2 = np.matmul(mids, _I4 + (0.5 * h) * k1)
+            k3 = np.matmul(mids, _I4 + (0.5 * h) * k2)
+            k4 = np.matmul(ends, _I4 + h * k3)
+            deltas = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # each interval's product, then each prefix of the chunk's intervals
+            size = plan.counts.size
+            deltas = deltas.reshape(size, plan.counts.max(initial=1), 4, 4)
+            deltas = prefix_products(pairwise_products(deltas, 1, _then)[:, 0], 0, _then)
+            # the chunk's start state times every prefix, in one batched product
+            start = vectors[i0][..., None]
+            prefixes = (_I4 + deltas).reshape((size,) + matrix_shape)
+            vectors[i0 + 1 : i0 + 1 + size] = (prefixes @ start)[..., 0]
     # non-finite values stay non-finite, so the first such row is where it blew up
     finite = np.isfinite(vectors).reshape(grid.size, -1).all(axis=1)
     if not finite.all():

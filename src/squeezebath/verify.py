@@ -63,6 +63,8 @@ __all__ = [
     "CheckResult",
     "run_checks",
     "format_report",
+    "figure_schedule",
+    "figure_initial",
     "fitted_decay_rate",
     "check_commutators",
     "check_basis_actions",
@@ -98,13 +100,31 @@ _ACTIONS = {
     "k_minus": lambda e: _SM @ e @ _SM,
 }
 
-# The paper's fig-1 run: decaying squeezing r = 0.1 exp(-t/10), from a pure
-# state whose coherence has the complex phase pi/3.
-_FIG1 = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
-_FIG1_RHO0 = pure_state(
-    math.sqrt(0.2) * complex(math.cos(math.pi / 3), math.sin(math.pi / 3)),
-    math.sqrt(0.8),
-)
+# Figure id -> (squeeze amplitude c1, complex initial phase on mu).  Each
+# figure runs decaying squeezing r = c1 exp(-t/10) from a pure state whose
+# coherence has the phase pi/3 (odd ids) or 0 (even ids).
+_FIGURES = {
+    1: (0.1, True), 2: (0.1, False),
+    3: (0.3, True), 4: (0.3, False),
+    5: (0.6, True), 6: (0.6, False),
+}
+
+
+def figure_schedule(fig_id: int) -> BathSchedule:
+    if fig_id not in _FIGURES:
+        raise InvalidInputError("figure id must be in 1..6, got %r" % (fig_id,))
+    c1, _ = _FIGURES[fig_id]
+    return BathSchedule(gamma=Constant(1.0), r=ExpDecay(c1, 0.1), theta=Constant(0.0))
+
+
+def figure_initial(fig_id: int) -> np.ndarray:
+    if fig_id not in _FIGURES:
+        raise InvalidInputError("figure id must be in 1..6, got %r" % (fig_id,))
+    _, complex_phase = _FIGURES[fig_id]
+    phase = math.pi / 3.0 if complex_phase else 0.0
+    mu = math.sqrt(0.2) * complex(math.cos(phase), math.sin(phase))
+    return pure_state(mu, math.sqrt(0.8))
+
 
 _N_SAMPLES = (0.0, 0.01, 0.4, 1.0, 5.0)
 
@@ -459,7 +479,9 @@ def run_checks(
 
     rho0 is the run's one initial state; an unphysical one is refused up front
     (check_density), and so are the substep counts and the controls at the
-    grid times that trajectory refuses.  The run's schedule and the fig-1
+    grid times that trajectory refuses.  A control that is bad only between
+    grid times is refused too, with the error of the run's own integration
+    that meets it, as trajectory refuses it.  The run's schedule and the fig-1
     schedule are each evolved once (once in all when they are equal); every
     check that reads one of these flows gets it from that evolution.  The
     run's reference is integrated once, for rho0 and its real-coherence twin
@@ -500,6 +522,9 @@ def run_checks(
     real_rho0[0, 1] = real_rho0[1, 0] = abs(real_rho0[0, 1])
     flow = _attempt(evolve_gauge, schedule, grid, dt_int)
     refs = _attempt(integrate_reference, schedule, np.stack([rho0, real_rho0]), grid, dt_int)
+    for run in (flow, refs):
+        if isinstance(run, InvalidInputError):  # a control bad between grid times
+            raise run
     ref, real_ref = (refs, refs) if isinstance(refs, Exception) else refs.swapaxes(0, 1)
     states = _attempt(assemble_density, rho0, flow)
     results += _run(check_oracle_agreement, states, ref, tol.get("oracle", 1e-7))
@@ -526,11 +551,12 @@ def run_checks(
         results += [_skipped(check, "thermal override") for check in squeezing_only]
     else:
         # the default run schedule is fig 1's: its flow is already evolved
-        fig1 = flow if schedule == _FIG1 else _attempt(evolve_gauge, _FIG1, grid, dt_int)
+        fig1 = figure_schedule(1)
+        fig1_flow = flow if schedule == fig1 else _attempt(evolve_gauge, fig1, grid, dt_int)
         results += _run(check_autonomous_consistency, rho0, uniform_grid(10.0, 0.1), dt_int, 1e-8)
         results += _run(check_steady_approach, grid, dt_int, 1e-6)
-        results += _run(check_inversion_decay, rho0, grid, fig1)
-        results += _run(check_decay_asymmetry, _FIG1_RHO0, grid, fig1)
+        results += _run(check_inversion_decay, rho0, grid, fig1_flow)
+        results += _run(check_decay_asymmetry, figure_initial(1), grid, fig1_flow)
     return results
 
 

@@ -100,6 +100,22 @@ def test_controls_evaluate():
     assert wave(1.3) == pytest.approx(0.5 + 0.2 * math.sin(2.0 * 1.3 + 0.3), rel=1e-15)
 
 
+@pytest.mark.parametrize("kind, values", [
+    (Constant, (0.7,)), (ExpDecay, (0.1, 0.1)), (Ramp, (1.0, -0.5)), (Sinusoid, (0.5, 0.2, 2.0, 0.3)),
+])
+def test_controls_refuse_a_nonfinite_parameter(kind, values):
+    # every field of every kind, each by one message naming the kind
+    for k in range(len(values)):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = values[:k] + (bad,) + values[k + 1:]
+            with pytest.raises(InvalidInputError, match=r"^%s parameters must be finite, got %r$"
+                               % (kind.__name__, bad)):
+                kind(*args)
+    assert repr(kind(*values)) == "%s(%s)" % (kind.__name__, ", ".join(
+        "%s=%r" % (name, v) for name, v in zip(kind.__dataclass_fields__, values)))
+    assert kind(*values) == kind(*values) != Constant(-1.0)
+
+
 def test_controls_accept_arrays():
     ts = np.linspace(0.0, 5.0, 11)
     out = ExpDecay(0.3, 0.1)(ts)

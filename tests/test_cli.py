@@ -273,10 +273,15 @@ def test_oversized_grid_is_refused_up_front(tmp_path, capsys, monkeypatch, comma
      "not finite at t = "),
     ("schedule.gamma.value=1e10 schedule.r.kind=const schedule.r.value=350 grid.t_max=1",
      "relaxation rate gamma (2N + 1) exceeds the float range"),
+    # gamma = 0.5 + 0.6 sin(40 pi t) is 0.5 at every output time and dips
+    # below 0 between them: refused by the integration that meets it
+    ("schedule.gamma.kind=sin schedule.gamma.a=0.5 schedule.gamma.b=0.6 "
+     "schedule.gamma.omega=125.66370614359172 schedule.gamma.phase=0 grid.t_max=1",
+     "gamma(t) < 0 at t = 0.032869634340222574\n"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_sizes_and_controls_past_float_range_exit_one(tmp_path, capsys, overrides, message):
-    # verify refuses them as trajectory does: before any check runs, so it
+    # verify refuses them as trajectory does, with the same error line, and
     # writes no report; a warning on the way (an overflow) fails the test
     for command in ("trajectory", "verify"):
         out = tmp_path / command

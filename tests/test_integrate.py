@@ -181,7 +181,7 @@ def test_control_peaks_bound_every_value_up_to_the_end():
 
 
 def test_default_step_resolves_the_fastest_control():
-    # 1e-2 over the schedule's variation_rate once it passes 10: omega of a
+    # 1e-2 over a control's variation_rate once it passes 10: omega of a
     # sin control, rate of an exp control; a ramp sets no rate of its own
     grid = uniform_grid(5.0, 0.05)
     fast = Sinusoid(1.0, 0.9, 100.0)
@@ -190,13 +190,17 @@ def test_default_step_resolves_the_fastest_control():
                         grid) == 1e-2 / 40.0
     assert default_step(BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.5, 20.0)), grid) == 5e-4
     assert default_step(BathSchedule(gamma=Constant(1.0), theta=Ramp(0.0, 50.0)), grid) == 1e-3
-    # with r > 0 the phase of M turns at theta's peak speed |theta'|: 1e-2
-    # over it, where it passes 10 (exit 2 at the 1e-3 of these r = 0.8 runs)
+    # the phase of M turns at theta's peak speed |theta'|, weighed by
+    # min(1, sinh 2r) at peak r, which is 1 at r = 0.8: 1e-2 over it, where
+    # it passes 10 (exit 2 at the 1e-3 of these r = 0.8 runs)
     squeezed = {"r": Constant(0.8), "gamma": Constant(1.0)}
     for theta, t_max, step in ((Ramp(0.0, 1000.0), 1.0, 1e-5),
                                (Sinusoid(0.0, 300.0, 10.0, 0.0), 1.0, 1e-2 / 3000.0),
                                (ExpDecay(0.001, -3.0), 5.0, 1e-2 / (3.0 * (0.001 * math.exp(15.0))))):
         assert default_step(BathSchedule(theta=theta, **squeezed), uniform_grid(t_max, 0.05)) == step
+    # at r = 0.01 a turn moves M by 2|M| = sinh 0.02 per radian: 5e-4, not 1e-5
+    weak = BathSchedule(gamma=Constant(1.0), r=Constant(0.01), theta=Ramp(0.0, 1000.0))
+    assert default_step(weak, uniform_grid(1.0, 0.05)) == 1e-2 / (1000.0 * np.sinh(0.02))
     # but not at r = 0, where M = 0, nor under the thermal override
     assert default_step(BathSchedule(gamma=Constant(1.0), r=Ramp(0.0, 0.0),
                                      theta=Ramp(0.0, 1000.0)), grid) == 1e-3

@@ -266,15 +266,20 @@ def test_reference_rejects_bad_initial_state():
         integrate_reference(sched, excited_state(), grid, step=0.75)  # step > spacing
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_reference_detects_blowup():
     sched = BathSchedule(gamma=Constant(1e80))
     grid = uniform_grid(3.0, 1.0)
     with pytest.raises(NumericalFailureError, match="t = "):
         integrate_reference(sched, excited_state(), grid, step=1.0)
+    # gamma h = 5 is outside RK4's stable range: the state grows about 14-fold
+    # per substep until a matmul overflows, reported as a time, not a warning
+    sched = BathSchedule(gamma=Constant(100.0))
+    with pytest.raises(NumericalFailureError, match=r"^reference state non-finite at t = 13\.55$"):
+        integrate_reference(sched, excited_state(), uniform_grid(30.0, 0.05), 0.05)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_reference_blowup_names_the_first_nonfinite_time():
     # gamma = max(1e120 (t - 1), 0) is 0 on [0, 1], so row 1 stays the initial
     # state; on the second interval one RK4 step grows like (gamma h)^3 and

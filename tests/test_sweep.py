@@ -59,6 +59,11 @@ _FAST_PHASE = [["--grid.t_max=1", "--schedule.r.kind=const", "--schedule.r.value
                              ["--schedule.theta.kind=sin", "--schedule.theta.a=0",
                               "--schedule.theta.b=300", "--schedule.theta.omega=10",
                               "--schedule.theta.phase=0"])]
+# found by hand: the same turn under weak squeezing, where the step weighs
+# theta's speed by sinh 2r = 2|M| (5e-4, not 1e-5) and must still pass tol.oracle
+_WEAK_FAST_PHASE = ["--grid.t_max=1", "--schedule.r.kind=const", "--schedule.r.value=0.01",
+                    "--schedule.theta.kind=ramp", "--schedule.theta.a=0",
+                    "--schedule.theta.b=1000"]
 
 
 def _grid_draw(rng):
@@ -85,13 +90,14 @@ def _grid_draw(rng):
 
 @pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
 def test_physical_draws_give_results_and_grids_run_or_are_refused(tmp_path, capsys):
-    # _FAST_SQUEEZING, the two _FAST_PHASE runs and 60 physical draws at
-    # t_max = 5 (the slowest, where gamma (2N + 1) is near 200, plan about
-    # 100 000 substeps in 0.3 s), and 60 grid draws: about 6 s in all on a
-    # 2-core host.  At a fixed step of 0.001, 18 of the 63 physical runs
-    # fail with a trace or oracle error
+    # _FAST_SQUEEZING, the two _FAST_PHASE runs, _WEAK_FAST_PHASE and 60
+    # physical draws at t_max = 5 (the slowest, where gamma (2N + 1) is near
+    # 200, plan about 100 000 substeps in 0.3 s), and 60 grid draws: about
+    # 6 s in all on a 2-core host.  At a fixed step of 0.001, 18 of the 64
+    # physical runs fail with a trace or oracle error
     rng = random.Random(20051)
-    physical = [_FAST_SQUEEZING] + _FAST_PHASE + [_physical_draw(rng) for _ in range(60)]
+    physical = ([_FAST_SQUEEZING] + _FAST_PHASE + [_WEAK_FAST_PHASE]
+                + [_physical_draw(rng) for _ in range(60)])
     failed = []
     for k, draw in enumerate(physical):
         args = ["trajectory", "--out", str(tmp_path / ("p%d" % k))] + draw
