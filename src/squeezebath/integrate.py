@@ -50,8 +50,9 @@ CHUNK_SUBSTEPS = 2048
 MAX_ROWS = 800_000
 
 # Most substeps plan_substeps cuts one grid interval into.  An interval is
-# never split across chunks, and inside one the reference holds 1 065 B per
-# substep and the gauge route 840 B, so 400 000 substeps stay near 430 MB.
+# never split across chunks.  Inside one the gauge route holds 840 B per
+# substep and the reference 440 B, so the gauge route sets the peak, and
+# 400 000 substeps stay near 336 MB.
 MAX_INTERVAL_SUBSTEPS = 400_000
 
 

@@ -19,8 +19,12 @@ rate_matrix_batch, and so the spectrum and steady state, work in the
 component basis.  The integrator works in the real Bloch coordinates
 (tr rho, <sz>, <sx>, <sy>): the equation maps Hermitian matrices to
 Hermitian ones, so there the same weighted sum of sandwich terms is a real
-4x4 matrix (the Bloch equations of the squeezed-vacuum atom), and the
-integrator's batched arithmetic is real.
+4x4 matrix (the Bloch equations of the squeezed-vacuum atom).  Its trace
+row is exactly zero, and the rest is two blocks: [[0, 0], [-gamma,
+-gamma (2N+1)]] on (tr, <sz>), the populations, and -gamma (N + 1/2) I -
+gamma [[Re M, Im M], [Im M, -Re M]] on (<sx>, <sy>), the coherences.  The
+integrator takes only the six entries of the two blocks from the weighted
+sum and carries each block by its own composition law.
 """
 
 from __future__ import annotations
@@ -65,14 +69,23 @@ _BLOCH_TERMS = [
 ]
 assert not any(np.any(term.imag) for term in _BLOCH_TERMS)
 _BLOCH_TERMS = tuple(term.real for term in _BLOCH_TERMS)
-_I4 = np.eye(4)
+# In Bloch coordinates the rate operator has an exactly zero trace row and
+# two blocks: [[0, 0], [a10, a11]] on (tr, sz), the populations, and
+# [[c22, c23], [c32, c33]] on (sx, sy), the coherences.  These are its only
+# entries that can be nonzero, and every RK4 product keeps this shape.
+_BLOCK_ENTRIES = ((1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+_OFF_BLOCKS = np.ones((4, 4), dtype=bool)
+_OFF_BLOCKS[tuple(zip(*_BLOCK_ENTRIES))] = False
+assert not any(np.any(term[_OFF_BLOCKS]) for term in _BLOCH_TERMS)
+_ALL_ENTRIES = tuple((i, j) for i in range(4) for j in range(4))
 
 
-def _weighted_sum(terms, gamma, n, m, m_parts, dtype) -> np.ndarray:
-    # The four terms weighted by gamma(N+1)/2, gamma N/2, then -gamma times
-    # each of m_parts applied to M.  Each weight is made when its term is
-    # reached, so a long stack of node times holds one weight array beside
-    # the result.
+def _weighted_sum(terms, entries, gamma, n, m, m_parts, dtype) -> np.ndarray:
+    # The entries (i, j) of the four terms weighted by gamma(N+1)/2,
+    # gamma N/2, then -gamma times each of m_parts applied to M: one
+    # contiguous row per entry, shape (len(entries),) + gamma.shape.  Each
+    # weight is made when its term is reached, so a long stack of node times
+    # holds one weight array beside the result.
     gamma = np.asarray(gamma, dtype=float)
     n = np.asarray(n, dtype=float)
     m = np.asarray(m, dtype=complex)
@@ -83,10 +96,11 @@ def _weighted_sum(terms, gamma, n, m, m_parts, dtype) -> np.ndarray:
         for part in m_parts:
             yield -gamma * part(m)
 
-    out = np.zeros(gamma.shape + (4, 4), dtype=dtype)
+    out = np.zeros((len(entries),) + gamma.shape, dtype=dtype)
     for term, weight in zip(terms, weights()):
-        for i, j in zip(*np.nonzero(term)):
-            out[..., i, j] += term[i, j] * weight
+        for row, (i, j) in enumerate(entries):
+            if term[i, j]:
+                out[row] += term[i, j] * weight
     return out
 
 
@@ -96,15 +110,17 @@ def rate_matrix_batch(gamma, n, m) -> np.ndarray:
     gamma, n (real) and m (complex) are scalars or arrays of a common shape
     (K,); the result has shape (4, 4) or (K, 4, 4), in the component basis
     (ee, gg, eg, ge).  This is the one construction of the rate operator:
-    each sandwich term times its weight.  integrate_reference builds its real
-    Bloch-coordinate stack by the same weighted sum.
+    each sandwich term times its weight.  integrate_reference takes the
+    blocks of its real Bloch-coordinate operator from the same weighted sum.
     """
-    return _weighted_sum(_TERMS, gamma, n, m, (np.asarray, np.conj), complex)
+    out = _weighted_sum(_TERMS, _ALL_ENTRIES, gamma, n, m, (np.asarray, np.conj), complex)
+    return np.moveaxis(out.reshape((4, 4) + out.shape[1:]), (0, 1), (-2, -1))
 
 
-def _bloch_rates(gamma, n, m) -> np.ndarray:
-    # rate_matrix_batch in Bloch coordinates, _TO_BLOCH @ rate @ _FROM_BLOCH, as a real array
-    return _weighted_sum(_BLOCH_TERMS, gamma, n, m, (np.real, np.imag), float)
+def _bloch_blocks(gamma, n, m) -> np.ndarray:
+    # the _BLOCK_ENTRIES of rate_matrix_batch in Bloch coordinates,
+    # _TO_BLOCH @ rate @ _FROM_BLOCH, as a real (6,) + gamma.shape array
+    return _weighted_sum(_BLOCH_TERMS, _BLOCK_ENTRIES, gamma, n, m, (np.real, np.imag), float)
 
 
 def build_rate_operator(point: BathPoint) -> np.ndarray:
@@ -162,10 +178,50 @@ def steady_state(rate) -> np.ndarray:
     return unvectorize(vec / tr)
 
 
-def _then(d, d2):
-    # (I + d) followed by (I + d2) is I + (d2 + d + d2 d)
-    out = d2 + d
-    out += d2 @ d
+def _after(rate, y):
+    # the rate operator times (I + Y), both as their blocks: the population
+    # row (a10, a11) and the coherence entries (c22, c23, c32, c33)
+    a10, a11, c22, c23, c32, c33 = rate
+    y10, y11, e22, e23, e32, e33 = y
+    u22, u33 = 1.0 + e22, 1.0 + e33
+    return (a10 + a11 * y10, a11 * (1.0 + y11),
+            c22 * u22 + c23 * e32, c22 * e23 + c23 * u33,
+            c32 * u22 + c33 * e32, c32 * e23 + c33 * u33)
+
+
+def _rk4_steps(blocks, h: np.ndarray):
+    # One RK4 step from the identity per substep, from the rate operator's
+    # blocks at the 2S+1 nodes and the S widths h, as the difference D from
+    # I of each block: the population's lower row (p, q), a (2, S) array,
+    # and the coherence block's 2x2 entries, a (2, 2, S) array.
+    # the start (k = 0), midpoint (1) and end (2) node of every substep
+    at = [tuple(x[k : x.size - 2 + k : 2] for x in blocks) for k in range(3)]
+    h2, h6 = 0.5 * h, h / 6.0
+    k1 = at[0]
+    k2 = _after(at[1], [h2 * x for x in k1])
+    k3 = _after(at[1], [h2 * x for x in k2])
+    k4 = _after(at[2], [h * x for x in k3])
+    steps = [h6 * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]
+    return np.array(steps[:2]), np.array(steps[2:]).reshape((2, 2) + h.shape)
+
+
+def _population_then(d, d2):
+    # (I + D) followed by (I + D') on (tr, sz), each D as its lower row
+    # (p, q): the lower row of D' + D + D' D, p'' = p' + p + q' p and
+    # q'' = q' + q + q' q
+    out = d2[1] * d
+    out += d
+    out += d2
+    return out
+
+
+def _coherence_then(d, d2):
+    # (I + D) followed by (I + D') on (sx, sy), each D as its 2x2 entries
+    # on the first two axes: D' + D + D' D
+    out = d2[:, :1] * d[:1]
+    out += d2[:, 1:] * d[1:]
+    out += d
+    out += d2
     return out
 
 
@@ -178,22 +234,32 @@ def integrate_reference(
     """Integrate the master equation with the classic 4th-order fixed step.
 
     The state is carried in Bloch coordinates (tr rho, <sz>, <sx>, <sy>),
-    where the rate operator is a real 4x4 matrix; it is converted in from
-    rho0 and back out once, at the end.  The grid is walked in the chunks of
-    plan_integration.  For each chunk, the real rate operators at its nodes
-    and the RK4 one-step matrices I + D_k of all its substeps are built in
-    one batch, a dense general 4x4 each.  Every interval of a chunk has the
-    same m substeps, so their differences D_k from the identity form a
-    (K, m, 4, 4) stack, which the two functions of integrate that the gauge
-    route shares reduce by the law of D followed by D',
-    (I + D')(I + D) = I + (D' + D + D' D).  pairwise_products multiplies
-    each interval's steps; adding the identity only to the finished product
-    keeps the low bits that multiplying the rounded one-step matrices
-    loses.  prefix_products then joins the chunk's interval products into
-    I + P_i, the product from the chunk's start to each of its grid times,
-    and one batched matmul applies every I + P_i to the state at the
-    chunk's start.  The state itself stays complex, so an initial state
-    that is Hermitian only within the tolerance is propagated
+    where the rate operator is real with a zero trace row and two blocks
+    (see the module docstring); it is converted in from rho0 and back out
+    once, at the end.  The grid is walked in the chunks of plan_integration.
+    For each chunk, the blocks at its nodes and the RK4 one-step maps
+    I + D_k of all its substeps are built in one batch, elementwise, and
+    every product keeps the two blocks.  D_k is carried as the lower row
+    (p, q) of its population block, which leaves tr unchanged, and as the
+    four real entries of its coherence block.  Each block has its own law
+    for D followed by D', the block of (I + D')(I + D) - I = D' + D + D' D:
+    p'' = p' + p + q' p and q'' = q' + q + q' q for the population row, and
+    the 2x2 product for the coherence block.  The entries are kept rather
+    than the complex pair (P, Q) of z -> P z + Q conj(z) on
+    z = <sx> + i<sy>: under strong squeezing the slow coherence rate
+    gamma (N + 1/2 - |M|) is the small difference of |P| and |Q|, of order
+    gamma (N + 1/2), so the pair would lose its low bits at every step.
+
+    Every interval of a chunk has the same m substeps, so each block's D_k
+    form a (..., m, K) stack, which the two functions of integrate that the
+    gauge route shares reduce by the block's law.  pairwise_products
+    multiplies each interval's steps along axis -2; adding the identity only
+    to the finished product keeps the low bits that multiplying the rounded
+    one-step maps loses.  prefix_products then joins the chunk's interval
+    products along axis -1 into I + P_i, the product from the chunk's start
+    to each of its grid times, and every I + P_i is applied to the state at
+    the chunk's start at once.  The state itself stays complex, so an
+    initial state that is Hermitian only within the tolerance is propagated
     as the linear map propagates it.
 
     Parameters
@@ -223,32 +289,35 @@ def integrate_reference(
     """
     rho0 = check_density(rho0)
     grid, chunks = plan_integration(schedule, grid, step)
-    # States are column vectors, so that a @ y is the same matrix-vector
-    # product for every state of a stack; y @ a.T would round differently.
-    y = _TO_BLOCH @ vectorize(rho0)[..., None]
-    vectors = np.zeros((grid.size,) + y.shape[:-1], dtype=complex)
-    vectors[0] = y[..., 0]
-    # one 4x4 per state of the stack: (4, 4) for one state, (1, 4, 4) for a stack
-    matrix_shape = (1,) * (y.ndim - 2) + (4, 4)
+    # one column vector per state, so that each state of a stack is converted
+    # by the same matrix-vector product as alone
+    y = (_TO_BLOCH @ vectorize(rho0)[..., None])[..., 0]
+    vectors = np.zeros((grid.size,) + y.shape, dtype=complex)
+    vectors[0] = y
     for i0, plan, params in chunks:
         # a blown-up state is reported below, by its first non-finite row
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = _bloch_rates(*params)
-            # substep k of the chunk runs over nodes 2k, 2k+1 and 2k+2
-            k1, mids, ends = rates[0:-1:2], rates[1::2], rates[2::2]
-            h = np.repeat(plan.widths, plan.counts)[:, None, None]
-            k2 = np.matmul(mids, _I4 + (0.5 * h) * k1)
-            k3 = np.matmul(mids, _I4 + (0.5 * h) * k2)
-            k4 = np.matmul(ends, _I4 + h * k3)
-            deltas = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # each interval's product, then each prefix of the chunk's intervals
-            size = plan.counts.size
-            deltas = deltas.reshape(size, plan.counts.max(initial=1), 4, 4)
-            deltas = prefix_products(pairwise_products(deltas, 1, _then)[:, 0], 0, _then)
-            # the chunk's start state times every prefix, in one batched product
-            start = vectors[i0][..., None]
-            prefixes = (_I4 + deltas).reshape((size,) + matrix_shape)
-            vectors[i0 + 1 : i0 + 1 + size] = (prefixes @ start)[..., 0]
+            steps = _rk4_steps(_bloch_blocks(*params), np.repeat(plan.widths, plan.counts))
+            size, m = plan.counts.size, plan.counts.max(initial=1)
+            prefixes = []
+            for d, law in zip(steps, (_population_then, _coherence_then)):
+                # each block's steps as a contiguous (..., m, K) stack: each
+                # interval's product along axis -2, then each prefix of the
+                # chunk's intervals along axis -1
+                d = np.ascontiguousarray(np.swapaxes(d.reshape(d.shape[:-1] + (size, m)), -1, -2))
+                prefixes.append(prefix_products(pairwise_products(d, -2, law)[..., 0, :], -1, law))
+            pop, coh = prefixes
+            # the chunk's start state followed by every prefix, elementwise,
+            # with the prefixes along the first axis of each state's rows
+            tr, sz, sx, sy = np.moveaxis(vectors[i0], -1, 0)
+            shape = (size,) + (1,) * tr.ndim
+            p, q = (x.reshape(shape) for x in pop)
+            d22, d23, d32, d33 = (x.reshape(shape) for x in coh.reshape(4, size))
+            rows = vectors[i0 + 1 : i0 + 1 + size]
+            rows[..., 0] = tr
+            rows[..., 1] = p * tr + (1.0 + q) * sz
+            rows[..., 2] = (1.0 + d22) * sx + d23 * sy
+            rows[..., 3] = d32 * sx + (1.0 + d33) * sy
     # non-finite values stay non-finite, so the first such row is where it blew up
     finite = np.isfinite(vectors).reshape(grid.size, -1).all(axis=1)
     if not finite.all():

@@ -15,7 +15,9 @@ from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import autonomous_expectations
 from squeezebath.integrate import plan_substeps, uniform_grid
 from squeezebath.liouvillian import (
-    _bloch_rates,
+    _bloch_blocks,
+    _coherence_then,
+    _population_then,
     build_rate_operator,
     integrate_reference,
     rate_matrix_batch,
@@ -63,10 +65,11 @@ FROM_BLOCH = 0.5 * np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, -1j], [0, 0,
 
 
 def _plain_bloch_reference(schedule, rho0, grid, step):
-    # the same plain loop on the real Bloch-coordinate rate stack that
-    # integrate_reference integrates, with the state converted in and out once
+    # the same plain loop on the dense real Bloch-coordinate rate stack, whose
+    # blocks integrate_reference integrates, with the state converted in and
+    # out once
     plan = plan_substeps(grid, step)
-    rates = _bloch_rates(*schedule.params_on(plan.nodes))
+    rates = (TO_BLOCH @ rate_matrix_batch(*schedule.params_on(plan.nodes)) @ FROM_BLOCH).real
     eye = np.eye(4)
     y = TO_BLOCH @ vectorize(rho0)[..., None]
     out = [y[..., 0]]
@@ -309,6 +312,10 @@ def test_reference_equals_the_plain_sequential_loop(monkeypatch, limit):
     assert float(np.max(np.abs(got - want))) <= 1e-15
 
 
+# the six entries of the Bloch-coordinate operator that _bloch_blocks holds
+BLOCKS = ([1, 1, 2, 2, 3, 3], [0, 1, 2, 3, 2, 3])
+
+
 @pytest.mark.parametrize("nbar", [None, 0.7], ids=["squeezed", "thermal"])
 def test_bloch_rates_are_the_rate_operator_in_bloch_coordinates(nbar):
     assert np.array_equal(FROM_BLOCH @ TO_BLOCH, np.eye(4))
@@ -319,10 +326,53 @@ def test_bloch_rates_are_the_rate_operator_in_bloch_coordinates(nbar):
         m = rng.normal(size=64) + 1j * rng.normal(size=64)
     else:
         n, m = np.full(64, nbar), np.zeros(64, dtype=complex)
-    bloch = _bloch_rates(g, n, m)
-    assert bloch.dtype == np.float64 and bloch.shape == (64, 4, 4)
-    # exactly, not only within rounding
-    assert np.array_equal(TO_BLOCH @ rate_matrix_batch(g, n, m) @ FROM_BLOCH, bloch)
+    blocks = _bloch_blocks(g, n, m)
+    assert blocks.dtype == np.float64 and blocks.shape == (6, 64)
+    assert blocks.flags.c_contiguous
+    # exactly, not only within rounding: the six block entries, and exact
+    # zeros everywhere else (the trace row and the entries coupling the blocks)
+    bloch = TO_BLOCH @ rate_matrix_batch(g, n, m) @ FROM_BLOCH
+    assert np.array_equal(np.moveaxis(bloch[:, BLOCKS[0], BLOCKS[1]], -1, 0), blocks)
+    outside = np.ones((4, 4), dtype=bool)
+    outside[BLOCKS] = False
+    assert np.array_equal(bloch[:, outside], np.zeros((64, 10)))
+
+
+def _embed(population, coherence):
+    # a population row (p, q) and a coherence block's 2x2 entries as the 4x4
+    # difference from I in Bloch coordinates (tr, sz, sx, sy)
+    d = np.zeros(population[0].shape + (4, 4))
+    d[..., 1, 0], d[..., 1, 1] = population
+    d[..., 2:, 2:] = np.moveaxis(coherence, (0, 1), (-2, -1))
+    return d
+
+
+def test_block_laws_are_the_dense_law_on_the_embedded_matrices():
+    # D followed by D' is D' + D + D' D on the 4x4 matrices; each block's own
+    # law must give the same matrix, on 1 000 random pairs
+    rng = np.random.default_rng(21)
+    pop = rng.uniform(-1.0, 1.0, (2, 2, 1000))
+    coh = rng.uniform(-1.0, 1.0, (2, 2, 2, 1000))
+    d, d2 = _embed(pop[0], coh[0]), _embed(pop[1], coh[1])
+    dense = d2 + d + d2 @ d
+    blocks = _embed(_population_then(pop[0], pop[1]), _coherence_then(coh[0], coh[1]))
+    assert float(np.max(np.abs(blocks - dense))) <= 1e-15
+
+
+def test_reference_keeps_the_slow_quadrature_under_strong_squeezing():
+    # at constant r = 3 the two coherence rates gamma (N + 1/2 -+ M) are
+    # about 1.2e-3 and 202, so <sy> decays about 1.6e5 times slower than
+    # <sx>.  Carried through its own four entries, the coherence block keeps
+    # <sy> near the closed form (measured 9.4e-16 at t <= 5); carried as the
+    # pair (p, q) of z -> p z + q conj(z) on z = <sx> + i<sy>, it forms the
+    # slow rate from the two large ones at every step (measured 3.1e-14)
+    sched = BathSchedule(gamma=Constant(1.0), r=Constant(3.0))
+    rho0 = pure_state(math.sqrt(0.3) * np.exp(0.4j), math.sqrt(0.7))
+    grid = uniform_grid(5.0, 0.05)
+    g, n, m = (float(np.real(x[0])) for x in sched.params_on(np.array([0.0])))
+    got = pauli_expectations(integrate_reference(sched, rho0, grid))
+    want = autonomous_expectations(rho0, g, n, m, grid)
+    assert float(np.max(np.abs(got[:, 1] - want[:, 1]))) <= 5e-15
 
 
 def _imported_modules(module):
