@@ -54,15 +54,20 @@ delta = d_gg^B + a^A b^B, element A followed by element B is
     a    = (a^A + a^B + p^B a^A + a^B d_gg^B) / (1 + delta)
     d_ee = p^B + p^A + p^B p^A + a^B (1 + d_gg^B) b^A - a b
 
-where 1 + delta is the ratio of f_gg at the two end times, never zero
-where the flow exists.  Every interval of a chunk has the same m
-substeps, so each sector's steps form a (4, K, m) stack, and each
-interval's steps are composed by integrate.pairwise_products, which the
-reference route shares, within the interval only, so each interval's
-element does not depend on the chunking.  From there on the elements keep
-plain weights f = 1 + d, which a difference from 1 cannot hold once they
-decay (f_ee and f_eg reach 1e-119 at r = 2, t = 10).  With plain weights,
-element A followed by element B is
+where 1 + delta is the ratio of f_gg (f_ge in the coherence sector) at
+the two end times, never zero where the flow exists.  Every interval of a
+chunk has the same m substeps, so each sector's steps form a (4, K, m)
+stack, and each interval's steps are composed by
+integrate.pairwise_products, which the reference route shares, within the
+interval only, so each interval's element does not depend on the
+chunking.  A difference from 1 holds a weight only while the weight stays
+well above the rounding of 1: f_ge decays like exp(-gamma (N + 1/2 - |M|)
+t), so over an interval of t = 100 its d rounds to -1 and 1 + delta to 0
+exactly.  So the steps are composed in difference form only within blocks
+of at most _BLOCK substeps, and from there on the elements keep plain
+weights f = 1 + d, which stay accurate as they decay (f_ee and f_eg reach
+1e-119 at r = 2, t = 10).  With plain weights, element A followed by
+element B is
 
     w    = f_gg^B + a^A b^B
     a    = (a^A (f_ee^B + a^B b^B) + a^B f_gg^B) / w
@@ -71,11 +76,13 @@ element A followed by element B is
     f_gg = f_gg^A w
 
 where w = 1 + delta, so f_ee comes from the determinant f_ee f_gg and a
-decaying weight is only ever multiplied.  Per chunk,
-integrate.prefix_products, which the reference route shares too, joins
-the intervals' elements by this law into the product of each run of them
-from the chunk's start.  The state at the chunk's start followed by each
-prefix is the flow at each of the chunk's grid times.
+decaying weight is only ever multiplied.  pairwise_products joins the
+blocks of each interval by this law; an interval of at most _BLOCK
+substeps is one block, whose element is composed in difference form
+alone.  Per chunk, integrate.prefix_products, which the reference route
+shares too, joins the intervals' elements by this law into the product of
+each run of them from the chunk's start.  The state at the chunk's start
+followed by each prefix is the flow at each of the chunk's grid times.
 
 For a constant reservoir all eight columns have closed forms, implemented
 in autonomous_gauge; the time stepping must reproduce them, and both must
@@ -102,9 +109,17 @@ __all__ = [
 ]
 
 # the columns of the population and coherence sectors in a gauge state, and
-# what turns a (4, K) stack of elements in difference form into plain weights
+# what turns a (4, K, n) stack of elements in difference form into plain weights
 _POP, _COH = [0, 1, 4, 5], [2, 3, 6, 7]
-_PLAIN = np.array([[0], [0], [1], [1]])
+_PLAIN = np.array([0, 0, 1, 1]).reshape(4, 1, 1)
+
+# Most substeps composed in difference form, a power of two.  1 + delta is
+# the ratio of f_gg or f_ge over the block, and these decay at most at about
+# gamma (2N + 1), of which a default substep spans at most 1e-2: a block of
+# 512 keeps 1 + delta above about exp(-5.12); an explicit step wider than
+# that narrows the margin.  At gamma = 1 and r <= 2 an interval of up to
+# 0.1 (274 substeps at r = 2) is still one block.
+_BLOCK = 512
 
 
 def evolve_gauge(
@@ -116,10 +131,10 @@ def evolve_gauge(
 
     Per chunk of plan_integration, every substep's RK4 step from the
     identity is taken at once, each interval's steps are composed by
-    pairwise_products, the intervals' elements are joined into every prefix
-    of the chunk by prefix_products with plain weights, and the flow at the
-    chunk's start is followed by each prefix in one batched join (see the
-    module docstring).
+    pairwise_products in blocks of at most _BLOCK and the blocks joined
+    with plain weights, the intervals' elements are joined into every prefix
+    of the chunk by prefix_products, and the flow at the chunk's start is
+    followed by each prefix in one batched join (see the module docstring).
 
     Parameters
     ----------
@@ -151,11 +166,9 @@ def evolve_gauge(
             steps = _rk4_steps(nodes, np.repeat(plan.widths, plan.counts))
             # steps stays bound until the next chunk: freeing the full-size
             # steps in the middle of a chunk made the route about 20% slower
-            # the intervals' elements with plain weights, f = 1 + d, then
-            # each prefix of the chunk's intervals
+            # the intervals' elements, then each prefix of the chunk's intervals
             m = plan.counts.max(initial=1)
-            pop, coh = (pairwise_products(s.reshape(4, -1, m), 2, _pair)[..., 0] + _PLAIN
-                        for s in steps)
+            pop, coh = (_interval_elements(s.reshape(4, -1, m)) for s in steps)
             for s in (pop, coh):
                 prefix_products(s, 1, _join)
             # the chunk's start state followed by each prefix of its intervals
@@ -233,6 +246,19 @@ def _pair(first, then):
     # _compose of (4, K, n) stacks, as one array; on the strided views that
     # pairwise_products passes, a 40-by-50 chunk paired 1.4x slower than on copies
     return np.array(_compose(np.ascontiguousarray(first), np.ascontiguousarray(then)))
+
+
+def _pair_plain(first, then):
+    # _join of (4, K, n) stacks, as one array
+    return np.array(_join(first, then))
+
+
+def _interval_elements(steps):
+    # each interval's element, (4, K), with plain weights f = 1 + d, from
+    # its (4, K, m) steps: composed in blocks of at most _BLOCK, then the
+    # blocks joined
+    blocks = pairwise_products(steps, 2, _pair, _BLOCK) + _PLAIN
+    return pairwise_products(blocks, 2, _pair_plain)[..., 0]
 
 
 def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:

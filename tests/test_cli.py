@@ -124,8 +124,9 @@ def test_trajectory_output_is_deterministic(tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert _read(out_a / "trajectory.csv") == _read(out_b / "trajectory.csv")
-    # at gamma = 0.2 the auto step, 1e-3, is capped at the grid spacing (a
-    # rounding below 0.001): the run is that of an explicit grid.dt_int = dt_out
+    # at gamma = 0.2 the auto step, 1e-2 (a fastest rate below 1 counts as
+    # 1), is capped at the grid spacing (a rounding below 0.001): the run is
+    # that of an explicit grid.dt_int = dt_out
     args = ["trajectory", "--schedule.gamma.value=0.2", "--grid.t_max=1", "--grid.dt_out=0.001"]
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b), "--grid.dt_int=0.001"]) == 0
@@ -291,6 +292,22 @@ def test_sizes_and_controls_past_float_range_exit_one(tmp_path, capsys, override
         assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("dt_int", ["auto", "0.01"])
+@pytest.mark.filterwarnings("error")
+def test_one_output_interval_of_t_100_runs(tmp_path, capsys, dt_int):
+    # over one interval to t = 100 the coherence weight f_ge falls below the
+    # rounding of 1: composed in difference form across the whole interval,
+    # 1 + delta was 0 and the run exited 2 ("gauge parameters non-finite")
+    out = tmp_path / dt_int
+    args = ["trajectory", "--out", str(out), "--grid.t_max=100", "--grid.dt_out=100",
+            "--grid.dt_int=" + dt_int]
+    assert main(args) == 0
+    lines = _read(out / "trajectory.csv").splitlines()
+    assert len(lines) == 3
+    distance = float(re.search(r"max oracle distance (\S+)\)", capsys.readouterr().out).group(1))
+    assert distance <= 1e-11
+
+
 def test_unusable_output_path_exits_one(tmp_path, capsys):
     # an --out that is a regular file or lies under one, and an output file
     # that is a directory: one error line naming the path, no traceback
@@ -358,13 +375,15 @@ def test_verify_default_passes(tmp_path, capsys):
     assert _report_lines(report) == _verify_lines({})
     assert "residual[N/(N+1)]" in report and "residual[N/(2N+1)]" in report
     assert "summary:" in captured.out
-    assert "(t_max=30, dt_out=0.05, dt_int=0.001, ideal" in report
-    # a decoupled run (gamma = 0) still gets 0.001, which the fixed checks'
-    # gamma = 1 schedules, evolved on the same step, need
+    # 1e-2 over gamma cosh 2r at the default schedule's peak r = 0.1
+    assert "(t_max=30, dt_out=0.05, dt_int=0.009803279976447253, ideal" in report
+    # a decoupled run (gamma = 0) still gets 0.01, as a fastest rate below 1
+    # counts as 1, which the fixed checks' gamma = 1 schedules, evolved on
+    # the same step, need
     out = tmp_path / "decoupled"
     assert main(["verify", "--out", str(out), "--schedule.gamma.value=0"]) == 0
     report = _read(out / "verify_report.txt")
-    assert "dt_int=0.001," in report
+    assert "dt_int=0.01," in report
     assert _report_lines(report) == _verify_lines({})
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from squeezebath import integrate
+from squeezebath import gaugeflow, integrate
 from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid, bath_params
 from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import (
@@ -100,7 +100,7 @@ FLOW_CASES = {
                      theta=Ramp(0.3, 0.7)),
         _uneven_grid(0.01), 0.01,
     ),
-    "thermal": (BathSchedule(gamma=Constant(1.0), nbar=0.7), uniform_grid(5.0, 0.05), None),
+    "thermal": (BathSchedule(gamma=Constant(1.0), nbar=0.7), uniform_grid(5.0, 0.05), 1e-3),
     "const-r2": (BathSchedule(gamma=Constant(1.0), r=Constant(2.0)), uniform_grid(10.0, 0.05),
                  None),
     "one-point": (FIG1, np.array([0.0]), None),
@@ -109,10 +109,11 @@ FLOW_CASES = {
 
 # Largest |evolve_gauge - _plain_rk4_flow| over the flow, measured: 3.6e-7,
 # 7.8e-12 (at the default step of about 3.7e-4; 4.4e-10 at 1e-3), 3.4e-14
-# and 0.  Composing steps taken from the identity is a different RK4
-# discretisation of the nonlinear Riccati flow than stepping the state, so
-# the two differ at the level of their truncation errors (largest where
-# gamma (2N+1) h is about 0.5, on the uneven grid).
+# (at 1e-3; 1.0e-11 at the default step of 1e-2 / 2.4) and 0.  Composing
+# steps taken from the identity is a different RK4 discretisation of the
+# nonlinear Riccati flow than stepping the state, so the two differ at the
+# level of their truncation errors (largest where gamma (2N+1) h is about
+# 0.5, on the uneven grid).
 PLAIN_RK4_GAP = {
     "uneven-sin-gamma-sin-r-ramp-theta": 1e-6,
     "const-r2": 1e-9,
@@ -141,6 +142,18 @@ def test_flow_is_the_same_at_any_chunk_size(monkeypatch):
     assert 12 in plan_substeps(grid, step).counts
     whole = evolve_gauge(schedule, grid, step)
     monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", 5)
+    assert np.max(np.abs(evolve_gauge(schedule, grid, step) - whole)) <= 4e-15
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 8])
+def test_flow_is_the_same_at_any_block_size(monkeypatch, block):
+    # the 1-7 and 12 substep intervals composed in blocks of `block` steps,
+    # the blocks joined with plain weights: only the association of the
+    # steps changes, which moves the flow by a few ulps (measured 7.2e-16)
+    schedule, grid, step = FLOW_CASES["uneven-sin-gamma-sin-r-ramp-theta"]
+    grid = np.concatenate([grid[:21], grid[20] + 12 * step + grid[20:] - grid[20]])
+    whole = evolve_gauge(schedule, grid, step)
+    monkeypatch.setattr(gaugeflow, "_BLOCK", block)
     assert np.max(np.abs(evolve_gauge(schedule, grid, step) - whole)) <= 4e-15
 
 

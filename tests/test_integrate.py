@@ -7,7 +7,7 @@ import pytest
 from squeezebath import integrate
 from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
 from squeezebath.errors import InvalidInputError
-from squeezebath.gaugeflow import evolve_gauge
+from squeezebath.gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
 from squeezebath.integrate import (
     CHUNK_SUBSTEPS,
     check_grid,
@@ -19,7 +19,7 @@ from squeezebath.integrate import (
     uniform_grid,
 )
 from squeezebath.liouvillian import integrate_reference
-from squeezebath.states import excited_state
+from squeezebath.states import excited_state, pauli_expectations, pure_state
 
 
 def test_uniform_grid_endpoints():
@@ -116,11 +116,11 @@ def test_plan_substeps_nodes_are_linspace_per_interval():
     assert np.array_equal(plan.nodes[2 * np.cumsum(plan.counts)], grid[1:])
 
 
-def test_default_step_scales_with_gamma():
-    # min(1e-3 / max(peak gamma, 1), 1e-2 / fastest rate), at most the spacing
+def test_default_step_is_one_hundredth_over_the_fastest_rate():
+    # 1e-2 / max(fastest rate, 1), at most the spacing
     grid = np.array([0.0, 1.0, 2.0])
-    assert default_step(BathSchedule(gamma=Ramp(2.0, -0.75)), grid) == 5e-4
-    # the fastest rate decides once 2N + 1 exceeds 10: r = 2 and nbar = 20
+    assert default_step(BathSchedule(gamma=Ramp(2.0, -0.75)), grid) == 5e-3
+    # r = 2 gives 2N + 1 = cosh 4 and nbar = 20 gives 41
     squeezed = BathSchedule(gamma=Constant(1.0), r=Constant(2.0))
     n = squeezed.at(0.0).n_param
     r2 = default_step(squeezed, grid)
@@ -130,19 +130,20 @@ def test_default_step_scales_with_gamma():
     # peaks fall at different times: gamma 2 -> 0.1 while r 0 -> 2 on [0, 1]
     apart = BathSchedule(gamma=Ramp(2.0, -1.9), r=Ramp(0.0, 2.0))
     assert default_step(apart, grid[:2]) == 1e-2 / (2.0 * (2.0 * n + 1.0))
-    # the crossover at 2N + 1 = 10, for any gamma
+    # one term for any gamma and nbar: no crossover at 2N + 1 = 10
     for gamma in (1.0, 4.0):
         steps = [default_step(BathSchedule(gamma=Constant(gamma), nbar=nbar), grid)
                  for nbar in (4.4, 4.5, 4.6)]
-        assert steps == [1e-3 / gamma, 1e-3 / gamma, 1e-2 / (10.2 * gamma)]
-    # a weak coupling keeps 1e-3, never wider: gamma = 0.2
-    assert default_step(BathSchedule(gamma=Constant(0.2)), grid) == 1e-3
+        assert steps == [1e-2 / (gamma * (2.0 * nbar + 1.0)) for nbar in (4.4, 4.5, 4.6)]
+    # a rate below 1 counts as 1: a weak coupling gets 1e-2, never wider
+    assert default_step(BathSchedule(gamma=Constant(0.2)), grid) == 1e-2
+    assert default_step(BathSchedule(gamma=Constant(0.5), nbar=0.7), grid) == 1e-2 / 1.2
     # never wider than the smallest spacing: gamma = 0.2 on a 0.001 grid
     fine = uniform_grid(1.0, 0.001)
     assert default_step(BathSchedule(gamma=Constant(0.2)), fine) == np.min(np.diff(fine)) < 1e-3
-    # a coupling that is 0 everywhere is not refused, and gets 1e-3 too
+    # a coupling that is 0 everywhere is not refused, and gets 1e-2 too
     off = BathSchedule(gamma=Constant(0.0), r=Constant(1.0))
-    assert default_step(off, grid) == default_step(off, np.array([0.0])) == 1e-3
+    assert default_step(off, grid) == default_step(off, np.array([0.0])) == 1e-2
     assert np.array_equal(evolve_gauge(off, grid)[-1], [0, 0, 0, 0, 1, 1, 1, 1])
 
 
@@ -175,24 +176,27 @@ def test_control_peaks_bound_every_value_up_to_the_end():
         slopes = np.abs(np.diff(control(times))) / np.diff(times)
         assert np.max(slopes) <= control.speed(t_end) * (1.0 + 1e-9), control
     assert Ramp(1.0, 0.5).peak(0.0) == 1.0
-    # a slow sin control far from its crest keeps the step of its largest value
+    # a slow sin control far from its crest gets the step of its largest
+    # value, r = 3 sin 0.3 at t = 30, not of its crest r = 3
     slow = BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.0, 3.0, 0.01))
-    assert default_step(slow, uniform_grid(30.0, 0.05)) == 1e-3
+    sh = np.sinh(3.0 * math.sin(0.3))
+    assert default_step(slow, uniform_grid(30.0, 0.05)) == 1e-2 / (2.0 * (sh * sh) + 1.0)
 
 
 def test_default_step_resolves_the_fastest_control():
-    # 1e-2 over a control's variation_rate once it passes 10: omega of a
-    # sin control, rate of an exp control; a ramp sets no rate of its own
+    # 1e-2 over a control's variation_rate where it is the fastest rate:
+    # omega of a sin control, rate of an exp control; a ramp sets no rate
+    # of its own
     grid = uniform_grid(5.0, 0.05)
     fast = Sinusoid(1.0, 0.9, 100.0)
     assert default_step(BathSchedule(gamma=Constant(0.3), r=fast), grid) == 1e-4
     assert default_step(BathSchedule(gamma=Constant(1.0), theta=Sinusoid(0.0, 1.0, -40.0)),
                         grid) == 1e-2 / 40.0
     assert default_step(BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.5, 20.0)), grid) == 5e-4
-    assert default_step(BathSchedule(gamma=Constant(1.0), theta=Ramp(0.0, 50.0)), grid) == 1e-3
+    assert default_step(BathSchedule(gamma=Constant(1.0), theta=Ramp(0.0, 50.0)), grid) == 1e-2
     # the phase of M turns at theta's peak speed |theta'|, weighed by
     # min(1, sinh 2r) at peak r, which is 1 at r = 0.8: 1e-2 over it, where
-    # it passes 10 (exit 2 at the 1e-3 of these r = 0.8 runs)
+    # it is the fastest rate (exit 2 at a step of 1e-3 on these r = 0.8 runs)
     squeezed = {"r": Constant(0.8), "gamma": Constant(1.0)}
     for theta, t_max, step in ((Ramp(0.0, 1000.0), 1.0, 1e-5),
                                (Sinusoid(0.0, 300.0, 10.0, 0.0), 1.0, 1e-2 / 3000.0),
@@ -203,13 +207,13 @@ def test_default_step_resolves_the_fastest_control():
     assert default_step(weak, uniform_grid(1.0, 0.05)) == 1e-2 / (1000.0 * np.sinh(0.02))
     # but not at r = 0, where M = 0, nor under the thermal override
     assert default_step(BathSchedule(gamma=Constant(1.0), r=Ramp(0.0, 0.0),
-                                     theta=Ramp(0.0, 1000.0)), grid) == 1e-3
+                                     theta=Ramp(0.0, 1000.0)), grid) == 1e-2
     assert default_step(BathSchedule(gamma=Constant(1.0), nbar=0.5, theta=Ramp(0.0, 1000.0)),
-                        grid) == 1e-3
+                        grid) == 5e-3
     assert default_step(BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.5, 0.1, 10.0)),
                         grid) == 1e-3
     # under the thermal override r and theta are not used, and do not count
-    assert default_step(BathSchedule(gamma=Constant(1.0), r=fast, nbar=0.5), grid) == 1e-3
+    assert default_step(BathSchedule(gamma=Constant(1.0), r=fast, nbar=0.5), grid) == 5e-3
     # gamma at 2pi/0.05 is 0 at every output time and up to 10 between them:
     # the step resolves its oscillation, not the samples
     aliased = BathSchedule(gamma=Sinusoid(5.0, 5.0, 2.0 * np.pi / 0.05, -np.pi / 2.0))
@@ -229,6 +233,49 @@ def test_default_step_sees_a_rate_reached_only_between_grid_times():
     assert np.max(schedule.params_on(grid)[0]) < 1e-12
     n = schedule.at(0.0).n_param
     assert default_step(schedule, grid) == 1e-2 / (10.0 * (2.0 * n + 1.0))
+
+
+# Both routes at the auto step keep every Pauli expectation within 1e-10
+# of the exact solution, 10x below perfbench's pinned values' 1e-9.
+ERROR_TARGET = 1e-10
+STATES = np.stack([excited_state(), pure_state(math.sqrt(0.2) * np.exp(1j * math.pi / 3.0),
+                                               math.sqrt(0.8))])
+
+
+def _both_routes(schedule, grid, step):
+    # (route, grid time, state, sx/sy/sz) Pauli expectations of both routes
+    return np.stack([pauli_expectations(assemble_density(STATES, evolve_gauge(schedule, grid, step))),
+                     pauli_expectations(integrate_reference(schedule, STATES, grid, step))])
+
+
+def test_auto_step_keeps_constant_schedules_within_the_error_target():
+    # measured at most 6.2e-11, on both routes at gamma = 1, r = 0 from the
+    # excited state, where the step is 1e-2 and the rate gamma (2N + 1) is 1
+    grid = uniform_grid(30.0, 0.05)
+    for gamma in (0.3, 1.0):
+        for r in (0.0, 0.1, 0.3, 0.6, 1.0, 2.0):
+            schedule = BathSchedule(gamma=Constant(gamma), r=Constant(r))
+            point = schedule.at(0.0)
+            exact = np.stack([autonomous_expectations(rho0, gamma, point.n_param,
+                                                      point.m_param.real, grid)
+                              for rho0 in STATES], axis=1)
+            got = _both_routes(schedule, grid, default_step(schedule, grid))
+            assert np.max(np.abs(got - exact)) <= ERROR_TARGET, (gamma, r)
+
+
+def test_auto_step_keeps_a_long_horizon_within_the_error_target():
+    # each route's error estimated by halving the step, |y_h - y_h/2| 16/15
+    # for RK4: measured 5.3e-11 on the gauge route and 2.6e-11 on the
+    # reference at the long_horizon workload's step, 6.83e-3, within 2% of
+    # their distance from a run at 1e-3
+    schedule = BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.33, 0.135, 0.91, 2.17),
+                            theta=Ramp(1.5, 0.0095))
+    grid = uniform_grid(300.0, 0.05)
+    step = default_step(schedule, grid)
+    estimate = np.abs(_both_routes(schedule, grid, step)
+                      - _both_routes(schedule, grid, step / 2.0)) * 16.0 / 15.0
+    worst = np.max(estimate, axis=(1, 2, 3))
+    assert np.all(worst <= ERROR_TARGET), worst
 
 
 def _labels(shape):
@@ -268,6 +315,33 @@ def test_pairwise_products_fold_each_row_in_order(layout, m):
     # a run of one is carried up untouched, as the very same object
     if m == 1:
         assert got is steps
+
+
+def _bracket(first, then):
+    # a law that shows the pairing tree: "(first then)"
+    return "(" + first + " " + then + ")"
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 7, 12, 50])
+def test_pairwise_products_stop_at_runs_of_a_block(m):
+    # with block 4, entry j of each of 3 rows is the product of steps
+    # 4j .. 4j + 3, the last run shorter, paired exactly as that run alone
+    steps = _labels((3, m))
+    calls = []
+    got = pairwise_products(steps, 1, _concat(calls), block=4)
+    assert got.shape == (3, -(-m // 4))
+    assert len(calls) == min(2, math.ceil(math.log2(m)))
+    for row, blocks in zip(steps, got):
+        runs = [row[j : j + 4] for j in range(0, m, 4)]
+        assert blocks.tolist() == [np.add.reduce(run) for run in runs]
+    trees = pairwise_products(steps, 1, np.vectorize(_bracket, otypes=[object]), block=4)
+    for row, blocks in zip(steps, trees):
+        alone = [pairwise_products(row[j : j + 4], 0, np.vectorize(_bracket, otypes=[object]))[0]
+                 for j in range(0, m, 4)]
+        assert blocks.tolist() == alone
+    # a block of at least m steps is the plain product
+    assert np.array_equal(pairwise_products(steps, 1, _concat([]), block=64),
+                          pairwise_products(steps, 1, _concat([])))
 
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
@@ -335,7 +409,7 @@ def test_uniform_grids_plan_a_single_count():
                                 theta=Ramp(1.5, 0.0095))
     dense = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.2, 0.1), theta=Constant(0.7))
     r2 = BathSchedule(gamma=Constant(1.0), r=Constant(2.0))
-    for sched, grid, count in ((long_horizon, uniform_grid(300.0, 0.05), 50),
+    for sched, grid, count in ((long_horizon, uniform_grid(300.0, 0.05), 8),
                                (dense, uniform_grid(10.0, 0.001), 1),
                                (r2, uniform_grid(30.0, 0.05), 137)):
         step = default_step(sched, grid)
