@@ -16,16 +16,16 @@ evaluated on them in one vectorized pass, only when the chunk is reached,
 so the memory an integration needs beside its output rows does not grow
 with the horizon.
 
-Both integrators take a chunk's RK4 steps at once, as a stack of K
-intervals by m steps, and reduce it by two shared functions, each
-integrator passing only its own array layout and composition law:
-pairwise_products multiplies each interval's steps by neighbouring pairs,
-and prefix_products joins the intervals' products into the product from
-the chunk's start to each of its grid times.  Both work by strided or
-contiguous slices, with no index arrays and nothing cached.  One batched
-product applies the state at the chunk's start to all of them.  Grids
-whose row or substep counts would exceed MAX_ROWS or MAX_INTERVAL_SUBSTEPS
-are refused before anything is allocated.
+walk_chunks is that walk, for both integrators.  Each passes its chunk
+stepper, which takes a chunk's RK4 steps at once, as a (..., K, m) stack of
+K intervals by m steps, and reduces them by two shared functions in its own
+composition law: pairwise_products multiplies each interval's steps by
+neighbouring pairs, and prefix_products joins the intervals' products into
+the product from the chunk's start to each of its grid times.  Both work on
+the last axis by strided or contiguous slices, with no index arrays and
+nothing cached.  One batched product applies the state at the chunk's start
+to all of them.  Grids whose row or substep counts would exceed MAX_ROWS or
+MAX_INTERVAL_SUBSTEPS are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 
 __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "check_grid",
-           "plan_integration", "pairwise_products", "prefix_products", "CHUNK_SUBSTEPS",
-           "MAX_ROWS", "MAX_INTERVAL_SUBSTEPS"]
+           "plan_integration", "walk_chunks", "pairwise_products", "prefix_products",
+           "CHUNK_SUBSTEPS", "MAX_ROWS", "MAX_INTERVAL_SUBSTEPS"]
 
 # Substeps per chunk of plan_integration.  Each chunk costs a fixed number of
 # numpy calls: on a long_horizon-shaped run (t = 300, 48 000 substeps at the
@@ -199,7 +199,7 @@ def default_step(schedule, grid: np.ndarray) -> float:
 def plan_integration(schedule, grid: np.ndarray, step: float | None):
     """The checked grid and an iterator over its chunks of substeps.
 
-    The shared preamble of both integrators.  step must be > 0 and no wider
+    The preamble of walk_chunks.  step must be > 0 and no wider
     than the smallest grid spacing; None means default_step(schedule, grid).
     Both are checked here, before any chunk is planned.
 
@@ -240,43 +240,66 @@ def _chunks(schedule, grid: np.ndarray, step: float, counts: np.ndarray):
                 break
 
 
-def pairwise_products(x: np.ndarray, axis: int, combine, block: float = math.inf) -> np.ndarray:
-    """The product of the steps along axis, by neighbouring pairs, level by level.
+def walk_chunks(schedule, grid, step: float | None, first: np.ndarray, advance, what: str):
+    """One row per grid time, row 0 first, each chunk's rows from advance.
+
+    For each chunk of plan_integration(schedule, grid, step), K grid
+    intervals of m substeps from grid time i0, advance(start, controls, h,
+    m, rows) writes the K rows after row i0 into rows from start, row i0,
+    the controls (gamma, N, M) at the chunk's nodes and the K m substep
+    widths h; what it returns is held until the next chunk's advance
+    returns.  Overflow is not warned about: the rows, of shape (len(grid),)
+    + first.shape, are refused by NumericalFailureError("<what> non-finite
+    at t = ...") at the first non-finite one, where a blow-up began.
+    """
+    grid, chunks = plan_integration(schedule, grid, step)
+    rows = np.empty((grid.size,) + first.shape, dtype=first.dtype)
+    rows[0] = first
+    for i0, plan, controls in chunks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            held = advance(rows[i0], controls, np.repeat(plan.widths, plan.counts),  # noqa: F841
+                           plan.counts.max(initial=1), rows[i0 + 1 : i0 + 1 + plan.counts.size])
+    finite = np.isfinite(rows).reshape(grid.size, -1).all(axis=1)
+    if not finite.all():
+        raise NumericalFailureError(
+            "%s non-finite at t = %r" % (what, float(grid[np.argmin(finite)])))
+    return rows
+
+
+def pairwise_products(x: np.ndarray, combine, block: float = math.inf) -> np.ndarray:
+    """The product of the steps on the last axis, by neighbouring pairs, level by level.
 
     Each level pairs steps 0 and 1, 2 and 3, ... by strided slices into
-    combine(x[0::2], x[1::2]), an array, with combine(A, B) the product of
-    step A followed by step B, and carries an odd last step up unchanged.
-    So m steps are one after ceil(log2(m)) levels; the result keeps axis,
-    of length 1 (0 for no steps), and a single step is x itself.  With a
-    power of two block given, the levels stop at runs of block steps: entry
-    j is then the product of steps j block .. (j + 1) block - 1 (the last
-    run shorter), by the same pairs as the product of that run alone.
+    combine(x[..., 0::2], x[..., 1::2]), an array, with combine(A, B) the
+    product of step A followed by step B, and carries an odd last step up
+    unchanged.  So m steps are one after ceil(log2(m)) levels; the last axis
+    stays, of length 1 (0 for no steps), and a single step is x itself.
+    With a power of two block given, the levels stop at runs of block
+    steps: entry j is then the product of steps j block .. (j + 1) block - 1
+    (the last run shorter), by the same pairs as the product of that run alone.
     """
-    head = (slice(None),) * (axis % x.ndim)
     span = 1
-    while x.shape[axis] > 1 and span < block:
-        m = x.shape[axis]
-        paired = combine(x[head + (slice(0, m - 1, 2),)], x[head + (slice(1, m, 2),)])
-        x = np.concatenate((paired, x[head + (slice(m - 1, m),)]), axis) if m % 2 else paired
+    while x.shape[-1] > 1 and span < block:
+        m = x.shape[-1]
+        paired = combine(x[..., 0 : m - 1 : 2], x[..., 1:m:2])
+        x = np.concatenate((paired, x[..., m - 1 :]), -1) if m % 2 else paired
         span *= 2
     return x
 
 
-def prefix_products(x: np.ndarray, axis: int, combine) -> np.ndarray:
-    """Every prefix product of the steps along axis, in place, and x.
+def prefix_products(x: np.ndarray, combine) -> np.ndarray:
+    """Every prefix product of the steps on the last axis, in place, and x.
 
     The inclusive scan of Hillis and Steele (Blelloch, "Prefix sums and
     their applications", 1990): at each offset s = 1, 2, 4, ... below the
-    length, x[s:] = combine(x[:-s], x[s:]) along axis, both operands read
-    from the level's input, and the entries below s stay as they are.  So
-    after ceil(log2(length)) levels entry i is the product of steps 0 .. i
-    in order, and entry 0 is never touched.
+    length, x[..., s:] = combine(x[..., :-s], x[..., s:]), both operands
+    read from the level's input, and the entries below s stay as they are.
+    So after ceil(log2(length)) levels entry i is the product of steps
+    0 .. i in order, and entry 0 is never touched.
     """
-    head = (slice(None),) * (axis % x.ndim)
-    size = x.shape[axis]
+    size = x.shape[-1]
     s = 1
     while s < size:
-        x[head + (slice(s, size),)] = combine(x[head + (slice(0, size - s),)],
-                                              x[head + (slice(s, size),)])
+        x[..., s:] = combine(x[..., : size - s], x[..., s:])
         s *= 2
     return x

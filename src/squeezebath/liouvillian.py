@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import SIGMA_MINUS, SIGMA_PLUS, lift_left, lift_right, unvectorize, vectorize
 from .bath import BathPoint, BathSchedule, _validate_bath_point
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import pairwise_products, plan_integration, prefix_products
+from .integrate import pairwise_products, prefix_products, walk_chunks
 from .states import check_density
 
 __all__ = [
@@ -189,11 +189,11 @@ def _after(rate, y):
             c32 * u22 + c33 * e32, c32 * e23 + c33 * u33)
 
 
-def _rk4_steps(blocks, h: np.ndarray):
+def _rk4_steps(blocks, h: np.ndarray, m):
     # One RK4 step from the identity per substep, from the rate operator's
-    # blocks at the 2S+1 nodes and the S widths h, as the difference D from
-    # I of each block: the population's lower row (p, q), a (2, S) array,
-    # and the coherence block's 2x2 entries, a (2, 2, S) array.
+    # blocks at the 2S+1 nodes and the S = K m widths h, as the difference D
+    # from I of each block: the population's lower row (p, q), a (2, K, m)
+    # array, and the coherence block's 2x2 entries, a (2, 2, K, m) array.
     # the start (k = 0), midpoint (1) and end (2) node of every substep
     at = [tuple(x[k : x.size - 2 + k : 2] for x in blocks) for k in range(3)]
     h2, h6 = 0.5 * h, h / 6.0
@@ -202,7 +202,7 @@ def _rk4_steps(blocks, h: np.ndarray):
     k3 = _after(at[1], [h2 * x for x in k2])
     k4 = _after(at[2], [h * x for x in k3])
     steps = [h6 * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]
-    return np.array(steps[:2]), np.array(steps[2:]).reshape((2, 2) + h.shape)
+    return np.array(steps[:2]).reshape(2, -1, m), np.array(steps[2:]).reshape(2, 2, -1, m)
 
 
 def _population_then(d, d2):
@@ -236,31 +236,10 @@ def integrate_reference(
     The state is carried in Bloch coordinates (tr rho, <sz>, <sx>, <sy>),
     where the rate operator is real with a zero trace row and two blocks
     (see the module docstring); it is converted in from rho0 and back out
-    once, at the end.  The grid is walked in the chunks of plan_integration.
-    For each chunk, the blocks at its nodes and the RK4 one-step maps
-    I + D_k of all its substeps are built in one batch, elementwise, and
-    every product keeps the two blocks.  D_k is carried as the lower row
-    (p, q) of its population block, which leaves tr unchanged, and as the
-    four real entries of its coherence block.  Each block has its own law
-    for D followed by D', the block of (I + D')(I + D) - I = D' + D + D' D:
-    p'' = p' + p + q' p and q'' = q' + q + q' q for the population row, and
-    the 2x2 product for the coherence block.  The entries are kept rather
-    than the complex pair (P, Q) of z -> P z + Q conj(z) on
-    z = <sx> + i<sy>: under strong squeezing the slow coherence rate
-    gamma (N + 1/2 - |M|) is the small difference of |P| and |Q|, of order
-    gamma (N + 1/2), so the pair would lose its low bits at every step.
-
-    Every interval of a chunk has the same m substeps, so each block's D_k
-    form a (..., m, K) stack, which the two functions of integrate that the
-    gauge route shares reduce by the block's law.  pairwise_products
-    multiplies each interval's steps along axis -2; adding the identity only
-    to the finished product keeps the low bits that multiplying the rounded
-    one-step maps loses.  prefix_products then joins the chunk's interval
-    products along axis -1 into I + P_i, the product from the chunk's start
-    to each of its grid times, and every I + P_i is applied to the state at
-    the chunk's start at once.  The state itself stays complex, so an
-    initial state that is Hermitian only within the tolerance is propagated
-    as the linear map propagates it.
+    once, at the end, and walked by integrate.walk_chunks, each chunk taken
+    by reference_chunk.  The state itself stays complex, so an initial state
+    that is Hermitian only within the tolerance is propagated as the linear
+    map propagates it.
 
     Parameters
     ----------
@@ -288,42 +267,44 @@ def integrate_reference(
         If the state stops being finite, with the offending time named.
     """
     rho0 = check_density(rho0)
-    grid, chunks = plan_integration(schedule, grid, step)
     # one column vector per state, so that each state of a stack is converted
-    # by the same matrix-vector product as alone
+    # by the same matrix-vector product as alone; the Bloch rows are freed
+    # before unvectorize copies the result
     y = (_TO_BLOCH @ vectorize(rho0)[..., None])[..., 0]
-    vectors = np.zeros((grid.size,) + y.shape, dtype=complex)
-    vectors[0] = y
-    for i0, plan, params in chunks:
-        # a blown-up state is reported below, by its first non-finite row
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = _rk4_steps(_bloch_blocks(*params), np.repeat(plan.widths, plan.counts))
-            size, m = plan.counts.size, plan.counts.max(initial=1)
-            prefixes = []
-            for d, law in zip(steps, (_population_then, _coherence_then)):
-                # each block's steps as a contiguous (..., m, K) stack: each
-                # interval's product along axis -2, then each prefix of the
-                # chunk's intervals along axis -1
-                d = np.ascontiguousarray(np.swapaxes(d.reshape(d.shape[:-1] + (size, m)), -1, -2))
-                prefixes.append(prefix_products(pairwise_products(d, -2, law)[..., 0, :], -1, law))
-            pop, coh = prefixes
-            # the chunk's start state followed by every prefix, elementwise,
-            # with the prefixes along the first axis of each state's rows
-            tr, sz, sx, sy = np.moveaxis(vectors[i0], -1, 0)
-            shape = (size,) + (1,) * tr.ndim
-            p, q = (x.reshape(shape) for x in pop)
-            d22, d23, d32, d33 = (x.reshape(shape) for x in coh.reshape(4, size))
-            rows = vectors[i0 + 1 : i0 + 1 + size]
-            rows[..., 0] = tr
-            rows[..., 1] = p * tr + (1.0 + q) * sz
-            rows[..., 2] = (1.0 + d22) * sx + d23 * sy
-            rows[..., 3] = d32 * sx + (1.0 + d33) * sy
-    # non-finite values stay non-finite, so the first such row is where it blew up
-    finite = np.isfinite(vectors).reshape(grid.size, -1).all(axis=1)
-    if not finite.all():
-        raise NumericalFailureError(
-            "reference state non-finite at t = %r" % (float(grid[np.argmin(finite)]),)
-        )
-    # rebound, so the Bloch rows are freed before unvectorize copies the result
-    vectors = vectors @ _FROM_BLOCH.T
-    return unvectorize(vectors)
+    return unvectorize(walk_chunks(schedule, grid, step, y, reference_chunk, "reference state")
+                       @ _FROM_BLOCH.T)
+
+
+def reference_chunk(start, controls, h, m, rows) -> None:
+    """integrate_reference's chunk stepper for integrate.walk_chunks.
+
+    The rate operator's blocks at the chunk's nodes and the RK4 one-step
+    maps I + D_k of all its substeps are built in one batch, elementwise,
+    and every product keeps the two blocks.  D_k is carried as the lower
+    row (p, q) of its population block, which leaves tr unchanged, and as
+    the four real entries of its coherence block.  Each block has its own
+    law for D followed by D', the block of (I + D')(I + D) - I = D' + D +
+    D' D: p'' = p' + p + q' p and q'' = q' + q + q' q for the population
+    row, and the 2x2 product for the coherence block.  The entries are kept
+    rather than the complex pair (P, Q) of z -> P z + Q conj(z) on
+    z = <sx> + i<sy>: under strong squeezing the slow coherence rate
+    gamma (N + 1/2 - |M|) is the small difference of |P| and |Q|, of order
+    gamma (N + 1/2), so the pair would lose its low bits at every step.
+
+    Each block's D_k form a (..., K, m) stack: pairwise_products multiplies
+    each interval's steps, and adding the identity only to the finished
+    product keeps the low bits that multiplying the rounded one-step maps
+    loses.  prefix_products joins the interval products into I + P_i, the
+    product from the chunk's start to each of its grid times, and every
+    I + P_i is applied to the Bloch vectors start at once, into rows.
+    """
+    pop, coh = (prefix_products(pairwise_products(d, law)[..., 0], law) for d, law in zip(
+        _rk4_steps(_bloch_blocks(*controls), h, m), (_population_then, _coherence_then)))
+    tr, sz, sx, sy = np.moveaxis(start, -1, 0)
+    # the prefixes along the first axis of each state's rows
+    prefixes = np.concatenate((pop, coh.reshape(4, -1)))
+    p, q, d22, d23, d32, d33 = prefixes.reshape((6, -1) + (1,) * tr.ndim)
+    rows[..., 0] = tr
+    rows[..., 1] = p * tr + (1.0 + q) * sz
+    rows[..., 2] = (1.0 + d22) * sx + d23 * sy
+    rows[..., 3] = d32 * sx + (1.0 + d33) * sy

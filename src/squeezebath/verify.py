@@ -485,7 +485,7 @@ def run_checks(
     schedule are each evolved once (once in all when they are equal); every
     check that reads one of these flows gets it from that evolution.  The
     run's reference is integrated once, for rho0 and its real-coherence twin
-    in one stack.
+    in one stack.  tol holds the CLI's five tol.* tolerances, by name.
     """
     rho0 = check_density(rho0)
     if rho0.ndim != 2:
@@ -527,14 +527,14 @@ def run_checks(
             raise run
     ref, real_ref = (refs, refs) if isinstance(refs, Exception) else refs.swapaxes(0, 1)
     states = _attempt(assemble_density, rho0, flow)
-    results += _run(check_oracle_agreement, states, ref, tol.get("oracle", 1e-7))
-    results += _run(check_gauge_trace_identities, flow, tol.get("identity", 1e-9))
+    results += _run(check_oracle_agreement, states, ref, tol["oracle"])
+    results += _run(check_gauge_trace_identities, flow, tol["identity"])
     if isinstance(states, Exception) or isinstance(ref, Exception):
         results.append(_skipped(check_conservation_positivity, "oracle run unavailable"))
     else:
         results += _run(
             check_conservation_positivity, states, ref,
-            tol.get("trace", 1e-9), tol.get("herm", 1e-9), tol.get("min_eig", 1e-8),
+            tol["trace"], tol["herm"], tol["min_eig"],
         )
     if np.any(m_grid.imag):
         results.append(_skipped(check_coherence_symmetry, "squeeze phase is not 0 on this schedule"))

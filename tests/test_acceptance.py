@@ -257,7 +257,7 @@ def test_criterion_10_root_adjudication():
         t_max=2.0,
         dt_out=0.1,
         dt_int=0.001,
-        tol={"oracle": 1e-7, "trace": 1e-9, "herm": 1e-9, "min_eig": 1e-8},
+        tol={"oracle": 1e-7, "trace": 1e-9, "herm": 1e-9, "min_eig": 1e-8, "identity": 1e-9},
     )
     report = format_report(results)
     adjudication = [r for r in results if r.name == "alpha-root-adjudication"]

@@ -308,6 +308,21 @@ def test_one_output_interval_of_t_100_runs(tmp_path, capsys, dt_int):
     assert distance <= 1e-11
 
 
+def test_a_coarse_explicit_step_names_its_trace_error(tmp_path, capsys):
+    # h gamma (2N + 1) = 0.41 at nbar = 20 and dt_int = 0.01, so the gauge
+    # route composes in difference form over blocks of 8 substeps, not 512,
+    # over which f_ge fell by e^-105 and 1 + delta rounded to 0: the run to
+    # t = 10 names the step's trace error, as the run to t = 2 does, and not
+    # "gauge parameters non-finite"
+    for t_max in ("2", "10"):
+        args = ["trajectory", "--out", str(tmp_path), "--schedule.mode=thermal",
+                "--schedule.nbar=20", "--grid.t_max=" + t_max, "--grid.dt_out=" + t_max,
+                "--grid.dt_int=0.01"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == ("numerical failure: trace error 5.161e-06 exceeds "
+                                           "tol.trace=1e-09 at t = %s\n" % t_max)
+
+
 def test_unusable_output_path_exits_one(tmp_path, capsys):
     # an --out that is a regular file or lies under one, and an output file
     # that is a directory: one error line naming the path, no traceback

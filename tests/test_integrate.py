@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from squeezebath import integrate
+from squeezebath import gaugeflow, integrate, liouvillian
+from squeezebath.algebra import unvectorize, vectorize
 from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
 from squeezebath.errors import InvalidInputError
 from squeezebath.gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
@@ -291,26 +292,26 @@ def _concat(calls):
     return combine
 
 
-# each route's layout: the reference's (..., m, K) stack of each block's
-# entries, (2, m, K) for the population row and (2, 2, m, K) for the
-# coherence block, pairing along axis -2, and the gauge route's (4, K, m)
-# stack of components, pairing along axis 2; both scan the products along
-# the K axis.  The population row and two components keep the labels small
-_LAYOUTS = {"reference": (lambda k, m: (2, m, k), 1, 1), "gauge": (lambda k, m: (2, k, m), 2, 1)}
+# both routes reduce a chunk's steps as one (..., K, m) stack, K intervals by
+# m steps: pairing along the last axis, then, with that axis dropped,
+# scanning the products along K.  The routes differ only in their leading
+# axes: the reference's coherence block (2, 2) and the gauge route's
+# components, two of its four to keep the labels small
+_LAYOUTS = {"reference": (2, 2), "gauge": (2,)}
 
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 12, 50])
 def test_pairwise_products_fold_each_row_in_order(layout, m):
-    # each of 3 rows of m steps must come out as its labels in order, in
-    # ceil(log2(m)) levels, with no step paired across rows
-    shape, axis, _ = _LAYOUTS[layout]
-    steps = _labels(shape(3, m))
+    # each of 3 intervals' m steps must come out as its labels in order, in
+    # ceil(log2(m)) levels, with no step paired across intervals
+    lead = _LAYOUTS[layout]
+    steps = _labels(lead + (3, m))
     calls = []
-    got = pairwise_products(steps, axis, _concat(calls))
-    want = np.add.reduce(steps, axis)  # object addition: concatenation in order
-    assert got.shape == shape(3, min(m, 1))
-    assert m == 0 or np.array_equal(got.reshape(want.shape), want)
+    got = pairwise_products(steps, _concat(calls))
+    want = np.add.reduce(steps, -1)  # object addition: concatenation in order
+    assert got.shape == lead + (3, min(m, 1))
+    assert m == 0 or np.array_equal(got[..., 0], want)
     assert len(calls) == (math.ceil(math.log2(m)) if m else 0)
     # a run of one is carried up untouched, as the very same object
     if m == 1:
@@ -328,20 +329,20 @@ def test_pairwise_products_stop_at_runs_of_a_block(m):
     # 4j .. 4j + 3, the last run shorter, paired exactly as that run alone
     steps = _labels((3, m))
     calls = []
-    got = pairwise_products(steps, 1, _concat(calls), block=4)
+    got = pairwise_products(steps, _concat(calls), block=4)
     assert got.shape == (3, -(-m // 4))
     assert len(calls) == min(2, math.ceil(math.log2(m)))
     for row, blocks in zip(steps, got):
         runs = [row[j : j + 4] for j in range(0, m, 4)]
         assert blocks.tolist() == [np.add.reduce(run) for run in runs]
-    trees = pairwise_products(steps, 1, np.vectorize(_bracket, otypes=[object]), block=4)
+    trees = pairwise_products(steps, np.vectorize(_bracket, otypes=[object]), block=4)
     for row, blocks in zip(steps, trees):
-        alone = [pairwise_products(row[j : j + 4], 0, np.vectorize(_bracket, otypes=[object]))[0]
+        alone = [pairwise_products(row[j : j + 4], np.vectorize(_bracket, otypes=[object]))[0]
                  for j in range(0, m, 4)]
         assert blocks.tolist() == alone
     # a block of at least m steps is the plain product
-    assert np.array_equal(pairwise_products(steps, 1, _concat([]), block=64),
-                          pairwise_products(steps, 1, _concat([])))
+    assert np.array_equal(pairwise_products(steps, _concat([]), block=64),
+                          pairwise_products(steps, _concat([])))
 
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
@@ -350,19 +351,17 @@ def test_prefix_products_give_every_prefix_in_order(layout, size):
     # entry i must come out as labels 0 .. i in order, in place, after one
     # level at each offset 1, 2, 4, ... below size; like each route, the
     # scan runs on the pairing's result with the paired axis dropped
-    shape, paired, axis = _LAYOUTS[layout]
-    steps = _labels(shape(size, 1)).squeeze(paired)
+    steps = _labels(_LAYOUTS[layout] + (size, 1))[..., 0]
     before = steps.copy()
     calls = []
-    assert prefix_products(steps, axis, _concat(calls)) is steps
-    prefixes = np.cumsum(before, axis=axis)  # object addition: concatenation in order
+    assert prefix_products(steps, _concat(calls)) is steps
+    prefixes = np.cumsum(before, axis=-1)  # object addition: concatenation in order
     assert np.array_equal(steps, prefixes)
-    offsets = [size - first[axis] for first in calls]
+    offsets = [size - first[-1] for first in calls]
     assert offsets == [1 << k for k in range(max(size - 1, 0).bit_length())]
     assert len(offsets) == (math.ceil(math.log2(size)) if size else 0)
     # the first entry is carried up untouched, as the very same object
-    first = (slice(None),) * axis + (0,)
-    assert size == 0 or all(a is b for a, b in zip(steps[first].flat, before[first].flat))
+    assert size == 0 or all(a is b for a, b in zip(steps[..., 0].flat, before[..., 0].flat))
 
 
 def _uneven_grid():
@@ -400,6 +399,36 @@ def test_chunks_are_slices_of_the_whole_grid_plan(monkeypatch, limit):
     # a chunk starts at every change of the count, of which there are many
     changes = set(np.flatnonzero(np.diff(whole.counts)) + 1)
     assert len(changes) == 16 and changes <= starts
+
+
+def _by_hand(first, stepper, schedule, grid, step):
+    # the chunk walk written out: the stepper fed each chunk of
+    # plan_integration and the last row before it, carried over
+    _, chunks = plan_integration(schedule, grid, step)
+    rows = [first]
+    for _, plan, controls in chunks:
+        out = np.empty((plan.counts.size,) + first.shape, dtype=first.dtype)
+        stepper(rows[-1], controls, np.repeat(plan.widths, plan.counts),
+                plan.counts.max(initial=1), out)
+        rows += list(out)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("limit", [12, CHUNK_SUBSTEPS])
+def test_each_route_is_its_chunk_stepper_walked(monkeypatch, limit):
+    # bit for bit, for one state and a (k, 2, 2) stack, over chunks of
+    # several substep counts
+    monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", limit)
+    sched = BathSchedule(gamma=Sinusoid(1.0, 0.5, 2.0), r=Ramp(0.2, 0.1), theta=Ramp(0.3, 0.2))
+    grid = _uneven_grid()
+    identity = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=complex)
+    flow = _by_hand(identity, gaugeflow.gauge_chunk, sched, grid, 0.01)
+    assert np.array_equal(flow, evolve_gauge(sched, grid, 0.01))
+    for rho0 in (STATES[1], STATES):
+        bloch = (liouvillian._TO_BLOCH @ vectorize(rho0)[..., None])[..., 0]
+        rows = _by_hand(bloch, liouvillian.reference_chunk, sched, grid, 0.01)
+        want = integrate_reference(sched, rho0, grid, 0.01)
+        assert np.array_equal(unvectorize(rows @ liouvillian._FROM_BLOCH.T), want)
 
 
 def test_uniform_grids_plan_a_single_count():

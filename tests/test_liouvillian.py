@@ -408,3 +408,13 @@ def test_shared_integration_module_imports_neither_route():
     imported = _imported_modules(integrate)
     forbidden = {"gaugeflow", "liouvillian", "spectral"}
     assert not [m for m in imported if forbidden & set(m.split("."))], imported
+
+
+def test_routes_leave_the_chunk_walk_to_integrate():
+    # each route is only a chunk stepper that integrate.walk_chunks drives:
+    # the planning, the rows and the non-finite check are walk_chunks' alone
+    for module in (squeezebath.gaugeflow, squeezebath.liouvillian):
+        imported = _imported_modules(module)
+        assert not [m for m in imported if "plan_integration" in m.split(".")], imported
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        assert "errstate" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}

@@ -35,6 +35,6 @@ def test_run_checks_fails_the_check_of_a_broken_dependency(monkeypatch, attr, br
         t_max=2.0,
         dt_out=0.1,
         dt_int=0.001,
-        tol={"oracle": 1e-7, "trace": 1e-9, "herm": 1e-9, "min_eig": 1e-8},
+        tol={"oracle": 1e-7, "trace": 1e-9, "herm": 1e-9, "min_eig": 1e-8, "identity": 1e-9},
     )
     assert [r.status for r in results if r.name == check] == ["FAIL"]
