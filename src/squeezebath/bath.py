@@ -219,6 +219,13 @@ def _validate_bath_point(gamma: float, n: float, m: complex) -> None:
         )
 
 
+def _squeezed(r, theta):
+    """N = sinh(r)^2 and M = sinh(r) cosh(r) exp(-i theta), elementwise on
+    floats or arrays: the one construction of both, theta wrapped first."""
+    sh = np.sinh(r)
+    return sh * sh, sh * np.cosh(r) * np.exp(-1j * _wrap_phase(theta))
+
+
 def bath_params(r: float, theta: float) -> tuple[float, complex]:
     """Effective photon number and squeeze correlation of a squeezed reservoir.
 
@@ -241,10 +248,8 @@ def bath_params(r: float, theta: float) -> tuple[float, complex]:
     _require_finite("squeeze phase theta", theta)
     if r < 0.0:
         raise InvalidInputError("squeeze amplitude r must be >= 0, got %r" % (r,))
-    sh = math.sinh(r)
-    n = sh * sh
-    m = sh * math.cosh(r) * np.exp(-1j * _wrap_phase(theta))
-    return n, complex(m)
+    n, m = _squeezed(r, theta)
+    return float(n), complex(m)
 
 
 @dataclass(frozen=True)
@@ -324,10 +329,7 @@ class BathSchedule:
                 if np.any(r < 0.0):
                     t_bad = float(times[np.argmax(r < 0.0)])
                     raise InvalidInputError("r(t) < 0 at t = %r" % (t_bad,))
-                theta = self.theta(times)
-                sh = np.sinh(r)
-                n = sh * sh
-                m = sh * np.cosh(r) * np.exp(-1j * _wrap_phase(theta))
+                n, m = _squeezed(r, self.theta(times))
         bad = ~(np.isfinite(gamma) & np.isfinite(n) & np.isfinite(m))
         if np.any(bad):
             k = int(np.argmax(bad))

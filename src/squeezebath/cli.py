@@ -155,6 +155,13 @@ def _as_float(merged: dict[str, str], key: str) -> float:
     return value
 
 
+def _as_nonnegative(merged: dict[str, str], key: str) -> float:
+    value = _as_float(merged, key)
+    if value < 0:
+        raise InvalidInputError("%s must be >= 0, got %g" % (key, value))
+    return value
+
+
 def _as_bool(merged: dict[str, str], key: str) -> bool:
     raw = merged[key].lower()
     if raw in ("true", "1", "yes"):
@@ -215,9 +222,7 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
         raise InvalidInputError("schedule.mode=%r is not ideal or thermal" % mode)
     gamma = _control_from(merged, user, "schedule.gamma")
     if mode == "thermal":
-        nbar = _as_float(merged, "schedule.nbar")
-        if nbar < 0:
-            raise InvalidInputError("schedule.nbar must be >= 0, got %g" % nbar)
+        nbar = _as_nonnegative(merged, "schedule.nbar")
         schedule = BathSchedule(gamma=gamma, r=Constant(0.0), theta=Constant(0.0), nbar=nbar)
     else:
         schedule = BathSchedule(
@@ -236,8 +241,9 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
 
     steady_raw = merged["steady.at"]
     steady_at = None if steady_raw == "" else float(_as_float(merged, "steady.at"))
+    # 0 asks for an exact result; below 0 no result could pass
     tol = {
-        name: _as_float(merged, "tol." + name)
+        name: _as_nonnegative(merged, "tol." + name)
         for name in ("oracle", "trace", "herm", "min_eig", "identity")
     }
     return RunConfig(
@@ -300,30 +306,25 @@ def _column(table: np.ndarray, name: str) -> np.ndarray:
     return table[:, TRAJECTORY_HEADER.split(",").index(name)]
 
 
-def _enforce_row_tolerances(table: np.ndarray, tol: dict[str, float]) -> None:
+def _enforce_row_tolerances(table: np.ndarray, tol: dict[str, float]) -> float:
+    """Raise NumericalFailureError at the first row past tol.trace, else at
+    the first past tol.min_eig, else at the row of the largest oracle
+    distance if it is past tol.oracle; return that largest distance."""
     times, trace_err, min_eig, dist = (
         _column(table, name) for name in ("t", "trace_err", "min_eig", "trace_dist_ref")
     )
-    bad = np.abs(trace_err) > tol["trace"]
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericalFailureError(
-            "trace error %.3e exceeds tol.trace=%g at t = %g"
-            % (trace_err[i], tol["trace"], times[i])
-        )
-    bad = min_eig < -tol["min_eig"]
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericalFailureError(
-            "smallest eigenvalue %.3e violates tol.min_eig=%g at t = %g"
-            % (min_eig[i], tol["min_eig"], times[i])
-        )
-    i = int(np.argmax(dist))
-    if dist[i] > tol["oracle"]:
-        raise NumericalFailureError(
-            "trace distance to reference %.3e exceeds tol.oracle=%g at t = %g"
-            % (dist[i], tol["oracle"], times[i])
-        )
+    worst = dist == np.max(dist)
+    for what, values, key, bad in (
+        ("trace error %.3e exceeds", trace_err, "trace", np.abs(trace_err) > tol["trace"]),
+        ("smallest eigenvalue %.3e violates", min_eig, "min_eig", min_eig < -tol["min_eig"]),
+        ("trace distance to reference %.3e exceeds", dist, "oracle", worst & (dist > tol["oracle"])),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericalFailureError(
+                "%s tol.%s=%g at t = %g" % (what % values[i], key, tol[key], times[i])
+            )
+    return float(np.max(dist))
 
 
 def _fmt(value: float) -> str:
@@ -333,15 +334,28 @@ def _fmt(value: float) -> str:
 _CSV_BLOCK_ROWS = 256
 
 
-def write_trajectory_csv(path: str, table: np.ndarray) -> None:
-    # formatted _CSV_BLOCK_ROWS rows per % call, so that one block at a time
-    # is held as Python floats
-    row = ",".join(["%.15g"] * table.shape[1]) + "\n"
+def _write_csv(path: str, header: str, rows) -> None:
+    # every value at %.15g, formatted _CSV_BLOCK_ROWS rows per % call, so
+    # that one block at a time is held as Python floats
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.15g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for i in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[i : i + _CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(header + "\n")
+        for i in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[i : i + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_trajectory_csv(path: str, table: np.ndarray) -> None:
+    _write_csv(path, TRAJECTORY_HEADER, table)
+
+
+def _check_and_write(path: str, table: np.ndarray, tol: dict[str, float]) -> float:
+    """Gate a trajectory table on its row tolerances, then write it; return
+    its largest oracle distance.  A table that fails leaves no file."""
+    dist = _enforce_row_tolerances(table, tol)
+    write_trajectory_csv(path, table)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +372,8 @@ def write_line_chart(path: str, times: np.ndarray, series, title: str) -> None:
         x1 = x0 + 1.0
     stacked = np.concatenate([np.asarray(v, dtype=float) for _, v in series])
     y0, y1 = float(np.min(stacked)), float(np.max(stacked))
-    if y1 - y0 < 1e-12:
-        y0, y1 = y0 - 0.5, y1 + 0.5
-    else:
-        pad = 0.05 * (y1 - y0)
-        y0, y1 = y0 - pad, y1 + pad
+    pad = 0.5 if y1 - y0 < 1e-12 else 0.05 * (y1 - y0)
+    y0, y1 = y0 - pad, y1 + pad
 
     def px(t):
         return left + (t - x0) / (x1 - x0) * (width - left - right)
@@ -374,29 +385,31 @@ def write_line_chart(path: str, times: np.ndarray, series, title: str) -> None:
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
         'viewBox="0 0 %d %d">' % (width, height, width, height),
         '<rect width="%d" height="%d" fill="white"/>' % (width, height),
-        '<text x="%.2f" y="20" font-family="sans-serif" font-size="14">%s</text>'
-        % (left, title),
     ]
+
+    def line(xa, ya, xb, yb, stroke, attrs=""):
+        parts.append(
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s"%s/>'
+            % (xa, ya, xb, yb, stroke, attrs)
+        )
+
+    def text(x, y, size, body, attrs=""):
+        # y comes formatted: the title's is "20", the others' "%.2f"
+        parts.append(
+            '<text x="%.2f" y="%s" font-family="sans-serif" font-size="%d"%s>%s</text>'
+            % (x, y, size, attrs, body)
+        )
+
+    text(left, "20", 14, title)
     for tick in np.linspace(x0, x1, 7):
         x = px(tick)
-        parts.append(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#ddd"/>'
-            % (x, top, x, height - bottom)
-        )
-        parts.append(
-            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="11" '
-            'text-anchor="middle">%g</text>' % (x, height - bottom + 16, round(tick, 6))
-        )
+        line(x, top, x, height - bottom, "#ddd")
+        text(x, "%.2f" % (height - bottom + 16), 11, "%g" % round(tick, 6),
+             ' text-anchor="middle"')
     for tick in np.linspace(y0, y1, 6):
         y = py(tick)
-        parts.append(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#ddd"/>'
-            % (left, y, width - right, y)
-        )
-        parts.append(
-            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="11" '
-            'text-anchor="end">%.3g</text>' % (left - 6, y + 4, tick)
-        )
+        line(left, y, width - right, y, "#ddd")
+        text(left - 6, "%.2f" % (y + 4), 11, "%.3g" % tick, ' text-anchor="end"')
     parts.append(
         '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="none" stroke="#333"/>'
         % (left, top, width - left - right, height - top - bottom)
@@ -412,14 +425,8 @@ def write_line_chart(path: str, times: np.ndarray, series, title: str) -> None:
         )
         lx = width - right - 90.0
         ly = top + 16.0 + 16.0 * k
-        parts.append(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="2"/>'
-            % (lx, ly - 4, lx + 22, ly - 4, color)
-        )
-        parts.append(
-            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="12">%s</text>'
-            % (lx + 28, ly, label)
-        )
+        line(lx, ly - 4, lx + 22, ly - 4, color, ' stroke-width="2"')
+        text(lx + 28, "%.2f" % ly, 12, label)
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -431,13 +438,9 @@ def write_line_chart(path: str, times: np.ndarray, series, title: str) -> None:
 
 def run_trajectory(rc: RunConfig) -> int:
     [table] = compute_frame(rc.schedule, rc.rho0[None], rc.t_max, rc.dt_out, rc.dt_int)
-    _enforce_row_tolerances(table, rc.tol)
     path = os.path.join(rc.out_dir, "trajectory.csv")
-    write_trajectory_csv(path, table)
-    print(
-        "wrote %s (%d rows, max oracle distance %.3e)"
-        % (path, len(table), float(np.max(_column(table, "trace_dist_ref"))))
-    )
+    dist = _check_and_write(path, table, rc.tol)
+    print("wrote %s (%d rows, max oracle distance %.3e)" % (path, len(table), dist))
     return 0
 
 
@@ -453,12 +456,9 @@ def run_figures(rc: RunConfig) -> int:
                 rc.t_max, rc.dt_out, rc.dt_int,
             )))
         table = tables.pop(fid)
-        _enforce_row_tolerances(table, rc.tol)
         path = os.path.join(rc.out_dir, "fig%d.csv" % fid)
-        write_trajectory_csv(path, table)
-        message = "wrote %s (max oracle distance %.3e)" % (
-            path, float(np.max(_column(table, "trace_dist_ref"))),
-        )
+        dist = _check_and_write(path, table, rc.tol)
+        message = "wrote %s (max oracle distance %.3e)" % (path, dist)
         if rc.plot:
             chart = os.path.join(rc.out_dir, "fig%d.svg" % fid)
             c1, complex_phase = _FIGURES[fid]
@@ -482,13 +482,10 @@ def run_spectrum(rc: RunConfig) -> int:
     g, n, m = point.gamma, point.n_param, point.m_param
     formulas = closed_form_spectrum(g, n, m)
     path = os.path.join(rc.out_dir, "spectrum.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("k,eig_re,eig_im,rate_formula,abs_diff\n")
-        for k, (eig, want) in enumerate(zip(eigs, formulas)):
-            fh.write(
-                ",".join(_fmt(v) for v in (k, eig.real, eig.imag, want, abs(eig - want)))
-                + "\n"
-            )
+    _write_csv(path, "k,eig_re,eig_im,rate_formula,abs_diff", [
+        (k, eig.real, eig.imag, want, abs(eig - want))
+        for k, (eig, want) in enumerate(zip(eigs, formulas))
+    ])
     print("rate operator at t = %g (gamma=%g, N=%g, |M|=%g):" % (rc.spectrum_at, g, n, abs(m)))
     for eig, want in zip(eigs, formulas):
         print("  %s   (formula %s)" % (_fmt(eig.real), _fmt(want)))
@@ -506,15 +503,8 @@ def run_steady(rc: RunConfig) -> int:
         label = "nullspace at t = %g" % rc.steady_at
     sz = float((rho[0, 0] - rho[1, 1]).real)
     path = os.path.join(rc.out_dir, "steady.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("rho_ee,rho_gg,rho_eg_re,rho_eg_im,sz\n")
-        fh.write(
-            ",".join(
-                _fmt(v)
-                for v in (rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag, sz)
-            )
-            + "\n"
-        )
+    _write_csv(path, "rho_ee,rho_gg,rho_eg_re,rho_eg_im,sz",
+               [(rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag, sz)])
     print("steady state, %s:" % label)
     print("  rho_ee = %s, rho_gg = %s, sz = %s" % (_fmt(rho[0, 0].real), _fmt(rho[1, 1].real), _fmt(sz)))
     print("wrote %s" % path)
@@ -536,11 +526,10 @@ def run_verify(rc: RunConfig) -> int:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     print(text, end="")
-    failing = [r for r in results if r.status == "FAIL"]
-    if failing:
-        first = failing[0]
-        print("verify: FAILED at check %r" % first.name, file=sys.stderr)
-        return 2
+    for result in results:
+        if result.status == "FAIL":
+            print("verify: FAILED at check %r" % result.name, file=sys.stderr)
+            return 2
     return 0
 
 

@@ -255,6 +255,17 @@ def _interval_elements(steps, block):
     return pairwise_products(blocks, _join)[..., 0]
 
 
+def _check_constant_reservoir(gamma, n, m, t) -> None:
+    # what both closed forms cover: finite real values, gamma, N and every t >= 0
+    for name, v in (("gamma", gamma), ("N", n), ("M", m), ("t", t)):
+        if np.iscomplexobj(v):
+            raise InvalidInputError("%s must be real, got %r" % (name, v))
+        if not np.all(np.isfinite(v)):
+            raise InvalidInputError("%s must be finite, got %r" % (name, v))
+        if name != "M" and np.any(np.less(v, 0.0)):
+            raise InvalidInputError("%s must be >= 0, got %r" % (name, float(np.min(v))))
+
+
 def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:
     """Closed-form gauge state, shape (8,), for a constant reservoir with real M.
 
@@ -273,15 +284,11 @@ def autonomous_gauge(gamma: float, n: float, m: float, t: float) -> np.ndarray:
         f_eg     = 2 F / (1 + exp(-2 |u|)),  f_ge = (S + F) / 2.
 
     Every exponent is non-positive for a physical reservoir
-    (|M| <= N + 1/2), so no intermediate value overflows at any t.
+    (|M| <= N + 1/2), so no intermediate value overflows at any t.  A
+    complex or non-finite value, or gamma, N or t below 0, raises
+    InvalidInputError.
     """
-    for name, v in (("gamma", gamma), ("N", n), ("M", m), ("t", t)):
-        if not math.isfinite(v):
-            raise InvalidInputError("%s must be finite, got %r" % (name, v))
-    if t < 0.0:
-        raise InvalidInputError("t must be >= 0, got %r" % (t,))
-    if gamma < 0.0 or n < 0.0:
-        raise InvalidInputError("gamma and N must be >= 0")
+    _check_constant_reservoir(gamma, n, m, t)
     w = 2.0 * n + 1.0
     big_e = math.exp(-gamma * w * t)
     den = n + 1.0 + n * big_e
@@ -356,17 +363,14 @@ def autonomous_expectations(
     The two quadratures decay at the split rates gamma (N +- M + 1/2), the
     inversion at gamma (2N+1) toward -1/(2N+1).  t is one time or an array
     of times; the result has shape t.shape + (3,) with columns sx, sy, sz,
-    like pauli_expectations.
+    like pauli_expectations.  A complex or non-finite value, or gamma, N or
+    a time below 0, raises InvalidInputError, as in autonomous_gauge.
     """
     rho0 = check_density(rho0)
     if rho0.ndim != 2:
         raise InvalidInputError("rho0 must be one 2x2 state, got shape %r" % (rho0.shape,))
+    _check_constant_reservoir(gamma, n, m, t)
     t = np.asarray(t, dtype=float)
-    for name, v in (("gamma", gamma), ("N", n), ("M", m), ("t", t)):
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("%s must be finite, got %r" % (name, v))
-    if np.any(t < 0.0):
-        raise InvalidInputError("t must be >= 0, got %r" % (float(np.min(t)),))
     p_e = float(rho0[0, 0].real)
     p_g = float(rho0[1, 1].real)
     coh = complex(rho0[0, 1])

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import _squeezed
 from .errors import InvalidInputError, NumericalFailureError
 
 __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "check_grid",
@@ -181,8 +182,7 @@ def default_step(schedule, grid: np.ndarray) -> float:
             n, turn, controls = schedule.nbar, 0.0, (schedule.gamma,)
         else:
             r = schedule.r.peak(t_end)
-            sh = np.sinh(r)
-            n = sh * sh
+            n = _squeezed(r, 0.0)[0]
             # the phase moves M at |M| |theta'|, little under weak squeezing
             turn = schedule.theta.speed(t_end) * min(1.0, float(np.sinh(2.0 * r)))
             controls = (schedule.gamma, schedule.r, schedule.theta)

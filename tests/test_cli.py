@@ -20,6 +20,8 @@ from squeezebath.cli import (
     resolve_config,
 )
 from squeezebath.errors import InvalidInputError, NumericalFailureError
+from squeezebath.liouvillian import build_rate_operator, spectrum, steady_state
+from squeezebath.spectral import closed_form_spectrum
 from squeezebath.states import pure_state
 
 
@@ -599,3 +601,116 @@ def test_python_dash_m_runs_the_cli(tmp_path, args, code):
     )
     assert proc.returncode == code, proc.stderr
     assert (tmp_path / "spectrum.csv").exists() == (code == 0)
+
+
+_TOL = {"oracle": 1e-7, "trace": 1e-9, "herm": 1e-9, "min_eig": 1e-8, "identity": 1e-9}
+
+
+def _gated_table(trace_err=(), min_eig=(), dist=()):
+    # four rows at t = 0, 0.5, 1, 1.5, every row within the default bounds
+    # unless a (row, value) pair sets its column
+    table = np.zeros((4, 16))
+    columns = TRAJECTORY_HEADER.split(",")
+    for name, values, entries in (
+        ("t", [0.0, 0.5, 1.0, 1.5], ()),
+        ("trace_err", 0.0, trace_err),
+        ("min_eig", 0.25, min_eig),
+        ("trace_dist_ref", [1e-9, 3e-8, 2e-8, 5e-9], dist),
+    ):
+        table[:, columns.index(name)] = values
+        for row, value in entries:
+            table[row, columns.index(name)] = value
+    return table
+
+
+TRACE_MESSAGE = "trace error -2.000e-09 exceeds tol.trace=1e-09 at t = 0.5"
+MIN_EIG_MESSAGE = "smallest eigenvalue -3.000e-08 violates tol.min_eig=1e-08 at t = 1"
+ORACLE_MESSAGE = "trace distance to reference 4.000e-07 exceeds tol.oracle=1e-07 at t = 1.5"
+TRACE_BAD = [(1, -2e-9), (2, 5e-9)]  # the first row past the bound is reported
+MIN_EIG_BAD = [(2, -3e-8), (3, -5e-8)]
+ORACLE_BAD = [(1, 2e-7), (3, 4e-7)]  # the largest distance is reported
+
+
+@pytest.mark.parametrize("broken, message", [
+    (dict(trace_err=TRACE_BAD), TRACE_MESSAGE),
+    (dict(min_eig=MIN_EIG_BAD), MIN_EIG_MESSAGE),
+    (dict(dist=ORACLE_BAD), ORACLE_MESSAGE),
+    (dict(trace_err=TRACE_BAD, min_eig=MIN_EIG_BAD, dist=ORACLE_BAD), TRACE_MESSAGE),
+    (dict(trace_err=TRACE_BAD, dist=ORACLE_BAD), TRACE_MESSAGE),
+    (dict(min_eig=MIN_EIG_BAD, dist=ORACLE_BAD), MIN_EIG_MESSAGE),
+    # of two rows at the largest distance, the earlier one is reported
+    (dict(dist=[(1, 4e-7), (3, 4e-7)]),
+     "trace distance to reference 4.000e-07 exceeds tol.oracle=1e-07 at t = 0.5"),
+])
+def test_row_gate_checks_its_three_bounds_in_order(broken, message):
+    with pytest.raises(NumericalFailureError, match="^%s$" % re.escape(message)):
+        cli._enforce_row_tolerances(_gated_table(**broken), _TOL)
+
+
+def test_row_gate_passes_rows_on_their_bounds_and_returns_the_largest_distance():
+    table = _gated_table(trace_err=[(1, -1e-9), (2, 1e-9)], min_eig=[(3, -1e-8)],
+                         dist=[(0, 1e-7)])
+    assert cli._enforce_row_tolerances(table, _TOL) == 1e-7
+
+
+def test_spectrum_and_steady_tables_byte_for_byte(tmp_path):
+    # the values come from the API, each written at %.15g
+    def row(values):
+        return ",".join(format(float(v), ".15g") for v in values) + "\n"
+
+    schedule = resolve_config({}, ".").schedule
+    point = schedule.at(3.0)
+    eigs = spectrum(build_rate_operator(point))
+    want = closed_form_spectrum(point.gamma, point.n_param, point.m_param)
+    assert main(["spectrum", "--out", str(tmp_path), "--spectrum.at=3"]) == 0
+    assert (tmp_path / "spectrum.csv").read_bytes() == (
+        "k,eig_re,eig_im,rate_formula,abs_diff\n"
+        + "".join(row((k, e.real, e.imag, w, abs(e - w))) for k, (e, w) in enumerate(zip(eigs, want)))
+    ).encode("utf-8")
+
+    rho = steady_state(build_rate_operator(schedule.at(2.0)))
+    assert main(["steady", "--out", str(tmp_path), "--steady.at=2"]) == 0
+    assert (tmp_path / "steady.csv").read_bytes() == (
+        "rho_ee,rho_gg,rho_eg_re,rho_eg_im,sz\n"
+        + row((rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag,
+               (rho[0, 0] - rho[1, 1]).real))
+    ).encode("utf-8")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ("grid.t_max=abc", "config value grid.t_max='abc' is not a number"),
+    ("grid.dt_out=nan", "config value grid.dt_out='nan' is not finite"),
+    ("schedule.gamma.value=inf", "config value schedule.gamma.value='inf' is not finite"),
+    ("figures.plot=maybe", "config value figures.plot='maybe' is not a boolean"),
+    ("schedule.r.kind=cubic", "schedule.r.kind='cubic' is not one of const, exp, ramp, sin"),
+    ("figures.ids=1,x", "figures.ids entry 'x' is not an integer"),
+    ("figures.ids=7", "figures.ids entry 7 is outside 1..6"),
+    ("figures.ids=0", "figures.ids entry 0 is outside 1..6"),
+    ("figures.ids=2,3,2", "figures.ids lists 2 twice"),
+    ("figures.ids=,", "figures.ids is empty"),
+    ("schedule.mode=quantum", "schedule.mode='quantum' is not ideal or thermal"),
+    ("schedule.mode=thermal schedule.nbar=-0.5", "schedule.nbar must be >= 0, got -0.5"),
+    # a negative tolerance no result could meet: refused as input, where it
+    # used to fail the run as numerical (tol.oracle=-1: exit 2) or pass
+    # unread (tol.herm=-1 in trajectory: exit 0)
+    ("tol.oracle=-1", "tol.oracle must be >= 0, got -1"),
+    ("tol.trace=-1e-9", "tol.trace must be >= 0, got -1e-09"),
+    ("tol.herm=-1", "tol.herm must be >= 0, got -1"),
+    ("tol.min_eig=-0.5", "tol.min_eig must be >= 0, got -0.5"),
+    ("tol.identity=-1", "tol.identity must be >= 0, got -1"),
+])
+def test_config_refusals_exit_one_with_their_error_line(tmp_path, capsys, overrides, message):
+    for command in ("trajectory", "figures", "verify"):
+        out = tmp_path / command
+        assert main([command, "--out", str(out), "grid.t_max=1"] + overrides.split()) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
+
+
+def test_a_zero_tolerance_asks_for_an_exact_result(tmp_path, capsys):
+    # 0 is valid input: met exactly by the smallest eigenvalue, which is
+    # never negative at the defaults, and not by the oracle distance
+    args = ["trajectory", "--out", str(tmp_path), "grid.t_max=1"]
+    assert main(args + ["tol.min_eig=0"]) == 0
+    assert main(args + ["tol.oracle=0"]) == 2
+    assert "numerical failure: trace distance to reference" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -400,3 +401,26 @@ def test_autonomous_expectations_coherence_rates():
     sx, sy, _ = autonomous_expectations(pure_state(mu, nu), 1.0, n, m.real, 1.0)
     assert sx == pytest.approx(sx0 * math.exp(-1.6600584613682734), rel=1e-12)
     assert sy == 0.0  # real initial coherence stays on the x quadrature
+
+
+@pytest.mark.parametrize("gamma, n, m, t, message", [
+    (-1.0, 1.0, math.sqrt(2.0), 0.5, "gamma must be >= 0, got -1.0"),
+    (1.0, -0.5, 0.0, 0.5, "N must be >= 0, got -0.5"),
+    (1.0, 1.0, complex(math.sqrt(2.0), 0.0), 0.5, "M must be real, got (1.4142135623730951+0j)"),
+    (1.0, 1.0, math.sqrt(2.0), -0.5, "t must be >= 0, got -0.5"),
+    (1.0, math.nan, 0.0, 0.5, "N must be finite, got nan"),
+    (1.0, 1.0, math.inf, 0.5, "M must be finite, got inf"),
+])
+def test_both_closed_forms_refuse_the_same_inputs(gamma, n, m, t, message):
+    # autonomous_expectations used to return values for gamma < 0, -inf for
+    # N = -1/2 and complex values for a complex M; autonomous_gauge raised a
+    # TypeError on a complex M
+    with pytest.raises(InvalidInputError, match="^%s$" % re.escape(message)):
+        autonomous_gauge(gamma, n, m, t)
+    with pytest.raises(InvalidInputError, match="^%s$" % re.escape(message)):
+        autonomous_expectations(ODD_RHO0, gamma, n, m, t)
+
+
+def test_autonomous_expectations_refuses_any_negative_time():
+    with pytest.raises(InvalidInputError, match=r"^t must be >= 0, got -0\.25$"):
+        autonomous_expectations(ODD_RHO0, 1.0, 1.0, math.sqrt(2.0), np.array([0.0, -0.25, 1.0]))
