@@ -18,6 +18,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
+from .csvformat import format_rows
 from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, evolve_gauge
 from .integrate import default_step, uniform_grid
@@ -335,15 +336,13 @@ _CSV_BLOCK_ROWS = 256
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    # every value at %.15g, formatted _CSV_BLOCK_ROWS rows per % call, so
-    # that one block at a time is held as Python floats
+    # every value as %.15g writes it, formatted and written _CSV_BLOCK_ROWS
+    # rows at a time, so that one block's text is held at a time
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.15g"] * rows.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
         for i in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[i : i + _CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(format_rows(rows[i : i + _CSV_BLOCK_ROWS]))
 
 
 def write_trajectory_csv(path: str, table: np.ndarray) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import squeezebath
-from squeezebath import cli, integrate, verify
+from squeezebath import cli, csvformat, integrate, verify
 from squeezebath.bath import Constant
 from squeezebath.cli import (
     DEFAULTS,
@@ -532,9 +532,12 @@ def _peak_traced_bytes(run):
         tracemalloc.stop()
 
 
-# signed zeros, the smallest subnormal, huge and tiny magnitudes, and both
-# sides of 1e15, where %g switches to exponent form
-_CSV_VALUES = [0.0, -0.0, 5e-324, 1e-300, -1e300, 1.0, 1e14, 1e15]
+# signed zeros, the smallest subnormal, huge and tiny magnitudes, both
+# sides of 1e-4 and of 1e15, where %g switches between fixed and exponent
+# form, values that round up across them, and a tie at the 15th digit
+_CSV_VALUES = [0.0, -0.0, 5e-324, 1e-300, -1e300, 1.0, 1e14, 1e15,
+               1e-5, 1e-4, 1e16, 9.9999999999999995e-5, 9.999999999999995e14,
+               123456789012345.5]
 
 
 @pytest.mark.parametrize("block", [None, 1, 7])
@@ -554,14 +557,23 @@ def test_csv_writer_matches_one_row_at_a_time(tmp_path, monkeypatch, rows, block
 
 
 def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path):
-    # the writer holds one block of rows at a time as Python floats; the
-    # whole table as floats would take about 700 B per row
+    # the writer holds one block of rows at a time; the whole table as
+    # Python floats would take about 700 B per row
     peaks = []
     for rows in (5_001, 20_001):
         table = np.linspace(-1.0, 1.0, rows * 16).reshape(rows, 16)
         peaks.append(_peak_traced_bytes(
             lambda: cli.write_trajectory_csv(str(tmp_path / "t.csv"), table)))
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_csv_writer_peak_memory_is_capped(tmp_path):
+    # one block's slots and the formatter's lookup tables, built inside
+    # the measured call, stay below 1 MiB
+    csvformat._tables.cache_clear()
+    table = np.linspace(-1.0, 1.0, 20_001 * 16).reshape(20_001, 16)
+    peak = _peak_traced_bytes(lambda: cli.write_trajectory_csv(str(tmp_path / "t.csv"), table))
+    assert peak <= 1 << 20, peak
 
 
 def test_trajectory_memory_per_row(tmp_path, capsys):

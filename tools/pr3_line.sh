@@ -19,6 +19,11 @@ if [ $# -ne 2 ]; then
     echo "usage: $0 SRC_TREE OUT_DIR" >&2
     exit 64
 fi
+# a tree without the package would fail every command alike on both sides
+if [ ! -d "$1/src/squeezebath" ]; then
+    echo "$0: $1 has no src/squeezebath: pass the root of a source tree" >&2
+    exit 64
+fi
 tree=$(cd "$1" && pwd) || exit 1
 mkdir -p "$2" && out=$(cd "$2" && pwd) || exit 1
 n=0
