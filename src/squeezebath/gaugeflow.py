@@ -79,10 +79,12 @@ where w = 1 + delta, so f_ee comes from the determinant f_ee f_gg and a
 decaying weight is only ever multiplied.  pairwise_products joins the
 blocks of each interval by this law; an interval of at most _BLOCK
 substeps is one block, whose element is composed in difference form
-alone.  Per chunk, integrate.prefix_products, which the reference route
-shares too, joins the intervals' elements by this law into the product of
-each run of them from the chunk's start.  The state at the chunk's start
-followed by each prefix is the flow at each of the chunk's grid times.
+alone.  gauge_chunk returns each interval's element.  Per row block of
+integrate.walk_chunks, a run of chunks, gauge_rows joins the intervals'
+elements by this law, with integrate.prefix_products, which the reference
+route shares too, into the product of each run of them from the block's
+start.  The state at the block's start followed by each prefix is the
+flow at each of the block's grid times.
 
 For a constant reservoir all eight columns have closed forms, implemented
 in autonomous_gauge; the time stepping must reproduce them, and both must
@@ -130,7 +132,7 @@ def evolve_gauge(
     """The gauge flow as a product of per-substep group elements.
 
     integrate.walk_chunks from the identity, each chunk taken by gauge_chunk
-    (see the module docstring).
+    and each row block by gauge_rows (see the module docstring).
 
     Parameters
     ----------
@@ -153,17 +155,20 @@ def evolve_gauge(
         On non-finite gauge values (Riccati blow-up), naming the time.
     """
     identity = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=complex)
-    return walk_chunks(schedule, grid, step, identity, gauge_chunk, "gauge parameters")
+    return walk_chunks(schedule, grid, step, identity, gauge_chunk, gauge_rows,
+                       "gauge parameters")
 
 
-def gauge_chunk(start, controls, h, m, rows) -> tuple[np.ndarray, np.ndarray]:
-    """evolve_gauge's chunk stepper for integrate.walk_chunks.
+def gauge_chunk(controls, h, m) -> tuple[tuple, tuple]:
+    """evolve_gauge's per-chunk function for integrate.walk_chunks.
 
-    The module docstring's product of the chunk's steps follows the gauge
-    state start into rows.  It returns the chunk's RK4 steps for the walk
-    to hold: freed before the next chunk's are made, they let the heap
-    shrink and regrow every chunk (a first evolve_gauge on long_horizon's
-    grid then took 6 587 page faults, not 591, and 47 ms, not 40 ms).
+    The chunk's RK4 steps, for the walk to hold, and each of its K
+    intervals' elements with plain weights (see the module docstring), a
+    real (4, K) population and a complex (4, K) coherence array.  Held until
+    the next chunk's are made, the steps let the heap keep its size from
+    chunk to chunk (freed at each chunk's end, a first evolve_gauge on
+    long_horizon's grid took 6 587 page faults, not 591, and 47 ms, not
+    40 ms).
     """
     # blocks in difference form span at most 5.12 of the fastest rate
     # gamma (2N + 1) at the chunk's nodes
@@ -173,12 +178,19 @@ def gauge_chunk(start, controls, h, m, rows) -> tuple[np.ndarray, np.ndarray]:
     while block > 1 and block * span > 5.12:
         block //= 2
     steps = _rk4_steps(controls, h)
-    pop, coh = (_interval_elements(s.reshape(4, -1, m), block) for s in steps)
-    for s in (pop, coh):
-        prefix_products(s, _join)
+    return steps, tuple(_interval_elements(s.reshape(4, -1, m), block) for s in steps)
+
+
+def gauge_rows(start, elements, rows) -> None:
+    """evolve_gauge's per-row-block function for integrate.walk_chunks.
+
+    The row block's interval elements, joined by integrate.prefix_products
+    into the product from the block's start to each of its grid times,
+    follow the gauge state start into rows.
+    """
+    pop, coh = (prefix_products(s, _join) for s in elements)
     rows[:, _POP] = np.transpose(_join(start[_POP].real, pop))
     rows[:, _COH] = np.transpose(_join(start[_COH], coh))
-    return steps
 
 
 def _rk4_steps(controls, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,13 +202,21 @@ def _rk4_steps(controls, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at = [tuple(x[k : x.size - 2 + k : 2] for x in (g, n, n + 1.0, n + 0.5, m, m.conj()))
           for k in range(3)]
     h2, h6 = 0.5 * h, h / 6.0
-    zero = (0.0, 0.0, 0.0, 0.0)
-    k1 = _derivatives(at[0], zero, zero)
+    k1 = _first_stage(at[0])
     k2 = _derivatives(at[1], *([h2 * x for x in k] for k in k1))
     k3 = _derivatives(at[1], *([h2 * x for x in k] for k in k2))
     k4 = _derivatives(at[2], *([h * x for x in k] for k in k3))
     return tuple(np.array([h6 * (a + 2.0 * (b + c) + d) for a, b, c, d in zip(*sector)])
                  for sector in zip(k1, k2, k3, k4))
+
+
+def _first_stage(at):
+    # _derivatives(at, zero, zero) at zero increments, bit for bit, signed
+    # zeros included: (g N, g (N+1), -g (N+1), -g N) and (-g conj(M), -g M,
+    # -g (N+1/2), -g (N+1/2)), with the same dtypes
+    g, n, n1, nh, m, mc = at
+    decay = -g * (nh + 0j)
+    return (g * n, g * n1, -g * n1, -g * n), (g * (0.0 - mc), -g * (m + 0.0), decay, decay)
 
 
 def _derivatives(at, pop, coh):

@@ -16,15 +16,19 @@ evaluated on them in one vectorized pass, only when the chunk is reached,
 so the memory an integration needs beside its output rows does not grow
 with the horizon.
 
-walk_chunks is that walk, for both integrators.  Each passes its chunk
-stepper, which takes a chunk's RK4 steps at once, as a (..., K, m) stack of
-K intervals by m steps, and reduces them by two shared functions in its own
-composition law: pairwise_products multiplies each interval's steps by
-neighbouring pairs, and prefix_products joins the intervals' products into
-the product from the chunk's start to each of its grid times.  Both work on
-the last axis by strided or contiguous slices, with no index arrays and
-nothing cached.  One batched product applies the state at the chunk's start
-to all of them.  Grids whose row or substep counts would exceed MAX_ROWS or
+walk_chunks is that walk, for both integrators.  Each passes two
+functions and reduces by two shared ones in its own composition law.  Its
+per-chunk function takes a chunk's RK4 steps at once, as a (..., K, m)
+stack of K intervals by m steps, and pairwise_products multiplies each
+interval's steps by neighbouring pairs.  The rows are joined a row block
+at a time, the run of chunks that first reaches CHUNK_SUBSTEPS intervals
+or the grid's end, so the chunks bound the RK4 stacks and the row blocks
+the number of scans.  Its per-block function joins the block's interval
+products by prefix_products into the product from the block's start to
+each of its grid times, and one batched product applies the state at the
+block's start to all of them.  Both reductions work on the last axis by
+strided or contiguous slices, with no index arrays and nothing cached.
+Grids whose row or substep counts would exceed MAX_ROWS or
 MAX_INTERVAL_SUBSTEPS are refused before anything is allocated.
 """
 
@@ -42,12 +46,15 @@ __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "chec
            "plan_integration", "walk_chunks", "pairwise_products", "prefix_products",
            "CHUNK_SUBSTEPS", "MAX_ROWS", "MAX_INTERVAL_SUBSTEPS"]
 
-# Substeps per chunk of plan_integration.  Each chunk costs a fixed number of
-# numpy calls: on a long_horizon-shaped run (t = 300, 48 000 substeps at the
-# auto step; one process on a 2-core host, median of 5) the gauge route took
-# 0.158 / 0.101 / 0.071 / 0.057 / 0.055 s at 512 / 1024 / 2048 / 4096 / 8192
-# and the reference 0.096 / 0.061 / 0.044 / 0.032 / 0.031 s.  Larger chunks
-# also raise the peak memory of both routes' batched steps.
+# Substeps per chunk of plan_integration, and intervals per row block of
+# walk_chunks.  Larger chunks cost fewer numpy calls per substep but hold
+# larger RK4 stacks.  On long_horizon's grid at seed 0 (48 000 substeps,
+# 8 per interval; a 2-vCPU Xeon with 4 MiB L2, numpy 2.4), both routes in
+# one fresh process took a median 0.096 / 0.071 / 0.072 s at 2048 / 4096 /
+# 8192 (six interleaved rounds) and peaked at 34.0 / 36.4 / 40.6 MB;
+# in-process and interleaved they took 1.39 / 1 / 0.83 / 0.86 times 2048's
+# at 1024 / 2048 / 4096 / 8192.  4096 adds 2.4 MB, 7% of that peak, more
+# than perfbench lets peak memory grow, so 2048 stays.
 CHUNK_SUBSTEPS = 2048
 
 # Largest output grid uniform_grid plans.  With the integrations chunked, the
@@ -240,25 +247,39 @@ def _chunks(schedule, grid: np.ndarray, step: float, counts: np.ndarray):
                 break
 
 
-def walk_chunks(schedule, grid, step: float | None, first: np.ndarray, advance, what: str):
-    """One row per grid time, row 0 first, each chunk's rows from advance.
+def walk_chunks(schedule, grid, step: float | None, first: np.ndarray, chunk, block, what: str):
+    """One row per grid time, row 0 first, the rows written a row block at a time.
 
     For each chunk of plan_integration(schedule, grid, step), K grid
-    intervals of m substeps from grid time i0, advance(start, controls, h,
-    m, rows) writes the K rows after row i0 into rows from start, row i0,
-    the controls (gamma, N, M) at the chunk's nodes and the K m substep
-    widths h; what it returns is held until the next chunk's advance
-    returns.  Overflow is not warned about: the rows, of shape (len(grid),)
-    + first.shape, are refused by NumericalFailureError("<what> non-finite
-    at t = ...") at the first non-finite one, where a blow-up began.
+    intervals of m substeps, chunk(controls, h, m) takes the controls
+    (gamma, N, M) at the chunk's nodes and the K m substep widths h and
+    returns (held, elements): held is kept until the next chunk's call
+    returns, and elements is a tuple of arrays whose last axis holds the
+    K intervals' products.  A row block is the run of consecutive chunks
+    that first reaches CHUNK_SUBSTEPS intervals, or the end of the grid:
+    its chunks' elements are joined along the last axis, and block(start,
+    elements, rows), which may overwrite elements, writes the block's rows
+    after its first grid time i0 into rows from start, row i0.  Overflow
+    is not warned about: the rows, of shape (len(grid),) + first.shape,
+    are refused by NumericalFailureError("<what> non-finite at t = ...")
+    at the first non-finite one, where a blow-up began.
     """
     grid, chunks = plan_integration(schedule, grid, step)
     rows = np.empty((grid.size,) + first.shape, dtype=first.dtype)
     rows[0] = first
+    b0, pending = 0, []  # the row block's first grid time and its chunks' elements
     for i0, plan, controls in chunks:
+        i1 = i0 + plan.counts.size
         with np.errstate(over="ignore", invalid="ignore"):
-            held = advance(rows[i0], controls, np.repeat(plan.widths, plan.counts),  # noqa: F841
-                           plan.counts.max(initial=1), rows[i0 + 1 : i0 + 1 + plan.counts.size])
+            held, elements = chunk(controls, np.repeat(plan.widths, plan.counts),  # noqa: F841
+                                   plan.counts.max(initial=1))
+            pending.append(elements)
+            if i1 - b0 >= CHUNK_SUBSTEPS or i1 == grid.size - 1:
+                if len(pending) > 1:
+                    elements = [np.concatenate(parts, -1) for parts in zip(*pending)]
+                block(rows[b0], elements, rows[b0 + 1 : i1 + 1])
+                # nothing of the block is held while the next chunk's steps are made
+                b0, pending, elements = i1, [], None
     finite = np.isfinite(rows).reshape(grid.size, -1).all(axis=1)
     if not finite.all():
         raise NumericalFailureError(

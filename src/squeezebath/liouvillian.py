@@ -225,6 +225,10 @@ def _coherence_then(d, d2):
     return out
 
 
+# the laws of the population row and the coherence block, in the order of _rk4_steps
+_LAWS = (_population_then, _coherence_then)
+
+
 def integrate_reference(
     schedule: BathSchedule,
     rho0: np.ndarray,
@@ -237,9 +241,9 @@ def integrate_reference(
     where the rate operator is real with a zero trace row and two blocks
     (see the module docstring); it is converted in from rho0 and back out
     once, at the end, and walked by integrate.walk_chunks, each chunk taken
-    by reference_chunk.  The state itself stays complex, so an initial state
-    that is Hermitian only within the tolerance is propagated as the linear
-    map propagates it.
+    by reference_chunk and each row block by reference_rows.  The state
+    itself stays complex, so an initial state that is Hermitian only within
+    the tolerance is propagated as the linear map propagates it.
 
     Parameters
     ----------
@@ -271,12 +275,13 @@ def integrate_reference(
     # by the same matrix-vector product as alone; the Bloch rows are freed
     # before unvectorize copies the result
     y = (_TO_BLOCH @ vectorize(rho0)[..., None])[..., 0]
-    return unvectorize(walk_chunks(schedule, grid, step, y, reference_chunk, "reference state")
+    return unvectorize(walk_chunks(schedule, grid, step, y, reference_chunk, reference_rows,
+                                   "reference state")
                        @ _FROM_BLOCH.T)
 
 
-def reference_chunk(start, controls, h, m, rows) -> None:
-    """integrate_reference's chunk stepper for integrate.walk_chunks.
+def reference_chunk(controls, h, m) -> tuple[None, tuple[np.ndarray, np.ndarray]]:
+    """integrate_reference's per-chunk function for integrate.walk_chunks.
 
     The rate operator's blocks at the chunk's nodes and the RK4 one-step
     maps I + D_k of all its substeps are built in one batch, elementwise,
@@ -291,15 +296,24 @@ def reference_chunk(start, controls, h, m, rows) -> None:
     gamma (N + 1/2 - |M|) is the small difference of |P| and |Q|, of order
     gamma (N + 1/2), so the pair would lose its low bits at every step.
 
-    Each block's D_k form a (..., K, m) stack: pairwise_products multiplies
-    each interval's steps, and adding the identity only to the finished
-    product keeps the low bits that multiplying the rounded one-step maps
-    loses.  prefix_products joins the interval products into I + P_i, the
-    product from the chunk's start to each of its grid times, and every
-    I + P_i is applied to the Bloch vectors start at once, into rows.
+    Each block's D_k form a (..., K, m) stack, and pairwise_products
+    multiplies each interval's steps: adding the identity only to the
+    finished product keeps the low bits that multiplying the rounded
+    one-step maps loses.  Nothing is held; the elements are each
+    interval's D, a (2, K) population and a (2, 2, K) coherence array.
     """
-    pop, coh = (prefix_products(pairwise_products(d, law)[..., 0], law) for d, law in zip(
-        _rk4_steps(_bloch_blocks(*controls), h, m), (_population_then, _coherence_then)))
+    return None, tuple(pairwise_products(d, law)[..., 0]
+                       for d, law in zip(_rk4_steps(_bloch_blocks(*controls), h, m), _LAWS))
+
+
+def reference_rows(start, elements, rows) -> None:
+    """integrate_reference's per-row-block function for integrate.walk_chunks.
+
+    prefix_products joins the row block's interval products into I + P_i,
+    the product from the block's start to each of its grid times, and
+    every I + P_i is applied to the Bloch vectors start at once, into rows.
+    """
+    pop, coh = (prefix_products(x, law) for x, law in zip(elements, _LAWS))
     tr, sz, sx, sy = np.moveaxis(start, -1, 0)
     # the prefixes along the first axis of each state's rows
     prefixes = np.concatenate((pop, coh.reshape(4, -1)))

@@ -124,10 +124,15 @@ PLAIN_RK4_GAP = {
 
 
 @pytest.mark.parametrize("case", sorted(FLOW_CASES))
-def test_flow_agrees_with_plain_rk4(case):
+def test_flow_agrees_with_plain_rk4(monkeypatch, case):
+    # at the default chunk size, with row blocks of many chunks of at most 5
+    # substeps, and with one chunk and one row block for the whole grid
     schedule, grid, step = FLOW_CASES[case]
-    gap = np.abs(evolve_gauge(schedule, grid, step) - _plain_rk4_flow(schedule, grid, step))
-    assert np.max(gap) <= PLAIN_RK4_GAP[case]
+    plain = _plain_rk4_flow(schedule, grid, step)
+    for limit in (integrate.CHUNK_SUBSTEPS, 5, 10**9):
+        monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", limit)
+        gap = np.abs(evolve_gauge(schedule, grid, step) - plain)
+        assert np.max(gap) <= PLAIN_RK4_GAP[case], limit
 
 
 def test_flow_is_the_same_at_any_chunk_size(monkeypatch):
@@ -135,9 +140,10 @@ def test_flow_is_the_same_at_any_chunk_size(monkeypatch):
     # interval of the 1-7 substep grid, and the 12-substep interval in the
     # middle forms a chunk by itself.  Steps are composed only within an
     # interval, so each interval's element does not depend on where the
-    # chunks end; a chunk cut only changes how the prefix scan associates
-    # the intervals' elements, which moves the flow by a few ulps (measured
-    # 8.9e-16)
+    # chunks end.  Row blocks of at least 5 intervals end at some of those
+    # cuts; a block's end only changes how the prefix scan associates the
+    # intervals' elements, which moves the flow by a few ulps (measured
+    # 6.3e-16)
     schedule, grid, step = FLOW_CASES["uneven-sin-gamma-sin-r-ramp-theta"]
     grid = np.concatenate([grid[:21], grid[20] + 12 * step + grid[20:] - grid[20]])
     assert 12 in plan_substeps(grid, step).counts
@@ -156,6 +162,23 @@ def test_flow_is_the_same_at_any_block_size(monkeypatch, block):
     whole = evolve_gauge(schedule, grid, step)
     monkeypatch.setattr(gaugeflow, "_BLOCK", block)
     assert np.max(np.abs(evolve_gauge(schedule, grid, step) - whole)) <= 4e-15
+
+
+def test_first_rk4_stage_is_the_derivatives_at_zero_increments():
+    # the closed form of k1, byte for byte, signed zeros and dtypes
+    # included, for real and complex M with every sign of zero in each part
+    parts = [0.0, -0.0, 0.3, -0.7]
+    m = np.array([complex(re, im) for re in parts for im in parts])
+    rng = np.random.default_rng(5)
+    g = np.concatenate([np.zeros(m.size), np.full(m.size, -0.0), rng.uniform(0.1, 2.0, m.size)])
+    n = np.concatenate([np.zeros(m.size), rng.uniform(0.0, 2.0, 2 * m.size)])
+    m = np.tile(m, 3)
+    at = (g, n, n + 1.0, n + 0.5, m, m.conj())
+    zero = (0.0, 0.0, 0.0, 0.0)
+    for got, want in zip(gaugeflow._first_stage(at), gaugeflow._derivatives(at, zero, zero)):
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x.view(np.uint8), y.view(np.uint8))
 
 
 def _sector_matrix(element, plain=False):

@@ -401,34 +401,75 @@ def test_chunks_are_slices_of_the_whole_grid_plan(monkeypatch, limit):
     assert len(changes) == 16 and changes <= starts
 
 
-def _by_hand(first, stepper, schedule, grid, step):
-    # the chunk walk written out: the stepper fed each chunk of
-    # plan_integration and the last row before it, carried over
+def _by_hand(first, chunk, block, schedule, grid, step):
+    # the chunk walk written out: each chunk of plan_integration fed to
+    # chunk, and the elements of the run of chunks that first reaches
+    # CHUNK_SUBSTEPS intervals, or the grid's end, joined and fed to block
+    # with the last row before them, carried over
     _, chunks = plan_integration(schedule, grid, step)
-    rows = [first]
-    for _, plan, controls in chunks:
-        out = np.empty((plan.counts.size,) + first.shape, dtype=first.dtype)
-        stepper(rows[-1], controls, np.repeat(plan.widths, plan.counts),
-                plan.counts.max(initial=1), out)
-        rows += list(out)
+    rows, pending = [first], []
+    for i0, plan, controls in chunks:
+        _, elements = chunk(controls, np.repeat(plan.widths, plan.counts),
+                            plan.counts.max(initial=1))
+        pending.append(elements)
+        size = sum(parts[0].shape[-1] for parts in pending)
+        if size >= integrate.CHUNK_SUBSTEPS or i0 + plan.counts.size == grid.size - 1:
+            out = np.empty((size,) + first.shape, dtype=first.dtype)
+            block(rows[-1], [np.concatenate(parts, -1) for parts in zip(*pending)], out)
+            rows += list(out)
+            pending = []
     return np.array(rows)
 
 
 @pytest.mark.parametrize("limit", [12, CHUNK_SUBSTEPS])
 def test_each_route_is_its_chunk_stepper_walked(monkeypatch, limit):
     # bit for bit, for one state and a (k, 2, 2) stack, over chunks of
-    # several substep counts
+    # several substep counts, joined in row blocks of several chunks
     monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", limit)
     sched = BathSchedule(gamma=Sinusoid(1.0, 0.5, 2.0), r=Ramp(0.2, 0.1), theta=Ramp(0.3, 0.2))
     grid = _uneven_grid()
     identity = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=complex)
-    flow = _by_hand(identity, gaugeflow.gauge_chunk, sched, grid, 0.01)
+    flow = _by_hand(identity, gaugeflow.gauge_chunk, gaugeflow.gauge_rows, sched, grid, 0.01)
     assert np.array_equal(flow, evolve_gauge(sched, grid, 0.01))
     for rho0 in (STATES[1], STATES):
         bloch = (liouvillian._TO_BLOCH @ vectorize(rho0)[..., None])[..., 0]
-        rows = _by_hand(bloch, liouvillian.reference_chunk, sched, grid, 0.01)
+        rows = _by_hand(bloch, liouvillian.reference_chunk, liouvillian.reference_rows,
+                        sched, grid, 0.01)
         want = integrate_reference(sched, rho0, grid, 0.01)
         assert np.array_equal(unvectorize(rows @ liouvillian._FROM_BLOCH.T), want)
+
+
+def _counted(monkeypatch, module, name, size, sizes):
+    # wrap module.name so that each call appends size(*args) to sizes
+    fn = getattr(module, name)
+
+    def counted(*args):
+        sizes.append(size(*args))
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("route", ["gauge", "reference"])
+def test_row_blocks_reach_the_chunk_limit_in_intervals(monkeypatch, route):
+    # at 12 substeps per chunk, 5 substeps per interval make chunks of 2
+    # intervals and row blocks of 6 chunks, the last block what is left;
+    # at one substep per interval a chunk already holds 12 intervals, so
+    # each row block is exactly one chunk
+    monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", 12)
+    module = gaugeflow if route == "gauge" else liouvillian
+    chunks, blocks = [], []
+    _counted(monkeypatch, module, route + "_chunk", lambda controls, h, m: h.size // m, chunks)
+    _counted(monkeypatch, module, route + "_rows", lambda start, elements, rows: len(rows), blocks)
+    sched = BathSchedule(gamma=Constant(1.0), r=Ramp(0.2, 0.1))
+    run = {"gauge": lambda grid: evolve_gauge(sched, grid, 0.01),
+           "reference": lambda grid: integrate_reference(sched, STATES, grid, 0.01)}[route]
+    run(uniform_grid(1.0, 0.05))
+    assert chunks == [2] * 10 and blocks == [12, 8]
+    chunks.clear()
+    blocks.clear()
+    run(uniform_grid(1.0, 0.01))
+    assert chunks == blocks == [12] * 8 + [4]
 
 
 def test_uniform_grids_plan_a_single_count():

@@ -292,7 +292,7 @@ def test_reference_blowup_names_the_first_nonfinite_time():
         integrate_reference(sched, excited_state(), np.array([0.0, 1.0, 2.0]), step=1.0)
 
 
-@pytest.mark.parametrize("limit", [5, integrate.CHUNK_SUBSTEPS])
+@pytest.mark.parametrize("limit", [5, integrate.CHUNK_SUBSTEPS, 10**9])
 def test_reference_equals_the_plain_sequential_loop(monkeypatch, limit):
     monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", limit)
     got = integrate_reference(CHUNKED_SCHEDULE, CHUNKED_RHO0, CHUNKED_GRID, 0.01)
