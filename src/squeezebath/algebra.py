@@ -21,11 +21,14 @@ of them truncate after the linear term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
+    "SZ",
+    "SP",
+    "SM",
     "SIGMA_PLUS",
     "SIGMA_MINUS",
     "BASIS_LABELS",
@@ -39,8 +42,13 @@ __all__ = [
     "commutator",
 ]
 
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
+# sigma_z, sigma_+ = |e><g| and sigma_- = |g><e| as exact integer matrices,
+# and the complex copies of the ladder pair
+SZ = np.array([[1, 0], [0, -1]])
+SP = np.array([[0, 1], [0, 0]])
+SM = np.array([[0, 0], [1, 0]])
+SIGMA_PLUS = SP.astype(complex)
+SIGMA_MINUS = SM.astype(complex)
 
 # Component order of the flattened density matrix.  Entry i of a vector is
 # rho[_COMPONENT_INDEX[i]].  BASIS_LABELS gives the (s, s') level pair of each
@@ -149,19 +157,12 @@ class GeneratorSet:
     k_minus: np.ndarray
 
     def items(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """Named generators in a fixed order, for iteration in checks."""
-        return (
-            ("j0", self.j0),
-            ("j_plus", self.j_plus),
-            ("j_minus", self.j_minus),
-            ("k0", self.k0),
-            ("k_plus", self.k_plus),
-            ("k_minus", self.k_minus),
-        )
+        """Named generators in field order, for iteration in checks."""
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
 
 def composite_generators() -> GeneratorSet:
-    """Build the two-sided generators from integer Pauli ladder matrices.
+    """Build the two-sided generators from the integer SZ, SP and SM.
 
     Returns
     -------
@@ -169,18 +170,15 @@ def composite_generators() -> GeneratorSet:
         All six matrices have integer dtype, so commutation relations can be
         checked in exact arithmetic.
     """
-    sz = np.array([[1, 0], [0, -1]])
-    sp = np.array([[0, 1], [0, 0]])
-    sm = np.array([[0, 0], [1, 0]])
-    zl = lift_left(sz)
-    zr = lift_right(sz)
+    zl = lift_left(SZ)
+    zr = lift_right(SZ)
     return GeneratorSet(
         j0=(zl + zr) // 2,
-        j_plus=lift_left(sp) @ lift_right(sm),
-        j_minus=lift_left(sm) @ lift_right(sp),
+        j_plus=lift_left(SP) @ lift_right(SM),
+        j_minus=lift_left(SM) @ lift_right(SP),
         k0=(zl - zr) // 2,
-        k_plus=lift_left(sp) @ lift_right(sp),
-        k_minus=lift_left(sm) @ lift_right(sm),
+        k_plus=lift_left(SP) @ lift_right(SP),
+        k_minus=lift_left(SM) @ lift_right(SM),
     )
 
 

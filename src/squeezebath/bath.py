@@ -193,7 +193,9 @@ class BathPoint:
 
     n_param is the effective photon number N >= 0 and m_param the squeeze
     correlation M, constrained by |M|^2 <= N (N + 1) (equality for pure
-    squeezing, M = 0 for a thermal reservoir).
+    squeezing, M = 0 for a thermal reservoir).  A point that breaks this,
+    or has a non-finite value or gamma < 0, is refused when it is made
+    (InvalidInputError), so every BathPoint is physical.
     """
 
     gamma: float
@@ -201,22 +203,19 @@ class BathPoint:
     m_param: complex
 
     def __post_init__(self):
-        _validate_bath_point(self.gamma, self.n_param, self.m_param)
-
-
-def _validate_bath_point(gamma: float, n: float, m: complex) -> None:
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise InvalidInputError("coupling gamma must be finite and >= 0, got %r" % (gamma,))
-    if not (math.isfinite(n) and n >= 0.0):
-        raise InvalidInputError("photon number N must be finite and >= 0, got %r" % (n,))
-    if not (math.isfinite(m.real) and math.isfinite(m.imag)):
-        raise InvalidInputError("squeeze correlation M must be finite, got %r" % (m,))
-    bound = n * (n + 1.0)
-    if abs(m) ** 2 > bound * (1.0 + 1e-9) + 1e-12:
-        raise InvalidInputError(
-            "|M|^2 = %.6g exceeds N(N+1) = %.6g; not a physical reservoir point"
-            % (abs(m) ** 2, bound)
-        )
+        gamma, n, m = self.gamma, self.n_param, self.m_param
+        if not (math.isfinite(gamma) and gamma >= 0.0):
+            raise InvalidInputError("coupling gamma must be finite and >= 0, got %r" % (gamma,))
+        if not (math.isfinite(n) and n >= 0.0):
+            raise InvalidInputError("photon number N must be finite and >= 0, got %r" % (n,))
+        if not (math.isfinite(m.real) and math.isfinite(m.imag)):
+            raise InvalidInputError("squeeze correlation M must be finite, got %r" % (m,))
+        bound = n * (n + 1.0)
+        if abs(m) ** 2 > bound * (1.0 + 1e-9) + 1e-12:
+            raise InvalidInputError(
+                "|M|^2 = %.6g exceeds N(N+1) = %.6g; not a physical reservoir point"
+                % (abs(m) ** 2, bound)
+            )
 
 
 def _squeezed(r, theta):

@@ -386,9 +386,7 @@ def autonomous_expectations(
     like pauli_expectations.  A complex or non-finite value, or gamma, N or
     a time below 0, raises InvalidInputError, as in autonomous_gauge.
     """
-    rho0 = check_density(rho0)
-    if rho0.ndim != 2:
-        raise InvalidInputError("rho0 must be one 2x2 state, got shape %r" % (rho0.shape,))
+    rho0 = check_density(rho0, stack=False)
     _check_constant_reservoir(gamma, n, m, t)
     t = np.asarray(t, dtype=float)
     p_e = float(rho0[0, 0].real)

@@ -87,7 +87,7 @@ def uniform_grid(t_max: float, dt: float) -> np.ndarray:
             "grid of %.15g rows exceeds the limit of %d rows" % (rows, MAX_ROWS)
         )
     n = int(rows) - 1
-    if n < 1 or abs(n * dt - t_max) > 1e-9 * max(1.0, t_max):
+    if n < 1 or abs(n * dt - t_max) > 1e-9 * t_max:
         raise InvalidInputError(
             "t_max = %r is not an integer multiple of dt = %r" % (t_max, dt)
         )

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import SIGMA_MINUS, SIGMA_PLUS, lift_left, lift_right, unvectorize, vectorize
-from .bath import BathPoint, BathSchedule, _validate_bath_point
+from .bath import BathPoint, BathSchedule
 from .errors import InvalidInputError, NumericalFailureError
 from .integrate import pairwise_products, prefix_products, walk_chunks
 from .states import check_density
@@ -128,9 +128,9 @@ def build_rate_operator(point: BathPoint) -> np.ndarray:
 
     Block diagonal: entries coupling the population components (0, 1) to the
     coherence components (2, 3) are exactly zero, and the population columns
-    sum to zero (trace preservation).
+    sum to zero (trace preservation).  The point checked itself when it
+    was made.
     """
-    _validate_bath_point(point.gamma, point.n_param, point.m_param)
     return rate_matrix_batch(point.gamma, point.n_param, point.m_param)
 
 

@@ -124,13 +124,13 @@ def trace_distance(a: np.ndarray, b: np.ndarray):
     return np.maximum(np.abs(mean), spread)
 
 
-def check_density(rho: np.ndarray) -> np.ndarray:
+def check_density(rho: np.ndarray, stack: bool = True) -> np.ndarray:
     """rho as a complex array, if it holds physical density matrices.
 
-    rho is one 2x2 matrix or a (k, 2, 2) stack.  Raises InvalidInputError,
-    naming the worst value over the stack, unless every matrix is finite, has
-    trace one and is Hermitian (both within 1e-9), and has no eigenvalue below
-    -1e-8.
+    rho is one 2x2 matrix or, unless stack is False, a (k, 2, 2) stack.
+    Raises InvalidInputError, naming the worst value over the stack, unless
+    every matrix is finite, has trace one and is Hermitian (both within
+    1e-9), and has no eigenvalue below -1e-8.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2) or rho.ndim not in (2, 3) or not rho.size:
@@ -146,4 +146,6 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     worst = np.min(min_eigenvalue(rho))
     if worst < -1e-8:
         raise InvalidInputError("rho0 has negative eigenvalue %g" % worst)
+    if not stack and rho.ndim != 2:
+        raise InvalidInputError("rho0 must be one 2x2 state, got shape %r" % (rho.shape,))
     return rho

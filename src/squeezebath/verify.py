@@ -5,7 +5,10 @@ Each check recomputes one of the package's defining identities from scratch
 spectrum formulas, steady states, gauge trace identities, oracle agreement,
 asymptotics) and reports the measured residual against its tolerance.
 Checks that only make sense for squeezed reservoirs are skipped under a
-thermal override and say so in the report.
+thermal override and say so in the report.  The suite checks no input of
+the run on its own: the step and the controls are refused by the run's
+integrations, in the one place and with the one message that trajectory's
+refusal has.
 
 Every check is a module-level function ``check_<name>`` that takes its
 samples and tolerance and returns the CheckResult for the report line
@@ -24,6 +27,9 @@ import numpy as np
 
 from .algebra import (
     BASIS_LABELS,
+    SM,
+    SP,
+    SZ,
     basis_matrix,
     commutator,
     composite_generators,
@@ -34,7 +40,7 @@ from .algebra import (
 from .bath import BathPoint, BathSchedule, Constant, ExpDecay, bath_params
 from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
-from .integrate import plan_integration, uniform_grid
+from .integrate import uniform_grid
 from .liouvillian import (
     build_rate_operator,
     integrate_reference,
@@ -86,18 +92,14 @@ __all__ = [
     "check_decay_asymmetry",
 ]
 
-_SZ = np.array([[1, 0], [0, -1]])
-_SP = np.array([[0, 1], [0, 0]])
-_SM = np.array([[0, 0], [1, 0]])
-
 # Action of each composite generator on a 2x2 component matrix.
 _ACTIONS = {
-    "j0": lambda e: (_SZ @ e + e @ _SZ) // 2,
-    "j_plus": lambda e: _SP @ e @ _SM,
-    "j_minus": lambda e: _SM @ e @ _SP,
-    "k0": lambda e: (_SZ @ e - e @ _SZ) // 2,
-    "k_plus": lambda e: _SP @ e @ _SP,
-    "k_minus": lambda e: _SM @ e @ _SM,
+    "j0": lambda e: (SZ @ e + e @ SZ) // 2,
+    "j_plus": lambda e: SP @ e @ SM,
+    "j_minus": lambda e: SM @ e @ SP,
+    "k0": lambda e: (SZ @ e - e @ SZ) // 2,
+    "k_plus": lambda e: SP @ e @ SP,
+    "k_minus": lambda e: SM @ e @ SM,
 }
 
 # Figure id -> (squeeze amplitude c1, complex initial phase on mu).  Each
@@ -110,17 +112,19 @@ _FIGURES = {
 }
 
 
-def figure_schedule(fig_id: int) -> BathSchedule:
+def _figure(fig_id: int) -> tuple[float, bool]:
     if fig_id not in _FIGURES:
         raise InvalidInputError("figure id must be in 1..6, got %r" % (fig_id,))
-    c1, _ = _FIGURES[fig_id]
+    return _FIGURES[fig_id]
+
+
+def figure_schedule(fig_id: int) -> BathSchedule:
+    c1, _ = _figure(fig_id)
     return BathSchedule(gamma=Constant(1.0), r=ExpDecay(c1, 0.1), theta=Constant(0.0))
 
 
 def figure_initial(fig_id: int) -> np.ndarray:
-    if fig_id not in _FIGURES:
-        raise InvalidInputError("figure id must be in 1..6, got %r" % (fig_id,))
-    _, complex_phase = _FIGURES[fig_id]
+    _, complex_phase = _figure(fig_id)
     phase = math.pi / 3.0 if complex_phase else 0.0
     mu = math.sqrt(0.2) * complex(math.cos(phase), math.sin(phase))
     return pure_state(mu, math.sqrt(0.8))
@@ -172,9 +176,9 @@ def check_commutators() -> CheckResult:
     js = (gen.j0, gen.j_plus, gen.j_minus)
     ks = (gen.k0, gen.k_plus, gen.k_minus)
     pairs += [(commutator(a, b), np.zeros((4, 4), dtype=int)) for a in js for b in ks]
-    for s, sign in ((_SP, 1), (_SM, -1)):
-        pairs.append((commutator(lift_left(_SZ), lift_left(s)), 2 * sign * lift_left(s)))
-        pairs.append((commutator(lift_right(_SZ), lift_right(s)), -2 * sign * lift_right(s)))
+    for s, sign in ((SP, 1), (SM, -1)):
+        pairs.append((commutator(lift_left(SZ), lift_left(s)), 2 * sign * lift_left(s)))
+        pairs.append((commutator(lift_right(SZ), lift_right(s)), -2 * sign * lift_right(s)))
     worst = max(int(np.max(np.abs(a - b))) for a, b in pairs)
     return _result("commutators", worst == 0, worst, 0.0, "exact integer identities")
 
@@ -477,23 +481,21 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the full verification suite and return one result per check.
 
-    rho0 is the run's one initial state; an unphysical one is refused up front
-    (check_density), and so are the substep counts and the controls at the
-    grid times that trajectory refuses.  A control that is bad only between
-    grid times is refused too, with the error of the run's own integration
-    that meets it, as trajectory refuses it.  The run's schedule and the fig-1
+    rho0 is the run's one initial state; an unphysical one, or a grid that
+    uniform_grid refuses, is refused up front.  The step, the substep
+    counts and the controls are refused by the run's own two integrations
+    where their chunk walks meet them: an InvalidInputError from either is
+    raised, with the message trajectory gives for the same input.  The
+    controls on the grid are read only after that, as every grid time is
+    then a node the walks checked.  The run's schedule and the fig-1
     schedule are each evolved once (once in all when they are equal); every
     check that reads one of these flows gets it from that evolution.  The
     run's reference is integrated once, for rho0 and its real-coherence twin
     in one stack.  tol holds the CLI's five tol.* tolerances, by name.
     """
-    rho0 = check_density(rho0)
-    if rho0.ndim != 2:
-        raise InvalidInputError("rho0 must be one 2x2 state, got shape %r" % (rho0.shape,))
+    rho0 = check_density(rho0, stack=False)
     thermal = schedule.thermal
     grid = uniform_grid(t_max, dt_out)
-    plan_integration(schedule, grid, dt_int)
-    _, _, m_grid = schedule.params_on(grid)
     results: list[CheckResult] = []
     results += _run(check_commutators)
     results += _run(check_basis_actions)
@@ -523,8 +525,10 @@ def run_checks(
     flow = _attempt(evolve_gauge, schedule, grid, dt_int)
     refs = _attempt(integrate_reference, schedule, np.stack([rho0, real_rho0]), grid, dt_int)
     for run in (flow, refs):
-        if isinstance(run, InvalidInputError):  # a control bad between grid times
+        if isinstance(run, InvalidInputError):  # the step, a substep count or a control
             raise run
+    # every grid time is a node that the walks checked
+    _, _, m_grid = schedule.params_on(grid)
     ref, real_ref = (refs, refs) if isinstance(refs, Exception) else refs.swapaxes(0, 1)
     states = _attempt(assemble_density, rho0, flow)
     results += _run(check_oracle_agreement, states, ref, tol["oracle"])

@@ -1,7 +1,13 @@
 import numpy as np
+import pytest
 
 from squeezebath.algebra import (
     BASIS_LABELS,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SM,
+    SP,
+    SZ,
     basis_matrix,
     commutator,
     composite_generators,
@@ -131,3 +137,27 @@ def test_ladder_generators_are_nilpotent():
     zero = np.zeros((4, 4), dtype=int)
     for g in (GEN.j_plus, GEN.j_minus, GEN.k_plus, GEN.k_minus):
         assert np.array_equal(g @ g, zero)
+
+
+def test_shapes_and_labels_are_refused():
+    with pytest.raises(ValueError, match=r"^expected 2x2 matrices, got shape \(3, 3\)$"):
+        vectorize(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"^expected length-4 vectors, got shape \(3,\)$"):
+        unvectorize(np.zeros(3))
+    with pytest.raises(ValueError, match=r"^level labels must be \+1 or -1$"):
+        basis_matrix(0, 1)
+    with pytest.raises(ValueError, match=r"^expected a 2x2 operator, got shape \(4, 4\)$"):
+        lift_left(np.eye(4))
+
+
+def test_sigma_constants_are_integer_and_their_complex_copies():
+    assert SZ.dtype.kind == SP.dtype.kind == SM.dtype.kind == "i"
+    assert np.array_equal(SP @ SM - SM @ SP, SZ)
+    assert SIGMA_PLUS.dtype == SIGMA_MINUS.dtype == complex
+    assert np.array_equal(SIGMA_PLUS, SP) and np.array_equal(SIGMA_MINUS, SM)
+
+
+def test_generator_items_follow_the_field_order():
+    assert [name for name, _ in GEN.items()] == [
+        "j0", "j_plus", "j_minus", "k0", "k_plus", "k_minus"]
+    assert all(matrix is getattr(GEN, name) for name, matrix in GEN.items())

@@ -85,6 +85,8 @@ def test_bath_point_validation():
         BathPoint(-1.0, 0.0, 0.0)
     with pytest.raises(InvalidInputError):
         BathPoint(1.0, -0.3, 0.0)
+    with pytest.raises(InvalidInputError, match=r"^squeeze correlation M must be finite, got \(nan\+0j\)$"):
+        BathPoint(1.0, 1.0, complex(math.nan, 0.0))
 
 
 def test_controls_evaluate():
@@ -151,6 +153,8 @@ def test_thermal_override():
     assert point.gamma == 2.0
     assert point.n_param == 0.7
     assert point.m_param == 0.0
+    with pytest.raises(InvalidInputError, match=r"^nbar must be finite and >= 0, got -1$"):
+        BathSchedule(gamma=Constant(1.0), nbar=-1)
 
 
 def test_negative_time_is_refused():
@@ -161,6 +165,8 @@ def test_negative_time_is_refused():
         sched.at(-0.5)
     with pytest.raises(InvalidInputError, match="-2e-09"):
         sched.params_on(np.array([0.0, -2e-9, 1.0]))
+    with pytest.raises(InvalidInputError, match=r"^time must be finite, got inf$"):
+        sched.at(math.inf)
 
 
 def test_negative_controls_rejected_at_evaluation():
@@ -202,3 +208,16 @@ def test_bath_params_is_the_schedule_at_one_time_bit_for_bit():
                                     theta=Constant(theta))
             point = schedule.at(0.5)
             assert bath_params(float(r), theta) == (point.n_param, point.m_param), (r, theta)
+
+
+def test_control_limits_in_every_case():
+    assert ExpDecay(2.0, 0.5).limit == 0.0
+    assert ExpDecay(2.0, 0.0).limit == 2.0
+    assert ExpDecay(2.0, -0.5).limit is None
+    assert Ramp(0.3, -1.0).limit == 0.0
+    assert Ramp(0.3, 0.0).limit == 0.3
+    assert Ramp(-0.3, 0.0).limit == 0.0
+    assert Ramp(0.3, 1.0).limit is None
+    assert Sinusoid(0.4, 0.0, 2.0).limit == 0.4
+    assert Sinusoid(0.4, 0.2, 0.0, 0.5).limit == 0.4 + 0.2 * math.sin(0.5)
+    assert Sinusoid(0.4, 0.2, 2.0).limit is None

@@ -241,8 +241,10 @@ def test_figure_definitions():
     assert odd[0, 1].imag > 0.0
     assert even[0, 1].imag == 0.0
     assert odd[0, 0] == pytest.approx(even[0, 0], rel=1e-15)
-    with pytest.raises(InvalidInputError):
-        figure_schedule(7)
+    # one id check for both
+    for make in (figure_schedule, figure_initial):
+        with pytest.raises(InvalidInputError, match=r"^figure id must be in 1..6, got 7$"):
+            make(7)
 
 
 def test_invalid_inputs_exit_one(tmp_path, capsys):
@@ -292,6 +294,36 @@ def test_sizes_and_controls_past_float_range_exit_one(tmp_path, capsys, override
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
         assert list(out.iterdir()) == []
+
+
+_SIN_GAMMA = ("schedule.gamma.kind=sin schedule.gamma.a=0.5 schedule.gamma.b=1 "
+              "schedule.gamma.omega=1 schedule.gamma.phase=0 grid.t_max=10")
+_EXP_GAMMA = "schedule.gamma.kind=exp schedule.gamma.c1=1 schedule.gamma.c2=-1000"
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ("grid.dt_int=0.5", "internal step 0.5 exceeds smallest grid spacing 0.04999999999999716"),
+    ("schedule.r.kind=const schedule.r.value=6 grid.t_max=0.1",
+     "an interval of 406887 substeps exceeds the limit of 400000 substeps per interval"),
+    # at an explicit step the walks meet gamma < 0 at a substep node before
+    # any grid time; at the auto step default_step meets it at a grid time
+    (_SIN_GAMMA + " grid.dt_int=0.01", "gamma(t) < 0 at t = 3.6700000000000004"),
+    (_SIN_GAMMA, "gamma(t) < 0 at t = 3.7"),
+    (_EXP_GAMMA + " grid.dt_int=0.01", "gamma, N or M not finite at t = 0.7100000000000001 "),
+    (_EXP_GAMMA, "gamma, N or M not finite at t = 0.75 "),
+])
+@pytest.mark.filterwarnings("error")
+def test_verify_refuses_an_input_as_trajectory_does(tmp_path, capsys, overrides, message):
+    # one place refuses the step, the substep counts and the controls: the
+    # walk of the run's integrations, so both commands give the same line
+    errs = []
+    for command in ("trajectory", "verify"):
+        out = tmp_path / command
+        assert main([command, "--out", str(out)] + overrides.split()) == 1
+        errs.append(capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: " + message), errs[0]
 
 
 @pytest.mark.parametrize("dt_int", ["auto", "0.01"])

@@ -447,3 +447,11 @@ def test_both_closed_forms_refuse_the_same_inputs(gamma, n, m, t, message):
 def test_autonomous_expectations_refuses_any_negative_time():
     with pytest.raises(InvalidInputError, match=r"^t must be >= 0, got -0\.25$"):
         autonomous_expectations(ODD_RHO0, 1.0, 1.0, math.sqrt(2.0), np.array([0.0, -0.25, 1.0]))
+
+
+def test_a_nonfinite_flow_is_not_assembled():
+    flow = evolve_gauge(BathSchedule(gamma=Constant(1.0)), uniform_grid(1.0, 0.5), 0.1)
+    flow[1, 2] = complex(math.nan, 0.0)
+    with pytest.raises(NumericalFailureError,
+                       match=r"^gauge parameters are not finite; cannot assemble$"):
+        assemble_density(pure_state(0.6, 0.8), flow)

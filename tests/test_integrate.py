@@ -34,6 +34,12 @@ def test_uniform_grid_endpoints():
 def test_uniform_grid_requires_divisible_step():
     with pytest.raises(InvalidInputError):
         uniform_grid(1.0, 0.3)
+    # the multiple is checked within a relative 1e-9 at any t_max, also below 1
+    for t_max, dt in ((1e-9, 3e-10), (1e-6, 3e-7), (0.5, 0.3 + 1e-6), (1e-3, 3e-4)):
+        with pytest.raises(InvalidInputError, match=r"is not an integer multiple of dt"):
+            uniform_grid(t_max, dt)
+    assert uniform_grid(1e-9, 2.5e-10).size == 5
+    assert uniform_grid(0.3, 0.1).size == 4
     with pytest.raises(InvalidInputError):
         uniform_grid(-1.0, 0.1)
     with pytest.raises(InvalidInputError):
@@ -80,6 +86,8 @@ def test_check_grid_rejects_bad_grids():
         check_grid(np.array([0.0, 0.5, 0.5]))  # strictly increasing
     with pytest.raises(InvalidInputError):
         check_grid(np.array([[0.0, 1.0]]))  # 1-D only
+    with pytest.raises(InvalidInputError, match=r"^grid times must be finite$"):
+        check_grid([0.0, math.nan, 1.0])
 
 
 def test_plan_substeps_covers_intervals():
@@ -554,3 +562,8 @@ def test_reference_memory_per_substep_and_on_a_long_horizon_chunk():
     grid = uniform_grid(30.0, 0.05)
     peak = _peak_traced_bytes(lambda: integrate_reference(sched, excited_state(), grid, 0.001))
     assert peak <= 3.0e6, peak
+
+
+def test_a_zero_step_is_refused():
+    with pytest.raises(InvalidInputError, match=r"^step must be > 0, got 0.0$"):
+        plan_substeps(np.array([0.0, 1.0]), 0.0)

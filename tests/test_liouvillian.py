@@ -418,3 +418,10 @@ def test_routes_leave_the_chunk_walk_to_integrate():
         assert not [m for m in imported if "plan_integration" in m.split(".")], imported
         tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
         assert "errstate" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_spectrum_and_steady_state_need_one_4x4_matrix():
+    with pytest.raises(InvalidInputError, match=r"^expected a 4x4 rate matrix, got shape \(3, 3\)$"):
+        spectrum(np.eye(3))
+    with pytest.raises(InvalidInputError, match=r"^expected a 4x4 rate matrix, got shape \(2, 4, 4\)$"):
+        steady_state(np.zeros((2, 4, 4)))

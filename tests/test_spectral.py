@@ -160,3 +160,19 @@ def test_flow_approaches_stable_branch():
     tail = evolve_gauge(sched, uniform_grid(8.0, 0.5))[-1]
     assert abs(tail[0] - stable.alpha_plus) <= 1e-5
     assert abs(tail[2] - stable.eta_plus) <= 1e-4
+
+
+def test_branch_inputs_are_refused():
+    with pytest.raises(InvalidInputError, match=r"^N must be finite and >= 0, got -1.0$"):
+        solve_transformation_conditions(-1.0, 0.0)
+    with pytest.raises(InvalidInputError, match=r"^theta must be finite, got inf$"):
+        solve_transformation_conditions(0.5, math.inf)
+
+
+def test_limits_need_a_converging_phase_and_a_real_limiting_m():
+    turning = BathSchedule(gamma=Constant(1.0), r=Constant(0.5), theta=Sinusoid(0.0, 1.0, 1.0))
+    with pytest.raises(UnsupportedScheduleError, match=r"^theta control does not converge$"):
+        asymptotic_gauge_limits(turning)
+    tilted = BathSchedule(gamma=Constant(1.0), r=Constant(0.5), theta=Constant(0.7))
+    with pytest.raises(UnsupportedScheduleError, match=r"^limiting M must be real and >= 0, got \("):
+        asymptotic_gauge_limits(tilted)

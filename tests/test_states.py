@@ -11,6 +11,7 @@ from squeezebath.gaugeflow import assemble_density, autonomous_expectations, evo
 from squeezebath.integrate import uniform_grid
 from squeezebath.liouvillian import integrate_reference
 from squeezebath.states import (
+    amplitudes_from_polar,
     check_density,
     excited_state,
     hermiticity_defect,
@@ -147,6 +148,10 @@ def test_single_state_consumers_refuse_a_stack():
         autonomous_expectations(_STACK, 1.0, 0.0, 0.0, 0.5)
     with pytest.raises(InvalidInputError, match="one 2x2 state"):
         run_checks(sched, _STACK, 0.5, 0.25, 0.001, {})
+    # the one check both make
+    with pytest.raises(InvalidInputError, match=r"^rho0 must be one 2x2 state, got shape \(3, 2, 2\)$"):
+        check_density(_STACK, stack=False)
+    assert check_density(_STACK[0], stack=False).shape == (2, 2)
     with pytest.raises(InvalidInputError, match="2x2 or \\(k, 2, 2\\)"):
         check_density(np.eye(3) / 3.0)
 
@@ -154,3 +159,10 @@ def test_single_state_consumers_refuse_a_stack():
 def test_unnormalized_amplitudes_are_refused():
     with pytest.raises(InvalidInputError):
         pure_state(1.0, 1.0)
+
+
+def test_amplitude_and_density_refusals():
+    with pytest.raises(InvalidInputError, match=r"^squared amplitude must lie in \[0, 1\], got 1.5$"):
+        amplitudes_from_polar(1.5, 0.0)
+    with pytest.raises(InvalidInputError, match=r"^rho0 must be finite$"):
+        check_density(np.array([[math.nan, 0.0], [0.0, 1.0]]))

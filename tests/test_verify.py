@@ -6,6 +6,7 @@ import pytest
 from squeezebath import verify
 from squeezebath.algebra import composite_generators
 from squeezebath.bath import BathSchedule, Constant
+from squeezebath.errors import NumericalFailureError
 from squeezebath.liouvillian import rate_matrix_batch, steady_state
 from squeezebath.states import pure_state
 
@@ -38,3 +39,9 @@ def test_run_checks_fails_the_check_of_a_broken_dependency(monkeypatch, attr, br
         tol={"oracle": 1e-7, "trace": 1e-9, "herm": 1e-9, "min_eig": 1e-8, "identity": 1e-9},
     )
     assert [r.status for r in results if r.name == check] == ["FAIL"]
+
+
+def test_a_rate_needs_three_points_above_the_noise_floor():
+    with pytest.raises(NumericalFailureError,
+                       match=r"^too few points above the noise floor to fit a rate$"):
+        verify.fitted_decay_rate([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 1e-13, 0.0])
