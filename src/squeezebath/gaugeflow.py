@@ -8,17 +8,24 @@ the initial components.  The transformation is fixed by a Riccati pair
 factors f_{s,s'}.  alpha_minus grows like exp(gamma (2N+1) t) and eta_minus
 like sinh(u) cosh(u) with u = gamma M t, but the density only ever uses the
 products b = alpha_minus f_ee and e = eta_minus f_eg.  The flow integrates
-those products in place of alpha_minus and eta_minus.  With
-c = N + 1/2 + M eta_plus, the product rule gives
+those products in place of alpha_minus and eta_minus.  The population
+triple (j+-, j0) and the coherence triple (k+-, k0) obey the same
+commutation relations, so by the product rule both sectors obey one law.
+With a sector's columns (a, b, f1, f2) written as the increments
+x = (a, b, d1, d2), d = f - 1, from the identity,
 
-    d alpha_plus/dt = gamma (N - alpha_plus - (N+1) alpha_plus^2)
-    d b/dt          = gamma [(N+1) f_ee + ((N+1) alpha_plus - N) b]
-    d eta_plus/dt   = gamma (M eta_plus^2 - conj(M))
-    d e/dt          = -gamma (M f_eg + c e)
-    d f_ee/dt       = -gamma (N+1) (1 + alpha_plus) f_ee
-    d f_gg/dt       = -gamma (N - (N+1) alpha_plus) f_gg
-    d f_eg/dt       = -gamma (N + 1/2 - M eta_plus) f_eg
-    d f_ge/dt       = -gamma c f_ge
+    da/dt  = p + q a + r a^2
+    db/dt  = -r (1 + d1) - (s + r a) b
+    dd1/dt = (r a - u) (1 + d1)
+    dd2/dt = -(s + r a) (1 + d2)
+
+with the coefficients, in units of gamma,
+
+    sector      (a, b, f1, f2)               p    q   r        s        u
+    population  (alpha_plus, b, f_ee, f_gg)  N    -1  -(N+1)   N        N+1
+    coherence   (eta_plus, e, f_eg, f_ge)    -M*  0   M        N+1/2    N+1/2
+
+At the identity the law reads (p, -r, -u, -s).
 
 A gauge state is a complex array whose last axis holds the eight columns
 
@@ -44,10 +51,11 @@ The flow is a product of gauge-group elements.  By assemble_density, the
 population sector acts on (l_ee, l_gg) through [[f_ee + a b, a f_gg],
 [b, f_gg]] with a = alpha_plus, and the coherence sector likewise with
 (eta_plus, e, f_eg, f_ge).  These matrices form a group, so evolve_gauge
-takes one RK4 step of the ODEs above from the identity for every substep at
-once and composes the steps.  A step is an element (a, b, d_ee, d_gg) with
-d = f - 1, exactly the RK4 increment of the weight.  With p = d_ee + a b and
-delta = d_gg^B + a^A b^B, element A followed by element B is
+takes one RK4 step of the law above from the identity for every substep at
+once and composes the steps.  A step is an element (a, b, d_ee, d_gg) in
+difference form, exactly the RK4 increments of the columns.  With
+p = d_ee + a b and delta = d_gg^B + a^A b^B, element A followed by element B
+is
 
     d_gg = d_gg^A + delta + d_gg^A delta
     b    = b^B + b^A + b^B p^A + d_gg^B b^A
@@ -197,48 +205,45 @@ def _rk4_steps(controls, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One RK4 step from the identity per substep, from (gamma, N, M) at the
     # 2S+1 nodes and the S widths h: (4, S) arrays of elements, real for the
     # population sector and complex for the coherence sector.
-    g, n, m = controls
-    # the start (k = 0), midpoint (1) and end (2) node of every substep
-    at = [tuple(x[k : x.size - 2 + k : 2] for x in (g, n, n + 1.0, n + 0.5, m, m.conj()))
-          for k in range(3)]
     h2, h6 = 0.5 * h, h / 6.0
-    k1 = _first_stage(at[0])
-    k2 = _derivatives(at[1], *([h2 * x for x in k] for k in k1))
-    k3 = _derivatives(at[1], *([h2 * x for x in k] for k in k2))
-    k4 = _derivatives(at[2], *([h * x for x in k] for k in k3))
-    return tuple(np.array([h6 * (a + 2.0 * (b + c) + d) for a, b, c, d in zip(*sector)])
-                 for sector in zip(k1, k2, k3, k4))
+    steps = []
+    for law in _sector_laws(controls):
+        # the coefficients at the start (k = 0), midpoint (1) and end (2)
+        # node of every substep
+        start, mid, end = (tuple(c[k : c.size - 2 + k : 2] for c in law) for k in range(3))
+        p, _, r, s, u = start
+        k1 = (p, -r, -u, -s)  # the law at the identity
+        k2 = _derivatives(mid, [h2 * x for x in k1])
+        k3 = _derivatives(mid, [h2 * x for x in k2])
+        k4 = _derivatives(end, [h * x for x in k3])
+        steps.append(np.array([h6 * (a + 2.0 * (b + c) + d)
+                               for a, b, c, d in zip(k1, k2, k3, k4)]))
+    return tuple(steps)
 
 
-def _first_stage(at):
-    # _derivatives(at, zero, zero) at zero increments, bit for bit, signed
-    # zeros included: (g N, g (N+1), -g (N+1), -g N) and (-g conj(M), -g M,
-    # -g (N+1/2), -g (N+1/2)), with the same dtypes
-    g, n, n1, nh, m, mc = at
-    decay = -g * (nh + 0j)
-    return (g * n, g * n1, -g * n1, -g * n), (g * (0.0 - mc), -g * (m + 0.0), decay, decay)
+def _sector_laws(controls):
+    # the coefficients (p, q, r, s, u) of the population and the coherence
+    # sector's law (module docstring) at the nodes' (gamma, N, M); the
+    # population's q is -gamma itself, as s - u rounds at large N
+    g, n, m = controls
+    gn, gn1, gnh = g * n, g * (n + 1.0), g * (n + 0.5)
+    return (gn, -g, -gn1, gn, gn1), (-g * m.conj(), 0.0 * g, g * m, gnh, gnh)
 
 
-def _derivatives(at, pop, coh):
-    # the module docstring's right-hand side, at weights in difference form
-    g, n, n1, nh, m, mc = at
-    ap, b, d_ee, d_gg = pop
-    ep, e, d_eg, d_ge = coh
-    mep = m * ep
-    c = nh + mep
-    return ((g * (n - ap - n1 * ap * ap),
-             g * (n1 * (1.0 + d_ee) + (n1 * ap - n) * b),
-             -g * n1 * (1.0 + ap) * (1.0 + d_ee),
-             -g * (n - n1 * ap) * (1.0 + d_gg)),
-            (g * (mep * ep - mc),
-             -g * (m * (1.0 + d_eg) + c * e),
-             -g * (nh - mep) * (1.0 + d_eg),
-             -g * c * (1.0 + d_ge)))
+def _derivatives(law, x):
+    # a sector's law (module docstring), coefficients (p, q, r, s, u), at its
+    # increments x = (a, b, d1, d2) from the identity
+    p, q, r, s, u = law
+    a, b, d1, d2 = x
+    ra = r * a
+    c = s + ra
+    f1 = 1.0 + d1
+    return p + (q + ra) * a, -(r * f1 + c * b), (ra - u) * f1, -c * (1.0 + d2)
 
 
 def _compose(first, then):
-    # element `first` followed by element `then`, the module docstring's law;
-    # scalars or arrays
+    # element `first` followed by element `then`, the module docstring's
+    # composition law; scalars or arrays
     a1, b1, d1_ee, d1_gg = first
     a2, b2, d2_ee, d2_gg = then
     p1 = d1_ee + a1 * b1
@@ -356,16 +361,16 @@ def assemble_density(rho0: np.ndarray, flow: np.ndarray) -> np.ndarray:
     # one trailing axis per stack axis of rho0, so the columns broadcast over it
     columns = np.moveaxis(flow, -1, 0).reshape((8,) + flow.shape[:-1] + (1,) * (rho0.ndim - 2))
     ap, b, ep, e, f_ee, f_gg, f_eg, f_ge = columns
-    rho = np.stack(
-        [
-            l_ee * (f_ee + ap * b) + l_gg * f_gg * ap,
-            l_ee * b + l_gg * f_gg,
-            l_eg * (f_eg + ep * e) + l_ge * f_ge * ep,
-            l_eg * e + l_ge * f_ge,
-        ],
-        axis=-1,
-    )
+    rho = np.stack(_act((ap, b, f_ee, f_gg), l_ee, l_gg) + _act((ep, e, f_eg, f_ge), l_eg, l_ge),
+                   axis=-1)
     return unvectorize(rho)
+
+
+def _act(element, l1, l2):
+    # a sector's element (a, b, f1, f2) acting on its components (l1, l2), the
+    # expansion in assemble_density
+    a, b, f1, f2 = element
+    return l1 * (f1 + a * b) + l2 * f2 * a, l1 * b + l2 * f2
 
 
 def autonomous_expectations(

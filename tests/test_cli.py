@@ -530,6 +530,10 @@ def test_verify_coarse_step_fails_oracle(tmp_path, capsys):
     report = _read(out / "verify_report.txt")
     assert "[FAIL] oracle-agreement" in report
     assert "oracle-agreement" in captured.err
+    # autonomous-consistency takes its own grid of spacing 0.1 at a step
+    # capped at 0.1, so it measures the routes rather than refusing the step
+    line = next(x for x in report.splitlines() if "autonomous-consistency" in x)
+    assert re.match(r"  \[FAIL\] autonomous-consistency +measured \d\.\d{3}e-\d\d,", line)
 
 
 def test_verify_thermal_skips_squeezing_checks(tmp_path):

@@ -33,7 +33,8 @@ IDENTITY = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=complex)
 
 
 def _gauge_rhs(gamma, n, m, y):
-    # the module docstring's eight ODEs, written once over a tuple of columns
+    # the module docstring's sector law written out as eight ODEs, once over a
+    # tuple of columns
     ap, b, ep, e, f_ee, f_gg, f_eg, f_ge = y
     mep = m * ep
     c = n + 0.5 + mep
@@ -164,21 +165,34 @@ def test_flow_is_the_same_at_any_block_size(monkeypatch, block):
     assert np.max(np.abs(evolve_gauge(schedule, grid, step) - whole)) <= 4e-15
 
 
-def test_first_rk4_stage_is_the_derivatives_at_zero_increments():
-    # the closed form of k1, byte for byte, signed zeros and dtypes
-    # included, for real and complex M with every sign of zero in each part
-    parts = [0.0, -0.0, 0.3, -0.7]
-    m = np.array([complex(re, im) for re in parts for im in parts])
-    rng = np.random.default_rng(5)
-    g = np.concatenate([np.zeros(m.size), np.full(m.size, -0.0), rng.uniform(0.1, 2.0, m.size)])
-    n = np.concatenate([np.zeros(m.size), rng.uniform(0.0, 2.0, 2 * m.size)])
-    m = np.tile(m, 3)
-    at = (g, n, n + 1.0, n + 0.5, m, m.conj())
-    zero = (0.0, 0.0, 0.0, 0.0)
-    for got, want in zip(gaugeflow._first_stage(at), gaugeflow._derivatives(at, zero, zero)):
-        for x, y in zip(got, want):
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert np.array_equal(x.view(np.uint8), y.view(np.uint8))
+def test_each_sector_obeys_the_one_law():
+    # _derivatives with each sector's coefficients is the eight ODEs written
+    # out (_gauge_rhs) at seeded random increments, for real, complex
+    # and thermal (M = 0) reservoirs with N from 0 to 50, to a few ulps of the
+    # largest coefficient (measured 2.6 eps).  Swapping s and u in the
+    # population's coefficients fails it: db/dt moves by gamma b.
+    rng = np.random.default_rng(7)
+    size = 300
+    g = rng.uniform(0.1, 2.0, size)
+    n = np.concatenate([[0.0, 50.0], rng.uniform(0.0, 50.0, size - 2)])
+    real, cplx, thermal = np.split(np.sqrt(n * (n + 1.0)) * rng.uniform(-1.0, 1.0, size), 3)
+    m = np.concatenate([real, cplx * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cplx.size)),
+                        0.0 * thermal]).astype(complex)
+    pop = rng.uniform(-0.5, 0.5, (4, size))
+    coh = rng.uniform(-0.5, 0.5, (4, size)) + 1j * rng.uniform(-0.5, 0.5, (4, size))
+    y = np.concatenate([pop[:2], coh[:2], 1.0 + pop[2:], 1.0 + coh[2:]])
+    want = np.array(_gauge_rhs(g, n, m, y))
+    scale = g * (n + 1.0 + np.abs(m))
+    worst = 0.0
+    sectors = zip(gaugeflow._sector_laws((g, n, m)), (pop, coh), ([0, 1, 4, 5], [2, 3, 6, 7]))
+    for law, x, columns in sectors:
+        got = np.array(gaugeflow._derivatives(law, x))
+        worst = max(worst, np.max(np.abs(got - want[columns]) / scale))
+        # at zero increments, the first RK4 stage of every step
+        p, _, r, s, u = law
+        at_identity = gaugeflow._derivatives(law, np.zeros((4, size)))
+        assert all(np.array_equal(a, b) for a, b in zip(at_identity, (p, -r, -u, -s)))
+    assert worst <= 8 * np.finfo(float).eps
 
 
 def _sector_matrix(element, plain=False):

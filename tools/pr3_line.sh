@@ -12,8 +12,9 @@
 #   tools/pr3_line.sh PARENT_TREE a && tools/pr3_line.sh . b && diff -r a b
 #
 # The commands cover the default runs, the thermal mode, strong squeezing
-# (exit 2), coarse steps (exit 2, and exit 1 for a step wider than the
-# output spacing), dense output and the spectrum and steady-state tables.
+# (commands 6 and 7, exit 0), a coarse step (command 5, exit 2), a step
+# wider than the output spacing (command 12, exit 1), dense output and the
+# spectrum and steady-state tables.  Every other command exits 0.
 set -u
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC_TREE OUT_DIR" >&2
