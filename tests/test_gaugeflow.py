@@ -177,7 +177,7 @@ def test_each_sector_obeys_the_one_law():
     n = np.concatenate([[0.0, 50.0], rng.uniform(0.0, 50.0, size - 2)])
     real, cplx, thermal = np.split(np.sqrt(n * (n + 1.0)) * rng.uniform(-1.0, 1.0, size), 3)
     m = np.concatenate([real, cplx * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cplx.size)),
-                        0.0 * thermal]).astype(complex)
+                        np.zeros_like(thermal)]).astype(complex)
     pop = rng.uniform(-0.5, 0.5, (4, size))
     coh = rng.uniform(-0.5, 0.5, (4, size)) + 1j * rng.uniform(-0.5, 0.5, (4, size))
     y = np.concatenate([pop[:2], coh[:2], 1.0 + pop[2:], 1.0 + coh[2:]])
