@@ -49,12 +49,14 @@ __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "chec
 # Substeps per chunk of plan_integration, and intervals per row block of
 # walk_chunks.  Larger chunks cost fewer numpy calls per substep but hold
 # larger RK4 stacks.  On long_horizon's grid at seed 0 (48 000 substeps,
-# 8 per interval; a 2-vCPU Xeon with 4 MiB L2, numpy 2.4), both routes in
-# one fresh process took a median 0.096 / 0.071 / 0.072 s at 2048 / 4096 /
-# 8192 (six interleaved rounds) and peaked at 34.0 / 36.4 / 40.6 MB;
-# in-process and interleaved they took 1.39 / 1 / 0.83 / 0.86 times 2048's
-# at 1024 / 2048 / 4096 / 8192.  4096 adds 2.4 MB, 7% of that peak, more
-# than perfbench lets peak memory grow, so 2048 stays.
+# 8 per interval; a 2-vCPU Xeon, numpy 2.4), each route run once in a fresh
+# process per value, the values' order rotating from round to round: over
+# 24 rounds 4096 took a median 0.91 of 2048's time (faster in 21) and
+# peaked 2.3 MB higher (33.7 against 36.0 MB); over 16 rounds of 2048 /
+# 4096 / 8192, 4096 took 0.91 and 8192 0.95 of 2048's time (each faster in
+# 12) and they peaked 2.2 and 6.6 MB higher.  Host-speed swings spread the
+# single-process times by about 25%.  4096's 2.3 MB is 7% of that peak,
+# more than perfbench lets peak memory grow, so 2048 stays.
 CHUNK_SUBSTEPS = 2048
 
 # Largest output grid uniform_grid plans.  With the integrations chunked, the

@@ -134,9 +134,10 @@ def build_rate_operator(point: BathPoint) -> np.ndarray:
     return rate_matrix_batch(point.gamma, point.n_param, point.m_param)
 
 
-def _as_matrix(rate) -> np.ndarray:
+def _as_matrix(rate, stack: bool = False) -> np.ndarray:
+    # rate as a complex 4x4 matrix or, if stack is True, a (..., 4, 4) stack
     mat = np.asarray(rate, dtype=complex)
-    if mat.shape != (4, 4):
+    if mat.shape[-2:] != (4, 4) or (mat.ndim != 2 and not stack):
         raise InvalidInputError("expected a 4x4 rate matrix, got shape %r" % (mat.shape,))
     return mat
 
@@ -144,17 +145,19 @@ def _as_matrix(rate) -> np.ndarray:
 def spectrum(rate) -> np.ndarray:
     """Eigenvalues of the rate operator, sorted for deterministic comparison.
 
-    Sorted by real part descending, ties broken by imaginary part ascending.
-    For real M the values are {0, -gamma(2N+1), -gamma(N+1/2-|M|),
-    -gamma(N+1/2+|M|)}.
+    rate is one 4x4 matrix or a (..., 4, 4) stack; the result is (4,) or
+    (..., 4), each matrix's eigenvalues sorted by real part descending, ties
+    broken by imaginary part ascending.  Entry i of a stack's result is the
+    result for matrix i alone.  For real M the values are {0, -gamma(2N+1),
+    -gamma(N+1/2-|M|), -gamma(N+1/2+|M|)}.
     """
-    mat = _as_matrix(rate)
+    mat = _as_matrix(rate, stack=True)
     try:
         eigs = np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvals on 4x4 converges
         raise NumericalFailureError("eigendecomposition failed: %s" % (exc,)) from exc
-    order = np.lexsort((eigs.imag, -eigs.real))
-    return eigs[order]
+    order = np.lexsort((eigs.imag, -eigs.real), axis=-1)
+    return np.take_along_axis(eigs, order, axis=-1)
 
 
 def steady_state(rate) -> np.ndarray:

@@ -128,13 +128,21 @@ def solve_transformation_conditions(
     return branches[0], branches[1]
 
 
-def closed_form_spectrum(gamma: float, n: float, m: complex) -> np.ndarray:
+def closed_form_spectrum(gamma, n, m) -> np.ndarray:
     """The rate operator's eigenvalues {0, -gamma (2N+1), -gamma (N+1/2 -+ |M|)}
-    in closed form for any phase of m, sorted like liouvillian.spectrum."""
-    rates = np.array(
-        [0.0, -gamma * (2 * n + 1), -gamma * (n + 0.5 - abs(m)), -gamma * (n + 0.5 + abs(m))]
+    in closed form for any phase of m, sorted like liouvillian.spectrum.
+
+    gamma, n (real) and m (complex) are scalars or arrays that broadcast
+    together; the result has shape (4,) for scalars and (..., 4) for arrays,
+    entry i being the result for point i alone.
+    """
+    gamma, n, m = np.broadcast_arrays(gamma, n, m)
+    rates = np.stack(
+        [np.zeros(gamma.shape), -gamma * (2 * n + 1), -gamma * (n + 0.5 - np.abs(m)),
+         -gamma * (n + 0.5 + np.abs(m))],
+        axis=-1,
     )
-    return -np.sort(-rates, kind="stable")
+    return -np.sort(-rates, axis=-1, kind="stable")
 
 
 def _transformation(branch: TransformationBranch) -> tuple[np.ndarray, np.ndarray]:

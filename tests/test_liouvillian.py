@@ -176,6 +176,23 @@ def test_spectrum_matches_rate_formulas():
     assert check_spectrum_formulas(17, 50, 1e-10).status == "PASS"
 
 
+def test_spectrum_of_a_stack_is_the_spectrum_of_each_matrix():
+    rng = np.random.default_rng(29)
+    g = rng.uniform(0.0, 3.0, 24)
+    n, m = np.vectorize(bath_params)(rng.uniform(0.0, 2.0, 24), rng.uniform(0.0, 7.0, 24))
+    # thermal points (M = 0), the vacuum among them: -gamma(N+1/2) is a
+    # double eigenvalue, and the tie is broken by the imaginary parts
+    g[:6], n[:6], m[:6] = 1.0, [0.0, 0.0, 0.5, 1.0, 3.0, 20.0], 0.0
+    stack = rate_matrix_batch(g, n, m)
+    eigs = spectrum(stack)
+    assert eigs.shape == (24, 4)
+    for i in range(24):
+        assert np.array_equal(eigs[i], spectrum(stack[i]))
+    assert np.array_equal(eigs[:6, 1].real, eigs[:6, 2].real)
+    assert np.array_equal(spectrum(stack.reshape(4, 6, 4, 4)), eigs.reshape(4, 6, 4))
+    assert spectrum(stack[:0]).shape == (0, 4)
+
+
 def test_spectrum_real_parts_nonpositive():
     rng = np.random.default_rng(23)
     for _ in range(30):

@@ -16,6 +16,7 @@ from squeezebath.gaugeflow import evolve_gauge
 from squeezebath.integrate import uniform_grid
 from squeezebath.spectral import (
     asymptotic_gauge_limits,
+    closed_form_spectrum,
     eigen_modes,
     solve_transformation_conditions,
 )
@@ -176,3 +177,22 @@ def test_limits_need_a_converging_phase_and_a_real_limiting_m():
     tilted = BathSchedule(gamma=Constant(1.0), r=Constant(0.5), theta=Constant(0.7))
     with pytest.raises(UnsupportedScheduleError, match=r"^limiting M must be real and >= 0, got \("):
         asymptotic_gauge_limits(tilted)
+
+
+def test_closed_form_spectrum_of_arrays_is_that_of_each_point():
+    rng = np.random.default_rng(29)
+    g = rng.uniform(0.0, 3.0, (3, 5))
+    n = rng.uniform(0.0, 4.0, (3, 5))
+    m = np.sqrt(n * (n + 1.0)) * np.exp(1j * rng.uniform(0.0, 7.0, (3, 5)))
+    # gamma = 0 gives -0.0 rates, which the spectrum table prints as -0
+    g[0, :2], m[1, :2] = 0.0, 0.0
+    got = closed_form_spectrum(g, n, m)
+    assert got.shape == (3, 5, 4)
+    for i in np.ndindex(3, 5):
+        want = closed_form_spectrum(float(g[i]), float(n[i]), complex(m[i]))
+        assert want.shape == (4,)
+        assert got[i].tobytes() == want.tobytes()
+    assert np.signbit(got[0, 0, 1:]).all()
+    # a scalar broadcasts against arrays
+    broadcast = closed_form_spectrum(1.5, n, m)
+    assert broadcast.tobytes() == closed_form_spectrum(np.full_like(n, 1.5), n, m).tobytes()
