@@ -194,8 +194,10 @@ class BathPoint:
     n_param is the effective photon number N >= 0 and m_param the squeeze
     correlation M, constrained by |M|^2 <= N (N + 1) (equality for pure
     squeezing, M = 0 for a thermal reservoir).  A point that breaks this,
-    or has a non-finite value or gamma < 0, is refused when it is made
-    (InvalidInputError), so every BathPoint is physical.
+    has a non-finite value or gamma < 0, or whose relaxation rate
+    gamma (2N+1) is past the float range, is refused when it is made
+    (InvalidInputError), so every BathPoint is physical and every rate it
+    yields is finite.
     """
 
     gamma: float
@@ -210,6 +212,9 @@ class BathPoint:
             raise InvalidInputError("photon number N must be finite and >= 0, got %r" % (n,))
         if not (math.isfinite(m.real) and math.isfinite(m.imag)):
             raise InvalidInputError("squeeze correlation M must be finite, got %r" % (m,))
+        # nan at gamma = 0 and 2N+1 = inf, refused as default_step refuses it
+        if not float(gamma) * (2.0 * float(n) + 1.0) < math.inf:
+            raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
         bound = n * (n + 1.0)
         if abs(m) ** 2 > bound * (1.0 + 1e-9) + 1e-12:
             raise InvalidInputError(

@@ -64,8 +64,11 @@ def excited_state() -> np.ndarray:
 
 
 def steady_populations(n: float) -> np.ndarray:
-    """The steady state diag(N/(2N+1), (N+1)/(2N+1)) at photon number N."""
-    return np.diag([n / (2 * n + 1), (n + 1) / (2 * n + 1)]).astype(complex)
+    """The steady state diag(N/(2N+1), (N+1)/(2N+1)) at photon number N.
+
+    Divided through by 2 as N/(N+1/2) / 2 and (N+1)/(N+1/2) / 2: bitwise the
+    same wherever 2N+1 is finite, and diag(1/2, 1/2) where it overflows."""
+    return np.diag([0.5 * (n / (n + 0.5)), 0.5 * ((n + 1) / (n + 0.5))]).astype(complex)
 
 
 def _dagger(rho: np.ndarray) -> np.ndarray:

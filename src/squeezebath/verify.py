@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,12 +243,15 @@ def check_construction_equality(points, tol: float) -> CheckResult:
 
 def check_spectrum_formulas(seed: int, samples: int, tol: float) -> CheckResult:
     """Eigenvalues match {0, -g(2N+1), -g(N+1/2-|M|), -g(N+1/2+|M|)} relative
-    to g(2N+1), at random gamma in [0.1, 3) and r in [0, 1.5), drawn as
-    (gamma, r) pairs.  One rate_matrix_batch stack holds all samples; one
-    spectrum call gives their eigenvalues and one closed_form_spectrum call
-    their closed forms."""
-    rng = np.random.default_rng(seed)
-    g, r = rng.uniform((0.1, 0.0), (3.0, 1.5), (samples, 2)).T
+    to g(2N+1), at random gamma in [0.1, 3) and r in [0, 1.5).  The samples
+    come from the standard library's random.Random(seed), gamma then r for
+    each sample: numpy's import has already loaded that module, so the draw
+    imports nothing while the command runs.  One rate_matrix_batch stack
+    holds all samples; one spectrum call gives their eigenvalues and one
+    closed_form_spectrum call their closed forms."""
+    draw = random.Random(seed).uniform
+    pairs = [(draw(0.1, 3.0), draw(0.0, 1.5)) for _ in range(samples)]
+    g, r = np.array(pairs, dtype=float).reshape(samples, 2).T
     n, m = _squeezed(r, 0.0)
     eigs = spectrum(rate_matrix_batch(g, n, m))
     want = closed_form_spectrum(g, n, m)

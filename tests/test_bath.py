@@ -89,6 +89,14 @@ def test_bath_point_validation():
         BathPoint(1.0, 1.0, complex(math.nan, 0.0))
 
 
+@pytest.mark.parametrize("gamma, n", [(1.0, 1e308), (1e300, 1e10), (0.0, 1e308)])
+def test_bath_point_refuses_a_relaxation_rate_past_the_float_range(gamma, n):
+    # gamma (2N + 1) is inf, or nan at gamma = 0: refused as default_step refuses it
+    with pytest.raises(InvalidInputError, match=r"^relaxation rate gamma \(2N \+ 1\) exceeds the float range$"):
+        BathPoint(gamma, n, 0.0)
+    BathPoint(1.0, 5e307, 0.0)  # 2N+1 = 1e308 is finite
+
+
 def test_controls_evaluate():
     assert Constant(0.7)(3.0) == 0.7
     decay = ExpDecay(0.1, 0.1)

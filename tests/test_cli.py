@@ -415,6 +415,29 @@ def test_steady_command_rejects_diverging_schedule(tmp_path):
     assert rc == 1  # no asymptotic limit to report
 
 
+@pytest.mark.filterwarnings("error")
+def test_steady_limit_past_the_float_range_has_populations_one_half(tmp_path):
+    # 2N+1 overflows at N = 1e308; the limit is diag(1/2, 1/2), not a trace-0 state
+    args = ["steady", "--out", str(tmp_path), "--schedule.mode=thermal", "--schedule.nbar=1e308"]
+    assert main(args) == 0
+    assert (tmp_path / "steady.csv").read_text() == "rho_ee,rho_gg,rho_eg_re,rho_eg_im,sz\n0.5,0.5,0,0,0\n"
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["steady", "--steady.at=0"]])
+@pytest.mark.filterwarnings("error")
+def test_point_whose_rate_is_past_the_float_range_is_refused(tmp_path, capsys, command):
+    # refused with trajectory's message, before a table or a warning; 2N+1 = 1e308 runs
+    def run(nbar, out):
+        return main(command + ["--out", str(out), "--schedule.mode=thermal", "--schedule.nbar=" + nbar])
+
+    assert run("1e308", tmp_path / "refused") == 1
+    err = capsys.readouterr().err
+    assert err == "error: relaxation rate gamma (2N + 1) exceeds the float range\n"
+    assert list((tmp_path / "refused").iterdir()) == []
+    assert run("5e307", tmp_path / "run") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_default_passes(tmp_path, capsys):
     out = tmp_path / "ver"
     rc = main(["verify", "--out", str(out)])

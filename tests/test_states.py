@@ -18,6 +18,7 @@ from squeezebath.states import (
     min_eigenvalue,
     pauli_expectations,
     pure_state,
+    steady_populations,
     trace_distance,
     trace_error,
 )
@@ -166,3 +167,26 @@ def test_amplitude_and_density_refusals():
         amplitudes_from_polar(1.5, 0.0)
     with pytest.raises(InvalidInputError, match=r"^rho0 must be finite$"):
         check_density(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_steady_populations_are_those_of_2n_plus_1_wherever_it_is_finite():
+    # seeded N from 0 to just below where 2N+1 overflows, subnormals included
+    rng = np.random.default_rng(3)
+    ns = np.concatenate([
+        [0.0, 5e-324, 1e-310, 0.5, 1.0, 8.98846567431157e307],
+        rng.uniform(0.0, 8.98e307, 500),
+        np.exp(rng.uniform(-744.0, 709.0, 500)),
+        rng.uniform(0.0, 10.0, 500),
+    ])
+    for n in map(float, ns):
+        assert math.isfinite(2 * n + 1)
+        want = [n / (2 * n + 1), (n + 1) / (2 * n + 1)]
+        rho = steady_populations(n)
+        assert [rho[0, 0].real, rho[1, 1].real] == want, n
+        assert rho.dtype == complex and rho[0, 1] == rho[1, 0] == 0
+
+
+@pytest.mark.parametrize("n", [8.99e307, 1e308, np.finfo(float).max])
+def test_steady_populations_are_one_half_where_2n_plus_1_overflows(n):
+    # N/(2N+1) and (N+1)/(2N+1) read 0 and 0 there: a state of trace 0
+    assert np.array_equal(steady_populations(n), np.diag([0.5, 0.5]).astype(complex))

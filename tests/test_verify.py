@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -85,13 +86,19 @@ def _construction_loop(points, gen):
     return worst
 
 
-def _spectrum_loop(seed, samples):
-    # spectrum-formulas written sample by sample, two scalar draws each
-    rng = np.random.default_rng(seed)
+def _spectrum_loop(seed, samples, r_first=False):
+    # spectrum-formulas written sample by sample, two scalar draws each from
+    # the standard library's generator: gamma then r, or r then gamma
+    draw = random.Random(seed).uniform
     worst = 0.0
     for _ in range(samples):
-        g = float(rng.uniform(0.1, 3.0))
-        n, m = bath_params(float(rng.uniform(0.0, 1.5)), 0.0)
+        if r_first:
+            r = draw(0.0, 1.5)
+            g = draw(0.1, 3.0)
+        else:
+            g = draw(0.1, 3.0)
+            r = draw(0.0, 1.5)
+        n, m = bath_params(r, 0.0)
         eigs = spectrum(build_rate_operator(BathPoint(g, n, m)))
         want = closed_form_spectrum(g, n, m)
         worst = max(worst, float(np.max(np.abs(eigs - want))) / (g * (2 * n + 1)))
@@ -117,6 +124,8 @@ def test_spectrum_formulas_measure_what_a_sample_loop_measures(seed, samples):
     res = verify.check_spectrum_formulas(seed, samples, 1e-10)
     assert res.status == "PASS"
     assert res.measured == _spectrum_loop(seed, samples)
+    # the same stream drawn r first gives other samples: the order is pinned
+    assert res.measured != _spectrum_loop(seed, samples, r_first=True)
 
 
 def test_no_samples_pass_with_nothing_measured():
