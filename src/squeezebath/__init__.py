@@ -27,7 +27,6 @@ from .bath import (
 from .errors import (
     InvalidInputError,
     NumericalFailureError,
-    UnsupportedScheduleError,
 )
 from .gaugeflow import (
     assemble_density,
@@ -43,10 +42,9 @@ from .liouvillian import (
     steady_state,
 )
 from .spectral import (
-    AsymptoticLimits,
     EigenMode,
     TransformationBranch,
-    asymptotic_gauge_limits,
+    asymptotic_state,
     condition_residuals,
     eigen_modes,
     solve_transformation_conditions,
@@ -71,7 +69,6 @@ __all__ = [
     "bath_params",
     "InvalidInputError",
     "NumericalFailureError",
-    "UnsupportedScheduleError",
     "evolve_gauge",
     "autonomous_gauge",
     "assemble_density",
@@ -84,11 +81,10 @@ __all__ = [
     "integrate_reference",
     "TransformationBranch",
     "EigenMode",
-    "AsymptoticLimits",
     "solve_transformation_conditions",
     "condition_residuals",
     "eigen_modes",
-    "asymptotic_gauge_limits",
+    "asymptotic_state",
     "check_density",
     "pure_state",
     "trace_distance",

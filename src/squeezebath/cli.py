@@ -23,7 +23,7 @@ from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, evolve_gauge
 from .integrate import default_step, uniform_grid
 from .liouvillian import build_rate_operator, integrate_reference, spectrum, steady_state
-from .spectral import asymptotic_gauge_limits, closed_form_spectrum
+from .spectral import asymptotic_state, closed_form_spectrum
 from .states import (
     amplitudes_from_polar,
     min_eigenvalue,
@@ -494,9 +494,8 @@ def run_spectrum(rc: RunConfig) -> int:
 
 def run_steady(rc: RunConfig) -> int:
     if rc.steady_at is None:
-        limits = asymptotic_gauge_limits(rc.schedule)
-        rho = limits.steady
-        label = "asymptotic limit (N=%g)" % limits.n_param
+        n, rho = asymptotic_state(rc.schedule)
+        label = "asymptotic limit (N=%g)" % n
     else:
         rho = steady_state(build_rate_operator(rc.schedule.at(rc.steady_at)))
         label = "nullspace at t = %g" % rc.steady_at

@@ -1,17 +1,13 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration and validation problems
-(InvalidInputError, UnsupportedScheduleError) exit with code 1,
-runtime numerical problems (NumericalFailureError) exit with code 2.
+(InvalidInputError) exit with code 1, runtime numerical problems
+(NumericalFailureError) exit with code 2.
 """
 
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
-
-
-class UnsupportedScheduleError(InvalidInputError):
-    """A schedule has no well-defined long-time limit for the requested quantity."""
 
 
 class NumericalFailureError(RuntimeError):

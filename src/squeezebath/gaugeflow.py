@@ -108,7 +108,7 @@ import numpy as np
 from .algebra import unvectorize, vectorize
 from .bath import BathSchedule
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import pairwise_products, prefix_products, walk_chunks
+from .integrate import fastest_rate, pairwise_products, prefix_products, walk_chunks
 from .states import check_density
 
 __all__ = [
@@ -180,8 +180,7 @@ def gauge_chunk(controls, h, m) -> tuple[tuple, tuple]:
     """
     # blocks in difference form span at most 5.12 of the fastest rate
     # gamma (2N + 1) at the chunk's nodes
-    g, n, _ = controls
-    span = h.max(initial=0.0) * np.max(g * (2.0 * n + 1.0))
+    span = h.max(initial=0.0) * fastest_rate(controls)
     block = _BLOCK
     while block > 1 and block * span > 5.12:
         block //= 2

@@ -1,4 +1,4 @@
-"""Steady transformation branches, eigenmode decomposition, and long-time limits.
+"""Steady transformation branches, eigenmode decomposition, and the long-time state.
 
 The similarity transformation that diagonalizes the rate operator is built
 from the four gauge parameters frozen at the roots of the steady conditions
@@ -32,18 +32,17 @@ import numpy as np
 
 from .algebra import BASIS_LABELS, composite_generators, unvectorize
 from .bath import BathPoint, BathSchedule, _wrap_phase, bath_params
-from .errors import InvalidInputError, UnsupportedScheduleError
+from .errors import InvalidInputError
 from .states import steady_populations
 
 __all__ = [
     "TransformationBranch",
     "EigenMode",
-    "AsymptoticLimits",
     "solve_transformation_conditions",
     "condition_residuals",
     "closed_form_spectrum",
     "eigen_modes",
-    "asymptotic_gauge_limits",
+    "asymptotic_state",
 ]
 
 _GEN = composite_generators()
@@ -218,68 +217,30 @@ def eigen_modes(
     return modes
 
 
-@dataclass(frozen=True)
-class AsymptoticLimits:
-    """Long-time limits of a converging schedule and its gauge flow.
+def asymptotic_state(schedule: BathSchedule) -> tuple[float, np.ndarray]:
+    """The limiting photon number N and steady state of a schedule.
 
-    n_param and m_param are the limiting N and (real) M, and steady is the
-    limiting steady state.  eta_plus is None when the limit is indeterminate
-    (ideal squeezing that switches off, M -> 0: the eta flow freezes wherever
-    it was).
-    """
-
-    n_param: float
-    m_param: float
-    alpha_plus: float
-    eta_plus: float | None
-    steady: np.ndarray
-
-
-def asymptotic_gauge_limits(schedule: BathSchedule) -> AsymptoticLimits:
-    """Where the gauge flow must settle for a schedule with constant limits.
-
-    Requires every control to converge as t grows (gamma to a positive
-    value, r and theta to constants with a real nonnegative limiting M, or a
-    thermal override).  The alpha_plus limit is N/(N+1); the eta_plus limit
-    is -1 when the limiting M is positive, 0 under a thermal override, and
-    indeterminate (None, frozen at its last value) when ideal squeezing dies
-    out.  The limiting steady state has populations N/(2N+1), (N+1)/(2N+1).
+    N comes from r's limit, or is nbar under a thermal override, and gamma
+    must converge to a positive value.  The state is diag(N/(2N+1),
+    (N+1)/(2N+1)) whatever theta does: the coherences have no source and
+    decay at rates of at least gamma (N + 1/2 - |M|).
 
     Raises
     ------
-    UnsupportedScheduleError
-        For non-convergent controls (e.g. a sinusoid).
+    InvalidInputError
+        For a gamma or r that does not converge (e.g. a sinusoid), or a gamma
+        limit that is not > 0.
     """
     g_inf = schedule.gamma.limit
     if g_inf is None:
-        raise UnsupportedScheduleError("gamma control does not converge")
+        raise InvalidInputError("gamma control does not converge")
     if g_inf <= 0.0:
-        raise UnsupportedScheduleError("gamma limit must be > 0, got %r" % (g_inf,))
+        raise InvalidInputError("gamma limit must be > 0, got %r" % (g_inf,))
     if schedule.thermal:
-        n_inf = float(schedule.nbar)
-        m_inf = 0.0
-        eta_limit: float | None = 0.0
+        n = float(schedule.nbar)
     else:
         r_inf = schedule.r.limit
         if r_inf is None:
-            raise UnsupportedScheduleError("r control does not converge")
-        if r_inf == 0.0:
-            n_inf, m_inf = 0.0, 0.0
-        else:
-            theta_inf = schedule.theta.limit
-            if theta_inf is None:
-                raise UnsupportedScheduleError("theta control does not converge")
-            n_inf, m_c = bath_params(r_inf, theta_inf)
-            if abs(m_c.imag) > 1e-12 * max(1.0, abs(m_c)) or m_c.real < 0.0:
-                raise UnsupportedScheduleError(
-                    "limiting M must be real and >= 0, got %r" % (m_c,)
-                )
-            m_inf = m_c.real
-        eta_limit = -1.0 if m_inf > 0.0 else None
-    return AsymptoticLimits(
-        n_param=n_inf,
-        m_param=m_inf,
-        alpha_plus=n_inf / (n_inf + 1.0),
-        eta_plus=eta_limit,
-        steady=steady_populations(n_inf),
-    )
+            raise InvalidInputError("r control does not converge")
+        n = bath_params(r_inf, 0.0)[0]
+    return n, steady_populations(n)

@@ -311,6 +311,10 @@ _EXP_GAMMA = "schedule.gamma.kind=exp schedule.gamma.c1=1 schedule.gamma.c2=-100
     (_SIN_GAMMA, "gamma(t) < 0 at t = 3.7"),
     (_EXP_GAMMA + " grid.dt_int=0.01", "gamma, N or M not finite at t = 0.7100000000000001 "),
     (_EXP_GAMMA, "gamma, N or M not finite at t = 0.75 "),
+    # an explicit step meets 2N + 1 = inf at the first chunk's nodes, as the
+    # auto step meets it in default_step, not as a gauge flow gone non-finite
+    ("schedule.mode=thermal schedule.nbar=1e308 grid.dt_int=0.01 grid.t_max=1",
+     "relaxation rate gamma (2N + 1) exceeds the float range\n"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_verify_refuses_an_input_as_trajectory_does(tmp_path, capsys, overrides, message):
@@ -340,6 +344,31 @@ def test_one_output_interval_of_t_100_runs(tmp_path, capsys, dt_int):
     assert len(lines) == 3
     distance = float(re.search(r"max oracle distance (\S+)\)", capsys.readouterr().out).group(1))
     assert distance <= 1e-11
+
+
+@pytest.mark.parametrize("overrides", [
+    "schedule.gamma.value=100 schedule.r.kind=const schedule.r.value=0 grid.t_max=15",
+    "schedule.mode=thermal schedule.nbar=1000 grid.t_max=1",
+    "schedule.mode=thermal schedule.nbar=300 grid.t_max=5",
+])
+@pytest.mark.filterwarnings("error")
+def test_fast_decay_across_many_intervals_runs(tmp_path, capsys, overrides):
+    # the coherence weight decays past the float range over a row block of
+    # CHUNK_SUBSTEPS intervals, and the gauge route's joins divided by it:
+    # these exited 2 ("gauge parameters non-finite at t = 14.2", 0.75, 2.4)
+    # before row blocks ended at a decay of integrate._ROW_BLOCK_DECAY
+    assert main(["trajectory", "--out", str(tmp_path)] + ["--" + o for o in overrides.split()]) == 0
+    distance = float(re.search(r"max oracle distance (\S+)\)", capsys.readouterr().out).group(1))
+    assert distance <= 1e-10
+
+
+def test_verify_passes_on_a_strongly_coupled_vacuum_reservoir(tmp_path, capsys):
+    # oracle-agreement, gauge-trace-identities and coherence-symmetry raised
+    # NumericalFailureError here before row blocks ended at a bounded decay
+    args = ["verify", "--out", str(tmp_path), "--schedule.gamma.value=100",
+            "--schedule.r.kind=const", "--schedule.r.value=0"]
+    assert main(args) == 0
+    assert "summary: 19 passed, 0 failed, 0 skipped" in capsys.readouterr().out
 
 
 def test_a_coarse_explicit_step_names_its_trace_error(tmp_path, capsys):
@@ -406,13 +435,33 @@ def test_steady_command_asymptotic(tmp_path):
     assert _column(text, "sz")[0] == pytest.approx(-1.0 / (2 * n + 1), rel=1e-12)
 
 
-def test_steady_command_rejects_diverging_schedule(tmp_path):
+def test_steady_command_rejects_diverging_schedule(tmp_path, capsys):
     rc = main(
         ["steady", "--out", str(tmp_path),
          "--schedule.r.kind=sin", "--schedule.r.a=0.3", "--schedule.r.b=0.2",
          "--schedule.r.omega=1", "--schedule.r.phase=0"]
     )
     assert rc == 1  # no asymptotic limit to report
+    assert capsys.readouterr().err == "error: r control does not converge\n"
+
+
+@pytest.mark.parametrize("theta", [
+    ["--schedule.theta.value=3.14159"],
+    ["--schedule.theta.kind=ramp", "--schedule.theta.a=0", "--schedule.theta.b=0.3"],
+])
+def test_steady_limit_needs_no_converging_phase(tmp_path, capsys, theta):
+    # the coherences have no source and decay whatever theta does, so the
+    # limit is theta = 0's: diag(N/(2N+1), (N+1)/(2N+1)) at r = 0.5
+    args = ["steady", "--schedule.r.kind=const", "--schedule.r.value=0.5"]
+    assert main(args + ["--out", str(tmp_path / "turned")] + theta) == 0
+    assert main(args + ["--out", str(tmp_path / "still")]) == 0
+    assert capsys.readouterr().err == ""
+    text = _read(tmp_path / "turned" / "steady.csv")
+    assert text == _read(tmp_path / "still" / "steady.csv")
+    n = math.sinh(0.5) ** 2
+    assert _column(text, "rho_ee")[0] == pytest.approx(n / (2 * n + 1), rel=1e-12)
+    assert _column(text, "rho_gg")[0] == pytest.approx((n + 1) / (2 * n + 1), rel=1e-12)
+    assert _column(text, "rho_eg_re")[0] == _column(text, "rho_eg_im")[0] == 0.0
 
 
 @pytest.mark.filterwarnings("error")

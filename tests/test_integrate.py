@@ -412,20 +412,25 @@ def test_chunks_are_slices_of_the_whole_grid_plan(monkeypatch, limit):
 def _by_hand(first, chunk, block, schedule, grid, step):
     # the chunk walk written out: each chunk of plan_integration fed to
     # chunk, and the elements of the run of chunks that first reaches
-    # CHUNK_SUBSTEPS intervals, or the grid's end, joined and fed to block
-    # with the last row before them, carried over
+    # CHUNK_SUBSTEPS intervals, a decay (span times largest gamma (2N + 1))
+    # of _ROW_BLOCK_DECAY, or the grid's end, joined and fed to block with
+    # the last row before them, carried over
     _, chunks = plan_integration(schedule, grid, step)
-    rows, pending = [first], []
+    rows, pending, decay = [first], [], 0.0
     for i0, plan, controls in chunks:
+        i1 = i0 + plan.counts.size
+        gamma, n, _ = controls
+        decay += (grid[i1] - grid[i0]) * np.max(gamma * (2.0 * n + 1.0))
         _, elements = chunk(controls, np.repeat(plan.widths, plan.counts),
                             plan.counts.max(initial=1))
         pending.append(elements)
         size = sum(parts[0].shape[-1] for parts in pending)
-        if size >= integrate.CHUNK_SUBSTEPS or i0 + plan.counts.size == grid.size - 1:
+        if (size >= integrate.CHUNK_SUBSTEPS or decay >= integrate._ROW_BLOCK_DECAY
+                or i1 == grid.size - 1):
             out = np.empty((size,) + first.shape, dtype=first.dtype)
             block(rows[-1], [np.concatenate(parts, -1) for parts in zip(*pending)], out)
             rows += list(out)
-            pending = []
+            pending, decay = [], 0.0
     return np.array(rows)
 
 
@@ -444,6 +449,24 @@ def test_each_route_is_its_chunk_stepper_walked(monkeypatch, limit):
         rows = _by_hand(bloch, liouvillian.reference_chunk, liouvillian.reference_rows,
                         sched, grid, 0.01)
         want = integrate_reference(sched, rho0, grid, 0.01)
+        assert np.array_equal(unvectorize(rows @ liouvillian._FROM_BLOCH.T), want)
+
+
+def test_each_route_is_walked_in_row_blocks_of_bounded_decay(monkeypatch):
+    # as above, with the row blocks ended by their decay: at a bound of 0.2
+    # every few chunks of 12 substeps, at 1e-9 after every chunk
+    monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", 12)
+    sched = BathSchedule(gamma=Sinusoid(1.0, 0.5, 2.0), r=Ramp(0.2, 0.1), theta=Ramp(0.3, 0.2))
+    grid = _uneven_grid()
+    identity = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=complex)
+    bloch = (liouvillian._TO_BLOCH @ vectorize(STATES)[..., None])[..., 0]
+    for bound in (0.2, 1e-9):
+        monkeypatch.setattr(integrate, "_ROW_BLOCK_DECAY", bound)
+        flow = _by_hand(identity, gaugeflow.gauge_chunk, gaugeflow.gauge_rows, sched, grid, 0.01)
+        assert np.array_equal(flow, evolve_gauge(sched, grid, 0.01))
+        rows = _by_hand(bloch, liouvillian.reference_chunk, liouvillian.reference_rows,
+                        sched, grid, 0.01)
+        want = integrate_reference(sched, STATES, grid, 0.01)
         assert np.array_equal(unvectorize(rows @ liouvillian._FROM_BLOCH.T), want)
 
 
@@ -478,6 +501,35 @@ def test_row_blocks_reach_the_chunk_limit_in_intervals(monkeypatch, route):
     blocks.clear()
     run(uniform_grid(1.0, 0.01))
     assert chunks == blocks == [12] * 8 + [4]
+
+
+@pytest.mark.parametrize("route", ["gauge", "reference"])
+def test_row_blocks_end_at_a_bounded_decay(monkeypatch, route):
+    # gamma = 100 on a vacuum reservoir: 500 substeps per interval of 0.05,
+    # so chunks of 4 intervals, each a decay of 0.2 x 100 = 20, and a row
+    # block ends at its 13th chunk, at a decay of 260 >= 256
+    module = gaugeflow if route == "gauge" else liouvillian
+    blocks = []
+    _counted(monkeypatch, module, route + "_rows", lambda start, elements, rows: len(rows), blocks)
+    sched = BathSchedule(gamma=Constant(100.0), r=Constant(0.0))
+    grid = uniform_grid(5.0, 0.05)
+    if route == "gauge":
+        evolve_gauge(sched, grid)
+    else:
+        integrate_reference(sched, STATES, grid)
+    assert blocks == [52, 48]
+
+
+def test_fastest_rate_is_refused_past_the_float_range():
+    # the largest gamma (2N + 1) at the nodes; nan at gamma = 0 with 2N + 1
+    # = inf is refused too, as BathPoint and default_step refuse it
+    gamma, n = np.array([1.0, 2.0, 0.5]), np.array([3.0, 1.0, 10.0])
+    assert integrate.fastest_rate((gamma, n, n)) == 10.5
+    for gamma, n in ((1.0, 1e308), (0.0, 1e308)):
+        controls = (np.array([1.0, gamma]), np.array([0.0, n]), np.zeros(2))
+        with pytest.raises(InvalidInputError, match=r"^relaxation rate gamma \(2N \+ 1\) "
+                                                    r"exceeds the float range$"):
+            integrate.fastest_rate(controls)
 
 
 def test_uniform_grids_plan_a_single_count():

@@ -11,11 +11,11 @@ from squeezebath.bath import (
     Sinusoid,
     bath_params,
 )
-from squeezebath.errors import InvalidInputError, UnsupportedScheduleError
+from squeezebath.errors import InvalidInputError
 from squeezebath.gaugeflow import evolve_gauge
 from squeezebath.integrate import uniform_grid
 from squeezebath.spectral import (
-    asymptotic_gauge_limits,
+    asymptotic_state,
     closed_form_spectrum,
     eigen_modes,
     solve_transformation_conditions,
@@ -115,43 +115,31 @@ def test_eigen_modes_rejects_mismatched_branch():
 
 
 def test_asymptotics_decaying_squeeze():
-    limits = asymptotic_gauge_limits(
-        BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
-    )
-    assert limits.n_param == 0.0
-    assert limits.alpha_plus == 0.0
-    assert limits.eta_plus is None  # no squeezing survives, eta has no pull
-    assert np.allclose(limits.steady, np.diag([0.0, 1.0]))
+    n, rho = asymptotic_state(BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1)))
+    assert n == 0.0
+    assert np.array_equal(rho, np.diag([0.0, 1.0]))
 
 
 def test_asymptotics_constant_squeeze():
-    limits = asymptotic_gauge_limits(
-        BathSchedule(gamma=Constant(1.0), r=Constant(0.6))
-    )
-    n, _ = bath_params(0.6, 0.0)
-    assert limits.n_param == pytest.approx(n, rel=1e-15)
-    assert limits.alpha_plus == pytest.approx(0.2884222374127771, rel=1e-14)
-    assert limits.eta_plus == pytest.approx(-1.0, rel=1e-15)
+    n, rho = asymptotic_state(BathSchedule(gamma=Constant(1.0), r=Constant(0.6)))
+    assert n == pytest.approx(math.sinh(0.6) ** 2, rel=1e-15)
     want = np.diag([n / (2 * n + 1), (n + 1) / (2 * n + 1)])
-    assert np.allclose(limits.steady, want, atol=1e-15)
+    assert np.allclose(rho, want, rtol=0.0, atol=1e-15)
 
 
 def test_asymptotics_thermal():
-    limits = asymptotic_gauge_limits(BathSchedule(gamma=Constant(1.0), nbar=0.7))
-    assert limits.n_param == 0.7
-    assert limits.m_param == 0.0
-    assert limits.eta_plus == 0.0
+    n, rho = asymptotic_state(BathSchedule(gamma=Constant(1.0), nbar=0.7))
+    assert n == 0.7
+    assert np.allclose(rho, np.diag([0.7 / 2.4, 1.7 / 2.4]), rtol=0.0, atol=1e-15)
 
 
 def test_asymptotics_unsupported_schedules():
-    with pytest.raises(UnsupportedScheduleError):
-        asymptotic_gauge_limits(
-            BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.3, 0.2, 1.0, 0.0))
-        )
-    with pytest.raises(UnsupportedScheduleError):
-        asymptotic_gauge_limits(BathSchedule(gamma=Ramp(1.0, 0.5)))
-    with pytest.raises(UnsupportedScheduleError):
-        asymptotic_gauge_limits(BathSchedule(gamma=ExpDecay(1.0, 0.1)))
+    with pytest.raises(InvalidInputError, match=r"^r control does not converge$"):
+        asymptotic_state(BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.3, 0.2, 1.0, 0.0)))
+    with pytest.raises(InvalidInputError, match=r"^gamma control does not converge$"):
+        asymptotic_state(BathSchedule(gamma=Ramp(1.0, 0.5)))
+    with pytest.raises(InvalidInputError, match=r"^gamma limit must be > 0, got 0.0$"):
+        asymptotic_state(BathSchedule(gamma=ExpDecay(1.0, 0.1)))
 
 
 def test_flow_approaches_stable_branch():
@@ -170,13 +158,13 @@ def test_branch_inputs_are_refused():
         solve_transformation_conditions(0.5, math.inf)
 
 
-def test_limits_need_a_converging_phase_and_a_real_limiting_m():
-    turning = BathSchedule(gamma=Constant(1.0), r=Constant(0.5), theta=Sinusoid(0.0, 1.0, 1.0))
-    with pytest.raises(UnsupportedScheduleError, match=r"^theta control does not converge$"):
-        asymptotic_gauge_limits(turning)
-    tilted = BathSchedule(gamma=Constant(1.0), r=Constant(0.5), theta=Constant(0.7))
-    with pytest.raises(UnsupportedScheduleError, match=r"^limiting M must be real and >= 0, got \("):
-        asymptotic_gauge_limits(tilted)
+def test_state_needs_neither_a_converging_phase_nor_a_real_limiting_m():
+    # the coherences decay whatever theta does, so the state is theta = 0's
+    n, rho = asymptotic_state(BathSchedule(gamma=Constant(1.0), r=Constant(0.5)))
+    for theta in (Sinusoid(0.0, 1.0, 1.0), Constant(0.7), Constant(3.14159), Ramp(0.0, 0.3)):
+        got_n, got = asymptotic_state(BathSchedule(gamma=Constant(1.0), r=Constant(0.5), theta=theta))
+        assert got_n == n
+        assert got.tobytes() == rho.tobytes()
 
 
 def test_closed_form_spectrum_of_arrays_is_that_of_each_point():
