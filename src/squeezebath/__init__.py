@@ -5,88 +5,59 @@ analytic route that integrates four scalar gauge-parameter ODEs and assembles
 the density matrix in closed form, and a brute-force route that steps the
 vectorized master equation directly.  The two must agree, and the test suite
 and the `squeezebath verify` command hold them to that.
+
+Importing the package imports none of its modules: each exported name is
+loaded from the module that defines it on first access (PEP 562).
 """
 
-from .algebra import (
-    GeneratorSet,
-    composite_generators,
-    lift_left,
-    lift_right,
-    unvectorize,
-    vectorize,
-)
-from .bath import (
-    BathPoint,
-    BathSchedule,
-    Constant,
-    ExpDecay,
-    Ramp,
-    Sinusoid,
-    bath_params,
-)
-from .errors import (
-    InvalidInputError,
-    NumericalFailureError,
-)
-from .gaugeflow import (
-    assemble_density,
-    autonomous_expectations,
-    autonomous_gauge,
-    evolve_gauge,
-)
-from .integrate import uniform_grid
-from .liouvillian import (
-    build_rate_operator,
-    integrate_reference,
-    spectrum,
-    steady_state,
-)
-from .spectral import (
-    EigenMode,
-    TransformationBranch,
-    asymptotic_state,
-    condition_residuals,
-    eigen_modes,
-    solve_transformation_conditions,
-)
-from .states import check_density, pauli_expectations, pure_state, trace_distance
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GeneratorSet",
-    "composite_generators",
-    "lift_left",
-    "lift_right",
-    "vectorize",
-    "unvectorize",
-    "BathPoint",
-    "BathSchedule",
-    "Constant",
-    "ExpDecay",
-    "Ramp",
-    "Sinusoid",
-    "bath_params",
-    "InvalidInputError",
-    "NumericalFailureError",
-    "evolve_gauge",
-    "autonomous_gauge",
-    "assemble_density",
-    "pauli_expectations",
-    "autonomous_expectations",
-    "uniform_grid",
-    "build_rate_operator",
-    "spectrum",
-    "steady_state",
-    "integrate_reference",
-    "TransformationBranch",
-    "EigenMode",
-    "solve_transformation_conditions",
-    "condition_residuals",
-    "eigen_modes",
-    "asymptotic_state",
-    "check_density",
-    "pure_state",
-    "trace_distance",
-    "__version__",
-]
+# each exported name and the module that defines it
+_EXPORTS = {
+    "GeneratorSet": "algebra",
+    "composite_generators": "algebra",
+    "lift_left": "algebra",
+    "lift_right": "algebra",
+    "vectorize": "algebra",
+    "unvectorize": "algebra",
+    "BathPoint": "bath",
+    "BathSchedule": "bath",
+    "Constant": "bath",
+    "ExpDecay": "bath",
+    "Ramp": "bath",
+    "Sinusoid": "bath",
+    "bath_params": "bath",
+    "InvalidInputError": "errors",
+    "NumericalFailureError": "errors",
+    "evolve_gauge": "gaugeflow",
+    "autonomous_gauge": "gaugeflow",
+    "assemble_density": "gaugeflow",
+    "autonomous_expectations": "gaugeflow",
+    "uniform_grid": "integrate",
+    "build_rate_operator": "liouvillian",
+    "spectrum": "liouvillian",
+    "steady_state": "liouvillian",
+    "integrate_reference": "liouvillian",
+    "TransformationBranch": "spectral",
+    "EigenMode": "spectral",
+    "solve_transformation_conditions": "spectral",
+    "condition_residuals": "spectral",
+    "eigen_modes": "spectral",
+    "asymptotic_state": "spectral",
+    "check_density": "states",
+    "pauli_expectations": "states",
+    "pure_state": "states",
+    "trace_distance": "states",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = importlib.import_module("." + _EXPORTS[name], __name__)
+    globals()[name] = value = getattr(module, name)
+    return value

@@ -547,17 +547,21 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
+# built once, at import: argparse's gettext imports locale on its first
+# message, which would otherwise land inside every command's run
+_PARSER = _Parser(
+    prog="squeezebath",
+    description="two-level atom in a time-dependent squeezed reservoir",
+    allow_abbrev=False,
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", default=None, help="path to a key=value config file")
+_PARSER.add_argument("--out", default=".", help="output directory (created if missing)")
+
+
 def main(argv=None) -> int:
-    parser = _Parser(
-        prog="squeezebath",
-        description="two-level atom in a time-dependent squeezed reservoir",
-        allow_abbrev=False,
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", default=None, help="path to a key=value config file")
-    parser.add_argument("--out", default=".", help="output directory (created if missing)")
     try:
-        args, extra = parser.parse_known_args(argv)
+        args, extra = _PARSER.parse_known_args(argv)
         user: dict[str, str] = {}
         if args.config is not None:
             user.update(_read_config_file(args.config))

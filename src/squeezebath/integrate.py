@@ -21,13 +21,12 @@ functions and reduces by two shared ones in its own composition law.  Its
 per-chunk function takes a chunk's RK4 steps at once, as a (..., K, m)
 stack of K intervals by m steps, and pairwise_products multiplies each
 interval's steps by neighbouring pairs.  The rows are joined a row block
-at a time, the run of chunks that first reaches CHUNK_SUBSTEPS intervals,
-a decay of _ROW_BLOCK_DECAY at the fastest rate, or the grid's end, so the
-chunks bound the RK4 stacks and the row blocks the number of scans.  Its
-per-block function joins the block's interval products by prefix_products
-into the product from the block's start to each of its grid times, and
-one batched product applies the state at the block's start to all of
-them.  Both reductions work on the last axis by strided or contiguous
+at a time, the run of chunks that first reaches CHUNK_SUBSTEPS intervals
+or the grid's end, so the chunks bound the RK4 stacks and the row blocks
+the number of scans.  Its per-block function joins the block's interval
+products by prefix_products into the product from the block's start to
+each of its grid times, and one batched product applies the state at the
+block's start to all of them.  Both reductions work on the last axis by strided or contiguous
 slices, with no index arrays and nothing cached.
 Grids whose row or substep counts would exceed MAX_ROWS or
 MAX_INTERVAL_SUBSTEPS are refused before anything is allocated.
@@ -59,20 +58,6 @@ __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "chec
 # single-process times by about 25%.  4096's 2.3 MB is 7% of that peak,
 # more than perfbench lets peak memory grow, so 2048 stays.
 CHUNK_SUBSTEPS = 2048
-
-# Most decay a row block of walk_chunks spans: the sum over its chunks of
-# span times fastest_rate, the largest gamma (2N + 1) at the chunk's nodes.
-# The gauge route joins a block's coherence elements with plain weights
-# (gaugeflow._join), which decay at up to that rate, and multiplies three
-# of them, so its intermediate values decay by up to twice the block's
-# decay, and they must stay inside the normal float range, above
-# exp(-708).  A block ends at the chunk that reaches the bound, which it
-# may pass by one chunk: CHUNK_SUBSTEPS substeps of at most 1e-2 each at
-# the default step, 20.48.  2 (256 + 20.48) = 553 stays below 708, and 256
-# leaves long_horizon (about 158 in all) its three row blocks.  A single
-# interval that decays by more still fails: its blocks are joined by the
-# same law.
-_ROW_BLOCK_DECAY = 256.0
 
 # Largest output grid uniform_grid plans.  With the integrations chunked, the
 # rows are what grows with the horizon: a trajectory run peaked at 37.8 MB with
@@ -286,8 +271,7 @@ def walk_chunks(schedule, grid, step: float | None, first: np.ndarray, chunk, bl
     K intervals' products.  Before that call each chunk's fastest_rate is
     read, which refuses a rate past the float range.  A row block is the
     run of consecutive chunks that first reaches CHUNK_SUBSTEPS intervals
-    or a decay, the sum of chunk span times rate, of _ROW_BLOCK_DECAY, or
-    the end of the grid: its chunks' elements are joined along the last
+    or the end of the grid: its chunks' elements are joined along the last
     axis, and block(start, elements, rows), which may overwrite elements,
     writes the block's rows after its first grid time i0 into rows from
     start, row i0.  Overflow is not warned about: the rows, of shape
@@ -298,21 +282,21 @@ def walk_chunks(schedule, grid, step: float | None, first: np.ndarray, chunk, bl
     grid, chunks = plan_integration(schedule, grid, step)
     rows = np.empty((grid.size,) + first.shape, dtype=first.dtype)
     rows[0] = first
-    # the row block's first grid time, its decay and its chunks' elements
-    b0, decay, pending = 0, 0.0, []
+    # the row block's first grid time and its chunks' elements
+    b0, pending = 0, []
     for i0, plan, controls in chunks:
         i1 = i0 + plan.counts.size
-        decay += float(grid[i1] - grid[i0]) * fastest_rate(controls)
+        fastest_rate(controls)  # refuses a rate past the float range
         with np.errstate(over="ignore", invalid="ignore"):
             held, elements = chunk(controls, np.repeat(plan.widths, plan.counts),  # noqa: F841
                                    plan.counts.max(initial=1))
             pending.append(elements)
-            if i1 - b0 >= CHUNK_SUBSTEPS or decay >= _ROW_BLOCK_DECAY or i1 == grid.size - 1:
+            if i1 - b0 >= CHUNK_SUBSTEPS or i1 == grid.size - 1:
                 if len(pending) > 1:
                     elements = [np.concatenate(parts, -1) for parts in zip(*pending)]
                 block(rows[b0], elements, rows[b0 + 1 : i1 + 1])
                 # nothing of the block is held while the next chunk's steps are made
-                b0, decay, pending, elements = i1, 0.0, [], None
+                b0, pending, elements = i1, [], None
     finite = np.isfinite(rows).reshape(grid.size, -1).all(axis=1)
     if not finite.all():
         raise NumericalFailureError(

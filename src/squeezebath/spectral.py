@@ -228,8 +228,9 @@ def asymptotic_state(schedule: BathSchedule) -> tuple[float, np.ndarray]:
     Raises
     ------
     InvalidInputError
-        For a gamma or r that does not converge (e.g. a sinusoid), or a gamma
-        limit that is not > 0.
+        For a gamma or r that does not converge (e.g. a sinusoid), a gamma
+        limit that is not > 0, or an r limit whose N = sinh(r)^2 is past the
+        float range.
     """
     g_inf = schedule.gamma.limit
     if g_inf is None:
@@ -242,5 +243,9 @@ def asymptotic_state(schedule: BathSchedule) -> tuple[float, np.ndarray]:
         r_inf = schedule.r.limit
         if r_inf is None:
             raise InvalidInputError("r control does not converge")
-        n = bath_params(r_inf, 0.0)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            n = bath_params(r_inf, 0.0)[0]
+        if not n < math.inf:
+            raise InvalidInputError("r limit %r gives N = sinh(r)^2 past the float range"
+                                    % (r_inf,))
     return n, steady_populations(n)

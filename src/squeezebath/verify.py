@@ -133,6 +133,10 @@ def figure_initial(fig_id: int) -> np.ndarray:
 
 _N_SAMPLES = (0.0, 0.01, 0.4, 1.0, 5.0)
 
+# Grid end before which steady-approach and inversion-decay are skipped: at
+# the auto step they pass from t_max = 8 and 17 at the defaults
+_SETTLED_T = 20.0
+
 
 @dataclass
 class CheckResult:
@@ -436,10 +440,15 @@ def check_steady_approach(grid, step, tol: float) -> CheckResult:
 
 
 def check_inversion_decay(rho0, grid, flow) -> CheckResult:
-    """<sigma_z> ends within 1e-3 of -1 on a flow of decaying squeezing."""
+    """<sigma_z> ends within 1e-3 of -1 on a flow of decaying squeezing.
+
+    The exact value is never below -1, and a route at the auto step stays
+    within 1e-10 of it (integrate.default_step), so that much below -1
+    passes: from about t = 150 the fig-1 flow ends 8e-13 below -1.
+    """
     sz = pauli_expectations(assemble_density(rho0, flow[-1]))[2]
     return _result(
-        "inversion-decay", -1.0 <= sz <= -1.0 + 1e-3, sz, 1e-3,
+        "inversion-decay", -1.0 - 1e-10 <= sz <= -1.0 + 1e-3, sz, 1e-3,
         "sz(%g) = %.10f, expected in [-1, -1+1e-3]" % (grid[-1], sz),
     )
 
@@ -572,9 +581,18 @@ def run_checks(
         fig1_flow = flow if schedule == fig1 else _attempt(evolve_gauge, fig1, grid, dt_int)
         results += _run(check_autonomous_consistency, rho0, uniform_grid(10.0, 0.1),
                         min(dt_int, 0.1), 1e-8)
-        results += _run(check_steady_approach, grid, dt_int, 1e-6)
-        results += _run(check_inversion_decay, rho0, grid, fig1_flow)
-        results += _run(check_decay_asymmetry, figure_initial(1), grid, fig1_flow)
+        if grid[-1] < _SETTLED_T:
+            why = "needs a grid to t >= %g, this one ends at t = %g" % (_SETTLED_T, grid[-1])
+            results += [_skipped(check_steady_approach, why), _skipped(check_inversion_decay, why)]
+        else:
+            results += _run(check_steady_approach, grid, dt_int, 1e-6)
+            results += _run(check_inversion_decay, rho0, grid, fig1_flow)
+        early = int(np.count_nonzero(grid <= 4.0))
+        if early < 3:  # the fewest points fitted_decay_rate fits
+            results.append(_skipped(check_decay_asymmetry,
+                                    "needs 3 grid times in [0, 4], this grid has %d" % early))
+        else:
+            results += _run(check_decay_asymmetry, figure_initial(1), grid, fig1_flow)
     return results
 
 

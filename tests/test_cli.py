@@ -356,7 +356,25 @@ def test_fast_decay_across_many_intervals_runs(tmp_path, capsys, overrides):
     # the coherence weight decays past the float range over a row block of
     # CHUNK_SUBSTEPS intervals, and the gauge route's joins divided by it:
     # these exited 2 ("gauge parameters non-finite at t = 14.2", 0.75, 2.4)
-    # before row blocks ended at a decay of integrate._ROW_BLOCK_DECAY
+    # before its joins kept a power-of-two exponent
+    assert main(["trajectory", "--out", str(tmp_path)] + ["--" + o for o in overrides.split()]) == 0
+    distance = float(re.search(r"max oracle distance (\S+)\)", capsys.readouterr().out).group(1))
+    assert distance <= 1e-10
+
+
+@pytest.mark.parametrize("overrides", [
+    "grid.t_max=2000 grid.dt_out=2000 grid.dt_int=0.025",
+    "schedule.gamma.value=100 schedule.r.kind=const schedule.r.value=0 grid.t_max=20 "
+    "grid.dt_out=20 grid.dt_int=0.001",
+    "schedule.mode=thermal schedule.nbar=300 grid.t_max=3 grid.dt_out=3 grid.dt_int=0.00005",
+])
+@pytest.mark.filterwarnings("error")
+def test_fast_decay_inside_one_interval_runs(tmp_path, capsys, overrides):
+    # one output interval over which the coherence weight decays by about
+    # e^-1000, e^-1000 and e^-900, at a tenth to two fifths of the auto
+    # step's substeps: the gauge route joins the interval's blocks with plain
+    # weights, and these exited 2 ("gauge parameters non-finite at t =
+    # 2000.0", 20.0, 3.0) before its joins kept a power-of-two exponent
     assert main(["trajectory", "--out", str(tmp_path)] + ["--" + o for o in overrides.split()]) == 0
     distance = float(re.search(r"max oracle distance (\S+)\)", capsys.readouterr().out).group(1))
     assert distance <= 1e-10
@@ -364,7 +382,8 @@ def test_fast_decay_across_many_intervals_runs(tmp_path, capsys, overrides):
 
 def test_verify_passes_on_a_strongly_coupled_vacuum_reservoir(tmp_path, capsys):
     # oracle-agreement, gauge-trace-identities and coherence-symmetry raised
-    # NumericalFailureError here before row blocks ended at a bounded decay
+    # NumericalFailureError here before the gauge route's joins kept a
+    # power-of-two exponent
     args = ["verify", "--out", str(tmp_path), "--schedule.gamma.value=100",
             "--schedule.r.kind=const", "--schedule.r.value=0"]
     assert main(args) == 0
@@ -470,6 +489,23 @@ def test_steady_limit_past_the_float_range_has_populations_one_half(tmp_path):
     args = ["steady", "--out", str(tmp_path), "--schedule.mode=thermal", "--schedule.nbar=1e308"]
     assert main(args) == 0
     assert (tmp_path / "steady.csv").read_text() == "rho_ee,rho_gg,rho_eg_re,rho_eg_im,sz\n0.5,0.5,0,0,0\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_steady_limit_whose_n_is_past_the_float_range_is_refused(tmp_path, capsys):
+    # N = sinh(800)^2 is inf: this wrote nan,nan,0,0,nan with three numpy
+    # warnings and exited 0; r = 354 keeps its finite N and populations 1/2
+    def run(r, out):
+        return main(["steady", "--out", str(out), "--schedule.r.kind=const",
+                     "--schedule.r.value=" + r])
+
+    assert run("800", tmp_path / "refused") == 1
+    err = capsys.readouterr().err
+    assert err == "error: r limit 800.0 gives N = sinh(r)^2 past the float range\n"
+    assert list((tmp_path / "refused").iterdir()) == []
+    assert run("354", tmp_path / "run") == 0
+    assert capsys.readouterr().err == ""
+    assert _read(tmp_path / "run" / "steady.csv").splitlines()[1].startswith("0.5,0.5,0,0,")
 
 
 @pytest.mark.parametrize("command", [["spectrum"], ["steady", "--steady.at=0"]])
@@ -621,6 +657,32 @@ def test_verify_thermal_skips_squeezing_checks(tmp_path):
     assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines(
         dict.fromkeys(skipped, thermal)
     )
+
+
+@pytest.mark.parametrize("override, skipped, why", [
+    pytest.param("grid.t_max=" + t, ("steady-approach", "inversion-decay"),
+                 "needs a grid to t >= 20, this one ends at t = " + t, id="grid.t_max=" + t)
+    for t in ("5", "7", "8", "10", "15")
+] + [
+    pytest.param("grid.dt_out=" + dt, ("decay-asymmetry",),
+                 "needs 3 grid times in [0, 4], this grid has %d" % n, id="grid.dt_out=" + dt)
+    for dt, n in (("2.5", 2), ("5", 1))
+])
+def test_verify_skips_a_check_that_the_grid_cannot_hold(tmp_path, override, skipped, why):
+    # these exited 2: steady-approach and inversion-decay read the state at
+    # the grid's end, which has not settled before about t = 8 and 17, and
+    # decay-asymmetry fits a rate to the grid times in [0, 4]
+    assert main(["verify", "--out", str(tmp_path), "--" + override]) == 0
+    assert _report_lines(_read(tmp_path / "verify_report.txt")) == _verify_lines(
+        dict.fromkeys(skipped, "SKIP skipped: " + why))
+
+
+@pytest.mark.parametrize("t_max", ["20", "150"])
+def test_verify_passes_from_t_20_on(tmp_path, t_max):
+    # at t = 150 the fig-1 flow ends 8e-13 below sz = -1, which inversion-
+    # decay failed before it allowed the routes' 1e-10
+    assert main(["verify", "--out", str(tmp_path), "--grid.t_max=" + t_max]) == 0
+    assert _report_lines(_read(tmp_path / "verify_report.txt")) == _verify_lines({})
 
 
 def test_verify_skips_coherence_symmetry_at_a_squeeze_phase(tmp_path):

@@ -11,12 +11,13 @@ from squeezebath.errors import InvalidInputError, NumericalFailureError
 from squeezebath.gaugeflow import (
     _compose,
     _join,
+    _unscaled,
     assemble_density,
     autonomous_expectations,
     autonomous_gauge,
     evolve_gauge,
 )
-from squeezebath.integrate import default_step, plan_substeps, uniform_grid
+from squeezebath.integrate import default_step, plan_substeps, prefix_products, uniform_grid
 from squeezebath.liouvillian import integrate_reference
 from squeezebath.states import (
     pauli_expectations,
@@ -214,7 +215,7 @@ def test_composition_law_is_the_sector_matrix_product(dtype):
         return tuple(x.astype(dtype).tolist())
 
     def plain(x):
-        return (x[0], x[1], 1.0 + x[2], 1.0 + x[3])
+        return (x[0], x[1], 1.0 + x[2], 1.0 + x[3], 0.0)
 
     worst = 0.0
     for _ in range(200):
@@ -225,13 +226,43 @@ def test_composition_law_is_the_sector_matrix_product(dtype):
         # associativity
         worst = max(worst, np.max(np.abs(np.subtract(_compose(ab, c),
                                                       _compose(a, _compose(b, c))))))
-        # the same law on elements with plain weights, as the prefix scan joins them
+        # the same law on elements with plain weights and an exponent, as the
+        # prefix scan joins them
         pa, pb, pc = plain(a), plain(b), plain(c)
         pab = _join(pa, pb)
-        worst = max(worst, np.max(np.abs(_sector_matrix(pab, plain=True)
+        # on a decayed element the product's scale moves into the exponent,
+        # |f_gg| to [1/2, 1), and its values are the same to the bit
+        low = _join(pa, pb[:1] + tuple(2.0 ** -300 * x for x in pb[1:4]) + (0.0,))
+        assert pab[4] == 0.0 and 0.5 <= abs(low[3]) < 1.0
+        assert np.array_equal(_unscaled(low), _unscaled(pab) * np.exp2([0, -300, -300, -300]))
+        worst = max(worst, np.max(np.abs(_sector_matrix(_unscaled(pab), plain=True)
                                          - _sector_matrix(b) @ _sector_matrix(a))))
-        worst = max(worst, np.max(np.abs(np.subtract(_join(pab, pc), _join(pa, _join(pb, pc))))))
+        worst = max(worst, np.max(np.abs(np.subtract(_unscaled(_join(pab, pc)),
+                                                      _unscaled(_join(pa, _join(pb, pc)))))))
     assert worst <= 5e-15  # measured 1.1e-15, from the plain-weight associativity
+
+
+def test_joins_stay_normal_past_the_float_range():
+    # 2048 joins of one coherence element whose weights fall by e^-2 (f_eg)
+    # and e^-1 (f_ge): the prefix products' f_ge falls to e^-2048, far below
+    # the smallest float, yet stays above _RESCALE, and the exponent holds
+    # the rest; f_eg, e^-t below it, keeps its value while e^-t _RESCALE is
+    # a normal float.  Joined unscaled, f_ge underflowed to 0 and the next
+    # join divided by it
+    step = np.array([0.0, 0.1, math.exp(-2.0), math.exp(-1.0), 0.0], dtype=complex)
+    x = prefix_products(np.repeat(step[:, None], 2048, axis=1), _join)
+    t = np.arange(1, 2049)
+    a, b, f_eg, f_ge, k = x
+    assert np.all(np.isfinite(x)) and np.all(a == 0.0) and np.all(k.imag == 0.0)
+    assert np.all(np.abs(f_ge) >= gaugeflow._RESCALE) and np.all(np.abs(f_ge) < 1.0)
+    # b = 0.1 sum of e^-2j e^-(t-1-j) over j < t, so b / f_ge = 0.1 e (1 - e^-t) / (1 - e^-1)
+    log2 = k.real * math.log(2.0)
+    want_b = np.log(0.1 * (1.0 - np.exp(-t)) / (1.0 - math.exp(-1.0))) + 1.0 - t
+    for got, want, at in ((f_ge, -t, t > 0), (f_eg, -2.0 * t, t <= 500), (b, want_b, t > 0)):
+        assert np.max(np.abs(np.log(np.abs(got[at])) + log2[at] - want[at]) / t[at]) <= 1e-15
+    # the rows keep the values that a float can hold, and 0 for those it cannot
+    rows = _unscaled(x)
+    assert np.array_equal(rows[:, 3] == 0.0, t > 745) and np.all(np.isfinite(rows))
 
 
 def test_decaying_weights_keep_their_relative_precision():

@@ -412,25 +412,21 @@ def test_chunks_are_slices_of_the_whole_grid_plan(monkeypatch, limit):
 def _by_hand(first, chunk, block, schedule, grid, step):
     # the chunk walk written out: each chunk of plan_integration fed to
     # chunk, and the elements of the run of chunks that first reaches
-    # CHUNK_SUBSTEPS intervals, a decay (span times largest gamma (2N + 1))
-    # of _ROW_BLOCK_DECAY, or the grid's end, joined and fed to block with
-    # the last row before them, carried over
+    # CHUNK_SUBSTEPS intervals, or the grid's end, joined and fed to block
+    # with the last row before them, carried over
     _, chunks = plan_integration(schedule, grid, step)
-    rows, pending, decay = [first], [], 0.0
+    rows, pending = [first], []
     for i0, plan, controls in chunks:
         i1 = i0 + plan.counts.size
-        gamma, n, _ = controls
-        decay += (grid[i1] - grid[i0]) * np.max(gamma * (2.0 * n + 1.0))
         _, elements = chunk(controls, np.repeat(plan.widths, plan.counts),
                             plan.counts.max(initial=1))
         pending.append(elements)
         size = sum(parts[0].shape[-1] for parts in pending)
-        if (size >= integrate.CHUNK_SUBSTEPS or decay >= integrate._ROW_BLOCK_DECAY
-                or i1 == grid.size - 1):
+        if size >= integrate.CHUNK_SUBSTEPS or i1 == grid.size - 1:
             out = np.empty((size,) + first.shape, dtype=first.dtype)
             block(rows[-1], [np.concatenate(parts, -1) for parts in zip(*pending)], out)
             rows += list(out)
-            pending, decay = [], 0.0
+            pending = []
     return np.array(rows)
 
 
@@ -452,22 +448,22 @@ def test_each_route_is_its_chunk_stepper_walked(monkeypatch, limit):
         assert np.array_equal(unvectorize(rows @ liouvillian._FROM_BLOCH.T), want)
 
 
-def test_each_route_is_walked_in_row_blocks_of_bounded_decay(monkeypatch):
-    # as above, with the row blocks ended by their decay: at a bound of 0.2
-    # every few chunks of 12 substeps, at 1e-9 after every chunk
-    monkeypatch.setattr(integrate, "CHUNK_SUBSTEPS", 12)
-    sched = BathSchedule(gamma=Sinusoid(1.0, 0.5, 2.0), r=Ramp(0.2, 0.1), theta=Ramp(0.3, 0.2))
-    grid = _uneven_grid()
+def test_each_route_is_walked_in_row_blocks_past_the_float_range():
+    # as above, on gamma = 100 and a vacuum reservoir at one substep of 0.01
+    # per interval: the first row block, CHUNK_SUBSTEPS intervals, spans
+    # t = 20.48, over which the coherence weights fall by e^-1024, and each
+    # route's rows stay finite.  The gauge route's rows went non-finite
+    # here when its joins kept no exponent
+    sched = BathSchedule(gamma=Constant(100.0), r=Constant(0.0))
+    grid = uniform_grid(30.0, 0.01)
     identity = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=complex)
+    flow = _by_hand(identity, gaugeflow.gauge_chunk, gaugeflow.gauge_rows, sched, grid, 0.01)
+    assert np.all(np.isfinite(flow)) and np.array_equal(flow, evolve_gauge(sched, grid, 0.01))
     bloch = (liouvillian._TO_BLOCH @ vectorize(STATES)[..., None])[..., 0]
-    for bound in (0.2, 1e-9):
-        monkeypatch.setattr(integrate, "_ROW_BLOCK_DECAY", bound)
-        flow = _by_hand(identity, gaugeflow.gauge_chunk, gaugeflow.gauge_rows, sched, grid, 0.01)
-        assert np.array_equal(flow, evolve_gauge(sched, grid, 0.01))
-        rows = _by_hand(bloch, liouvillian.reference_chunk, liouvillian.reference_rows,
-                        sched, grid, 0.01)
-        want = integrate_reference(sched, STATES, grid, 0.01)
-        assert np.array_equal(unvectorize(rows @ liouvillian._FROM_BLOCH.T), want)
+    rows = _by_hand(bloch, liouvillian.reference_chunk, liouvillian.reference_rows,
+                    sched, grid, 0.01)
+    want = integrate_reference(sched, STATES, grid, 0.01)
+    assert np.array_equal(unvectorize(rows @ liouvillian._FROM_BLOCH.T), want)
 
 
 def _counted(monkeypatch, module, name, size, sizes):
@@ -504,20 +500,25 @@ def test_row_blocks_reach_the_chunk_limit_in_intervals(monkeypatch, route):
 
 
 @pytest.mark.parametrize("route", ["gauge", "reference"])
-def test_row_blocks_end_at_a_bounded_decay(monkeypatch, route):
+def test_row_blocks_span_any_decay(monkeypatch, route):
     # gamma = 100 on a vacuum reservoir: 500 substeps per interval of 0.05,
-    # so chunks of 4 intervals, each a decay of 0.2 x 100 = 20, and a row
-    # block ends at its 13th chunk, at a decay of 260 >= 256
+    # so chunks of 4 intervals, and one row block of all 400 intervals, over
+    # which the coherences decay by e^-1000.  Both routes stay within 1e-10
+    # of the closed form.  Row blocks also ended at a decay of 256 before
+    # the gauge route's joins kept an exponent (here [52] * 7 + [36])
     module = gaugeflow if route == "gauge" else liouvillian
+    sched = BathSchedule(gamma=Constant(100.0), r=Constant(0.0))
+    grid = uniform_grid(20.0, 0.05)
     blocks = []
     _counted(monkeypatch, module, route + "_rows", lambda start, elements, rows: len(rows), blocks)
-    sched = BathSchedule(gamma=Constant(100.0), r=Constant(0.0))
-    grid = uniform_grid(5.0, 0.05)
     if route == "gauge":
-        evolve_gauge(sched, grid)
+        states = assemble_density(STATES, evolve_gauge(sched, grid))
     else:
-        integrate_reference(sched, STATES, grid)
-    assert blocks == [52, 48]
+        states = integrate_reference(sched, STATES, grid)
+    assert blocks == [400]
+    for k, rho0 in enumerate(STATES):
+        want = autonomous_expectations(rho0, 100.0, 0.0, 0.0, grid)
+        assert np.max(np.abs(pauli_expectations(states[:, k]) - want)) <= 1e-10
 
 
 def test_fastest_rate_is_refused_past_the_float_range():

@@ -9,6 +9,7 @@ program, so the seeds and ranges below stay as they are.
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -132,3 +133,49 @@ def test_a_rate_reached_only_between_grid_times_gives_results(tmp_path, capsys):
     rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
     assert rows.shape == (11, 16)
     assert np.max(rows[:, 13]) <= 1e-10  # trace_dist_ref, the oracle distance
+
+
+def _edge_draw(rng):
+    # constant controls whose fastest rate gamma (2N + 1) is log-uniform over
+    # [1e-3, 1e4], thermal (nbar log-uniform over [0.01, 1000]) or squeezed
+    # (r in [0, 2.5]), run until span times that rate reaches a draw from
+    # [750, 1200], or for as long as 1.2e5 substeps at the auto step allow,
+    # which caps the slow draws; over one output interval or over 20 to 200
+    rate = 10.0 ** rng.uniform(-3.0, 4.0)
+    if rng.random() < 0.5:
+        nbar = 10.0 ** rng.uniform(-2.0, 3.0)
+        args = ["--schedule.mode=thermal", "--schedule.nbar=%r" % nbar]
+        n = nbar
+    else:
+        r = rng.uniform(0.0, 2.5)
+        args = ["--schedule.r.kind=const", "--schedule.r.value=%r" % r]
+        n = math.sinh(r) ** 2
+    step = 1e-2 / max(rate, 1.0)
+    t_max = min(rng.uniform(750.0, 1200.0) / rate, 1.2e5 * step)
+    intervals = rng.choice([1, rng.randint(20, 200)])
+    args += ["--schedule.gamma.value=%r" % (rate / (2.0 * n + 1.0)),
+             "--grid.t_max=%r" % t_max, "--grid.dt_out=%r" % (t_max / intervals)]
+    return args, step
+
+
+@pytest.mark.filterwarnings("error")
+def test_edge_draws_whose_weights_decay_past_the_float_range_give_results(tmp_path, capsys):
+    # 24 draws of _edge_draw, about 7 s on a 2-core host: span times rate
+    # passes 708 in every draw whose rate is above about 0.59, inside one
+    # interval or across many, and the gauge route's joins multiply weights
+    # that decay at up to that rate, past the float range.  trajectory exits 0
+    # within 1e-10 of the reference on every draw, and verify passes on the
+    # draws whose auto step is at least 1e-4 (its fixed gamma = 1 checks run
+    # at the run's step)
+    rng = random.Random(20052)
+    failed = []
+    for k in range(24):
+        draw, step = _edge_draw(rng)
+        commands = ["trajectory", "verify"] if step >= 1e-4 else ["trajectory"]
+        for command in commands:
+            code = main([command, "--out", str(tmp_path / ("e%d" % k))] + draw)
+            out, err = capsys.readouterr()
+            found = re.search(r"max oracle distance (\S+)\)", out)
+            if code != 0 or command == "trajectory" and not float(found.group(1)) <= 1e-10:
+                failed.append((command, draw, code, err))
+    assert not failed, failed

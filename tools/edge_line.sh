@@ -13,7 +13,8 @@
 # 6), strong coupling and large thermal N (3, 4), long output intervals
 # (7-10), many rows (11, 12) and slow time scales (13).  Commands 14-17
 # decay fast, across many intervals (14, 15) and inside one (16, 17).
-# Command 6 exits 1, and commands 9, 16 and 17 exit 2; the others exit 0.
+# Command 6 exits 1 (an interval of more substeps than the limit); the
+# others exit 0.
 # Commands 2, 12 and 13 take seconds each, and 5, 7 and 12 peak at
 # 100-160 MB.
 exec sh "$(dirname "$0")/run_commands.sh" "$@" <<'COMMANDS'
