@@ -90,7 +90,8 @@ So a joined element carries a fifth entry, a power-of-two exponent k, and
 stands for (a, 2^k b, 2^k f_ee, 2^k f_gg): after a join whose |f_gg| has
 fallen below _RESCALE, k takes up the exponent of |f_gg|, which leaves
 f_gg between 1/2 and 1, so w stays well inside the float range however
-far the weights have decayed, and no normal value changes a bit.
+far the weights have decayed, and no normal value changes a bit (of a
+subnormal |f_gg| k takes up at most 1021, so that 2^-k stays finite).
 pairwise_products joins the blocks of each interval, from k = 0, by this
 law; an interval of at most _BLOCK substeps is one block, whose element
 is composed in difference form alone.  gauge_chunk returns each
@@ -280,7 +281,9 @@ def _join(first, then):
     # element `first` followed by element `then`, both with plain weights
     # and an exponent, (a, b, f_ee, f_gg, k); f_ee from the determinant
     # f_ee f_gg; of scalars or arrays, as one array.  Where the product's
-    # |f_gg| has fallen below _RESCALE, its exponent moves into k
+    # |f_gg| has fallen below _RESCALE, its exponent moves into k, at most
+    # 1021 of it at once, so that 2^-k stays finite: a subnormal |f_gg|,
+    # as the join of a row block's start row can give, has one down to -1073
     a1, b1, f1_ee, f1_gg, k1 = first
     a2, b2, f2_ee, f2_gg, k2 = then
     w = f2_gg + a1 * b2  # 1 + delta
@@ -290,7 +293,7 @@ def _join(first, then):
     size = np.abs(joined[3])
     small = size < _RESCALE
     if np.any(small):
-        k = np.where(small, np.frexp(size)[1], 0)
+        k = np.where(small, np.maximum(np.frexp(size)[1], -1021), 0)
         joined[1:4] *= np.exp2(-k)
         joined[4] += k
     return joined

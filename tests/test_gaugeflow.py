@@ -265,6 +265,19 @@ def test_joins_stay_normal_past_the_float_range():
     assert np.array_equal(rows[:, 3] == 0.0, t > 745) and np.all(np.isfinite(rows))
 
 
+def test_a_join_from_a_subnormal_weight_stays_finite():
+    # a row block's start row, unscaled, whose f_ge is subnormal, joined at
+    # k = 0 with an element of weights of order one: the product's exponent
+    # is below -1022, and scaled by all of it, b and f_ee overflowed
+    start = np.array([0.0, 3e-310, 0.5e-310, 2e-310, 0.0], dtype=complex)
+    then = np.array([0.0, 0.25, 0.5, 0.75, 0.0], dtype=complex)
+    joined = _join(start, then)
+    assert np.all(np.isfinite(joined)) and joined[4] == -1021
+    # a, b, f_ee, f_gg as the plain-weight law gives them
+    want = [0.0, 0.25 * 0.5e-310 + 0.75 * 3e-310, 0.5e-310 * 0.5, 2e-310 * 0.75]
+    assert np.array_equal(_unscaled(joined), want)
+
+
 def test_decaying_weights_keep_their_relative_precision():
     # r = 2: f_ee and f_eg fall to about 5.5e-119 at t = 10, and each keeps
     # the relative precision of the columns of order one (measured 1.4e-9 at
