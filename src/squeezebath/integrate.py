@@ -156,17 +156,17 @@ def plan_substeps(grid: np.ndarray, step: float) -> SubstepPlan:
 def default_step(schedule, grid: np.ndarray) -> float:
     """The integrator substep for a schedule on an output grid.
 
-    1e-2 over the fastest rate, or over 1 where that is slower, and never
-    wider than the smallest grid spacing.  The fastest rate is the largest
-    of peak gamma times (2N + 1) at peak r, each control's own
-    variation_rate (|rate| of an ExpDecay, |omega| of a Sinusoid, 0
-    otherwise) and theta's speed, at which the phase of M = |M| exp(-i
-    theta) turns, weighed by min(1, 2|M|) = min(1, sinh 2r) at peak r.
-    This is the one place that picks the controls that count: under the
-    thermal override only gamma, as r and theta are not used.  Each
-    number is the controls' closed-form peak over [0, t_end] (their peak
-    and speed methods), so a rate that the controls reach only between grid
-    times counts too.
+    1e-2 over the fastest rate, never wider than the smallest grid spacing:
+    the spacing where nothing moves, or inf on a one-point grid.  The
+    fastest rate is the largest of peak gamma times (2N + 1) at peak r, each
+    control's own variation_rate (|rate| of an ExpDecay, |omega| of a
+    Sinusoid, 0 otherwise) and theta's speed, at which the phase of M = |M|
+    exp(-i theta) turns, weighed by min(1, 2|M|) = min(1, sinh 2r) at peak
+    r.  This is the one place that picks the controls that count: under the
+    thermal override only gamma, as r and theta are not used.  Each number
+    is the controls' closed-form peak over [0, t_end] (their peak and speed
+    methods), so a rate that the controls reach only between grid times
+    counts too.
 
     The solution relaxes at rates up to gamma (2N + 1)
     (closed_form_spectrum), and RK4's error follows the step times that
@@ -176,8 +176,8 @@ def default_step(schedule, grid: np.ndarray) -> float:
     1, 2}, gamma in {0.3, 1}, t = 30): at most 6.2e-11, at gamma = 1, r = 0.
     On the long_horizon workload's schedule to t = 300 (step 6.83e-3), step
     halving estimates 5.3e-11 on the gauge route and 2.6e-11 on the
-    reference.  A rate below 1 counts as 1, so a weak or absent coupling
-    gets 1e-2, the step on which verify's fixed gamma = 1 checks also run.
+    reference.  The rule reads time in units of the fastest rate, so a run
+    with every rate times c on the grid over c plans the same substeps.
     The controls are first evaluated on the grid, which refuses a bad value
     there with params_on's message; a rate past the float range is refused
     too.
@@ -199,7 +199,7 @@ def default_step(schedule, grid: np.ndarray) -> float:
                       max(c.variation_rate for c in controls), turn)
     if not fastest < math.inf:
         raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
-    step = 1e-2 / max(fastest, 1.0)
+    step = 1e-2 / fastest if fastest > 0.0 else math.inf
     if grid.size > 1:
         step = min(step, float(np.min(np.diff(grid))))
     return step

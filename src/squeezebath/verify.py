@@ -5,10 +5,12 @@ Each check recomputes one of the package's defining identities from scratch
 spectrum formulas, steady states, gauge trace identities, oracle agreement,
 asymptotics) and reports the measured residual against its tolerance.
 Checks that only make sense for squeezed reservoirs are skipped under a
-thermal override and say so in the report.  The suite checks no input of
-the run on its own: the step and the controls are refused by the run's
-integrations, in the one place and with the one message that trajectory's
-refusal has.
+thermal override and say so in the report.  Four of them evolve fixed
+schedules (autonomous-consistency, steady-approach, inversion-decay,
+decay-asymmetry): they run on fixed grids at the default run's step, which
+no run's grid or step changes.  The suite checks no input of the run on its
+own: the step and the controls are refused by the run's integrations, in
+the one place and with the one message that trajectory's refusal has.
 
 Every check is a module-level function ``check_<name>`` that takes its
 samples and tolerance and returns the CheckResult for the report line
@@ -41,7 +43,7 @@ from .algebra import (
 from .bath import BathPoint, BathSchedule, Constant, ExpDecay, _squeezed, bath_params
 from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
-from .integrate import uniform_grid
+from .integrate import default_step, uniform_grid
 from .liouvillian import (
     build_rate_operator,
     integrate_reference,
@@ -132,10 +134,6 @@ def figure_initial(fig_id: int) -> np.ndarray:
 
 
 _N_SAMPLES = (0.0, 0.01, 0.4, 1.0, 5.0)
-
-# Grid end before which steady-approach and inversion-decay are skipped: at
-# the auto step they pass from t_max = 8 and 17 at the defaults
-_SETTLED_T = 20.0
 
 
 @dataclass
@@ -403,8 +401,8 @@ def check_coherence_symmetry(rho0, flow, ref, tol: float) -> CheckResult:
 def check_autonomous_consistency(rho0, grid, step, tol: float) -> CheckResult:
     """Closed form, gauge flow and reference agree for constant r in {0.1, 0.6}.
 
-    run_checks passes its own grid of spacing 0.1 and the run's step capped
-    at 0.1, so a run's step wider than that is measured at 0.1, not refused.
+    run_checks passes its own grid of spacing 0.1 and the default run's
+    step, whatever the run's grid and step.
     """
     worst = 0.0
     for r in (0.1, 0.6):
@@ -505,8 +503,9 @@ def run_checks(
     raised, with the message trajectory gives for the same input.  The
     controls on the grid are read only after that, as every grid time is
     then a node the walks checked.  The run's schedule and the fig-1
-    schedule are each evolved once (once in all when they are equal); every
-    check that reads one of these flows gets it from that evolution.  The
+    schedule are each evolved once, the fig-1 schedule on the default run's
+    grid and step (once in all when the run is that run); every check that
+    reads one of these flows gets it from that evolution.  The
     run's reference is integrated once, for rho0 and its real-coherence twin
     in one stack.  tol holds the CLI's five tol.* tolerances, by name.
     """
@@ -571,23 +570,17 @@ def run_checks(
     if thermal:
         results += [_skipped(check, "thermal override") for check in squeezing_only]
     else:
-        # the default run schedule is fig 1's: its flow is already evolved
+        # fixed inputs: the default run's grid and step, whatever the run's
         fig1 = figure_schedule(1)
-        fig1_flow = flow if schedule == fig1 else _attempt(evolve_gauge, fig1, grid, dt_int)
+        fixed_grid = uniform_grid(30.0, 0.05)
+        fixed_step = default_step(fig1, fixed_grid)
+        same_run = schedule == fig1 and dt_int == fixed_step and np.array_equal(grid, fixed_grid)
+        fig1_flow = flow if same_run else _attempt(evolve_gauge, fig1, fixed_grid, fixed_step)
         results += _run(check_autonomous_consistency, rho0, uniform_grid(10.0, 0.1),
-                        min(dt_int, 0.1), 1e-8)
-        if grid[-1] < _SETTLED_T:
-            why = "needs a grid to t >= %g, this one ends at t = %g" % (_SETTLED_T, grid[-1])
-            results += [_skipped(check_steady_approach, why), _skipped(check_inversion_decay, why)]
-        else:
-            results += _run(check_steady_approach, grid, dt_int, 1e-6)
-            results += _run(check_inversion_decay, rho0, grid, fig1_flow)
-        early = int(np.count_nonzero(grid <= 4.0))
-        if early < 3:  # the fewest points fitted_decay_rate fits
-            results.append(_skipped(check_decay_asymmetry,
-                                    "needs 3 grid times in [0, 4], this grid has %d" % early))
-        else:
-            results += _run(check_decay_asymmetry, figure_initial(1), grid, fig1_flow)
+                        fixed_step, 1e-8)
+        results += _run(check_steady_approach, fixed_grid, fixed_step, 1e-6)
+        results += _run(check_inversion_decay, rho0, fixed_grid, fig1_flow)
+        results += _run(check_decay_asymmetry, figure_initial(1), fixed_grid, fig1_flow)
     return results
 
 

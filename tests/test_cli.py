@@ -66,6 +66,16 @@ def _verify_lines(changed):
     return list({**VERIFY_LINES, **changed}.items())
 
 
+# the four checks that evolve fixed schedules on fixed inputs
+_FIXED_CHECKS = ("autonomous-consistency", "steady-approach", "inversion-decay", "decay-asymmetry")
+
+
+def _fixed_lines(report):
+    """The report lines of the four fixed-input checks, in full."""
+    return [line for line in report.splitlines()
+            if re.match(r"  \[\w+\] (%s) " % "|".join(_FIXED_CHECKS), line)]
+
+
 def _column(text, name):
     lines = text.strip().splitlines()
     idx = lines[0].split(",").index(name)
@@ -540,14 +550,16 @@ def test_verify_default_passes(tmp_path, capsys):
     assert "summary:" in captured.out
     # 1e-2 over gamma cosh 2r at the default schedule's peak r = 0.1
     assert "(t_max=30, dt_out=0.05, dt_int=0.009803279976447253, ideal" in report
-    # a decoupled run (gamma = 0) still gets 0.01, as a fastest rate below 1
-    # counts as 1, which the fixed checks' gamma = 1 schedules, evolved on
-    # the same step, need
+    # a decoupled run (gamma = 0) moves nothing and gets the smallest
+    # spacing: the fixed checks' gamma = 1 schedules run on their own step
     out = tmp_path / "decoupled"
     assert main(["verify", "--out", str(out), "--schedule.gamma.value=0"]) == 0
-    report = _read(out / "verify_report.txt")
-    assert "dt_int=0.01," in report
-    assert _report_lines(report) == _verify_lines({})
+    decoupled = _read(out / "verify_report.txt")
+    spacing = float(np.min(np.diff(integrate.uniform_grid(30.0, 0.05))))
+    assert 0.04 < spacing < 0.05
+    assert "dt_int=%r," % spacing in decoupled
+    assert _report_lines(decoupled) == _verify_lines({})
+    assert _fixed_lines(decoupled) == _fixed_lines(report)
 
 
 def _measured(report, name):
@@ -644,10 +656,16 @@ def test_verify_coarse_step_fails_oracle(tmp_path, capsys):
     report = _read(out / "verify_report.txt")
     assert "[FAIL] oracle-agreement" in report
     assert "oracle-agreement" in captured.err
-    # autonomous-consistency takes its own grid of spacing 0.1 at a step
-    # capped at 0.1, so it measures the routes rather than refusing the step
-    line = next(x for x in report.splitlines() if "autonomous-consistency" in x)
-    assert re.match(r"  \[FAIL\] autonomous-consistency +measured \d\.\d{3}e-\d\d,", line)
+    # the run's step fails the run's own checks; the fixed-input checks run
+    # on their own grids at the default run's step, as in the default report
+    assert _report_lines(report) == _verify_lines({
+        "oracle-agreement": "FAIL tolerance 1.000e-07",
+        "gauge-trace-identities": "FAIL tolerance 1.000e-09",
+        "conservation-positivity": "FAIL tolerance 1.000e-09",
+    })
+    assert main(["verify", "--out", str(tmp_path / "default")]) == 0
+    assert len(_fixed_lines(report)) == 4
+    assert _fixed_lines(report) == _fixed_lines(_read(tmp_path / "default" / "verify_report.txt"))
 
 
 def test_verify_thermal_skips_squeezing_checks(tmp_path):
@@ -665,26 +683,28 @@ def test_verify_thermal_skips_squeezing_checks(tmp_path):
     )
 
 
-@pytest.mark.parametrize("override, skipped, why", [
-    pytest.param("grid.t_max=" + t, ("steady-approach", "inversion-decay"),
-                 "needs a grid to t >= 20, this one ends at t = " + t, id="grid.t_max=" + t)
-    for t in ("5", "7", "8", "10", "15")
-] + [
-    pytest.param("grid.dt_out=" + dt, ("decay-asymmetry",),
-                 "needs 3 grid times in [0, 4], this grid has %d" % n, id="grid.dt_out=" + dt)
-    for dt, n in (("2.5", 2), ("5", 1))
+@pytest.mark.parametrize("override", [
+    "grid.t_max=5", "grid.t_max=7", "grid.t_max=8", "grid.t_max=10", "grid.t_max=15",
+    "grid.dt_out=2.5", "grid.dt_out=5", "grid.t_max=10 grid.dt_out=10", "grid.t_max=150",
+    "grid.dt_int=0.04",
 ])
-def test_verify_skips_a_check_that_the_grid_cannot_hold(tmp_path, override, skipped, why):
-    # these exited 2: steady-approach and inversion-decay read the state at
-    # the grid's end, which has not settled before about t = 8 and 17, and
-    # decay-asymmetry fits a rate to the grid times in [0, 4]
-    assert main(["verify", "--out", str(tmp_path), "--" + override]) == 0
-    assert _report_lines(_read(tmp_path / "verify_report.txt")) == _verify_lines(
-        dict.fromkeys(skipped, "SKIP skipped: " + why))
+def test_verify_skips_a_check_that_the_grid_cannot_hold(tmp_path, override):
+    # no grid or step of the run reaches the four fixed-input checks, so on
+    # each of these every check runs and passes, and those four print the
+    # default report's lines: the grids end before the state at t = 30
+    # settles, hold fewer than 3 times in [0, 4] to fit a decay rate to, or
+    # end where the fig-1 flow is 8e-13 below sz = -1 (t = 150), and the
+    # step 0.04 takes autonomous-consistency to 1.204e-8, past its 1e-8
+    args = ["--" + o for o in override.split()]
+    assert main(["verify", "--out", str(tmp_path / "run")] + args) == 0
+    report = _read(tmp_path / "run" / "verify_report.txt")
+    assert _report_lines(report) == _verify_lines({})
+    assert "summary: 19 passed, 0 failed, 0 skipped" in report
+    assert main(["verify", "--out", str(tmp_path / "default")]) == 0
+    assert _fixed_lines(report) == _fixed_lines(_read(tmp_path / "default" / "verify_report.txt"))
 
 
 def test_verify_passes_at_t_20(tmp_path):
-    # the shortest grid on which steady-approach and inversion-decay run
     assert main(["verify", "--out", str(tmp_path), "--grid.t_max=20"]) == 0
     assert _report_lines(_read(tmp_path / "verify_report.txt")) == _verify_lines({})
 

@@ -126,7 +126,7 @@ def test_plan_substeps_nodes_are_linspace_per_interval():
 
 
 def test_default_step_is_one_hundredth_over_the_fastest_rate():
-    # 1e-2 / max(fastest rate, 1), at most the spacing
+    # 1e-2 / fastest rate, at most the spacing
     grid = np.array([0.0, 1.0, 2.0])
     assert default_step(BathSchedule(gamma=Ramp(2.0, -0.75)), grid) == 5e-3
     # r = 2 gives 2N + 1 = cosh 4 and nbar = 20 gives 41
@@ -144,16 +144,22 @@ def test_default_step_is_one_hundredth_over_the_fastest_rate():
         steps = [default_step(BathSchedule(gamma=Constant(gamma), nbar=nbar), grid)
                  for nbar in (4.4, 4.5, 4.6)]
         assert steps == [1e-2 / (gamma * (2.0 * nbar + 1.0)) for nbar in (4.4, 4.5, 4.6)]
-    # a rate below 1 counts as 1: a weak coupling gets 1e-2, never wider
-    assert default_step(BathSchedule(gamma=Constant(0.2)), grid) == 1e-2
+    # a rate below 1 is not floored: a weak coupling gets a step wider than
+    # 1e-2, in its own time unit
+    assert default_step(BathSchedule(gamma=Constant(0.2)), grid) == 1e-2 / 0.2 > 0.049
     assert default_step(BathSchedule(gamma=Constant(0.5), nbar=0.7), grid) == 1e-2 / 1.2
+    slow = BathSchedule(gamma=Constant(1e-3), r=Constant(0.0))
+    assert default_step(slow, uniform_grid(3e4, 50.0)) == 1e-2 / 1e-3 > 9.99
     # never wider than the smallest spacing: gamma = 0.2 on a 0.001 grid
     fine = uniform_grid(1.0, 0.001)
     assert default_step(BathSchedule(gamma=Constant(0.2)), fine) == np.min(np.diff(fine)) < 1e-3
-    # a coupling that is 0 everywhere is not refused, and gets 1e-2 too
+    # a coupling that is 0 everywhere is not refused: nothing moves, so the
+    # step is the spacing, or inf on a one-point grid
     off = BathSchedule(gamma=Constant(0.0), r=Constant(1.0))
-    assert default_step(off, grid) == default_step(off, np.array([0.0])) == 1e-2
+    assert default_step(off, grid) == 1.0
+    assert default_step(off, np.array([0.0])) == math.inf
     assert np.array_equal(evolve_gauge(off, grid)[-1], [0, 0, 0, 0, 1, 1, 1, 1])
+    assert np.array_equal(evolve_gauge(off, np.array([0.0])), [[0, 0, 0, 0, 1, 1, 1, 1]])
 
 
 def test_control_peaks_bound_every_value_up_to_the_end():

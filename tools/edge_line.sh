@@ -11,12 +11,13 @@
 #
 # Commands 1-13 are `trajectory` at the edges: strong squeezing (1, 2, 5,
 # 6), strong coupling and large thermal N (3, 4), long output intervals
-# (7-10), many rows (11, 12) and slow time scales (13).  Commands 14-17
-# decay fast, across many intervals (14, 15) and inside one (16, 17).
+# (7-10), many rows (11, 12) and slow time scales (13, and 18 a thousand
+# times slower).  Commands 14-17 decay fast, across many intervals (14, 15)
+# and inside one (16, 17).  Commands 13 and 18 are the default run with
+# every rate divided by 1e3 and 1e6, so their Pauli columns agree with it.
 # Command 6 exits 1 (an interval of more substeps than the limit); the
 # others exit 0.
-# Commands 2, 12 and 13 take seconds each, and 5, 7 and 12 peak at
-# 100-160 MB.
+# Commands 2 and 12 take seconds each, and 5, 7 and 12 peak at 100-160 MB.
 exec sh "$(dirname "$0")/run_commands.sh" "$@" <<'COMMANDS'
 trajectory schedule.r.kind=const schedule.r.value=3
 trajectory schedule.r.kind=const schedule.r.value=4
@@ -35,4 +36,5 @@ verify schedule.gamma.value=100 schedule.r.kind=const schedule.r.value=0
 trajectory schedule.mode=thermal schedule.nbar=300 grid.t_max=5
 trajectory schedule.gamma.value=100 schedule.r.kind=const schedule.r.value=0 grid.t_max=20 grid.dt_out=20
 trajectory schedule.mode=thermal schedule.nbar=300 grid.t_max=5 grid.dt_out=5
+trajectory schedule.gamma.value=1e-6 schedule.r.c2=1e-7 grid.t_max=3e7 grid.dt_out=5e4
 COMMANDS
