@@ -221,16 +221,13 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
     mode = merged["schedule.mode"]
     if mode not in ("ideal", "thermal"):
         raise InvalidInputError("schedule.mode=%r is not ideal or thermal" % mode)
-    gamma = _control_from(merged, user, "schedule.gamma")
+    # every key is checked in either mode; the mode picks where N and M come from
+    gamma, r, theta = (_control_from(merged, user, prefix) for prefix in _CONTROL_PREFIXES)
+    nbar = _as_nonnegative(merged, "schedule.nbar")
     if mode == "thermal":
-        nbar = _as_nonnegative(merged, "schedule.nbar")
-        schedule = BathSchedule(gamma=gamma, r=Constant(0.0), theta=Constant(0.0), nbar=nbar)
+        schedule = BathSchedule(gamma=gamma, nbar=nbar)
     else:
-        schedule = BathSchedule(
-            gamma=gamma,
-            r=_control_from(merged, user, "schedule.r"),
-            theta=_control_from(merged, user, "schedule.theta"),
-        )
+        schedule = BathSchedule(gamma=gamma, r=r, theta=theta)
 
     mu = amplitudes_from_polar(
         _as_float(merged, "initial.mu_abs2"), _as_float(merged, "initial.mu_phase")
@@ -497,7 +494,12 @@ def run_steady(rc: RunConfig) -> int:
         n, rho = asymptotic_state(rc.schedule)
         label = "asymptotic limit (N=%g)" % n
     else:
-        rho = steady_state(build_rate_operator(rc.schedule.at(rc.steady_at)))
+        point = rc.schedule.at(rc.steady_at)
+        # at gamma = 0 the rate operator vanishes and every state is steady
+        if point.gamma <= 0.0:
+            raise InvalidInputError("gamma at t = %g must be > 0, got %r"
+                                    % (rc.steady_at, point.gamma))
+        rho = steady_state(build_rate_operator(point))
         label = "nullspace at t = %g" % rc.steady_at
     sz = float((rho[0, 0] - rho[1, 1]).real)
     path = os.path.join(rc.out_dir, "steady.csv")

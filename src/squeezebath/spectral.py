@@ -136,9 +136,10 @@ def closed_form_spectrum(gamma, n, m) -> np.ndarray:
     entry i being the result for point i alone.
     """
     gamma, n, m = np.broadcast_arrays(gamma, n, m)
+    # 0 - x, not -x: a zero rate is +0, as the rate operator's own zero
     rates = np.stack(
-        [np.zeros(gamma.shape), -gamma * (2 * n + 1), -gamma * (n + 0.5 - np.abs(m)),
-         -gamma * (n + 0.5 + np.abs(m))],
+        [np.zeros(gamma.shape), 0.0 - gamma * (2 * n + 1), 0.0 - gamma * (n + 0.5 - np.abs(m)),
+         0.0 - gamma * (n + 0.5 + np.abs(m))],
         axis=-1,
     )
     return -np.sort(-rates, axis=-1, kind="stable")

@@ -4,13 +4,14 @@ Each check recomputes one of the package's defining identities from scratch
 (commutation relations, the rate operator against its generator form,
 spectrum formulas, steady states, gauge trace identities, oracle agreement,
 asymptotics) and reports the measured residual against its tolerance.
-Checks that only make sense for squeezed reservoirs are skipped under a
-thermal override and say so in the report.  Four of them evolve fixed
-schedules (autonomous-consistency, steady-approach, inversion-decay,
-decay-asymmetry): they run on fixed grids at the default run's step, which
-no run's grid or step changes.  The suite checks no input of the run on its
-own: the step and the controls are refused by the run's integrations, in
-the one place and with the one message that trajectory's refusal has.
+Every check runs under either mode of the run; the one skip is
+coherence-symmetry where the run's squeeze phase is not 0, and it says so
+in the report.  Four checks evolve fixed schedules (autonomous-consistency,
+steady-approach, inversion-decay, decay-asymmetry): they run on fixed grids
+at the default run's step, which no run's grid or step changes.  The suite
+checks no input of the run on its own: the step and the controls are
+refused by the run's integrations, in the one place and with the one
+message that trajectory's refusal has.
 
 Every check is a module-level function ``check_<name>`` that takes its
 samples and tolerance and returns the CheckResult for the report line
@@ -482,10 +483,6 @@ def _run(check, *args) -> list[CheckResult]:
     return list(out) if isinstance(out, tuple) else [out]
 
 
-def _skipped(check, why: str) -> CheckResult:
-    return CheckResult(_report_name(check), "SKIP", None, None, why)
-
-
 def run_checks(
     schedule: BathSchedule,
     rho0: np.ndarray,
@@ -507,10 +504,13 @@ def run_checks(
     grid and step (once in all when the run is that run); every check that
     reads one of these flows gets it from that evolution.  The
     run's reference is integrated once, for rho0 and its real-coherence twin
-    in one stack.  tol holds the CLI's five tol.* tolerances, by name.
+    in one stack.  A check whose input failed, one of these runs among
+    them, is one FAIL line naming the exception.  Every check runs whatever
+    the schedule's mode; coherence-symmetry is skipped where the squeeze
+    phase is not 0 on the grid.  tol holds the CLI's five tol.* tolerances,
+    by name.
     """
     rho0 = check_density(rho0, stack=False)
-    thermal = schedule.thermal
     grid = uniform_grid(t_max, dt_out)
     results: list[CheckResult] = []
     results += _run(check_commutators)
@@ -525,10 +525,7 @@ def run_checks(
         ),
         1e-14,
     )
-    if thermal:
-        results.append(_skipped(check_spectrum_formulas, "thermal override"))
-    else:
-        results += _run(check_spectrum_formulas, 7, 25, 1e-10)
+    results += _run(check_spectrum_formulas, 7, 25, 1e-10)
     results += _run(check_steady_state, 0.8, _N_SAMPLES, 1e-12)
     results += _run(check_branch_conditions, _N_SAMPLES, (0.0, 0.7, math.pi), 1e-12)
     results += _run(check_alpha_root_adjudication)
@@ -549,38 +546,27 @@ def run_checks(
     states = _attempt(assemble_density, rho0, flow)
     results += _run(check_oracle_agreement, states, ref, tol["oracle"])
     results += _run(check_gauge_trace_identities, flow, tol["identity"])
-    if isinstance(states, Exception) or isinstance(ref, Exception):
-        results.append(_skipped(check_conservation_positivity, "oracle run unavailable"))
-    else:
-        results += _run(
-            check_conservation_positivity, states, ref,
-            tol["trace"], tol["herm"], tol["min_eig"],
-        )
+    results += _run(
+        check_conservation_positivity, states, ref,
+        tol["trace"], tol["herm"], tol["min_eig"],
+    )
     if np.any(m_grid.imag):
-        results.append(_skipped(check_coherence_symmetry, "squeeze phase is not 0 on this schedule"))
+        results.append(CheckResult("coherence-symmetry", "SKIP", None, None,
+                                   "squeeze phase is not 0 on this schedule"))
     else:
         results += _run(check_coherence_symmetry, real_rho0, flow, real_ref, 1e-9)
 
-    squeezing_only = (
-        check_autonomous_consistency,
-        check_steady_approach,
-        check_inversion_decay,
-        check_decay_asymmetry,
-    )
-    if thermal:
-        results += [_skipped(check, "thermal override") for check in squeezing_only]
-    else:
-        # fixed inputs: the default run's grid and step, whatever the run's
-        fig1 = figure_schedule(1)
-        fixed_grid = uniform_grid(30.0, 0.05)
-        fixed_step = default_step(fig1, fixed_grid)
-        same_run = schedule == fig1 and dt_int == fixed_step and np.array_equal(grid, fixed_grid)
-        fig1_flow = flow if same_run else _attempt(evolve_gauge, fig1, fixed_grid, fixed_step)
-        results += _run(check_autonomous_consistency, rho0, uniform_grid(10.0, 0.1),
-                        fixed_step, 1e-8)
-        results += _run(check_steady_approach, fixed_grid, fixed_step, 1e-6)
-        results += _run(check_inversion_decay, rho0, fixed_grid, fig1_flow)
-        results += _run(check_decay_asymmetry, figure_initial(1), fixed_grid, fig1_flow)
+    # fixed inputs: the default run's grid and step, whatever the run's
+    fig1 = figure_schedule(1)
+    fixed_grid = uniform_grid(30.0, 0.05)
+    fixed_step = default_step(fig1, fixed_grid)
+    same_run = schedule == fig1 and dt_int == fixed_step and np.array_equal(grid, fixed_grid)
+    fig1_flow = flow if same_run else _attempt(evolve_gauge, fig1, fixed_grid, fixed_step)
+    results += _run(check_autonomous_consistency, rho0, uniform_grid(10.0, 0.1),
+                    fixed_step, 1e-8)
+    results += _run(check_steady_approach, fixed_grid, fixed_step, 1e-6)
+    results += _run(check_inversion_decay, rho0, fixed_grid, fig1_flow)
+    results += _run(check_decay_asymmetry, figure_initial(1), fixed_grid, fig1_flow)
     return results
 
 

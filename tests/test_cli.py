@@ -70,10 +70,11 @@ def _verify_lines(changed):
 _FIXED_CHECKS = ("autonomous-consistency", "steady-approach", "inversion-decay", "decay-asymmetry")
 
 
-def _fixed_lines(report):
-    """The report lines of the four fixed-input checks, in full."""
+def _fixed_lines(report, names=_FIXED_CHECKS):
+    """The report lines of the named checks, by default the four fixed-input
+    ones, in full."""
     return [line for line in report.splitlines()
-            if re.match(r"  \[\w+\] (%s) " % "|".join(_FIXED_CHECKS), line)]
+            if re.match(r"  \[\w+\] (%s) " % "|".join(names), line)]
 
 
 def _column(text, name):
@@ -480,6 +481,27 @@ def test_steady_command_rejects_diverging_schedule(tmp_path, capsys):
     assert capsys.readouterr().err == "error: r control does not converge\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    # the rate operator vanishes at gamma = 0, so every state is steady: an
+    # input problem, which exited 2 as a degenerate null space at a time
+    (["--steady.at=5"], "gamma at t = 5 must be > 0, got 0.0"),
+    ([], "gamma limit must be > 0, got 0.0"),
+])
+def test_steady_at_gamma_zero_is_refused(tmp_path, capsys, args, message):
+    out = tmp_path / "refused"
+    assert main(["steady", "--out", str(out), "--schedule.gamma.value=0"] + args) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert list(out.iterdir()) == []
+
+
+def test_spectrum_at_gamma_zero_has_rates_plus_zero(tmp_path, capsys):
+    # the closed forms negated a zero product and printed -0
+    assert main(["spectrum", "--out", str(tmp_path), "--schedule.gamma.value=0"]) == 0
+    assert capsys.readouterr().out.count("(formula 0)\n") == 4
+    rows = _read(tmp_path / "spectrum.csv").splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["0"] * 4
+
+
 @pytest.mark.parametrize("theta", [
     ["--schedule.theta.value=3.14159"],
     ["--schedule.theta.kind=ramp", "--schedule.theta.a=0", "--schedule.theta.b=0.3"],
@@ -602,8 +624,8 @@ def test_verify_passes_under_strong_squeezing(tmp_path, monkeypatch):
 
 
 def test_verify_reports_a_failed_gauge_flow_as_failed_checks(tmp_path, capsys, monkeypatch):
-    # the run's flow raises: every check that reads it fails with the error,
-    # and the oracle run is missing; flows of the other schedules still run
+    # the run's flow raises: every check that reads it fails with the error;
+    # flows of the other schedules still run
     evolve_gauge = verify.evolve_gauge
 
     def failing(schedule, grid, step=None):
@@ -619,7 +641,7 @@ def test_verify_reports_a_failed_gauge_flow_as_failed_checks(tmp_path, capsys, m
     assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines({
         "oracle-agreement": raised,
         "gauge-trace-identities": raised,
-        "conservation-positivity": "SKIP skipped: oracle run unavailable",
+        "conservation-positivity": raised,
         "coherence-symmetry": raised,
     })
     assert "oracle-agreement" in capsys.readouterr().err
@@ -642,7 +664,7 @@ def test_verify_reports_a_failed_reference_run_as_failed_checks(tmp_path, capsys
     raised = "FAIL raised NumericalFailureError"
     assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines({
         "oracle-agreement": raised,
-        "conservation-positivity": "SKIP skipped: oracle run unavailable",
+        "conservation-positivity": raised,
         "coherence-symmetry": raised,
     })
     assert "oracle-agreement" in capsys.readouterr().err
@@ -668,19 +690,24 @@ def test_verify_coarse_step_fails_oracle(tmp_path, capsys):
     assert _fixed_lines(report) == _fixed_lines(_read(tmp_path / "default" / "verify_report.txt"))
 
 
-def test_verify_thermal_skips_squeezing_checks(tmp_path):
+def test_verify_thermal_runs_every_check(tmp_path):
+    # the thermal override picks N and M and nothing else: spectrum-formulas
+    # and the four fixed-input checks read no input of the run, so their
+    # lines are the default report's, byte for byte
     out = tmp_path / "thermal"
     rc = main(
         ["verify", "--out", str(out),
          "--schedule.mode=thermal", "--schedule.nbar=0.7"]
     )
     assert rc == 0
-    thermal = "SKIP skipped: thermal override"
-    skipped = ("spectrum-formulas", "autonomous-consistency", "steady-approach",
-               "inversion-decay", "decay-asymmetry")
-    assert _report_lines(_read(out / "verify_report.txt")) == _verify_lines(
-        dict.fromkeys(skipped, thermal)
-    )
+    report = _read(out / "verify_report.txt")
+    assert _report_lines(report) == _verify_lines({})
+    assert "summary: 19 passed, 0 failed, 0 skipped" in report
+    assert main(["verify", "--out", str(tmp_path / "default")]) == 0
+    default = _read(tmp_path / "default" / "verify_report.txt")
+    names = ("spectrum-formulas",) + _FIXED_CHECKS
+    assert len(_fixed_lines(report, names)) == 5
+    assert _fixed_lines(report, names) == _fixed_lines(default, names)
 
 
 @pytest.mark.parametrize("override", [
@@ -896,6 +923,13 @@ def test_spectrum_and_steady_tables_byte_for_byte(tmp_path):
     ("figures.ids=,", "figures.ids is empty"),
     ("schedule.mode=quantum", "schedule.mode='quantum' is not ideal or thermal"),
     ("schedule.mode=thermal schedule.nbar=-0.5", "schedule.nbar must be >= 0, got -0.5"),
+    # every key is checked in either mode, with the other mode's error line
+    ("schedule.mode=thermal schedule.r.kind=bogus",
+     "schedule.r.kind='bogus' is not one of const, exp, ramp, sin"),
+    ("schedule.mode=thermal schedule.r.c1=abc", "config value schedule.r.c1='abc' is not a number"),
+    ("schedule.mode=thermal schedule.theta.kind=sin", "schedule.theta.a is required for kind=sin"),
+    ("schedule.nbar=-1", "schedule.nbar must be >= 0, got -1"),
+    ("schedule.nbar=abc", "config value schedule.nbar='abc' is not a number"),
     # a negative tolerance no result could meet: refused as input, where it
     # used to fail the run as numerical (tol.oracle=-1: exit 2) or pass
     # unread (tol.herm=-1 in trajectory: exit 0)
