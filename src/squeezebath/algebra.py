@@ -21,7 +21,7 @@ of them truncate after the linear term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +133,7 @@ def _lift(op: np.ndarray, left: bool) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """The six two-sided generators as exact 4x4 integer matrices.
 
     j_plus, j_minus and j0 act on the population components (indices 0, 1):
@@ -158,7 +157,7 @@ class GeneratorSet:
 
     def items(self) -> tuple[tuple[str, np.ndarray], ...]:
         """Named generators in field order, for iteration in checks."""
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
+        return tuple(zip(self._fields, self))
 
 
 def composite_generators() -> GeneratorSet:

@@ -10,10 +10,16 @@ A schedule can instead override the squeezing with a plain thermal occupation
 nbar, in which case N = nbar and M = 0 at all times.
 
 Each control is one of four kinds, Constant, ExpDecay, Ramp and Sinusoid:
-frozen dataclasses on one base that refuses a non-finite parameter.  Beside
+immutable value classes on one base that refuses a non-finite parameter.  Beside
 its values, each kind gives in closed form its peak and its speed (largest
 |f'|) over [0, t_end] and its own rate of variation, from which
 integrate.default_step picks the integrator step.
+
+The controls, BathPoint and BathSchedule are _Record classes: plain classes
+with __slots__, equal only within their own class, hashable, immutable and
+shown as Name(field=value, ...).  The package's other records (SubstepPlan,
+TransformationBranch, EigenMode, CheckResult, RunConfig) share that base.  No
+record is a dataclass, whose decoration would generate code at every import.
 
 All evaluation is pure floating-point arithmetic with no hidden state, so
 repeated calls with the same arguments give bit-identical results.
@@ -22,7 +28,6 @@ repeated calls with the same arguments give bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -59,13 +64,57 @@ def _require_finite(name: str, *values: float) -> None:
             raise InvalidInputError("%s must be finite, got %r" % (name, v))
 
 
-@dataclass(frozen=True)
-class _Control:
+class _Record:
+    """An immutable record of the attributes named in _fields.
+
+    Each subclass names its fields once, as both its __slots__ and its
+    _fields, and its __init__ sets them through _set.  A record equals only
+    a record of its own class with equal fields, hashes as the tuple of its
+    fields, refuses assignment, and shows as Name(field=value, ...).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through __init__, which assignment cannot
+        return type(self), self._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+class _Control(_Record):
     """What the four control kinds share: finite parameters, and by default
     no time scale of their own and a peak at one end (a monotone control)."""
 
-    def __post_init__(self):
-        _require_finite("%s parameters" % type(self).__name__, *astuple(self))
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        _require_finite("%s parameters" % type(self).__name__, *values)
+        super()._set(*values)
 
     @property
     def variation_rate(self) -> float:
@@ -76,11 +125,13 @@ class _Control:
         return float(max(self(0.0), self(t_end)))
 
 
-@dataclass(frozen=True)
 class Constant(_Control):
     """Control function with a fixed value."""
 
-    value: float
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        self._set(value)
 
     def __call__(self, t):
         return self.value + np.zeros_like(np.asarray(t, dtype=float))
@@ -94,12 +145,13 @@ class Constant(_Control):
         return 0.0
 
 
-@dataclass(frozen=True)
 class ExpDecay(_Control):
     """Control function amplitude * exp(-rate * t)."""
 
-    amplitude: float
-    rate: float
+    __slots__ = _fields = ("amplitude", "rate")
+
+    def __init__(self, amplitude: float, rate: float):
+        self._set(amplitude, rate)
 
     def __call__(self, t):
         return self.amplitude * np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -121,12 +173,13 @@ class ExpDecay(_Control):
         return abs(self.rate) * float(max(abs(self(0.0)), abs(self(t_end))))
 
 
-@dataclass(frozen=True)
 class Ramp(_Control):
     """Control function max(offset + slope * t, 0)."""
 
-    offset: float
-    slope: float
+    __slots__ = _fields = ("offset", "slope")
+
+    def __init__(self, offset: float, slope: float):
+        self._set(offset, slope)
 
     def __call__(self, t):
         return np.maximum(self.offset + self.slope * np.asarray(t, dtype=float), 0.0)
@@ -144,14 +197,13 @@ class Ramp(_Control):
         return abs(self.slope)
 
 
-@dataclass(frozen=True)
 class Sinusoid(_Control):
     """Control function offset + amplitude * sin(omega * t + phase)."""
 
-    offset: float
-    amplitude: float
-    omega: float
-    phase: float = 0.0
+    __slots__ = _fields = ("offset", "amplitude", "omega", "phase")
+
+    def __init__(self, offset: float, amplitude: float, omega: float, phase: float = 0.0):
+        self._set(offset, amplitude, omega, phase)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -187,8 +239,7 @@ class Sinusoid(_Control):
 ControlFunction = Union[Constant, ExpDecay, Ramp, Sinusoid]
 
 
-@dataclass(frozen=True)
-class BathPoint:
+class BathPoint(_Record):
     """Reservoir parameters frozen at one instant.
 
     n_param is the effective photon number N >= 0 and m_param the squeeze
@@ -200,12 +251,10 @@ class BathPoint:
     yields is finite.
     """
 
-    gamma: float
-    n_param: float
-    m_param: complex
+    __slots__ = _fields = ("gamma", "n_param", "m_param")
 
-    def __post_init__(self):
-        gamma, n, m = self.gamma, self.n_param, self.m_param
+    def __init__(self, gamma: float, n_param: float, m_param: complex):
+        n, m = n_param, m_param
         if not (math.isfinite(gamma) and gamma >= 0.0):
             raise InvalidInputError("coupling gamma must be finite and >= 0, got %r" % (gamma,))
         if not (math.isfinite(n) and n >= 0.0):
@@ -221,6 +270,7 @@ class BathPoint:
                 "|M|^2 = %.6g exceeds N(N+1) = %.6g; not a physical reservoir point"
                 % (abs(m) ** 2, bound)
             )
+        self._set(gamma, n_param, m_param)
 
 
 def _squeezed(r, theta):
@@ -256,8 +306,7 @@ def bath_params(r: float, theta: float) -> tuple[float, complex]:
     return float(n), complex(m)
 
 
-@dataclass(frozen=True)
-class BathSchedule:
+class BathSchedule(_Record):
     """Reservoir controls for times t >= 0.
 
     Parameters
@@ -271,14 +320,13 @@ class BathSchedule:
         If not None, override the squeezing: N = nbar and M = 0 at all times.
     """
 
-    gamma: ControlFunction
-    r: ControlFunction = field(default_factory=lambda: Constant(0.0))
-    theta: ControlFunction = field(default_factory=lambda: Constant(0.0))
-    nbar: float | None = None
+    __slots__ = _fields = ("gamma", "r", "theta", "nbar")
 
-    def __post_init__(self):
-        if self.nbar is not None and not (math.isfinite(self.nbar) and self.nbar >= 0.0):
-            raise InvalidInputError("nbar must be finite and >= 0, got %r" % (self.nbar,))
+    def __init__(self, gamma: ControlFunction, r: ControlFunction = Constant(0.0),
+                 theta: ControlFunction = Constant(0.0), nbar: float | None = None):
+        if nbar is not None and not (math.isfinite(nbar) and nbar >= 0.0):
+            raise InvalidInputError("nbar must be finite and >= 0, got %r" % (nbar,))
+        self._set(gamma, r, theta, nbar)
 
     @property
     def thermal(self) -> bool:

@@ -8,16 +8,14 @@ numerical failures with exit code 2.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import verify as verify_mod
-from .bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
+from .bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid, _Record
 from .csvformat import format_rows
 from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, evolve_gauge
@@ -83,19 +81,17 @@ _BASE_KEYS = frozenset(
     if not any(k.startswith(p + ".") for p in _CONTROL_PREFIXES)
 )
 
-@dataclass
-class RunConfig:
-    schedule: BathSchedule
-    rho0: np.ndarray
-    t_max: float
-    dt_out: float
-    dt_int: float | None  # None for auto, resolved per schedule (verify: per run)
-    out_dir: str
-    figure_ids: tuple[int, ...]
-    plot: bool
-    spectrum_at: float
-    steady_at: float | None
-    tol: dict[str, float]
+
+class RunConfig(_Record):
+    __slots__ = _fields = ("schedule", "rho0", "t_max", "dt_out", "dt_int", "out_dir",
+                           "figure_ids", "plot", "spectrum_at", "steady_at", "tol")
+
+    def __init__(self, schedule: BathSchedule, rho0: np.ndarray, t_max: float, dt_out: float,
+                 dt_int: float | None, out_dir: str, figure_ids: tuple[int, ...], plot: bool,
+                 spectrum_at: float, steady_at: float | None, tol: dict[str, float]):
+        # dt_int None is auto, resolved per schedule (verify: per run)
+        self._set(schedule, rho0, t_max, dt_out, dt_int, out_dir, figure_ids, plot,
+                  spectrum_at, steady_at, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +360,6 @@ def write_line_chart(path: str, times: np.ndarray, series, title: str) -> None:
     width, height = 720.0, 440.0
     left, right, top, bottom = 64.0, 18.0, 34.0, 46.0
     x0, x1 = float(times[0]), float(times[-1])
-    if x1 <= x0:
-        x1 = x0 + 1.0
     stacked = np.concatenate([np.asarray(v, dtype=float) for _, v in series])
     y0, y1 = float(np.min(stacked)), float(np.max(stacked))
     pad = 0.5 if y1 - y0 < 1e-12 else 0.05 * (y1 - y0)
@@ -542,35 +536,52 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; route through InvalidInputError
-    # so that all input problems share exit code 1.
-    def error(self, message):
-        raise InvalidInputError(message)
+_USAGE = "usage: squeezebath <command> [--config FILE] [--out DIR] [key=value ...]"
 
 
-# built once, at import: argparse's gettext imports locale on its first
-# message, which would otherwise land inside every command's run
-_PARSER = _Parser(
-    prog="squeezebath",
-    description="two-level atom in a time-dependent squeezed reservoir",
-    allow_abbrev=False,
-)
-_PARSER.add_argument("command", choices=sorted(_COMMANDS))
-_PARSER.add_argument("--config", default=None, help="path to a key=value config file")
-_PARSER.add_argument("--out", default=".", help="output directory (created if missing)")
+def _read_argv(argv: list[str]) -> tuple[str, str | None, str, list[str]]:
+    """The command, --config FILE, --out DIR and the other tokens of argv.
+
+    --config and --out may come before or after the command, as --opt VALUE
+    or --opt=VALUE, and the last one given wins; --out defaults to ".".
+    The first token that starts with no "-" is the command.  Every other
+    token is left for _parse_overrides."""
+    command = None
+    options = {"--config": None, "--out": "."}
+    extra = []
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name in options:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise InvalidInputError("%s needs a value" % name)
+            options[name] = value
+        elif command is None and not token.startswith("-"):
+            if token not in _COMMANDS:
+                raise InvalidInputError("unknown command %r (choose from %s)"
+                                        % (token, ", ".join(sorted(_COMMANDS))))
+            command = token
+        else:
+            extra.append(token)
+    if command is None:
+        raise InvalidInputError("no command given (choose from %s)" % ", ".join(sorted(_COMMANDS)))
+    return command, options["--config"], options["--out"], extra
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        return 0
     try:
-        args, extra = _PARSER.parse_known_args(argv)
-        user: dict[str, str] = {}
-        if args.config is not None:
-            user.update(_read_config_file(args.config))
+        command, config, out_dir, extra = _read_argv(argv)
+        user = {} if config is None else _read_config_file(config)
         user.update(_parse_overrides(extra))
-        rc = resolve_config(user, args.out)
+        rc = resolve_config(user, out_dir)
         os.makedirs(rc.out_dir, exist_ok=True)
-        return _COMMANDS[args.command](rc)
+        return _COMMANDS[command](rc)
     except (InvalidInputError, OSError) as exc:
         # an OSError here comes from creating or writing an output, and
         # os.makedirs and open name the path in its message

@@ -35,11 +35,10 @@ MAX_INTERVAL_SUBSTEPS are refused before anything is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import _squeezed
+from .bath import _Record, _squeezed
 from .errors import InvalidInputError, NumericalFailureError
 
 __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "check_grid",
@@ -110,8 +109,7 @@ def check_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
-class SubstepPlan:
+class SubstepPlan(_Record):
     """Substep layout for one grid.
 
     Interval i is cut into counts[i] substeps of width widths[i].  Substep k
@@ -120,9 +118,10 @@ class SubstepPlan:
     2 cumsum(counts)[i] and a one-point grid plans the single node 0.
     """
 
-    nodes: np.ndarray
-    counts: np.ndarray
-    widths: np.ndarray
+    __slots__ = _fields = ("nodes", "counts", "widths")
+
+    def __init__(self, nodes: np.ndarray, counts: np.ndarray, widths: np.ndarray):
+        self._set(nodes, counts, widths)
 
 
 def _substep_counts(spans: np.ndarray, step: float) -> np.ndarray:

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import BASIS_LABELS, composite_generators, unvectorize
-from .bath import BathPoint, BathSchedule, _wrap_phase, bath_params
+from .bath import BathPoint, BathSchedule, _Record, _wrap_phase, bath_params
 from .errors import InvalidInputError
 from .states import steady_populations
 
@@ -49,22 +48,21 @@ _GEN = composite_generators()
 _I4 = np.eye(4, dtype=complex)
 
 
-@dataclass(frozen=True)
-class TransformationBranch:
+class TransformationBranch(_Record):
     """One root set of the steady transformation conditions.
 
     solve_transformation_conditions returns the stable branch first and the
     unstable one second.
     """
 
-    alpha_plus: complex
-    alpha_minus: complex
-    eta_plus: complex
-    eta_minus: complex
+    __slots__ = _fields = ("alpha_plus", "alpha_minus", "eta_plus", "eta_minus")
+
+    def __init__(self, alpha_plus: complex, alpha_minus: complex, eta_plus: complex,
+                 eta_minus: complex):
+        self._set(alpha_plus, alpha_minus, eta_plus, eta_minus)
 
 
-@dataclass(frozen=True)
-class EigenMode:
+class EigenMode(_Record):
     """Eigenvalue beta and right/left eigenvectors of one mode.
 
     eigen_modes lists the modes in the component order of BASIS_LABELS.
@@ -74,9 +72,10 @@ class EigenMode:
     the Hilbert-Schmidt pairings <dual_i, mode_j> are exactly diagonal.
     """
 
-    beta: complex
-    mode: np.ndarray
-    dual: np.ndarray
+    __slots__ = _fields = ("beta", "mode", "dual")
+
+    def __init__(self, beta: complex, mode: np.ndarray, dual: np.ndarray):
+        self._set(beta, mode, dual)
 
 
 def condition_residuals(

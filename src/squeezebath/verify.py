@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .algebra import (
     lift_right,
     vectorize,
 )
-from .bath import BathPoint, BathSchedule, Constant, ExpDecay, _squeezed, bath_params
+from .bath import BathPoint, BathSchedule, Constant, ExpDecay, _Record, _squeezed, bath_params
 from .errors import InvalidInputError, NumericalFailureError
 from .gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
 from .integrate import default_step, uniform_grid
@@ -137,13 +136,13 @@ def figure_initial(fig_id: int) -> np.ndarray:
 _N_SAMPLES = (0.0, 0.01, 0.4, 1.0, 5.0)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # PASS / FAIL / SKIP
-    measured: float | None
-    tolerance: float | None
-    detail: str = ""
+class CheckResult(_Record):
+    __slots__ = _fields = ("name", "status", "measured", "tolerance", "detail")
+
+    def __init__(self, name: str, status: str, measured: float | None,
+                 tolerance: float | None, detail: str = ""):
+        # status is PASS, FAIL or SKIP
+        self._set(name, status, measured, tolerance, detail)
 
 
 def fitted_decay_rate(times, values, window: float = 4.0) -> float:

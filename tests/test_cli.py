@@ -25,6 +25,10 @@ from squeezebath.spectral import closed_form_spectrum
 from squeezebath.states import pure_state
 
 
+# what --help prints
+_USAGE = "usage: squeezebath <command> [--config FILE] [--out DIR] [key=value ...]\n"
+
+
 # name -> status and tolerance of each line of the default verify report, in order
 VERIFY_LINES = {
     "commutators": "PASS (exact)",
@@ -263,8 +267,14 @@ def test_invalid_inputs_exit_one(tmp_path, capsys):
     assert main(["trajectory", "--out", str(tmp_path), "--nonsense"]) == 1
     assert main(["waltz"]) == 1
     assert main(["trajectory", "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert main([]) == 1
+    assert main(["trajectory", "--out"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    assert err.endswith("error: no command given (choose from figures, spectrum, steady, "
+                        "trajectory, verify)\nerror: --out needs a value\n")
+    assert main(["trajectory", "-h"]) == 0
+    assert capsys.readouterr().out == _USAGE
 
 
 @pytest.mark.parametrize("command", ["trajectory", "figures", "verify"])
@@ -834,6 +844,41 @@ def test_python_dash_m_runs_the_cli(tmp_path, args, code):
     )
     assert proc.returncode == code, proc.stderr
     assert (tmp_path / "spectrum.csv").exists() == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "argv, code, wrote",
+    [
+        ("", 1, None),
+        ("bogus", 1, None),
+        ("trajectory --out", 1, None),
+        ("--out {D} trajectory", 0, "D"),
+        ("trajectory --out {A} --out={B}", 0, "B"),
+        ("trajectory --out {D} grid.t_max=1 extra", 1, None),
+        ("trajectory --ou {D}", 1, None),  # no abbreviations
+        ("--help", 0, None),
+    ],
+)
+def test_the_argv_grammar_through_python_dash_m(tmp_path, argv, code, wrote):
+    # squeezebath <command> [--config FILE] [--out DIR] [key=value ...], run
+    # from an empty directory, so that a stray output shows there
+    src = os.path.dirname(os.path.dirname(squeezebath.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = argv.format(**{name: str(tmp_path / name) for name in "ABD"}).split()
+    proc = subprocess.run(
+        [sys.executable, "-m", "squeezebath", *args], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    if wrote is None:
+        assert written == []
+    else:
+        assert written == [wrote, os.path.join(wrote, "trajectory.csv")]
+    if code:
+        assert proc.stdout == "" and re.fullmatch(r"error: [^\n]+\n", proc.stderr), proc.stderr
+    elif argv == "--help":
+        assert proc.stdout == _USAGE and proc.stderr == ""
 
 
 _TOL = {"oracle": 1e-7, "trace": 1e-9, "herm": 1e-9, "min_eig": 1e-8, "identity": 1e-9}

@@ -64,13 +64,27 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 
 @pytest.mark.parametrize("command", ["trajectory", "figures", "verify", "spectrum", "steady"])
 def test_no_command_imports_a_numpy_submodule_while_it_runs(tmp_path, command):
-    # numpy loads submodules such as numpy.random on first use, and argparse
-    # loads locale on its first message; a module loaded inside a command is
-    # paid in its run time, in every fresh process, so none may be
+    # numpy loads submodules such as numpy.random on first use; a module
+    # loaded inside a command is paid in its run time, in every fresh
+    # process, so none may be
     code, added = _fresh(_RUN_AND_LIST, command, "--out", str(tmp_path),
                          "--grid.t_max=20", "--grid.dt_out=0.5")
     assert code == 0
     assert not added, "%s imported while it ran: %s" % (command, added)
+
+
+def test_importing_the_cli_after_numpy_loads_no_code_generation_or_argparse():
+    # dataclass decorations, argparse and the modules they bring cost start-up
+    # time in every command; the package uses none of them
+    added = _fresh("""
+import json, sys
+import numpy
+before = set(sys.modules)
+import squeezebath.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+""")
+    assert "squeezebath.cli" in added
+    assert not {"dataclasses", "copy", "argparse", "gettext", "locale"} & set(added), added
 
 
 # imports its argument and prints the package modules then loaded

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -17,7 +16,7 @@ from squeezebath.states import pure_state
 
 def _swapped_generators():
     gen = composite_generators()
-    return dataclasses.replace(gen, j_plus=gen.j_minus, j_minus=gen.j_plus)
+    return gen._replace(j_plus=gen.j_minus, j_minus=gen.j_plus)
 
 
 # The acceptance gate and the unit tests call the same check functions as
@@ -65,7 +64,7 @@ _SPECTRUM_SAMPLES = ((7, 25), (101, 50), (17, 50))
 
 def _k_swapped_generators():
     gen = composite_generators()
-    return dataclasses.replace(gen, k_plus=gen.k_minus, k_minus=gen.k_plus)
+    return gen._replace(k_plus=gen.k_minus, k_minus=gen.k_plus)
 
 
 def _construction_loop(points, gen):
