@@ -1,13 +1,14 @@
 """Time-dependent reservoir parameters for a two-level atom.
 
-A reservoir is described by three control functions of time: a coupling rate
-gamma(t), a squeeze amplitude r(t) and a squeeze phase theta(t).  At each
-instant they determine the effective photon number N = sinh(r)^2 and the
-squeeze correlation M = sinh(r) cosh(r) exp(-i theta), which satisfy
-|M|^2 = N (N + 1).
-
-A schedule can instead override the squeezing with a plain thermal occupation
-nbar, in which case N = nbar and M = 0 at all times.
+A reservoir is a squeezed field of occupation nbar, described by three
+control functions of time, a coupling rate gamma(t), a squeeze amplitude r(t)
+and a squeeze phase theta(t), and the constant nbar >= 0.  At each instant
+they determine the effective photon number N = nbar + (2 nbar + 1) sinh(r)^2
+and the squeeze correlation M = (2 nbar + 1) sinh(r) cosh(r) exp(-i theta),
+which satisfy |M|^2 = N (N + 1) - nbar (nbar + 1).  This one formula has two
+edges: the paper's squeezed vacuum at nbar = 0, where |M|^2 = N (N + 1), and
+an unsqueezed reservoir at r = theta = 0, where N = nbar and M = 0 (the CLI's
+schedule.mode=thermal).
 
 Each control is one of four kinds, Constant, ExpDecay, Ramp and Sinusoid:
 immutable value classes on one base that refuses a non-finite parameter.  Beside
@@ -62,6 +63,11 @@ def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise InvalidInputError("%s must be finite, got %r" % (name, v))
+
+
+def _require_nbar(nbar: float) -> None:
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise InvalidInputError("nbar must be finite and >= 0, got %r" % (nbar,))
 
 
 class _Record:
@@ -243,12 +249,12 @@ class BathPoint(_Record):
     """Reservoir parameters frozen at one instant.
 
     n_param is the effective photon number N >= 0 and m_param the squeeze
-    correlation M, constrained by |M|^2 <= N (N + 1) (equality for pure
-    squeezing, M = 0 for a thermal reservoir).  A point that breaks this,
-    has a non-finite value or gamma < 0, or whose relaxation rate
-    gamma (2N+1) is past the float range, is refused when it is made
-    (InvalidInputError), so every BathPoint is physical and every rate it
-    yields is finite.
+    correlation M, constrained by |M|^2 <= N (N + 1) (equality for the
+    squeezed vacuum, M = 0 without squeezing, strict inequality between).
+    A point that breaks this, has a non-finite value or gamma < 0, or whose
+    relaxation rate gamma (2N+1) is past the float range, is refused when
+    it is made (InvalidInputError), so every BathPoint is physical and
+    every rate it yields is finite.
     """
 
     __slots__ = _fields = ("gamma", "n_param", "m_param")
@@ -273,15 +279,23 @@ class BathPoint(_Record):
         self._set(gamma, n_param, m_param)
 
 
-def _squeezed(r, theta):
-    """N = sinh(r)^2 and M = sinh(r) cosh(r) exp(-i theta), elementwise on
-    floats or arrays: the one construction of both, theta wrapped first."""
+def _squeezed(r, theta, nbar=0.0):
+    """N = nbar + (2 nbar + 1) sinh(r)^2 and M = (2 nbar + 1) sinh(r) cosh(r)
+    exp(-i theta), elementwise on floats or arrays: the one construction of
+    both, theta wrapped first.
+
+    2 nbar + 1 enters as (nbar + 1/2) times 2 sinh(r), which is finite for
+    every finite nbar and exactly sinh(r) at nbar = 0, so the squeezed vacuum
+    is bitwise sinh(r)^2 and sinh(r) cosh(r) exp(-i theta), and r = theta = 0
+    gives N = nbar and M = +0+0j, nbar = 1e308 included.
+    """
     sh = np.sinh(r)
-    return sh * sh, sh * np.cosh(r) * np.exp(-1j * _wrap_phase(theta))
+    scaled = (nbar + 0.5) * (2.0 * sh)
+    return nbar + scaled * sh, scaled * np.cosh(r) * np.exp(-1j * _wrap_phase(theta))
 
 
-def bath_params(r: float, theta: float) -> tuple[float, complex]:
-    """Effective photon number and squeeze correlation of a squeezed reservoir.
+def bath_params(r: float, theta: float, nbar: float = 0.0) -> tuple[float, complex]:
+    """Effective photon number and squeeze correlation of a reservoir (_squeezed).
 
     Parameters
     ----------
@@ -290,19 +304,24 @@ def bath_params(r: float, theta: float) -> tuple[float, complex]:
     theta : float
         Squeeze phase in radians.  Wrapped to (-pi, pi] before use, so shifts
         by 2 pi do not change the result.
+    nbar : float
+        Occupation of the field before squeezing, >= 0; 0 is the squeezed
+        vacuum.
 
     Returns
     -------
     n : float
-        N = sinh(r)^2.
+        N = nbar + (2 nbar + 1) sinh(r)^2.
     m : complex
-        M = sinh(r) cosh(r) exp(-i theta), which satisfies |M|^2 = N (N + 1).
+        M = (2 nbar + 1) sinh(r) cosh(r) exp(-i theta), which satisfies
+        |M|^2 = N (N + 1) - nbar (nbar + 1).
     """
     _require_finite("squeeze amplitude r", r)
     _require_finite("squeeze phase theta", theta)
     if r < 0.0:
         raise InvalidInputError("squeeze amplitude r must be >= 0, got %r" % (r,))
-    n, m = _squeezed(r, theta)
+    _require_nbar(nbar)
+    n, m = _squeezed(r, theta, nbar)
     return float(n), complex(m)
 
 
@@ -314,23 +333,19 @@ class BathSchedule(_Record):
     gamma : ControlFunction
         Coupling rate, must evaluate >= 0.
     r, theta : ControlFunction
-        Squeeze amplitude (must evaluate >= 0) and phase.  Ignored when nbar
-        is set.
-    nbar : float or None
-        If not None, override the squeezing: N = nbar and M = 0 at all times.
+        Squeeze amplitude (must evaluate >= 0) and phase.
+    nbar : float
+        Occupation of the field before squeezing, finite and >= 0.  N and M
+        follow _squeezed at every time: nbar = 0 is the squeezed vacuum, and
+        r = theta = 0 (the defaults) gives N = nbar and M = 0.
     """
 
     __slots__ = _fields = ("gamma", "r", "theta", "nbar")
 
     def __init__(self, gamma: ControlFunction, r: ControlFunction = Constant(0.0),
-                 theta: ControlFunction = Constant(0.0), nbar: float | None = None):
-        if nbar is not None and not (math.isfinite(nbar) and nbar >= 0.0):
-            raise InvalidInputError("nbar must be finite and >= 0, got %r" % (nbar,))
-        self._set(gamma, r, theta, nbar)
-
-    @property
-    def thermal(self) -> bool:
-        return self.nbar is not None
+                 theta: ControlFunction = Constant(0.0), nbar: float = 0.0):
+        _require_nbar(nbar)
+        self._set(gamma, r, theta, float(nbar))
 
     def at(self, t: float) -> BathPoint:
         """Evaluate the schedule at time t and return the reservoir point.
@@ -343,7 +358,7 @@ class BathSchedule(_Record):
         Returns
         -------
         BathPoint
-            (gamma(t), N(t), M(t)).  In thermal-override mode N = nbar and M = 0.
+            (gamma(t), N(t), M(t)).
 
         Raises
         ------
@@ -373,15 +388,11 @@ class BathSchedule(_Record):
             if np.any(gamma < 0.0):
                 t_bad = float(times[np.argmax(gamma < 0.0)])
                 raise InvalidInputError("gamma(t) < 0 at t = %r" % (t_bad,))
-            if self.thermal:
-                n = np.full(times.shape, float(self.nbar))
-                m = np.zeros(times.shape, dtype=complex)
-            else:
-                r = self.r(times)
-                if np.any(r < 0.0):
-                    t_bad = float(times[np.argmax(r < 0.0)])
-                    raise InvalidInputError("r(t) < 0 at t = %r" % (t_bad,))
-                n, m = _squeezed(r, self.theta(times))
+            r = self.r(times)
+            if np.any(r < 0.0):
+                t_bad = float(times[np.argmax(r < 0.0)])
+                raise InvalidInputError("r(t) < 0 at t = %r" % (t_bad,))
+            n, m = _squeezed(r, self.theta(times), self.nbar)
         bad = ~(np.isfinite(gamma) & np.isfinite(n) & np.isfinite(m))
         if np.any(bad):
             k = int(np.argmax(bad))

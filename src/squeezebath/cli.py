@@ -83,14 +83,14 @@ _BASE_KEYS = frozenset(
 
 
 class RunConfig(_Record):
-    __slots__ = _fields = ("schedule", "rho0", "t_max", "dt_out", "dt_int", "out_dir",
+    __slots__ = _fields = ("mode", "schedule", "rho0", "t_max", "dt_out", "dt_int", "out_dir",
                            "figure_ids", "plot", "spectrum_at", "steady_at", "tol")
 
-    def __init__(self, schedule: BathSchedule, rho0: np.ndarray, t_max: float, dt_out: float,
-                 dt_int: float | None, out_dir: str, figure_ids: tuple[int, ...], plot: bool,
-                 spectrum_at: float, steady_at: float | None, tol: dict[str, float]):
+    def __init__(self, mode: str, schedule: BathSchedule, rho0: np.ndarray, t_max: float,
+                 dt_out: float, dt_int: float | None, out_dir: str, figure_ids: tuple[int, ...],
+                 plot: bool, spectrum_at: float, steady_at: float | None, tol: dict[str, float]):
         # dt_int None is auto, resolved per schedule (verify: per run)
-        self._set(schedule, rho0, t_max, dt_out, dt_int, out_dir, figure_ids, plot,
+        self._set(mode, schedule, rho0, t_max, dt_out, dt_int, out_dir, figure_ids, plot,
                   spectrum_at, steady_at, tol)
 
 
@@ -217,13 +217,11 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
     mode = merged["schedule.mode"]
     if mode not in ("ideal", "thermal"):
         raise InvalidInputError("schedule.mode=%r is not ideal or thermal" % mode)
-    # every key is checked in either mode; the mode picks where N and M come from
+    # every key is checked in either mode; thermal is the reservoir's r = theta = 0 edge
     gamma, r, theta = (_control_from(merged, user, prefix) for prefix in _CONTROL_PREFIXES)
-    nbar = _as_nonnegative(merged, "schedule.nbar")
     if mode == "thermal":
-        schedule = BathSchedule(gamma=gamma, nbar=nbar)
-    else:
-        schedule = BathSchedule(gamma=gamma, r=r, theta=theta)
+        r = theta = Constant(0.0)
+    schedule = BathSchedule(gamma, r, theta, _as_nonnegative(merged, "schedule.nbar"))
 
     mu = amplitudes_from_polar(
         _as_float(merged, "initial.mu_abs2"), _as_float(merged, "initial.mu_phase")
@@ -241,6 +239,7 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
         for name in ("oracle", "trace", "herm", "min_eig", "identity")
     }
     return RunConfig(
+        mode=mode,
         schedule=schedule,
         rho0=rho0,
         t_max=_as_float(merged, "grid.t_max"),
@@ -271,20 +270,19 @@ def compute_frame(
 
     A table is a (rows, 16) float64 array, one row per grid time, whose
     columns are those of TRAJECTORY_HEADER: the time and the controls
-    gamma, r, theta, N, Re M, Im M (shared by every state; r and theta are 0
-    under the thermal override), then the algebraic route's sx, sy, sz, the
-    reference's, the trace distance between the two states, and the
-    algebraic state's trace error and smallest eigenvalue.  The caller
-    checks each table's row tolerances just before writing it.  dt_int None
-    is the step of default_step, resolved once for both routes."""
+    gamma, r, theta, N, Re M, Im M (shared by every state), then the
+    algebraic route's sx, sy, sz, the reference's, the trace distance
+    between the two states, and the algebraic state's trace error and
+    smallest eigenvalue.  The caller checks each table's row tolerances
+    just before writing it.  dt_int None is the step of default_step,
+    resolved once for both routes."""
     grid = uniform_grid(t_max, dt_out)
     step = default_step(schedule, grid) if dt_int is None else dt_int
     states = assemble_density(rho0, evolve_gauge(schedule, grid, step))
     ref = integrate_reference(schedule, rho0, grid, step)
 
     gamma, n, m = schedule.params_on(grid)
-    # squeeze controls are inert under the thermal override
-    r, theta = (0.0, 0.0) if schedule.thermal else (schedule.r(grid), schedule.theta(grid))
+    r, theta = schedule.r(grid), schedule.theta(grid)
     controls = np.column_stack(np.broadcast_arrays(grid, gamma, r, theta, n, m.real, m.imag))
     del gamma, n, m, r, theta  # not held beside their copies while the tables are built
     return [
@@ -513,7 +511,7 @@ def run_verify(rc: RunConfig) -> int:
     # the step at repr precision: passed back as grid.dt_int, it reproduces the run
     header = "verification report (t_max=%g, dt_out=%g, dt_int=%r, %s)" % (
         rc.t_max, rc.dt_out, step,
-        "thermal override" if rc.schedule.thermal else "ideal squeezed reservoir",
+        "thermal override" if rc.mode == "thermal" else "ideal squeezed reservoir",
     )
     text = verify_mod.format_report(results, header)
     path = os.path.join(rc.out_dir, "verify_report.txt")

@@ -160,9 +160,10 @@ def default_step(schedule, grid: np.ndarray) -> float:
     fastest rate is the largest of peak gamma times (2N + 1) at peak r, each
     control's own variation_rate (|rate| of an ExpDecay, |omega| of a
     Sinusoid, 0 otherwise) and theta's speed, at which the phase of M = |M|
-    exp(-i theta) turns, weighed by min(1, 2|M|) = min(1, sinh 2r) at peak
-    r.  This is the one place that picks the controls that count: under the
-    thermal override only gamma, as r and theta are not used.  Each number
+    exp(-i theta) turns, weighed by min(1, 2|M|) at peak r.  N and |M| are
+    the reservoir formula's (bath._squeezed): N = nbar + (2 nbar + 1)
+    sinh(r)^2 and 2|M| = (2 nbar + 1) sinh 2r, which is 0 at r = 0 (the
+    CLI's schedule.mode=thermal, where only gamma moves).  Each number
     is the controls' closed-form peak over [0, t_end] (their peak and speed
     methods), so a rate that the controls reach only between grid times
     counts too.
@@ -186,16 +187,15 @@ def default_step(schedule, grid: np.ndarray) -> float:
     t_end = float(grid[-1])
     gamma = schedule.gamma.peak(t_end)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        if schedule.thermal:
-            n, turn, controls = schedule.nbar, 0.0, (schedule.gamma,)
-        else:
-            r = schedule.r.peak(t_end)
-            n = _squeezed(r, 0.0)[0]
-            # the phase moves M at |M| |theta'|, little under weak squeezing
-            turn = schedule.theta.speed(t_end) * min(1.0, float(np.sinh(2.0 * r)))
-            controls = (schedule.gamma, schedule.r, schedule.theta)
+        r = schedule.r.peak(t_end)
+        n = _squeezed(r, 0.0, schedule.nbar)[0]
+        # the phase moves M at |M| |theta'|, little under weak squeezing;
+        # 2|M| as (nbar + 1/2) 2 sinh 2r, finite and exactly sinh 2r at nbar = 0
+        turn = schedule.theta.speed(t_end) * min(
+            1.0, float((schedule.nbar + 0.5) * (2.0 * np.sinh(2.0 * r))))
         fastest = max(float(gamma * (2.0 * n + 1.0)),
-                      max(c.variation_rate for c in controls), turn)
+                      *(c.variation_rate for c in (schedule.gamma, schedule.r, schedule.theta)),
+                      turn)
     if not fastest < math.inf:
         raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
     step = 1e-2 / fastest if fastest > 0.0 else math.inf

@@ -220,32 +220,31 @@ def eigen_modes(
 def asymptotic_state(schedule: BathSchedule) -> tuple[float, np.ndarray]:
     """The limiting photon number N and steady state of a schedule.
 
-    N comes from r's limit, or is nbar under a thermal override, and gamma
-    must converge to a positive value.  The state is diag(N/(2N+1),
-    (N+1)/(2N+1)) whatever theta does: the coherences have no source and
-    decay at rates of at least gamma (N + 1/2 - |M|).
+    N is the reservoir formula's (bath._squeezed) at r's limit, nbar +
+    (2 nbar + 1) sinh(r)^2, which is nbar where r tends to 0 (the CLI's
+    schedule.mode=thermal), and gamma must converge to a positive value.
+    The state is diag(N/(2N+1), (N+1)/(2N+1)) whatever theta does: the
+    coherences have no source and decay at rates of at least
+    gamma (N + 1/2 - |M|), where |M| = (2 nbar + 1) sinh(r) cosh(r) stays
+    below N + 1/2 = (2 nbar + 1) cosh(2r) / 2.
 
     Raises
     ------
     InvalidInputError
         For a gamma or r that does not converge (e.g. a sinusoid), a gamma
-        limit that is not > 0, or an r limit whose N = sinh(r)^2 is past the
-        float range.
+        limit that is not > 0, or an r limit whose N is past the float range.
     """
     g_inf = schedule.gamma.limit
     if g_inf is None:
         raise InvalidInputError("gamma control does not converge")
     if g_inf <= 0.0:
         raise InvalidInputError("gamma limit must be > 0, got %r" % (g_inf,))
-    if schedule.thermal:
-        n = float(schedule.nbar)
-    else:
-        r_inf = schedule.r.limit
-        if r_inf is None:
-            raise InvalidInputError("r control does not converge")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-            n = bath_params(r_inf, 0.0)[0]
-        if not n < math.inf:
-            raise InvalidInputError("r limit %r gives N = sinh(r)^2 past the float range"
-                                    % (r_inf,))
+    r_inf = schedule.r.limit
+    if r_inf is None:
+        raise InvalidInputError("r control does not converge")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        n = bath_params(r_inf, 0.0, schedule.nbar)[0]
+    if not n < math.inf:
+        raise InvalidInputError("r limit %r gives N = sinh(r)^2 past the float range"
+                                % (r_inf,))
     return n, steady_populations(n)

@@ -215,19 +215,20 @@ def check_adjoint_pairings() -> CheckResult:
     return _result("adjoint-pairings", worst == 0, worst, 0.0)
 
 
-def check_construction_equality(points, tol: float) -> CheckResult:
+def check_construction_equality(points, tol: float, nbar: float = 0.0) -> CheckResult:
     """The rate operator the reference integrator runs (the master equation's
     sandwich terms) equals the paper's generator combination
 
         gamma [(N+1) j_minus + N j_plus - j0/2 - M k_minus - conj(M) k_plus
                - (2N+1)/2]
 
-    entrywise at each (gamma, r, theta) of points.  Both sides are built for
+    entrywise at each (gamma, r, theta) of points, with N and M those of the
+    occupation nbar (bath._squeezed).  Both sides are built for
     all points at once: rate_matrix_batch's (P, 4, 4) stack, and the
     combination broadcast over a (P, 1, 1) axis.  An empty set of points
     measures 0 and passes."""
     g, r, th = np.array(list(points), dtype=float).reshape(-1, 3).T
-    n, m = _squeezed(r, th)
+    n, m = _squeezed(r, th, nbar)
     rates = rate_matrix_batch(g, n, m)
     g, n, m = (x[:, None, None] for x in (g, n, m))
     gen = composite_generators()

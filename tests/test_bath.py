@@ -1,3 +1,4 @@
+import cmath
 import copy
 import math
 import pickle
@@ -12,6 +13,8 @@ from squeezebath.bath import (
     ExpDecay,
     Ramp,
     Sinusoid,
+    _squeezed,
+    _wrap_phase,
     bath_params,
 )
 from squeezebath.errors import InvalidInputError
@@ -162,14 +165,15 @@ def test_equality_never_crosses_classes():
     # perfbench's tracer keys a flow on this text
     assert repr(figure_schedule(1)) == (
         "BathSchedule(gamma=Constant(value=1.0), r=ExpDecay(amplitude=0.1, rate=0.1), "
-        "theta=Constant(value=0.0), nbar=None)")
+        "theta=Constant(value=0.0), nbar=0.0)")
 
 
 def test_defaults_and_keyword_construction():
     assert Sinusoid(0.5, 0.2, 2.0).phase == 0.0
     assert Sinusoid(omega=2.0, amplitude=0.2, offset=0.5) == Sinusoid(0.5, 0.2, 2.0, 0.0)
     schedule = BathSchedule(Constant(1.0))
-    assert (schedule.r, schedule.theta, schedule.nbar) == (Constant(0.0), Constant(0.0), None)
+    assert (schedule.r, schedule.theta, schedule.nbar) == (Constant(0.0), Constant(0.0), 0.0)
+    assert type(schedule.nbar) is float
     assert BathSchedule(nbar=0.7, gamma=Constant(1.0)) == BathSchedule(
         Constant(1.0), Constant(0.0), Constant(0.0), 0.7)
     assert BathPoint(m_param=0j, gamma=1.0, n_param=0.0) == BathPoint(1.0, 0.0, 0j)
@@ -207,15 +211,71 @@ def test_schedule_tracks_decaying_amplitude():
     assert late.n_param < 1e-18
 
 
-def test_thermal_override():
-    sched = BathSchedule(gamma=Constant(2.0), r=ExpDecay(0.5, 0.1), nbar=0.7)
-    assert sched.thermal
+def test_occupation_without_squeezing_is_a_plain_thermal_reservoir():
+    # the reservoir formula's r = theta = 0 edge: N = nbar and M = 0
+    sched = BathSchedule(gamma=Constant(2.0), nbar=0.7)
+    assert not hasattr(sched, "thermal")
     point = sched.at(3.0)
     assert point.gamma == 2.0
     assert point.n_param == 0.7
     assert point.m_param == 0.0
+    assert repr(BathSchedule(gamma=Constant(1.0), nbar=0).nbar) == "0.0"
     with pytest.raises(InvalidInputError, match=r"^nbar must be finite and >= 0, got -1$"):
         BathSchedule(gamma=Constant(1.0), nbar=-1)
+    with pytest.raises(InvalidInputError, match=r"^nbar must be finite and >= 0, got nan$"):
+        bath_params(0.1, 0.0, math.nan)
+
+
+def _bits(x):
+    # the bytes of a float or complex array: equal only where every bit is, signed zeros included
+    return np.ascontiguousarray(x).tobytes()
+
+
+def test_the_formula_at_zero_occupation_is_the_squeezed_vacuum_bit_for_bit():
+    # at nbar = 0 the one formula adds 0.0 and multiplies by (0 + 1/2) 2 = 1
+    # exactly: sinh(r)^2 and sinh(r) cosh(r) exp(-i theta) as before nbar
+    # entered it, on r from -0.0 up to 5 and theta over several turns
+    rng = np.random.default_rng(36)
+    r = np.concatenate([[0.0, -0.0, 5.0], rng.uniform(0.0, 5.0, 2000), rng.uniform(0.0, 1e-3, 200)])
+    theta = np.concatenate([[0.0, 0.0, -20.0], rng.uniform(-20.0, 20.0, r.size - 3)])
+    sh = np.sinh(r)
+    want_n = sh * sh
+    want_m = sh * np.cosh(r) * np.exp(-1j * _wrap_phase(theta))
+    n, m = _squeezed(r, theta, 0.0)
+    assert _bits(n) == _bits(want_n) and _bits(m) == _bits(want_m)
+    assert _bits(_squeezed(r, theta)[1]) == _bits(want_m)  # nbar defaults to 0
+    for k in (0, 1, 5, 2100):  # scalars too, -0.0 among them
+        n_k, m_k = _squeezed(float(r[k]), float(theta[k]), 0.0)
+        assert _bits(n_k) == _bits(want_n[k]) and _bits(m_k) == _bits(want_m[k])
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.01, 0.7, 20.0, 5e307, 1e308, 1.7976931348623157e308])
+def test_the_formula_without_squeezing_is_the_occupation_with_no_signed_zero(nbar):
+    # at r = theta = 0 (the CLI's thermal mode) N = nbar exactly and M = +0+0j,
+    # up to the largest float, where 2 nbar + 1 itself would overflow
+    zeros = np.zeros(7)
+    n, m = _squeezed(zeros, zeros, nbar)
+    assert np.all(n == nbar)
+    assert _bits(m) == _bits(np.zeros(7, dtype=complex))
+    n, m = bath_params(0.0, 0.0, nbar)
+    assert n == nbar and _bits(m) == _bits(0j)
+    point = BathSchedule(gamma=Constant(0.0), nbar=min(nbar, 5e307)).at(1.0)
+    assert _bits(point.m_param) == _bits(0j)
+
+
+def test_occupation_and_squeezing_together_follow_the_one_formula():
+    # nbar no longer overrides r and theta: both count, with N = nbar +
+    # (2 nbar + 1) sinh(r)^2 and M = (2 nbar + 1) sinh(r) cosh(r) exp(-i theta)
+    sched = BathSchedule(gamma=Constant(2.0), r=ExpDecay(0.5, 0.1), theta=Constant(0.4), nbar=0.7)
+    point = sched.at(3.0)
+    r = 0.5 * math.exp(-0.3)
+    assert point.n_param == pytest.approx(0.7 + 2.4 * math.sinh(r) ** 2, rel=1e-15)
+    assert point.m_param == pytest.approx(2.4 * math.sinh(r) * math.cosh(r) * cmath.exp(-0.4j),
+                                          rel=1e-15)
+    assert (point.n_param, point.m_param) == bath_params(r, 0.4, 0.7)
+    # strictly inside the physical bound, by nbar (nbar + 1)
+    bound = point.n_param * (point.n_param + 1.0) - abs(point.m_param) ** 2
+    assert bound == pytest.approx(0.7 * 1.7, rel=1e-12)
 
 
 def test_negative_time_is_refused():

@@ -10,7 +10,7 @@ import pytest
 
 import squeezebath
 from squeezebath import cli, csvformat, integrate, verify
-from squeezebath.bath import Constant
+from squeezebath.bath import BathSchedule, Constant, ExpDecay
 from squeezebath.cli import (
     DEFAULTS,
     TRAJECTORY_HEADER,
@@ -94,7 +94,13 @@ def test_defaults_resolve():
     assert DEFAULTS["grid.dt_int"] == "auto" and rc.dt_int is None
     assert resolve_config({"grid.dt_int": "0.002"}, ".").dt_int == 0.002
     assert rc.figure_ids == (1, 2, 3, 4, 5, 6)
-    assert not rc.schedule.thermal
+    assert rc.mode == "ideal" and rc.schedule.nbar == 0.0
+    thermal = resolve_config({"schedule.mode": "thermal", "schedule.nbar": "0.7"}, ".")
+    assert (thermal.mode, thermal.schedule) == ("thermal", BathSchedule(
+        Constant(1.0), Constant(0.0), Constant(0.0), 0.7))
+    occupied = resolve_config({"schedule.nbar": "0.7"}, ".")
+    assert (occupied.mode, occupied.schedule) == ("ideal", BathSchedule(
+        Constant(1.0), ExpDecay(0.1, 0.1), Constant(0.0), 0.7))
     mu = math.sqrt(0.2) * complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
     assert np.allclose(rc.rho0, pure_state(mu, math.sqrt(0.8)), rtol=1e-12, atol=0)
 
@@ -698,6 +704,32 @@ def test_verify_coarse_step_fails_oracle(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path / "default")]) == 0
     assert len(_fixed_lines(report)) == 4
     assert _fixed_lines(report) == _fixed_lines(_read(tmp_path / "default" / "verify_report.txt"))
+
+
+def test_modes_are_the_edges_of_one_reservoir_formula(tmp_path, capsys):
+    # thermal mode is the formula's r = theta = 0 edge whatever the r and
+    # theta keys say: N = nbar, and the r, theta, M_re and M_im columns are
+    # 0, never -0.  ideal mode reads schedule.nbar: N = nbar + (2 nbar + 1)
+    # sinh(r)^2 and M = (2 nbar + 1) sinh(r) cosh(r).  verify's header names the mode
+    squeeze = ["--schedule.r.kind=const", "--schedule.r.value=1", "--schedule.theta.value=0.5"]
+    for mode in ("thermal", "ideal"):
+        args = ["--schedule.mode=" + mode, "--schedule.nbar=0.5", "--grid.t_max=1"] + squeeze
+        assert main(["trajectory", "--out", str(tmp_path / mode)] + args) == 0
+        assert main(["verify", "--out", str(tmp_path / mode)] + args) == 0
+    lines = _read(tmp_path / "thermal" / "trajectory.csv").splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == 21
+    assert {(row["r"], row["theta"], row["N"], row["M_re"], row["M_im"]) for row in rows} == {
+        ("0", "0", "0.5", "0", "0")}
+    text = _read(tmp_path / "ideal" / "trajectory.csv")
+    assert np.all(_column(text, "N") == pytest.approx(0.5 + 2.0 * math.sinh(1.0) ** 2, rel=1e-14))
+    m = 2.0 * math.sinh(1.0) * math.cosh(1.0) * complex(math.cos(0.5), -math.sin(0.5))
+    assert np.all(_column(text, "M_re") == pytest.approx(m.real, rel=1e-14))
+    assert np.all(_column(text, "M_im") == pytest.approx(m.imag, rel=1e-14))
+    for mode, label in (("thermal", "thermal override"), ("ideal", "ideal squeezed reservoir")):
+        report = _read(tmp_path / mode / "verify_report.txt")
+        assert report.splitlines()[0].endswith(", %s)" % label)
 
 
 def test_verify_thermal_runs_every_check(tmp_path):

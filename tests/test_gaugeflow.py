@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 
@@ -25,7 +26,11 @@ from squeezebath.states import (
     steady_populations,
     trace_distance,
 )
-from squeezebath.verify import check_gauge_trace_identities, check_oracle_agreement
+from squeezebath.verify import (
+    check_construction_equality,
+    check_gauge_trace_identities,
+    check_oracle_agreement,
+)
 
 FIG1 = BathSchedule(gamma=Constant(1.0), r=ExpDecay(0.1, 0.1))
 
@@ -359,6 +364,34 @@ def test_constant_squeezing_reaches_equilibrium():
     flow = evolve_gauge(BathSchedule(gamma=Constant(1.0), r=Constant(0.6)),
                         uniform_grid(1000.0, 1.0), step=0.01)
     assert trace_distance(assemble_density(ODD_RHO0, flow[-1]), steady_populations(n)) <= 1e-10
+
+
+@pytest.mark.parametrize("nbar, r", [(0.5, 1.0), (3.0, 0.3), (20.0, 2.0), (0.01, 2.5)])
+def test_occupied_squeezed_reservoir_matches_closed_form(nbar, r):
+    # the reservoir formula's interior, |M|^2 = N (N + 1) - nbar (nbar + 1):
+    # N and M from the closed form, both routes at the auto step to t = 10
+    n = nbar + (2.0 * nbar + 1.0) * math.sinh(r) ** 2
+    m = (2.0 * nbar + 1.0) * math.sinh(r) * math.cosh(r)
+    assert m * m < n * (n + 1.0)
+    schedule = BathSchedule(gamma=Constant(1.0), r=Constant(r), nbar=nbar)
+    grid = uniform_grid(10.0, 0.05)
+    want = autonomous_expectations(ODD_RHO0, 1.0, n, m, grid)
+    gauge = pauli_expectations(assemble_density(ODD_RHO0, evolve_gauge(schedule, grid)))
+    ref = pauli_expectations(integrate_reference(schedule, ODD_RHO0, grid))
+    assert np.max(np.abs(gauge - want)) <= 1e-10
+    assert np.max(np.abs(ref - want)) <= 1e-10
+    # the rate operator is the paper's generator combination there too, theta over a turn
+    points = itertools.product((1.0,), (r,), np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False))
+    assert check_construction_equality(points, 1e-14, nbar).status == "PASS"
+
+
+@pytest.mark.parametrize("nbar", [0.01, 0.5, 3.0])
+def test_construction_equality_holds_at_occupied_points(nbar):
+    # verify's own sample set, which keeps nbar = 0, at occupations up to 3;
+    # the check is absolute, at 1e-14, and the entries grow with gamma (2N + 1)
+    points = itertools.product(np.linspace(0.2, 2.0, 6), np.linspace(0.0, 1.2, 6),
+                               np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False))
+    assert check_construction_equality(points, 1e-14, nbar).status == "PASS"
 
 
 def test_autonomous_gauge_is_bounded_at_long_times():

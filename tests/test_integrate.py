@@ -220,15 +220,24 @@ def test_default_step_resolves_the_fastest_control():
     # at r = 0.01 a turn moves M by 2|M| = sinh 0.02 per radian: 5e-4, not 1e-5
     weak = BathSchedule(gamma=Constant(1.0), r=Constant(0.01), theta=Ramp(0.0, 1000.0))
     assert default_step(weak, uniform_grid(1.0, 0.05)) == 1e-2 / (1000.0 * np.sinh(0.02))
-    # but not at r = 0, where M = 0, nor under the thermal override
+    # but not at r = 0, where M = 0 at any nbar: there only gamma (2 nbar + 1) counts
     assert default_step(BathSchedule(gamma=Constant(1.0), r=Ramp(0.0, 0.0),
                                      theta=Ramp(0.0, 1000.0)), grid) == 1e-2
     assert default_step(BathSchedule(gamma=Constant(1.0), nbar=0.5, theta=Ramp(0.0, 1000.0)),
                         grid) == 5e-3
     assert default_step(BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.5, 0.1, 10.0)),
                         grid) == 1e-3
-    # under the thermal override r and theta are not used, and do not count
-    assert default_step(BathSchedule(gamma=Constant(1.0), r=fast, nbar=0.5), grid) == 5e-3
+    # at nbar > 0 r and theta count as at nbar = 0, with N = nbar + (2 nbar + 1)
+    # sinh(r)^2 and 2|M| = (2 nbar + 1) sinh 2r: r's omega, the relaxation rate
+    # and the turn, each where it is the fastest rate
+    assert default_step(BathSchedule(gamma=Constant(1.0), r=fast, nbar=0.5), grid) == 1e-4
+    sh = np.sinh(1.0)
+    assert default_step(BathSchedule(gamma=Constant(1.0), r=Constant(1.0), nbar=0.5),
+                        grid) == 1e-2 / (2.0 * (0.5 + (2.0 * sh) * sh) + 1.0)
+    weak_occupied = BathSchedule(gamma=Constant(1.0), r=Constant(0.01), theta=Ramp(0.0, 1000.0),
+                                 nbar=0.5)
+    assert default_step(weak_occupied, uniform_grid(1.0, 0.05)) == 1e-2 / (
+        1000.0 * (2.0 * np.sinh(0.02)))
     # gamma at 2pi/0.05 is 0 at every output time and up to 10 between them:
     # the step resolves its oscillation, not the samples
     aliased = BathSchedule(gamma=Sinusoid(5.0, 5.0, 2.0 * np.pi / 0.05, -np.pi / 2.0))

@@ -158,19 +158,25 @@ def _edge_draw(rng):
     return args
 
 
-@pytest.mark.filterwarnings("error")
-def test_edge_draws_whose_weights_decay_past_the_float_range_give_results(tmp_path, capsys):
-    # 24 draws of _edge_draw, about 5 s on a 2-core host: span times rate
-    # passes 708 in every draw whose rate is above about 0.59, inside one
-    # interval or across many, and the gauge route's joins multiply weights
-    # that decay at up to that rate, past the float range.  trajectory exits 0
-    # within 1e-10 of the reference on every draw, and verify passes every
-    # check on every draw, thermal or squeezed, and skips none: its four
-    # fixed-schedule checks read neither the draw's grid nor its step
-    rng = random.Random(20052)
+def _interior_draw(rng):
+    # _edge_draw's rates, spans and grids inside the reservoir: occupation
+    # (nbar log-uniform over [0.01, 100]) and squeezing (r in [0.05, 2.5]) at once
+    rate = 10.0 ** rng.uniform(-3.0, 4.0)
+    nbar = 10.0 ** rng.uniform(-2.0, 2.0)
+    r = rng.uniform(0.05, 2.5)
+    n = nbar + (2.0 * nbar + 1.0) * math.sinh(r) ** 2
+    t_max = min(rng.uniform(750.0, 1200.0) / rate, 1.2e5 * 1e-2 / max(rate, 1.0))
+    intervals = rng.choice([1, rng.randint(20, 200)])
+    return ["--schedule.nbar=%r" % nbar, "--schedule.r.kind=const", "--schedule.r.value=%r" % r,
+            "--schedule.gamma.value=%r" % (rate / (2.0 * n + 1.0)),
+            "--grid.t_max=%r" % t_max, "--grid.dt_out=%r" % (t_max / intervals)]
+
+
+def _failed_draws(draws, tmp_path, capsys):
+    # trajectory exits 0 within 1e-10 of the reference, and verify exits 0
+    # and skips no check
     failed = []
-    for k in range(24):
-        draw = _edge_draw(rng)
+    for k, draw in enumerate(draws):
         for command in ("trajectory", "verify"):
             out_dir = tmp_path / ("e%d" % k)
             code = main([command, "--out", str(out_dir)] + draw)
@@ -182,4 +188,29 @@ def test_edge_draws_whose_weights_decay_past_the_float_range_give_results(tmp_pa
                 ok = re.search(r"^  \[SKIP\] ", out, re.M) is None
             if code != 0 or not ok:
                 failed.append((command, draw, code, err))
+    return failed
+
+
+@pytest.mark.filterwarnings("error")
+def test_edge_draws_whose_weights_decay_past_the_float_range_give_results(tmp_path, capsys):
+    # 24 draws of _edge_draw, about 5 s on a 2-core host: span times rate
+    # passes 708 in every draw whose rate is above about 0.59, inside one
+    # interval or across many, and the gauge route's joins multiply weights
+    # that decay at up to that rate, past the float range.  trajectory exits 0
+    # within 1e-10 of the reference on every draw, and verify passes every
+    # check on every draw, thermal or squeezed, and skips none: its four
+    # fixed-schedule checks read neither the draw's grid nor its step
+    rng = random.Random(20052)
+    draws = [_edge_draw(rng) for _ in range(24)]
+    failed = _failed_draws(draws, tmp_path, capsys)
+    assert not failed, failed
+
+
+@pytest.mark.filterwarnings("error")
+def test_interior_draws_occupied_and_squeezed_give_results(tmp_path, capsys):
+    # 12 draws of _interior_draw, where |M|^2 < N (N + 1): the same
+    # outcome as the edge draws, on the formula's inside rather than its edges
+    rng = random.Random(20053)
+    draws = [_interior_draw(rng) for _ in range(12)]
+    failed = _failed_draws(draws, tmp_path, capsys)
     assert not failed, failed

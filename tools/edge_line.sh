@@ -7,7 +7,8 @@
 # command n into OUT_DIR/n/ and OUT_DIR/n.stdout, n.stderr and n.exit.  Run
 # it on the parent's tree and the change's, and compare the two with diff -r
 # or tools/max_change.py, when a change touches the prefix scan, the row
-# blocks, a composition law or the step.
+# blocks, a composition law, the step or the reservoir formula
+# (bath._squeezed).
 #
 # Commands 1-13 are `trajectory` at the edges: strong squeezing (1, 2, 5,
 # 6), strong coupling and large thermal N (3, 4), long output intervals
@@ -15,6 +16,8 @@
 # times slower).  Commands 14-17 decay fast, across many intervals (14, 15)
 # and inside one (16, 17).  Commands 13 and 18 are the default run with
 # every rate divided by 1e3 and 1e6, so their Pauli columns agree with it.
+# Command 19 is the reservoir's interior, occupation and squeezing at once
+# (nbar = 0.5, r = 1), where |M|^2 < N (N + 1).
 # Command 6 exits 1 (an interval of more substeps than the limit); the
 # others exit 0.
 # Commands 2 and 12 take seconds each, and 5, 7 and 12 peak at 100-160 MB.
@@ -37,4 +40,5 @@ trajectory schedule.mode=thermal schedule.nbar=300 grid.t_max=5
 trajectory schedule.gamma.value=100 schedule.r.kind=const schedule.r.value=0 grid.t_max=20 grid.dt_out=20
 trajectory schedule.mode=thermal schedule.nbar=300 grid.t_max=5 grid.dt_out=5
 trajectory schedule.gamma.value=1e-6 schedule.r.c2=1e-7 grid.t_max=3e7 grid.dt_out=5e4
+trajectory schedule.nbar=0.5 schedule.r.kind=const schedule.r.value=1
 COMMANDS
