@@ -1,10 +1,12 @@
-"""Two-level atom in a time-dependent squeezed vacuum reservoir.
+"""Two-level atom in a time-dependent squeezed reservoir.
 
-The package solves the atom's master equation two independent ways: an
-analytic route that integrates four scalar gauge-parameter ODEs and assembles
-the density matrix in closed form, and a brute-force route that steps the
-vectorized master equation directly.  The two must agree, and the test suite
-and the `squeezebath verify` command hold them to that.
+The reservoir is a squeezed field of occupation nbar; the squeezed vacuum is
+its default, nbar = 0.  The package solves the atom's master equation two
+independent ways: an analytic route that integrates the eight columns of a
+gauge-parameter flow and assembles the density matrix in closed form, and a
+brute-force route that steps the vectorized master equation directly.  The
+two must agree, and the test suite and the `squeezebath verify` command hold
+them to that.
 
 Importing the package imports none of its modules: each exported name is
 loaded from the module that defines it on first access (PEP 562).

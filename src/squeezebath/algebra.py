@@ -21,9 +21,9 @@ of them truncate after the linear term.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
+
+from .bath import _Record
 
 __all__ = [
     "SZ",
@@ -133,7 +133,7 @@ def _lift(op: np.ndarray, left: bool) -> np.ndarray:
     return out
 
 
-class GeneratorSet(NamedTuple):
+class GeneratorSet(_Record):
     """The six two-sided generators as exact 4x4 integer matrices.
 
     j_plus, j_minus and j0 act on the population components (indices 0, 1):
@@ -148,16 +148,11 @@ class GeneratorSet(NamedTuple):
     k_minus vanish.
     """
 
-    j0: np.ndarray
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    k0: np.ndarray
-    k_plus: np.ndarray
-    k_minus: np.ndarray
+    __slots__ = _fields = ("j0", "j_plus", "j_minus", "k0", "k_plus", "k_minus")
 
     def items(self) -> tuple[tuple[str, np.ndarray], ...]:
         """Named generators in field order, for iteration in checks."""
-        return tuple(zip(self._fields, self))
+        return tuple(zip(self._fields, self._values()))
 
 
 def composite_generators() -> GeneratorSet:

@@ -18,9 +18,15 @@ integrate.default_step picks the integrator step.
 
 The controls, BathPoint and BathSchedule are _Record classes: plain classes
 with __slots__, equal only within their own class, hashable, immutable and
-shown as Name(field=value, ...).  The package's other records (SubstepPlan,
-TransformationBranch, EigenMode, CheckResult, RunConfig) share that base.  No
-record is a dataclass, whose decoration would generate code at every import.
+shown as Name(field=value, ...).  The package's other records (GeneratorSet,
+SubstepPlan, TransformationBranch, EigenMode, CheckResult, RunConfig) share
+that base and its one constructor, which binds the fields by position, name
+or default; a record that checks its values does so in _set (the controls,
+BathPoint and BathSchedule here).  No record is a dataclass or a NamedTuple,
+whose construction would generate code at every import.
+
+relaxation_rate is the one refusal of a relaxation rate gamma (2N + 1) past
+the float range, for BathPoint, the integrator step and the chunk walk.
 
 All evaluation is pure floating-point arithmetic with no hidden state, so
 repeated calls with the same arguments give bit-identical results.
@@ -44,6 +50,7 @@ __all__ = [
     "BathPoint",
     "BathSchedule",
     "bath_params",
+    "relaxation_rate",
 ]
 
 _TAU = 2.0 * np.pi
@@ -70,17 +77,46 @@ def _require_nbar(nbar: float) -> None:
         raise InvalidInputError("nbar must be finite and >= 0, got %r" % (nbar,))
 
 
+def relaxation_rate(gamma, n) -> float:
+    """The largest relaxation rate gamma (2N + 1) over scalars or arrays,
+    refused past the float range (nan at gamma = 0 with 2N + 1 = inf too)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        rate = float(np.max(gamma * (2.0 * n + 1.0)))
+    if not rate < math.inf:
+        raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
+    return rate
+
+
 class _Record:
     """An immutable record of the attributes named in _fields.
 
     Each subclass names its fields once, as both its __slots__ and its
-    _fields, and its __init__ sets them through _set.  A record equals only
-    a record of its own class with equal fields, hashes as the tuple of its
-    fields, refuses assignment, and shows as Name(field=value, ...).
+    _fields, and the defaults of its trailing fields in _defaults.  The one
+    __init__ binds the fields by position, then by name, then from
+    _defaults, refuses a missing, unknown, repeated or surplus field with
+    TypeError, and passes the values in field order to _set, which a
+    subclass overrides to check them.  A record equals only a record of its
+    own class with equal fields, hashes as the tuple of its fields, refuses
+    assignment, and shows as Name(field=value, ...).
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *values, **named):
+        name, fields, rest = type(self).__name__, self._fields, self._fields[len(values):]
+        if len(values) > len(fields):
+            raise TypeError("%s takes %d fields, got %d" % (name, len(fields), len(values)))
+        for key in named:
+            if key not in rest:
+                raise TypeError(("%s got field %r twice" if key in fields else "%s has no field %r")
+                                % (name, key))
+        named = {**self._defaults, **named}
+        for key in rest:
+            if key not in named:
+                raise TypeError("%s is missing field %r" % (name, key))
+        self._set(*values, *(named[key] for key in rest))
 
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values):
@@ -136,9 +172,6 @@ class Constant(_Control):
 
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: float):
-        self._set(value)
-
     def __call__(self, t):
         return self.value + np.zeros_like(np.asarray(t, dtype=float))
 
@@ -155,9 +188,6 @@ class ExpDecay(_Control):
     """Control function amplitude * exp(-rate * t)."""
 
     __slots__ = _fields = ("amplitude", "rate")
-
-    def __init__(self, amplitude: float, rate: float):
-        self._set(amplitude, rate)
 
     def __call__(self, t):
         return self.amplitude * np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -184,9 +214,6 @@ class Ramp(_Control):
 
     __slots__ = _fields = ("offset", "slope")
 
-    def __init__(self, offset: float, slope: float):
-        self._set(offset, slope)
-
     def __call__(self, t):
         return np.maximum(self.offset + self.slope * np.asarray(t, dtype=float), 0.0)
 
@@ -207,9 +234,7 @@ class Sinusoid(_Control):
     """Control function offset + amplitude * sin(omega * t + phase)."""
 
     __slots__ = _fields = ("offset", "amplitude", "omega", "phase")
-
-    def __init__(self, offset: float, amplitude: float, omega: float, phase: float = 0.0):
-        self._set(offset, amplitude, omega, phase)
+    _defaults = {"phase": 0.0}
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -259,24 +284,21 @@ class BathPoint(_Record):
 
     __slots__ = _fields = ("gamma", "n_param", "m_param")
 
-    def __init__(self, gamma: float, n_param: float, m_param: complex):
-        n, m = n_param, m_param
+    def _set(self, gamma, n, m) -> None:
         if not (math.isfinite(gamma) and gamma >= 0.0):
             raise InvalidInputError("coupling gamma must be finite and >= 0, got %r" % (gamma,))
         if not (math.isfinite(n) and n >= 0.0):
             raise InvalidInputError("photon number N must be finite and >= 0, got %r" % (n,))
         if not (math.isfinite(m.real) and math.isfinite(m.imag)):
             raise InvalidInputError("squeeze correlation M must be finite, got %r" % (m,))
-        # nan at gamma = 0 and 2N+1 = inf, refused as default_step refuses it
-        if not float(gamma) * (2.0 * float(n) + 1.0) < math.inf:
-            raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
+        relaxation_rate(gamma, n)
         bound = n * (n + 1.0)
         if abs(m) ** 2 > bound * (1.0 + 1e-9) + 1e-12:
             raise InvalidInputError(
                 "|M|^2 = %.6g exceeds N(N+1) = %.6g; not a physical reservoir point"
                 % (abs(m) ** 2, bound)
             )
-        self._set(gamma, n_param, m_param)
+        super()._set(gamma, n, m)
 
 
 def _squeezed(r, theta, nbar=0.0):
@@ -341,11 +363,11 @@ class BathSchedule(_Record):
     """
 
     __slots__ = _fields = ("gamma", "r", "theta", "nbar")
+    _defaults = {"r": Constant(0.0), "theta": Constant(0.0), "nbar": 0.0}
 
-    def __init__(self, gamma: ControlFunction, r: ControlFunction = Constant(0.0),
-                 theta: ControlFunction = Constant(0.0), nbar: float = 0.0):
+    def _set(self, gamma, r, theta, nbar) -> None:
         _require_nbar(nbar)
-        self._set(gamma, r, theta, float(nbar))
+        super()._set(gamma, r, theta, float(nbar))
 
     def at(self, t: float) -> BathPoint:
         """Evaluate the schedule at time t and return the reservoir point.

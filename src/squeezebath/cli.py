@@ -83,15 +83,9 @@ _BASE_KEYS = frozenset(
 
 
 class RunConfig(_Record):
+    # dt_int None is auto, resolved per schedule (verify: per run)
     __slots__ = _fields = ("mode", "schedule", "rho0", "t_max", "dt_out", "dt_int", "out_dir",
                            "figure_ids", "plot", "spectrum_at", "steady_at", "tol")
-
-    def __init__(self, mode: str, schedule: BathSchedule, rho0: np.ndarray, t_max: float,
-                 dt_out: float, dt_int: float | None, out_dir: str, figure_ids: tuple[int, ...],
-                 plot: bool, spectrum_at: float, steady_at: float | None, tol: dict[str, float]):
-        # dt_int None is auto, resolved per schedule (verify: per run)
-        self._set(mode, schedule, rho0, t_max, dt_out, dt_int, out_dir, figure_ids, plot,
-                  spectrum_at, steady_at, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,9 @@ import math
 import numpy as np
 
 from .algebra import unvectorize, vectorize
-from .bath import BathSchedule
+from .bath import BathSchedule, relaxation_rate
 from .errors import InvalidInputError, NumericalFailureError
-from .integrate import fastest_rate, pairwise_products, prefix_products, walk_chunks
+from .integrate import pairwise_products, prefix_products, walk_chunks
 from .states import check_density
 
 __all__ = [
@@ -196,7 +196,7 @@ def gauge_chunk(controls, h, m) -> tuple[tuple, tuple]:
     """
     # blocks in difference form span at most 5.12 of the fastest rate
     # gamma (2N + 1) at the chunk's nodes
-    span = h.max(initial=0.0) * fastest_rate(controls)
+    span = h.max(initial=0.0) * relaxation_rate(*controls[:2])
     block = _BLOCK
     while block > 1 and block * span > 5.12:
         block //= 2

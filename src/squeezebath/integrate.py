@@ -38,11 +38,11 @@ import math
 
 import numpy as np
 
-from .bath import _Record, _squeezed
+from .bath import _Record, _squeezed, relaxation_rate
 from .errors import InvalidInputError, NumericalFailureError
 
 __all__ = ["SubstepPlan", "uniform_grid", "plan_substeps", "default_step", "check_grid",
-           "plan_integration", "walk_chunks", "fastest_rate", "pairwise_products",
+           "plan_integration", "walk_chunks", "pairwise_products",
            "prefix_products", "CHUNK_SUBSTEPS", "MAX_ROWS", "MAX_INTERVAL_SUBSTEPS"]
 
 # Substeps per chunk of plan_integration, and intervals per row block of
@@ -120,9 +120,6 @@ class SubstepPlan(_Record):
 
     __slots__ = _fields = ("nodes", "counts", "widths")
 
-    def __init__(self, nodes: np.ndarray, counts: np.ndarray, widths: np.ndarray):
-        self._set(nodes, counts, widths)
-
 
 def _substep_counts(spans: np.ndarray, step: float) -> np.ndarray:
     if not step > 0.0:
@@ -179,8 +176,8 @@ def default_step(schedule, grid: np.ndarray) -> float:
     reference.  The rule reads time in units of the fastest rate, so a run
     with every rate times c on the grid over c plans the same substeps.
     The controls are first evaluated on the grid, which refuses a bad value
-    there with params_on's message; a rate past the float range is refused
-    too.
+    there with params_on's message; a relaxation rate past the float range
+    (bath.relaxation_rate), or a speed of theta past it, is refused too.
     """
     grid = check_grid(grid)
     schedule.params_on(grid)  # refuses a bad control at a grid time, with its message
@@ -193,26 +190,14 @@ def default_step(schedule, grid: np.ndarray) -> float:
         # 2|M| as (nbar + 1/2) 2 sinh 2r, finite and exactly sinh 2r at nbar = 0
         turn = schedule.theta.speed(t_end) * min(
             1.0, float((schedule.nbar + 0.5) * (2.0 * np.sinh(2.0 * r))))
-        fastest = max(float(gamma * (2.0 * n + 1.0)),
-                      *(c.variation_rate for c in (schedule.gamma, schedule.r, schedule.theta)),
-                      turn)
-    if not fastest < math.inf:
-        raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
+    fastest = max(relaxation_rate(gamma, n),
+                  *(c.variation_rate for c in (schedule.gamma, schedule.r, schedule.theta)), turn)
+    if not fastest < math.inf:  # the variation rates are finite: theta's speed overflowed
+        raise InvalidInputError("speed of the squeeze phase theta exceeds the float range")
     step = 1e-2 / fastest if fastest > 0.0 else math.inf
     if grid.size > 1:
         step = min(step, float(np.min(np.diff(grid))))
     return step
-
-
-def fastest_rate(controls) -> float:
-    """The largest relaxation rate gamma (2N + 1) among a chunk's controls
-    (gamma, N, M), refused past the float range as default_step refuses it."""
-    g, n, _ = controls
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        rate = float(np.max(g * (2.0 * n + 1.0)))
-    if not rate < math.inf:  # nan at gamma = 0 and 2N+1 = inf too
-        raise InvalidInputError("relaxation rate gamma (2N + 1) exceeds the float range")
-    return rate
 
 
 def plan_integration(schedule, grid: np.ndarray, step: float | None):
@@ -267,13 +252,13 @@ def walk_chunks(schedule, grid, step: float | None, first: np.ndarray, chunk, bl
     (gamma, N, M) at the chunk's nodes and the K m substep widths h and
     returns (held, elements): held is kept until the next chunk's call
     returns, and elements is a tuple of arrays whose last axis holds the
-    K intervals' products.  Before that call each chunk's fastest_rate is
-    read, which refuses a rate past the float range.  A row block is the
-    run of consecutive chunks that first reaches CHUNK_SUBSTEPS intervals
-    or the end of the grid: its chunks' elements are joined along the last
-    axis, and block(start, elements, rows), which may overwrite elements,
-    writes the block's rows after its first grid time i0 into rows from
-    start, row i0.  Overflow is not warned about: the rows, of shape
+    K intervals' products.  Before that call each chunk's
+    bath.relaxation_rate is read, which refuses a rate past the float
+    range.  A row block is the run of consecutive chunks that first reaches
+    CHUNK_SUBSTEPS intervals or the end of the grid: its chunks' elements
+    are joined along the last axis, and block(start, elements, rows), which
+    may overwrite elements, writes the block's rows after its first grid
+    time i0 into rows from start, row i0.  Overflow is not warned about: the rows, of shape
     (len(grid),) + first.shape, are refused by NumericalFailureError("<what>
     non-finite at t = ...") at the first non-finite one, where a blow-up
     began.
@@ -285,7 +270,7 @@ def walk_chunks(schedule, grid, step: float | None, first: np.ndarray, chunk, bl
     b0, pending = 0, []
     for i0, plan, controls in chunks:
         i1 = i0 + plan.counts.size
-        fastest_rate(controls)  # refuses a rate past the float range
+        relaxation_rate(*controls[:2])  # refuses a rate past the float range
         with np.errstate(over="ignore", invalid="ignore"):
             held, elements = chunk(controls, np.repeat(plan.widths, plan.counts),  # noqa: F841
                                    plan.counts.max(initial=1))

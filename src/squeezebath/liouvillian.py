@@ -135,10 +135,12 @@ def build_rate_operator(point: BathPoint) -> np.ndarray:
 
 
 def _as_matrix(rate, stack: bool = False) -> np.ndarray:
-    # rate as a complex 4x4 matrix or, if stack is True, a (..., 4, 4) stack
+    # rate as a finite complex 4x4 matrix or, if stack is True, a (..., 4, 4) stack
     mat = np.asarray(rate, dtype=complex)
     if mat.shape[-2:] != (4, 4) or (mat.ndim != 2 and not stack):
         raise InvalidInputError("expected a 4x4 rate matrix, got shape %r" % (mat.shape,))
+    if not np.all(np.isfinite(mat)):
+        raise InvalidInputError("rate matrix must be finite")
     return mat
 
 

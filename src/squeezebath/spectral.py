@@ -57,10 +57,6 @@ class TransformationBranch(_Record):
 
     __slots__ = _fields = ("alpha_plus", "alpha_minus", "eta_plus", "eta_minus")
 
-    def __init__(self, alpha_plus: complex, alpha_minus: complex, eta_plus: complex,
-                 eta_minus: complex):
-        self._set(alpha_plus, alpha_minus, eta_plus, eta_minus)
-
 
 class EigenMode(_Record):
     """Eigenvalue beta and right/left eigenvectors of one mode.
@@ -73,9 +69,6 @@ class EigenMode(_Record):
     """
 
     __slots__ = _fields = ("beta", "mode", "dual")
-
-    def __init__(self, beta: complex, mode: np.ndarray, dual: np.ndarray):
-        self._set(beta, mode, dual)
 
 
 def condition_residuals(
@@ -232,7 +225,8 @@ def asymptotic_state(schedule: BathSchedule) -> tuple[float, np.ndarray]:
     ------
     InvalidInputError
         For a gamma or r that does not converge (e.g. a sinusoid), a gamma
-        limit that is not > 0, or an r limit whose N is past the float range.
+        limit that is not > 0, or an r limit and nbar whose N is past the
+        float range.
     """
     g_inf = schedule.gamma.limit
     if g_inf is None:
@@ -245,6 +239,6 @@ def asymptotic_state(schedule: BathSchedule) -> tuple[float, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         n = bath_params(r_inf, 0.0, schedule.nbar)[0]
     if not n < math.inf:
-        raise InvalidInputError("r limit %r gives N = sinh(r)^2 past the float range"
-                                % (r_inf,))
+        raise InvalidInputError("r limit %r and nbar %r give N = nbar + (2 nbar + 1) sinh(r)^2"
+                                " past the float range" % (r_inf, schedule.nbar))
     return n, steady_populations(n)

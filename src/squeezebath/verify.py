@@ -137,12 +137,9 @@ _N_SAMPLES = (0.0, 0.01, 0.4, 1.0, 5.0)
 
 
 class CheckResult(_Record):
+    # status is PASS, FAIL or SKIP
     __slots__ = _fields = ("name", "status", "measured", "tolerance", "detail")
-
-    def __init__(self, name: str, status: str, measured: float | None,
-                 tolerance: float | None, detail: str = ""):
-        # status is PASS, FAIL or SKIP
-        self._set(name, status, measured, tolerance, detail)
+    _defaults = {"detail": ""}
 
 
 def fitted_decay_rate(times, values, window: float = 4.0) -> float:
@@ -222,11 +219,12 @@ def check_construction_equality(points, tol: float, nbar: float = 0.0) -> CheckR
         gamma [(N+1) j_minus + N j_plus - j0/2 - M k_minus - conj(M) k_plus
                - (2N+1)/2]
 
-    entrywise at each (gamma, r, theta) of points, with N and M those of the
-    occupation nbar (bath._squeezed).  Both sides are built for
-    all points at once: rate_matrix_batch's (P, 4, 4) stack, and the
-    combination broadcast over a (P, 1, 1) axis.  An empty set of points
-    measures 0 and passes."""
+    entrywise at each (gamma, r, theta) of points, gamma > 0, with N and M
+    those of the occupation nbar (bath._squeezed).  Each point's error is
+    relative to its relaxation rate gamma (2N+1), the scale of its entries,
+    as in check_spectrum_formulas.  Both sides are built for all points at
+    once: rate_matrix_batch's (P, 4, 4) stack, and the combination broadcast
+    over a (P, 1, 1) axis.  An empty set of points measures 0 and passes."""
     g, r, th = np.array(list(points), dtype=float).reshape(-1, 3).T
     n, m = _squeezed(r, th, nbar)
     rates = rate_matrix_batch(g, n, m)
@@ -240,7 +238,7 @@ def check_construction_equality(points, tol: float, nbar: float = 0.0) -> CheckR
         - np.conj(m) * gen.k_plus
         - 0.5 * (2.0 * n + 1.0) * np.eye(4)
     )
-    worst = float(np.max(np.abs(rates - want), initial=0.0))
+    worst = float(np.max(np.abs(rates - want) / (g * (2.0 * n + 1.0)), initial=0.0))
     return _result("construction-equality", worst <= tol, worst, tol)
 
 

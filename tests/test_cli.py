@@ -548,15 +548,22 @@ def test_steady_limit_past_the_float_range_has_populations_one_half(tmp_path):
 @pytest.mark.filterwarnings("error")
 def test_steady_limit_whose_n_is_past_the_float_range_is_refused(tmp_path, capsys):
     # N = sinh(800)^2 is inf: this wrote nan,nan,0,0,nan with three numpy
-    # warnings and exited 0; r = 354 keeps its finite N and populations 1/2
-    def run(r, out):
+    # warnings and exited 0; r = 354 keeps its finite N and populations 1/2.
+    # At nbar = 1e307 N overflows through nbar, though sinh(2)^2 is 13
+    def run(r, out, nbar="0"):
         return main(["steady", "--out", str(out), "--schedule.r.kind=const",
-                     "--schedule.r.value=" + r])
+                     "--schedule.r.value=" + r, "--schedule.nbar=" + nbar])
 
     assert run("800", tmp_path / "refused") == 1
     err = capsys.readouterr().err
-    assert err == "error: r limit 800.0 gives N = sinh(r)^2 past the float range\n"
+    assert err == ("error: r limit 800.0 and nbar 0.0 give N = nbar + (2 nbar + 1) sinh(r)^2"
+                   " past the float range\n")
     assert list((tmp_path / "refused").iterdir()) == []
+    assert run("2", tmp_path / "nbar", "1e307") == 1
+    err = capsys.readouterr().err
+    assert err == ("error: r limit 2.0 and nbar 1e+307 give N = nbar + (2 nbar + 1) sinh(r)^2"
+                   " past the float range\n")
+    assert list((tmp_path / "nbar").iterdir()) == []
     assert run("354", tmp_path / "run") == 0
     assert capsys.readouterr().err == ""
     assert _read(tmp_path / "run" / "steady.csv").splitlines()[1].startswith("0.5,0.5,0,0,")

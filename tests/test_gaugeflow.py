@@ -387,11 +387,19 @@ def test_occupied_squeezed_reservoir_matches_closed_form(nbar, r):
 
 @pytest.mark.parametrize("nbar", [0.01, 0.5, 3.0])
 def test_construction_equality_holds_at_occupied_points(nbar):
-    # verify's own sample set, which keeps nbar = 0, at occupations up to 3;
-    # the check is absolute, at 1e-14, and the entries grow with gamma (2N + 1)
+    # verify's own sample set, which keeps nbar = 0, at occupations up to 3
     points = itertools.product(np.linspace(0.2, 2.0, 6), np.linspace(0.0, 1.2, 6),
                                np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False))
     assert check_construction_equality(points, 1e-14, nbar).status == "PASS"
+
+
+def test_construction_equality_is_relative_to_the_relaxation_rate():
+    # the entries scale with gamma (2N + 1), about 180 at nbar = 20, r = 2 and
+    # gamma = 2, where their rounding alone measured 1.137e-13 in absolute terms
+    points = list(itertools.product(np.linspace(0.2, 2.0, 6), (2.0,),
+                                    np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)))
+    res = check_construction_equality(points, 1e-14, 20.0)
+    assert res.status == "PASS", res
 
 
 def test_autonomous_gauge_is_bounded_at_long_times():

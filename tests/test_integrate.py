@@ -6,7 +6,7 @@ import pytest
 
 from squeezebath import gaugeflow, integrate, liouvillian
 from squeezebath.algebra import unvectorize, vectorize
-from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid
+from squeezebath.bath import BathSchedule, Constant, ExpDecay, Ramp, Sinusoid, relaxation_rate
 from squeezebath.errors import InvalidInputError
 from squeezebath.gaugeflow import assemble_density, autonomous_expectations, evolve_gauge
 from squeezebath.integrate import (
@@ -537,15 +537,25 @@ def test_row_blocks_span_any_decay(monkeypatch, route):
 
 
 def test_fastest_rate_is_refused_past_the_float_range():
-    # the largest gamma (2N + 1) at the nodes; nan at gamma = 0 with 2N + 1
-    # = inf is refused too, as BathPoint and default_step refuse it
+    # bath.relaxation_rate: the largest gamma (2N + 1) over arrays or scalars;
+    # nan at gamma = 0 with 2N + 1 = inf is refused too.  BathPoint,
+    # default_step, the chunk walk and gauge_chunk all call it
     gamma, n = np.array([1.0, 2.0, 0.5]), np.array([3.0, 1.0, 10.0])
-    assert integrate.fastest_rate((gamma, n, n)) == 10.5
+    assert relaxation_rate(gamma, n) == 10.5
+    assert relaxation_rate(2.0, 1.0) == 6.0
     for gamma, n in ((1.0, 1e308), (0.0, 1e308)):
-        controls = (np.array([1.0, gamma]), np.array([0.0, n]), np.zeros(2))
-        with pytest.raises(InvalidInputError, match=r"^relaxation rate gamma \(2N \+ 1\) "
-                                                    r"exceeds the float range$"):
-            integrate.fastest_rate(controls)
+        for args in ((gamma, n), (np.array([1.0, gamma]), np.array([0.0, n]))):
+            with pytest.raises(InvalidInputError, match=r"^relaxation rate gamma \(2N \+ 1\) "
+                                                        r"exceeds the float range$"):
+                relaxation_rate(*args)
+
+
+def test_default_step_refuses_a_speed_of_theta_past_the_float_range():
+    # |amplitude omega| = inf, with every control finite at the grid times
+    schedule = BathSchedule(Constant(1.0), Constant(0.1), Sinusoid(0.0, 1e200, 1e200))
+    with pytest.raises(InvalidInputError, match=r"^speed of the squeeze phase theta "
+                                                r"exceeds the float range$"):
+        default_step(schedule, uniform_grid(1.0, 0.05))
 
 
 def test_uniform_grids_plan_a_single_count():

@@ -442,3 +442,16 @@ def test_spectrum_and_steady_state_need_one_4x4_matrix():
         spectrum(np.eye(3))
     with pytest.raises(InvalidInputError, match=r"^expected a 4x4 rate matrix, got shape \(2, 4, 4\)$"):
         steady_state(np.zeros((2, 4, 4)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectrum_and_steady_state_refuse_a_nonfinite_matrix(bad):
+    # refused as input, as check_density refuses a non-finite rho0: numpy's
+    # SVD and eigvals fail on it, the SVD with its raw LinAlgError
+    rate = build_rate_operator(BathPoint(1.0, 0.5, 0.0))
+    rate[2, 3] = bad
+    for solve in (spectrum, steady_state):
+        with pytest.raises(InvalidInputError, match=r"^rate matrix must be finite$"):
+            solve(rate)
+    with pytest.raises(InvalidInputError, match=r"^rate matrix must be finite$"):
+        spectrum(np.stack([build_rate_operator(BathPoint(1.0, 0.5, 0.0)), rate]))

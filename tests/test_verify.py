@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from squeezebath import verify
-from squeezebath.algebra import composite_generators
+from squeezebath.algebra import GeneratorSet, composite_generators
 from squeezebath.bath import BathPoint, BathSchedule, Constant, bath_params
 from squeezebath.errors import NumericalFailureError
 from squeezebath.liouvillian import build_rate_operator, rate_matrix_batch, spectrum, steady_state
@@ -15,8 +15,8 @@ from squeezebath.states import pure_state
 
 
 def _swapped_generators():
-    gen = composite_generators()
-    return gen._replace(j_plus=gen.j_minus, j_minus=gen.j_plus)
+    gen = dict(composite_generators().items())
+    return GeneratorSet(**{**gen, "j_plus": gen["j_minus"], "j_minus": gen["j_plus"]})
 
 
 # The acceptance gate and the unit tests call the same check functions as
@@ -63,12 +63,13 @@ _SPECTRUM_SAMPLES = ((7, 25), (101, 50), (17, 50))
 
 
 def _k_swapped_generators():
-    gen = composite_generators()
-    return gen._replace(k_plus=gen.k_minus, k_minus=gen.k_plus)
+    gen = dict(composite_generators().items())
+    return GeneratorSet(**{**gen, "k_plus": gen["k_minus"], "k_minus": gen["k_plus"]})
 
 
 def _construction_loop(points, gen):
-    # construction-equality written point by point, one rate operator each
+    # construction-equality written point by point, one rate operator each,
+    # each point's error relative to its gamma (2N + 1)
     worst = 0.0
     for g, r, th in points:
         n, m = bath_params(r, th)
@@ -81,7 +82,7 @@ def _construction_loop(points, gen):
             - 0.5 * (2.0 * n + 1.0) * np.eye(4)
         )
         rate = build_rate_operator(BathPoint(float(g), n, m))
-        worst = max(worst, float(np.max(np.abs(rate - want))))
+        worst = max(worst, float(np.max(np.abs(rate - want))) / (g * (2.0 * n + 1.0)))
     return worst
 
 

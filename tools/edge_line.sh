@@ -17,9 +17,11 @@
 # and inside one (16, 17).  Commands 13 and 18 are the default run with
 # every rate divided by 1e3 and 1e6, so their Pauli columns agree with it.
 # Command 19 is the reservoir's interior, occupation and squeezing at once
-# (nbar = 0.5, r = 1), where |M|^2 < N (N + 1).
-# Command 6 exits 1 (an interval of more substeps than the limit); the
-# others exit 0.
+# (nbar = 0.5, r = 1), where |M|^2 < N (N + 1).  Command 20 is `steady`
+# with an r limit of 2 at nbar = 1e307, whose N is past the float range.
+# Commands 6 (an interval of more substeps than the limit) and 20 (the N
+# of the limit refused, naming r's limit and nbar) exit 1; the others
+# exit 0.
 # Commands 2 and 12 take seconds each, and 5, 7 and 12 peak at 100-160 MB.
 exec sh "$(dirname "$0")/run_commands.sh" "$@" <<'COMMANDS'
 trajectory schedule.r.kind=const schedule.r.value=3
@@ -41,4 +43,5 @@ trajectory schedule.gamma.value=100 schedule.r.kind=const schedule.r.value=0 gri
 trajectory schedule.mode=thermal schedule.nbar=300 grid.t_max=5 grid.dt_out=5
 trajectory schedule.gamma.value=1e-6 schedule.r.c2=1e-7 grid.t_max=3e7 grid.dt_out=5e4
 trajectory schedule.nbar=0.5 schedule.r.kind=const schedule.r.value=1
+steady schedule.nbar=1e307 schedule.r.kind=const schedule.r.value=2
 COMMANDS
