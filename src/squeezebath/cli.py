@@ -2,8 +2,11 @@
 
 Subcommands: trajectory, figures, spectrum, steady, verify.  Configuration
 is a flat dotted-key file (``key=value`` lines, ``#`` comments) merged with
-``--key=value`` overrides; unknown or malformed keys abort with exit code 1,
-numerical failures with exit code 2.
+``--key=value`` overrides; malformed arguments, keys or values abort with
+exit code 1, numerical failures with exit code 2.  A key is known when
+resolve_config reads it, so an unknown key is refused once every known key
+has parsed; argv's overrides are checked in the same walk as --config and
+--out, before the config file is read.
 """
 
 from __future__ import annotations
@@ -76,10 +79,6 @@ _KINDS = {
     "ramp": (Ramp, ("a", "b")),
     "sin": (Sinusoid, ("a", "b", "omega", "phase")),
 }
-_BASE_KEYS = frozenset(
-    k for k in DEFAULTS
-    if not any(k.startswith(p + ".") for p in _CONTROL_PREFIXES)
-)
 
 
 class RunConfig(_Record):
@@ -112,27 +111,18 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _parse_overrides(tokens: list[str]) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for token in tokens:
-        body = token[2:] if token.startswith("--") else token
-        if "=" not in body:
-            raise InvalidInputError("override %r is not of the form key=value" % token)
-        key, value = body.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
+class _Reads(dict):
+    """A dict that notes each key read from it by subscription."""
 
+    __slots__ = ("read",)
 
-def _known_key(key: str, merged: dict[str, str]) -> bool:
-    if key in _BASE_KEYS:
-        return True
-    for prefix in _CONTROL_PREFIXES:
-        if key == prefix + ".kind":
-            return True
-        if key.startswith(prefix + "."):
-            kind = merged.get(prefix + ".kind", "")
-            return kind in _KINDS and key[len(prefix) + 1:] in _KINDS[kind][1]
-    return False
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 def _as_float(merged: dict[str, str], key: str) -> float:
@@ -172,12 +162,10 @@ def _control_from(merged: dict[str, str], user: dict[str, str], prefix: str):
     values = []
     for param in params:
         key = prefix + "." + param
-        if key in user:
-            values.append(_as_float(user, key))
-        elif key in DEFAULTS and DEFAULTS[prefix + ".kind"] == kind:
-            values.append(_as_float(DEFAULTS, key))
-        else:
+        # from the user, or from DEFAULTS only under the default kind
+        if key not in user and kind != DEFAULTS[prefix + ".kind"]:
             raise InvalidInputError("%s is required for kind=%s" % (key, kind))
+        values.append(_as_float(merged, key))
     return control(*values)
 
 
@@ -202,12 +190,15 @@ def _parse_figure_ids(raw: str) -> tuple[int, ...]:
 
 
 def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
-    merged = dict(DEFAULTS)
-    merged.update(user)
-    for key in user:
-        if not _known_key(key, merged):
-            raise InvalidInputError("unknown config key %r" % key)
+    """The run configuration of the user's keys over DEFAULTS.
 
+    Every key is parsed on every command, in either mode.  A key is known
+    when this resolution reads it: a control's parameters are those of its
+    kind, so a parameter of another kind, or a default-kind parameter left
+    under another kind, is never read.  Once every read key has parsed, the
+    first user key (in the order given) that nothing read is refused."""
+    merged = _Reads(DEFAULTS)
+    merged.update(user)
     mode = merged["schedule.mode"]
     if mode not in ("ideal", "thermal"):
         raise InvalidInputError("schedule.mode=%r is not ideal or thermal" % mode)
@@ -232,7 +223,7 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
         name: _as_nonnegative(merged, "tol." + name)
         for name in ("oracle", "trace", "herm", "min_eig", "identity")
     }
-    return RunConfig(
+    rc = RunConfig(
         mode=mode,
         schedule=schedule,
         rho0=rho0,
@@ -246,6 +237,10 @@ def resolve_config(user: dict[str, str], out_dir: str) -> RunConfig:
         steady_at=steady_at,
         tol=tol,
     )
+    for key in user:
+        if key not in merged.read:
+            raise InvalidInputError("unknown config key %r" % key)
+    return rc
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +526,18 @@ _COMMANDS = {
 _USAGE = "usage: squeezebath <command> [--config FILE] [--out DIR] [key=value ...]"
 
 
-def _read_argv(argv: list[str]) -> tuple[str, str | None, str, list[str]]:
-    """The command, --config FILE, --out DIR and the other tokens of argv.
+def _read_argv(argv: list[str]) -> tuple[str, str | None, str, dict[str, str]]:
+    """The command, --config FILE, --out DIR and the overrides of argv.
 
     --config and --out may come before or after the command, as --opt VALUE
     or --opt=VALUE, and the last one given wins; --out defaults to ".".
     The first token that starts with no "-" is the command.  Every other
-    token is left for _parse_overrides."""
+    token is an override, key=value or --key=value, refused as it is met
+    if it has no "=": so argv is checked whole before the config file is
+    read."""
     command = None
     options = {"--config": None, "--out": "."}
-    extra = []
+    overrides = {}
     tokens = iter(argv)
     for token in tokens:
         name, eq, value = token.partition("=")
@@ -555,11 +552,13 @@ def _read_argv(argv: list[str]) -> tuple[str, str | None, str, list[str]]:
                 raise InvalidInputError("unknown command %r (choose from %s)"
                                         % (token, ", ".join(sorted(_COMMANDS))))
             command = token
+        elif not eq:
+            raise InvalidInputError("override %r is not of the form key=value" % token)
         else:
-            extra.append(token)
+            overrides[name.removeprefix("--").strip()] = value.strip()
     if command is None:
         raise InvalidInputError("no command given (choose from %s)" % ", ".join(sorted(_COMMANDS)))
-    return command, options["--config"], options["--out"], extra
+    return command, options["--config"], options["--out"], overrides
 
 
 def main(argv=None) -> int:
@@ -568,9 +567,9 @@ def main(argv=None) -> int:
         print(_USAGE)
         return 0
     try:
-        command, config, out_dir, extra = _read_argv(argv)
+        command, config, out_dir, overrides = _read_argv(argv)
         user = {} if config is None else _read_config_file(config)
-        user.update(_parse_overrides(extra))
+        user.update(overrides)
         rc = resolve_config(user, out_dir)
         os.makedirs(rc.out_dir, exist_ok=True)
         return _COMMANDS[command](rc)

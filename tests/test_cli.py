@@ -147,9 +147,9 @@ def test_trajectory_output_is_deterministic(tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert _read(out_a / "trajectory.csv") == _read(out_b / "trajectory.csv")
-    # at gamma = 0.2 the auto step, 1e-2 (a fastest rate below 1 counts as
-    # 1), is capped at the grid spacing (a rounding below 0.001): the run is
-    # that of an explicit grid.dt_int = dt_out
+    # at gamma = 0.2 the auto step, 1e-2 over gamma (2N + 1) ~ 0.204 at peak
+    # r = 0.1 (about 0.049), is capped at the grid spacing (a rounding below
+    # 0.001): the run is that of an explicit grid.dt_int = dt_out
     args = ["trajectory", "--schedule.gamma.value=0.2", "--grid.t_max=1", "--grid.dt_out=0.001"]
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b), "--grid.dt_int=0.001"]) == 0
@@ -857,11 +857,55 @@ def test_trajectory_memory_per_row(tmp_path, capsys):
     assert peak / 20_001 <= 600, peak / 20_001
 
 
-def test_defaults_cover_every_documented_key():
-    # kind-specific control parameters resolve against their default kinds
-    for key in DEFAULTS:
-        rc = resolve_config({key: DEFAULTS[key]}, ".")
-        assert rc is not None
+def _control(prefix, kind):
+    # the kind and every one of its parameters
+    return {prefix + ".kind": kind, **{"%s.%s" % (prefix, p): "0.5" for p in cli._KINDS[kind][1]}}
+
+
+# (user keys, the key refused as unknown or None): every DEFAULTS key alone
+# at its default, and each control's kinds with their parameters, are
+# accepted; a parameter of another kind (a default-kind one left under
+# another kind among them) and made-up keys are refused
+_GRAMMAR = [({key: value}, None) for key, value in DEFAULTS.items()] + [
+    (_control(prefix, kind), None) for prefix in cli._CONTROL_PREFIXES for kind in cli._KINDS
+] + [
+    ({**_control(prefix, kind), "%s.%s" % (prefix, param): "0.5"}, "%s.%s" % (prefix, param))
+    for prefix in cli._CONTROL_PREFIXES for kind in cli._KINDS
+    for param in dict.fromkeys(p for _, params in cli._KINDS.values() for p in params)
+    if param not in cli._KINDS[kind][1]
+] + [({key: "1"}, key) for key in (
+    "grid.bogus", "bogus", "schedule.r", "schedule.r.kind.x", "schedule.gamma.bogus",
+    "tol", "tol.bogus", "initial.mu", "figures.ids.x", "--grid.t_max",
+)]
+
+
+@pytest.mark.parametrize("user, refused", _GRAMMAR, ids=[
+    " ".join(key + ("=" + value if key.endswith(".kind") else "") for key, value in user.items())
+    for user, _ in _GRAMMAR
+])
+def test_a_key_is_known_when_the_resolution_reads_it(user, refused):
+    if refused is None:
+        assert isinstance(resolve_config(user, "."), cli.RunConfig)
+    else:
+        with pytest.raises(InvalidInputError) as info:
+            resolve_config(user, ".")
+        assert str(info.value) == "unknown config key %r" % refused
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a key that does not parse is named before an unknown one
+    ("trajectory grid.bogus=1 grid.t_max=abc", "config value grid.t_max='abc' is not a number"),
+    ("trajectory schedule.r.kind=sin schedule.r.c1=0.1", "schedule.r.a is required for kind=sin"),
+    # an override is checked as argv is walked: before the command is
+    # missed and before the config file is read
+    ("--x", "override '--x' is not of the form key=value"),
+    ("trajectory --config {D}/missing.cfg bad", "override 'bad' is not of the form key=value"),
+])
+def test_the_first_of_two_faults_named(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv.format(D=tmp_path).split() + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -217,9 +217,12 @@ def test_default_step_resolves_the_fastest_control():
                                (Sinusoid(0.0, 300.0, 10.0, 0.0), 1.0, 1e-2 / 3000.0),
                                (ExpDecay(0.001, -3.0), 5.0, 1e-2 / (3.0 * (0.001 * math.exp(15.0))))):
         assert default_step(BathSchedule(theta=theta, **squeezed), uniform_grid(t_max, 0.05)) == step
-    # at r = 0.01 a turn moves M by 2|M| = sinh 0.02 per radian: 5e-4, not 1e-5
+    # at r = 0.01 a turn moves M by 2|M| = 2 sinh(r) cosh(r) per radian, as
+    # bath._squeezed computes it (not the sinh 0.02 it equals but for the
+    # last bit): about 5e-4, not 1e-5
     weak = BathSchedule(gamma=Constant(1.0), r=Constant(0.01), theta=Ramp(0.0, 1000.0))
-    assert default_step(weak, uniform_grid(1.0, 0.05)) == 1e-2 / (1000.0 * np.sinh(0.02))
+    assert default_step(weak, uniform_grid(1.0, 0.05)) == 1e-2 / (
+        1000.0 * (2.0 * (np.sinh(0.01) * np.cosh(0.01))))
     # but not at r = 0, where M = 0 at any nbar: there only gamma (2 nbar + 1) counts
     assert default_step(BathSchedule(gamma=Constant(1.0), r=Ramp(0.0, 0.0),
                                      theta=Ramp(0.0, 1000.0)), grid) == 1e-2
@@ -228,8 +231,8 @@ def test_default_step_resolves_the_fastest_control():
     assert default_step(BathSchedule(gamma=Constant(1.0), r=Sinusoid(0.5, 0.1, 10.0)),
                         grid) == 1e-3
     # at nbar > 0 r and theta count as at nbar = 0, with N = nbar + (2 nbar + 1)
-    # sinh(r)^2 and 2|M| = (2 nbar + 1) sinh 2r: r's omega, the relaxation rate
-    # and the turn, each where it is the fastest rate
+    # sinh(r)^2 and 2|M| = (2 nbar + 1) 2 sinh(r) cosh(r): r's omega, the
+    # relaxation rate and the turn, each where it is the fastest rate
     assert default_step(BathSchedule(gamma=Constant(1.0), r=fast, nbar=0.5), grid) == 1e-4
     sh = np.sinh(1.0)
     assert default_step(BathSchedule(gamma=Constant(1.0), r=Constant(1.0), nbar=0.5),
@@ -237,7 +240,7 @@ def test_default_step_resolves_the_fastest_control():
     weak_occupied = BathSchedule(gamma=Constant(1.0), r=Constant(0.01), theta=Ramp(0.0, 1000.0),
                                  nbar=0.5)
     assert default_step(weak_occupied, uniform_grid(1.0, 0.05)) == 1e-2 / (
-        1000.0 * (2.0 * np.sinh(0.02)))
+        1000.0 * (2.0 * (2.0 * (np.sinh(0.01) * np.cosh(0.01)))))
     # gamma at 2pi/0.05 is 0 at every output time and up to 10 between them:
     # the step resolves its oscillation, not the samples
     aliased = BathSchedule(gamma=Sinusoid(5.0, 5.0, 2.0 * np.pi / 0.05, -np.pi / 2.0))

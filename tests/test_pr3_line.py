@@ -1,9 +1,11 @@
 import os
+import shutil
 import subprocess
 
 import pytest
 
 _TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+_PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "squeezebath")
 
 
 def _assert_refused(tool, tmp_path, tree):
@@ -33,3 +35,18 @@ def test_a_wrong_argument_count_is_refused(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 64
     assert proc.stderr.startswith("usage: ")
+
+
+def test_the_commands_leave_no_bytecode_in_the_tree(tmp_path):
+    # a __pycache__ left in a tree would give a later benchmark run from it
+    # warm imports; the variable is unset here, as on a host without it
+    tree = tmp_path / "tree"
+    shutil.copytree(_PACKAGE, tree / "src" / "squeezebath",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run(["sh", os.path.join(_TOOLS, "run_commands.sh"), str(tree),
+                           str(tmp_path / "out")], input="spectrum\n", env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "1.exit").read_text() == "0\n"
+    assert not list(tree.rglob("__pycache__"))

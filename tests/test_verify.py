@@ -41,7 +41,10 @@ def test_run_checks_fails_the_check_of_a_broken_dependency(monkeypatch, attr, br
         dt_int=0.001,
         tol={"oracle": 1e-7, "trace": 1e-9, "herm": 1e-9, "min_eig": 1e-8, "identity": 1e-9},
     )
-    assert [r.status for r in results if r.name == check] == ["FAIL"]
+    [failed] = [r for r in results if r.name == check]
+    # a measured failure: a broken stub that raised would be a FAIL line too
+    assert failed.status == "FAIL"
+    assert failed.measured is not None and not failed.detail.startswith("raised"), failed
 
 
 def test_a_rate_needs_three_points_above_the_noise_floor():

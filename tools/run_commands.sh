@@ -10,6 +10,10 @@
 # <out>.  So a change that moves no output bit gives the same OUT_DIR on its
 # tree as on its parent's.  tools/pr3_line.sh and tools/edge_line.sh feed it
 # their commands.
+#
+# Each command runs with PYTHONDONTWRITEBYTECODE=1, so SRC_TREE gains no
+# __pycache__: a later perfbench/run.py from that tree would otherwise
+# import warm bytecode and report a smaller setup_s than a fresh checkout.
 set -u
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC_TREE OUT_DIR < COMMANDS" >&2
@@ -27,7 +31,7 @@ while read -r command; do
     n=$((n + 1))
     rm -rf "${out:?}/$n" && mkdir "$out/$n"
     # $command is left unquoted: it is a subcommand and its overrides
-    (cd "$tree" && PYTHONPATH=src python3 -m squeezebath $command --out "$out/$n" \
+    (cd "$tree" && PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python3 -m squeezebath $command --out "$out/$n" \
         </dev/null >"$out/$n.stdout" 2>"$out/$n.stderr")
     echo $? >"$out/$n.exit"
     for stream in stdout stderr; do
