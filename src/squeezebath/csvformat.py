@@ -10,21 +10,26 @@ formatted one at a time by Python's ``%``.  Where long double is no wider
 than double, the error bound reaches 0.5 and every value goes that way.
 Signed zeros are laid out like any other value.
 
-Each value gets a 44-byte slot, filled from lookup tables:
+Each value gets a 32-byte slot, four uint64 words:
 
-    0      '-' or NUL
-    1-15   integer digits, 10^14 .. 10^0, leading zeros NUL
-    16     '.', NUL when no fraction digit follows
-    17     NUL
-    18-35  fraction digits, 10^-1 .. 10^-18, trailing zeros NUL
-    36-40  exponent suffix 'e+XX' or 'e-XXX', or NULs
-    41-42  NUL
-    43     ',' or the row's '\\n'
+    0-7    '-' or NUL, then '0.' to '0.000' where e is -1 to -4, NULs
+    8-23   the digits of m, the first in byte 8, with '.' after the units
+           digit (fixed notation, e >= 0) or after the first digit (the
+           others) where a nonzero digit follows; trailing zeros NUL
+    24-30  exponent suffix 'e+XX' or 'e-XXX', or NULs
+    31     ',' or the row's '\\n'
 
 and dropping the NULs of the block's slots leaves its text.  %.15g writes
-fixed notation for -4 <= e < 15: the integer part m // 10^(14-e), then the
-fraction below it; otherwise one integer digit, the fraction and the
-suffix.
+fixed notation for -4 <= e < 15, otherwise one digit before the point and
+the suffix.  Every word but the digits comes from a table row per e.
+
+The digits need no division (Warren, Hacker's Delight, ch. 10): m // 10^7
+and (m % 10^7) 10 are each below 10^8, and each v becomes 8 digit bytes in
+one uint64.  v // 10^4 and v % 10^4 go in its two 32-bit lanes, then every
+lane is split by x // 100 = (x 10486) >> 20, and every 16-bit lane by
+x // 10 = (x 103) >> 10.  A nonzero digit byte z sets bit 7 of z + 0x7F;
+shifting those flags down to the lower bytes marks every digit that some
+nonzero digit follows, and the others are trailing zeros.
 """
 
 from __future__ import annotations
@@ -40,10 +45,7 @@ __all__ = ["format_rows"]
 _MARGIN_EPS = 4.0
 # decimal exponents of finite nonzero doubles, 5e-324 to 1.8e308
 _E_MIN, _E_MAX = -324, 308
-_SLOT = 44
-# where each kind of digit chunk starts in the digit table
-_LEAD, _TRAIL, _SIGNED, _POINT, _UNITS = 10_000, 20_000, 30_000, 32_000, 32_200
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_BYTES = 0x0101_0101_0101_0101
 
 
 def _margin() -> float:
@@ -52,63 +54,40 @@ def _margin() -> float:
     return _MARGIN_EPS * float(np.finfo(np.longdouble).eps) * 1e15
 
 
-def _digit_table() -> np.ndarray:
-    # the ASCII digits of 0..9999, four bytes in one uint32, in five kinds:
-    # all four digits, leading zeros blanked (NUL), trailing zeros blanked,
-    # the first integer chunk (below 1000) after its sign byte, the first
-    # fraction chunk (below 100) after its point, then the lone units '0'
-    table = np.zeros((_UNITS + 1, 4), dtype=np.uint8)
-    full, lead, trail = (table[k : k + 10_000].reshape(10, 10, 10, 10, 4)
-                         for k in (0, _LEAD, _TRAIL))
-    for place in range(4):
-        shape = [1, 1, 1, 1]
-        shape[place] = 10
-        full[..., place] = np.arange(48, 58, dtype=np.uint8).reshape(shape)
-    lead[...] = full
-    trail[...] = full
-    for place in range(4):
-        # lead blanks a digit where it and every digit before it is 0,
-        # trail where it and every digit after it is 0
-        lead[(0,) * (place + 1) + (Ellipsis, place)] = 0
-        trail[(Ellipsis,) + (0,) * (4 - place) + (place,)] = 0
-    signed = table[_SIGNED : _SIGNED + 2000]
-    signed[:1000] = signed[1000:] = table[_LEAD : _LEAD + 1000]
-    signed[1000:, 0] = ord("-")
-    # the point goes unless every fraction digit is 0: offset 100 marks a
-    # chunk with only zeros after it
-    point = table[_POINT : _POINT + 200]
-    point[:100] = table[:100]
-    point[100:] = table[_TRAIL : _TRAIL + 100]
-    point[:, 0:2] = (ord("."), 0)
-    point[100, 0] = 0
-    table[_UNITS, 3] = ord("0")
-    return table.view(np.uint32)[:, 0]
+def _layout_row(e: int) -> bytes:
+    # the slot with NULs for its sign and digits, then two masks over the
+    # digits: 0xFF up to the one the point follows (the integer digits of
+    # fixed notation), and '.' in the byte after it.  Where e < 0 the point
+    # is in the prefix, and both masks are NUL.
+    if -4 <= e < 0:
+        return (b"\0" + b"0." + b"0" * (-1 - e)).ljust(31, b"\0") + b"," + b"\0" * 32
+    fixed = 0 <= e < 15
+    units = e if fixed else 0
+    suffix = b"" if fixed else b"e%+03d" % e
+    return (b"\0" * 24 + suffix.ljust(7, b"\0") + b"," + (b"\xff" * (units + 1)).ljust(16, b"\0")
+            + (b"\0" * (units + 1) + b".").ljust(16, b"\0")[:16])
 
 
 @functools.cache
 def _tables():
-    """The lookup tables, built on first use (about 1 ms): 10^k in long
-    double for k = 14 - e, the digit chunks, and the exponent suffixes."""
+    """The lookup tables, built on first use: 10^k in long double for
+    k = 14 - e; by e, the slot's words around its digits; and by e, the
+    digits' two masks."""
     powers = np.longdouble(10) ** np.arange(14 - _E_MAX, 15 - _E_MIN).astype(np.longdouble)
-    # bytes 36-43 by e - _E_MIN, then the blank suffix of fixed notation:
-    # 'e', the exponent's sign and 2 or 3 digits, NULs, ','
-    suffix = b"".join(
-        [(b"e%+03d" % k).ljust(7, b"\0") + b"," for k in range(_E_MIN, _E_MAX + 1)]
-        + [b"\0" * 7 + b","]
-    )
-    return powers, _digit_table(), np.frombuffer(suffix, dtype=np.uint64)
+    rows = np.frombuffer(b"".join(_layout_row(e) for e in range(_E_MIN, _E_MAX + 1)),
+                         dtype=np.uint64).reshape(-1, 8)
+    masks = np.ascontiguousarray(rows[:, 4:].reshape(-1, 2, 2).swapaxes(0, 1))
+    return powers, rows[:, :4].copy(), masks
 
 
 def _mantissas(x: np.ndarray, powers: np.ndarray):
-    """(m, e, exact, fixed): the 15-digit mantissa m and the decimal
-    exponent e = floor(log10 |x|) of each value, where exact (m is 0
-    elsewhere), and whether e is one of fixed notation's."""
+    """(m, e, exact): the 15-digit mantissa m and the decimal exponent
+    e = floor(log10 |x|) of each value, where exact (m is 0 elsewhere)."""
     a = np.abs(x)
     exact = (a > 0) & (a < np.inf)
     a[~exact] = 1.0
     e = np.log10(a)
     e = np.floor(e, out=e)
-    fixed = (e >= -4) & (e < 15)
     e = e.astype(np.int64)
     y = a.astype(np.longdouble)
     y *= powers[_E_MAX - e]
@@ -125,40 +104,46 @@ def _mantissas(x: np.ndarray, powers: np.ndarray):
         (m > 1e14) | ((m == 1e14) & (off >= -delta))
     )
     m[~exact] = 0.0
-    return m.astype(np.int64), e, exact, fixed
+    return m.astype(np.int64), e, exact
 
 
-def _quads(value: np.ndarray):
-    # the four 4-digit chunks of a value below 10^16, most significant first
-    high = value // 10**8
-    low = value - high * 10**8
-    q0 = high // 10**4
-    q2 = low // 10**4
-    return q0, high - q0 * 10**4, q2, low - q2 * 10**4
+def _digit_bytes(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each uint64 v below 10^8, as byte values
+    0-9 of a uint64, the most significant in the lowest byte."""
+    high = v * 109_951_163 >> 40  # v // 10^4, exact below 4.9e8
+    x = high | (v - high * 10_000) << 32
+    q = x * 10_486 >> 20 & 0x7F_0000_007F
+    x = q | (x - q * 100) << 16
+    q = x * 103 >> 10 & 0x000F_000F_000F_000F
+    return q | (x - q * 10) << 8
 
 
-def _integer_digits(whole, negative, digits, slot) -> None:
-    # bytes 0-15: sign, then the 15 integer digits with leading zeros
-    # blanked, down to the units digit
-    quads = _quads(whole)
-    slot[:, 0] = digits[quads[0] + np.where(negative, _SIGNED + 1000, _SIGNED)]
-    lead = ~quads[0].astype(bool)
-    for col in (1, 2, 3):
-        slot[:, col] = digits[np.where(lead, quads[col] + _LEAD, quads[col])]
-        lead &= ~quads[col].astype(bool)
-    # a zero integer part keeps its units '0'
-    slot[lead, 3] = digits[_UNITS]
-
-
-def _fraction_digits(frac, digits, slot) -> None:
-    # bytes 16-35: the point, a NUL, then 18 fraction digits with trailing
-    # zeros blanked
-    head = frac // 10**16
-    trail = np.ones(len(frac), dtype=bool)
-    for col, quad in zip((8, 7, 6, 5), _quads(frac - head * 10**16)[::-1]):
-        slot[:, col] = digits[np.where(trail, quad + _TRAIL, quad)]
-        trail &= ~quad.astype(bool)
-    slot[:, 4] = digits[np.where(trail, head + (_POINT + 100), head + _POINT)]
+def _digit_text(mant: np.ndarray, keep: np.ndarray, point: np.ndarray) -> np.ndarray:
+    # bytes 8-23 of each slot, as two uint64 words per value: the digits of
+    # m, trailing zeros blanked but for those keep holds, and the point
+    high = mant // 10**7
+    digits = _digit_bytes(np.stack((high, (mant - high * 10**7) * 10), axis=1).view(np.uint64))
+    # a digit is kept where a nonzero digit follows it (in the second word,
+    # for every digit of the first), or where keep has it
+    kept = digits + 0x7F * _BYTES
+    kept &= 0x80 * _BYTES
+    for shift in (8, 16, 32):
+        kept |= kept >> shift
+    kept[:, 0] |= (kept[:, 1] & 0x80) * _BYTES
+    kept >>= 7
+    kept *= 0xFF
+    kept |= keep
+    digits |= 0x30 * _BYTES
+    digits &= kept
+    # the point takes the byte after the digit it follows, where that byte
+    # is kept, and the digits after it move up by one, across the two words
+    after = digits & ~keep
+    digits &= keep
+    digits |= kept & point
+    digits[:, 1] |= after[:, 0] >> 56
+    after <<= 8
+    digits |= after
+    return digits
 
 
 def _fallback_text(values: np.ndarray) -> np.ndarray:
@@ -167,34 +152,28 @@ def _fallback_text(values: np.ndarray) -> np.ndarray:
 
 
 def _slots(block: np.ndarray) -> np.ndarray:
-    # each value's 44-byte slot, NUL where no byte is written
-    powers, digits, suffix = _tables()
+    # each value's 32-byte slot, as four uint64 words
+    powers, words, masks = _tables()
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    mant, e, exact, fixed = _mantissas(x, powers)
-    slot = np.empty((len(x), _SLOT // 4), dtype=np.uint32)
-    expo = np.where(exact & ~fixed, e - _E_MIN, _E_MAX - _E_MIN + 1)
-    slot[:, 9:11] = suffix[expo].view(np.uint32).reshape(-1, 2)
-    # fixed notation splits m at its units digit, the other at its first
-    shift = np.where(exact & fixed, e, 0)
-    scale = _POW10[14 - shift]
-    whole = mant // scale
-    _integer_digits(whole, np.signbit(x), digits, slot)
-    _fraction_digits((mant - whole * scale) * _POW10[shift + 4], digits, slot)
-
+    mant, e, exact = _mantissas(x, powers)
+    e -= _E_MIN
+    digits = _digit_text(mant, *np.take(masks, e, axis=1))
+    del mant
+    slot = np.take(words, e, axis=0)
     text = slot.view(np.uint8)
-    text.reshape(-1, block.shape[-1], _SLOT)[:, -1, -1] = ord("\n")
+    text[:, 8:24].view("V16")[:] = digits.view("V16")
+    slot[:, 0] |= np.signbit(x) * np.uint64(ord("-"))
+    text.reshape(-1, block.shape[-1], 32)[:, -1, -1] = ord("\n")
     fallback = np.flatnonzero(~exact & (x != 0))
     if len(fallback):
         text[fallback, :24] = _fallback_text(x[fallback]).view(np.uint8).reshape(-1, 24)
         text[fallback, 24:-1] = 0
-    return text
+    return slot
 
 
 def format_rows(block: np.ndarray) -> np.ndarray:
     """The CSV lines of a (rows, cols) float block as uint8 text: each value
     as ``'%.15g' % value`` writes it, ',' between values, '\\n' after each
     row."""
-    # _slots' temporaries are freed before the compaction, which holds the
-    # slots, their mask and the text
-    text = _slots(block)
-    return text[text != 0]
+    text = _slots(block).tobytes()
+    return np.frombuffer(text.translate(None, b"\0"), dtype=np.uint8)

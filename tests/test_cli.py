@@ -846,6 +846,25 @@ def test_csv_writer_peak_memory_is_capped(tmp_path):
     assert peak <= 1 << 20, peak
 
 
+# the command and the block whose formatting fails: trajectory writes 601
+# rows in 3 blocks, spectrum 4 rows in one
+@pytest.mark.parametrize("command, failing_call", [("trajectory", 2), ("spectrum", 1)])
+def test_a_csv_write_that_fails_leaves_no_file(tmp_path, monkeypatch, capsys, command, failing_call):
+    calls = []
+
+    def format_rows(block):
+        calls.append(len(block))
+        if len(calls) == failing_call:
+            raise OSError(28, "No space left on device")
+        return csvformat.format_rows(block)
+
+    monkeypatch.setattr(cli, "format_rows", format_rows)
+    assert main([command, "--out", str(tmp_path), "grid.t_max=30"]) == 1
+    assert len(calls) == failing_call
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_trajectory_memory_per_row(tmp_path, capsys):
     # 20 001 rows of one substep each peak near 400 B per row, in
     # compute_frame, with the writer holding one block of rows at a time;

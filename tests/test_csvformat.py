@@ -122,3 +122,37 @@ def test_power_table_is_within_one_eps_of_ten_to_the_k():
         exact = Fraction(10) ** k
         worst = max(worst, abs(Fraction(*power.as_integer_ratio()) - exact) / exact)
     assert worst <= eps, float(worst / eps)
+
+
+def _layout_cases() -> np.ndarray:
+    # every fixed-notation exponent with 1 to 15 significant digits, zeros
+    # inside or not; scientific notation with 1 and 15 digits at 2- and
+    # 3-digit exponents of either sign; the longest texts, 22 bytes
+    texts = []
+    for e in range(-4, 15):
+        for k in range(1, 16):
+            for digits in ("9" + "0" * (k - 2) + "1", "123456789012345"[: k - 1] + "7"):
+                digits = digits[-k:]
+                texts.append("%s.%se%d" % (digits[0], digits[1:], e))
+    for e in (-5, -10, -99, -100, -307, 15, 16, 99, 100, 307):
+        texts += ["7e%d" % e, "1.23456789012345e%d" % e, "1.00000000000009e%d" % e]
+    values = np.array([float(t) for t in texts] + [0.0])
+    return np.concatenate((values, -values))
+
+
+@pytest.mark.parametrize("cols", [1, 5, 16])
+def test_every_layout_case_is_percent_15g(monkeypatch, cols):
+    cases = _layout_cases()
+    assert max(len("%.15g" % v) for v in cases) == 22
+    # every case is laid out by the kernel, none by the fallback
+    monkeypatch.setattr(csvformat, "_fallback_text", lambda v: pytest.fail("fallback %r" % v))
+    block = np.resize(cases, -(-len(cases) // cols) * cols).reshape(-1, cols)
+    assert bytes(format_rows(block)) == _reference(block)
+
+
+def test_the_digit_step_is_percent_08d():
+    rng = np.random.default_rng(11)
+    v = np.concatenate((np.arange(10**6), np.arange(10**8 - 10**6, 10**8),
+                        rng.integers(0, 10**8, 10**6))).astype(np.uint64)
+    text = csvformat._digit_bytes(v) + np.uint64(0x3030_3030_3030_3030)
+    assert text.tobytes() == "".join(["%08d" % k for k in v.tolist()]).encode()

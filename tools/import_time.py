@@ -87,12 +87,13 @@ def summarize(times: dict) -> dict:
 
 def summary_lines(summary: dict) -> list[str]:
     lines = []
+    width = max(5, *map(len, summary))
     for state, entry in summary.items():
         for side in SIDES:
-            lines.append("%-5s %-7s median %.2f ms  q1 %.2f ms  q3 %.2f ms" % (
-                state, side, *(1e3 * entry[side][k] for k in ("median", "q1", "q3"))))
-        lines.append("%-5s change over parent %.3f, change won %s" % (
-            state, entry["change_over_parent_median"], entry["pairs_won_by_change"]))
+            lines.append("%-*s %-7s median %.2f ms  q1 %.2f ms  q3 %.2f ms" % (
+                width, state, side, *(1e3 * entry[side][k] for k in ("median", "q1", "q3"))))
+        lines.append("%-*s change over parent %.3f, change won %s" % (
+            width, state, entry["change_over_parent_median"], entry["pairs_won_by_change"]))
     return lines
 
 
